@@ -96,6 +96,7 @@ def _stokes_solve(cfg: RunConfig, rep: ReportWriter) -> None:
     rep.add_kv("result.energy", e)
     rep.add_kv("result.residual_momentum", solution.residual_momentum)
     rep.add_kv("result.residual_divergence", solution.residual_divergence)
+    rep.add_kv("result.solver_iterations", solution.iterations)
     if space.neumann_edges:
         rep.add_kv("result.inf_sup", inf_sup_constant(system))
     vel = u_full.reshape(-1, 2)
@@ -121,7 +122,8 @@ def _stokes_solve(cfg: RunConfig, rep: ReportWriter) -> None:
     rep.add_summary(f"u_max {fmt6(np.abs(u_full).max())}, energy {fmt6(e)}")
     rep.add_summary(
         f"residuals: momentum {fmt6(solution.residual_momentum)}, "
-        f"divergence {fmt6(solution.residual_divergence)}"
+        f"divergence {fmt6(solution.residual_divergence)}, "
+        f"{solution.iterations} Schur-complement CG iterations"
     )
 
 

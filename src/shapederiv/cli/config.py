@@ -9,6 +9,7 @@ resolved configuration is embedded in every machine report.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, field
 
 from ..errors import ConfigError
@@ -46,21 +47,29 @@ _ALLOWED_KEYS = {
 _SIDES = {"left", "right", "bottom", "top"}
 
 
-def _floats(text: str, name: str, count: int | None = None) -> tuple[float, ...]:
+def _number(text: str, name: str, cast=float, minimum=None):
+    """Parse one finite number with ``cast``; anything else is a ConfigError."""
+    kind = "an integer" if cast is int else "a number"
     try:
-        vals = tuple(float(t) for t in text.replace(",", " ").split())
+        value = cast(text)
     except ValueError:
-        raise ConfigError(f"{name}: expected numbers, got {text!r}") from None
+        raise ConfigError(f"{name}: expected {kind}, got {text!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"{name}: expected a finite number, got {text!r}")
+    if minimum is not None and value < minimum:
+        raise ConfigError(f"{name} must be >= {minimum}")
+    return value
+
+
+def _floats(text: str, name: str, count: int | None = None) -> tuple[float, ...]:
+    vals = tuple(_number(t, name) for t in text.replace(",", " ").split())
     if count is not None and len(vals) != count:
         raise ConfigError(f"{name}: expected {count} numbers, got {len(vals)}")
     return vals
 
 
 def _ints(text: str, name: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(t) for t in text.replace(",", " ").split())
-    except ValueError:
-        raise ConfigError(f"{name}: expected integers, got {text!r}") from None
+    return tuple(_number(t, name, int) for t in text.replace(",", " ").split())
 
 
 @dataclass
@@ -100,12 +109,12 @@ class RunConfig:
 
     def build_velocity(self) -> VelocityField:
         p = self.velocity_params
-        window = None
-        if "window" in p:
-            w = p["window"]
-            window = CutoffWindow(lo=(w[0], w[2]), hi=(w[1], w[3]), ramp=p.get("ramp", 0.25))
         kind = self.velocity_kind
         try:
+            window = None
+            if "window" in p:
+                w = p["window"]
+                window = CutoffWindow(lo=(w[0], w[2]), hi=(w[1], w[3]), ramp=p.get("ramp", 0.25))
             if kind == "zero":
                 return ZeroField(window=window)
             if kind == "constant":
@@ -120,6 +129,8 @@ class RunConfig:
                 return QuadraticField(coeffs=(tuple(c[:6]), tuple(c[6:])), window=window)
         except KeyError as exc:
             raise ConfigError(f"velocity kind '{kind}' is missing key {exc}") from None
+        except ValueError as exc:
+            raise ConfigError(f"velocity: {exc}") from None
         raise ConfigError(f"command '{self.command}' needs a [velocity] section")
 
     def build_force(self):
@@ -211,9 +222,7 @@ def parse_config(path, command: str) -> RunConfig:
                 f"config names command '{run['command']}' but '{command}' was requested"
             )
         if "steps" in run:
-            cfg.steps = int(run["steps"])
-            if cfg.steps < 1:
-                raise ConfigError("run.steps must be >= 1")
+            cfg.steps = _number(run["steps"], "run.steps", int, minimum=1)
         if "s_list" in run:
             cfg.s_list = _floats(run["s_list"], "run.s_list")
             if any(s <= 0 for s in cfg.s_list):
@@ -225,7 +234,7 @@ def parse_config(path, command: str) -> RunConfig:
             if any(n < 1 for n in cfg.n_list):
                 raise ConfigError("run.n_list entries must be >= 1")
         if "omega" in run:
-            cfg.omega = float(run["omega"])
+            cfg.omega = _number(run["omega"], "run.omega")
 
     if parser.has_section("mesh"):
         mesh = parser["mesh"]
@@ -233,9 +242,9 @@ def parse_config(path, command: str) -> RunConfig:
         if cfg.mesh_kind not in ("unit_square", "disk", "file"):
             raise ConfigError(f"unknown mesh kind '{cfg.mesh_kind}'")
         if "n" in mesh:
-            cfg.mesh_n = int(mesh["n"])
+            cfg.mesh_n = _number(mesh["n"], "mesh.n", int, minimum=1)
         if "rings" in mesh:
-            cfg.mesh_rings = int(mesh["rings"])
+            cfg.mesh_rings = _number(mesh["rings"], "mesh.rings", int, minimum=1)
         if "neumann_sides" in mesh:
             sides = tuple(mesh["neumann_sides"].replace(",", " ").split())
             bad = set(sides) - _SIDES
@@ -257,13 +266,13 @@ def parse_config(path, command: str) -> RunConfig:
         if "matrix" in vel:
             cfg.velocity_params["matrix"] = _floats(vel["matrix"], "velocity.matrix", 4)
         if "omega" in vel:
-            cfg.velocity_params["omega"] = float(vel["omega"])
+            cfg.velocity_params["omega"] = _number(vel["omega"], "velocity.omega")
         if "coeffs" in vel:
             cfg.velocity_params["coeffs"] = _floats(vel["coeffs"], "velocity.coeffs", 12)
         if "window" in vel:
             cfg.velocity_params["window"] = _floats(vel["window"], "velocity.window", 4)
         if "ramp" in vel:
-            cfg.velocity_params["ramp"] = float(vel["ramp"])
+            cfg.velocity_params["ramp"] = _number(vel["ramp"], "velocity.ramp")
 
     if parser.has_section("force"):
         force = parser["force"]
@@ -273,7 +282,7 @@ def parse_config(path, command: str) -> RunConfig:
         if "value" in force:
             cfg.force_params["value"] = _floats(force["value"], "force.value", 2)
         if "scale" in force:
-            cfg.force_params["scale"] = float(force["scale"])
+            cfg.force_params["scale"] = _number(force["scale"], "force.scale")
 
     if parser.has_section("traction"):
         traction = parser["traction"]
@@ -286,10 +295,7 @@ def parse_config(path, command: str) -> RunConfig:
 
     if parser.has_section("tolerances"):
         for key, val in parser["tolerances"].items():
-            try:
-                cfg.tolerances[key] = float(val)
-            except ValueError:
-                raise ConfigError(f"tolerances.{key} must be a number") from None
+            cfg.tolerances[key] = _number(val, f"tolerances.{key}")
 
     _check_required(cfg)
     return cfg

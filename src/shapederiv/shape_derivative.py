@@ -19,6 +19,7 @@ central differences of the energy on transported meshes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -223,8 +224,8 @@ def fd_verify(
     traction data enters here.
     """
     s_values = [float(s) for s in s_values]
-    if any(s <= 0.0 for s in s_values):
-        raise ValueError("finite-difference steps must be positive")
+    if any(not (s > 0.0 and math.isfinite(s)) for s in s_values):
+        raise ValueError("finite-difference steps must be positive and finite")
     base_system = assemble(mesh, f_field)
     base_solution = solve_stokes(base_system, pin_pressure=pin_pressure)
     forms = assemble_perturbation(base_system.space, field, f_field)

@@ -17,9 +17,3 @@ def loglog_slope(s_values, errors) -> float:
     if np.any(s <= 0.0) or np.any(e <= 0.0):
         raise ValueError("slope fit requires positive values")
     return float(np.polyfit(np.log(s), np.log(e), 1)[0])
-
-
-def effectively_zero(errors, scale: float = 1.0, floor: float = 1e-12) -> bool:
-    """True when every error sits at roundoff level for the given scale."""
-    e = np.asarray(errors, dtype=float)
-    return bool(np.all(np.abs(e) <= floor * max(scale, 1.0)))

@@ -9,16 +9,25 @@ Neumann part of the boundary is nonempty.
 
 Assembly uses a fixed six-point triangle rule (exact through degree 4)
 and three-point Gauss edges, with element contributions summed in a fixed
-order, so repeated assemblies are bit-identical.  Systems are solved by
-sparse LU; everything here is desk-scale.
+order, so repeated assemblies are bit-identical.
+
+Saddle systems are solved through their structure rather than by one LU of
+the bordered matrix: both velocity components share the Dirichlet nodes,
+so the stiffness is two interleaved copies of the scalar P2 Laplacian,
+which is factored once at half size; the pressure then comes from
+conjugate gradients on the Schur complement B A^-1 B', preconditioned by
+the P1 pressure mass matrix (Elman, Silvester & Wathen, "Finite Elements
+and Fast Iterative Solvers", OUP 2014).  Inf-sup stability bounds the
+preconditioned spectrum independently of the mesh, so the iteration count
+does not grow under refinement.
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
 
@@ -211,12 +220,14 @@ class StokesSystem:
 
 @dataclass(frozen=True)
 class StokesSolution:
-    """Velocity and pressure coefficients with their defect norms."""
+    """Velocity and pressure coefficients with their defect norms and the
+    number of Schur-complement CG iterations that produced them."""
 
     u: np.ndarray
     lam: np.ndarray
     residual_momentum: float
     residual_divergence: float
+    iterations: int = 0
 
 
 def assemble(mesh: TriMesh, f_field: ForceField, g_field: ForceField | None = None) -> StokesSystem:
@@ -283,16 +294,110 @@ def _assemble_on(space: FunctionSpace, f_field: ForceField, g_field: ForceField 
     return StokesSystem(space=space, A=A, B=B, f=f, g=g)
 
 
+# Schur-complement CG stops once the recursively updated residual falls
+# below this fraction of the right-hand side.  That residual keeps shrinking
+# after the true one reaches roundoff, so the rule always terminates; the
+# accepted solution is still judged by its true residuals.
+_CG_RTOL = 1e-14
+_CG_MAX_ITER = 500
+
+# lobpcg for the inf-sup constant: bound on the residual of the smallest
+# generalized eigenpair in the M^-1 norm (the eigenvalue error is of its
+# square), start block width and iteration cap.
+_EIG_RTOL = 1e-9
+_EIG_BLOCK = 2
+_EIG_MAX_ITER = 200
+
+
+class _SchurComplement:
+    """The pressure Schur complement S = B A^-1 B' of a Taylor-Hood system.
+
+    Both velocity components vanish on the same Dirichlet nodes, so the
+    free dofs come in (x, y) pairs per node and A = kron(L, I_2) with L the
+    scalar P2 Laplacian.  A^-1 is one LU of L applied to the two components
+    as columns.  The P1 pressure mass matrix M is factored as the
+    preconditioner.  With ``pin_pressure`` the first pressure dof is
+    dropped from B and M.
+    """
+
+    def __init__(self, system: StokesSystem, pin_pressure: bool):
+        A = system.A
+        L = A[0::2, 0::2]
+        if A.nnz != 2 * L.nnz or (A[1::2, 1::2] != L).nnz:
+            raise SingularSystem("velocity stiffness is not one scalar block per component")
+        self.B = system.B[1:] if pin_pressure else system.B
+        mass = pressure_mass_matrix(system.space)
+        self.M = mass[1:, 1:] if pin_pressure else mass
+        row_norms = np.sqrt(np.asarray(self.B.multiply(self.B).sum(axis=1)).ravel())
+        if self.B.shape[0] > self.B.shape[1] or not np.all(row_norms > 0.0):
+            raise SingularSystem("divergence pairing is rank deficient: the pressure is not unique")
+        try:
+            self._velocity = spla.splu(L.tocsc(), permc_spec="MMD_AT_PLUS_A")
+            self._mass = spla.splu(self.M.tocsc(), permc_spec="MMD_AT_PLUS_A")
+        except RuntimeError as exc:
+            raise SingularSystem(f"factorization failed: {exc}") from None
+
+    def solve_velocity(self, rhs: np.ndarray) -> np.ndarray:
+        """A^-1 rhs for a vector or a block of columns over the velocity dofs."""
+        return self._velocity.solve(rhs.reshape(rhs.shape[0] // 2, -1)).reshape(rhs.shape)
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        return self.B @ self.solve_velocity(self.B.T @ x)
+
+    def precondition(self, r: np.ndarray) -> np.ndarray:
+        return self._mass.solve(r)
+
+    def cg(self, b: np.ndarray) -> tuple[np.ndarray, int]:
+        """Mass-preconditioned CG on S x = b; returns x and the iteration count."""
+        x = np.zeros_like(b)
+        r = b.copy()
+        stop = _CG_RTOL * float(np.linalg.norm(b))
+        if not np.isfinite(stop):
+            raise SingularSystem("Schur-complement right-hand side is not finite")
+        z = self.precondition(r)
+        p = z.copy()
+        rz = float(r @ z)
+        for iteration in range(_CG_MAX_ITER + 1):
+            if np.linalg.norm(r) <= stop:
+                return x, iteration
+            if iteration == _CG_MAX_ITER:
+                break
+            sp = self.apply(p)
+            psp = float(p @ sp)
+            # r != 0 here, so both forms are positive for SPD S and M.
+            if not (np.isfinite(psp) and psp > 0.0 and rz > 0.0):
+                raise SingularSystem(
+                    f"Schur-complement CG broke down (p'Sp = {psp:.3e}, r'M^-1r = {rz:.3e})"
+                )
+            alpha = rz / psp
+            x += alpha * p
+            r -= alpha * sp
+            z = self.precondition(r)
+            rz_next = float(r @ z)
+            if not np.isfinite(rz_next):
+                raise SingularSystem("Schur-complement CG produced a non-finite residual")
+            p = z + (rz_next / rz) * p
+            rz = rz_next
+        raise SingularSystem(f"Schur-complement CG did not converge in {_CG_MAX_ITER} iterations")
+
+
 def solve_stokes(
     system: StokesSystem, pin_pressure: bool = False, residual_tol: float = 1e-9
 ) -> StokesSolution:
     """Solve the saddle system [[A, -B'], [-B, 0]] (u, lam) = (f + g, 0).
 
+    The pressure solves S lam = -B A^-1 (f + g) with S = B A^-1 B', by
+    conjugate gradients preconditioned with the pressure mass matrix; the
+    velocity is then u = A^-1 (f + g + B' lam).  A^-1 is one sparse LU of
+    the scalar P2 Laplacian shared by both velocity components.
+
     With an empty Neumann boundary the pressure is only determined up to a
     constant; callers must then opt into ``pin_pressure``: one pressure
     dof is fixed to zero for the solve and the result is shifted to zero
     mean afterwards.  ``residual_tol`` scales with 1 + |f + g| and bounds
-    the accepted momentum and divergence defects.
+    the accepted momentum and divergence defects.  A non-finite load, a
+    rank-deficient B, a failed factorization, a CG breakdown or a CG run
+    past its iteration cap raises ``SingularSystem``.
     """
     space = system.space
     if not space.neumann_edges and not pin_pressure:
@@ -301,31 +406,30 @@ def solve_stokes(
             "solve with pin_pressure=True"
         )
     rhs_u = system.rhs
-    B = system.B[1:] if pin_pressure else system.B
-    K = sparse.bmat([[system.A, -B.T], [-B, None]], format="csc")
-    rhs = np.concatenate([rhs_u, np.zeros(B.shape[0])])
-    try:
-        lu = spla.splu(K)
-    except RuntimeError as exc:
-        raise SingularSystem(f"saddle factorization failed: {exc}") from None
-    sol = lu.solve(rhs)
-    nu = system.A.shape[0]
-    u = sol[:nu]
+    if not np.all(np.isfinite(rhs_u)):
+        raise SingularSystem("load vector has non-finite entries")
+    schur = _SchurComplement(system, pin_pressure)
+    lam, iterations = schur.cg(-(schur.B @ schur.solve_velocity(rhs_u)))
+    u = schur.solve_velocity(rhs_u + schur.B.T @ lam)
     if pin_pressure:
-        lam = np.concatenate([[0.0], sol[nu:]])
+        lam = np.concatenate([[0.0], lam])
         weights = space.pressure_integral_weights()
         lam = lam - (weights @ lam) / weights.sum()
-    else:
-        lam = sol[nu:]
 
     r_mom = float(np.linalg.norm(system.A @ u - rhs_u - system.B.T @ lam))
     r_div = float(np.linalg.norm(system.B @ u))
     scale = 1.0 + float(np.linalg.norm(rhs_u))
-    if not np.isfinite(r_mom) or r_mom > residual_tol * scale or r_div > residual_tol * scale:
+    if (
+        not (np.isfinite(r_mom) and np.isfinite(r_div))
+        or r_mom > residual_tol * scale
+        or r_div > residual_tol * scale
+    ):
         raise SingularSystem(
             f"solution residuals too large (momentum {r_mom:.3e}, divergence {r_div:.3e})"
         )
-    return StokesSolution(u=u, lam=lam, residual_momentum=r_mom, residual_divergence=r_div)
+    return StokesSolution(
+        u=u, lam=lam, residual_momentum=r_mom, residual_divergence=r_div, iterations=iterations
+    )
 
 
 def energy(system: StokesSystem, solution: StokesSolution) -> float:
@@ -351,17 +455,35 @@ def inf_sup_constant(system: StokesSystem) -> float:
     """Discrete inf-sup constant of the divergence pairing.
 
     Smallest generalized singular value of B with the stiffness norm on
-    velocities and the pressure mass norm on multipliers; computed from
-    the smallest eigenvalue of the pressure Schur complement.  Meaningful
+    velocities and the pressure mass norm on multipliers: the square root
+    of the smallest eigenvalue of S x = mu M x, S = B A^-1 B'.  Computed by
+    lobpcg on the same factored Schur operator that ``solve_stokes`` uses,
+    preconditioned by M^-1, from a fixed seeded start block.  Meaningful
     when the Neumann boundary is nonempty (B has full row rank).
     """
-    lu = spla.splu(system.A.tocsc())
-    bt = system.B.toarray().T
-    z = lu.solve(bt)
-    schur = bt.T @ z
-    m = pressure_mass_matrix(system.space).toarray()
-    eigvals = scipy.linalg.eigh(schur, m, eigvals_only=True)
-    return float(np.sqrt(max(eigvals[0], 0.0)))
+    schur = _SchurComplement(system, pin_pressure=False)
+    n = schur.B.shape[0]
+    S = spla.LinearOperator((n, n), matvec=schur.apply, matmat=schur.apply, dtype=float)
+    precond = spla.LinearOperator(
+        (n, n), matvec=schur.precondition, matmat=schur.precondition, dtype=float
+    )
+    # P1 mass eigenvalues are at least half the smallest diagonal entry, so
+    # this Euclidean bound implies an M^-1-norm residual below _EIG_RTOL.
+    tol = _EIG_RTOL * float(np.sqrt(0.5 * schur.M.diagonal().min()))
+    start = np.random.default_rng(0).standard_normal((n, min(_EIG_BLOCK, n)))
+    # lobpcg warns when it falls back to a dense solve on tiny problems and
+    # when it stops short of ``tol``; convergence is checked below instead.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        values, vectors = spla.lobpcg(
+            S, start, B=schur.M, M=precond, largest=False, tol=tol, maxiter=_EIG_MAX_ITER
+        )
+    mu, x = float(values[0]), vectors[:, 0]
+    x = x / np.sqrt(x @ (schur.M @ x))
+    residual = float(np.linalg.norm(S @ x - mu * (schur.M @ x)))
+    if not residual <= tol:
+        raise SingularSystem(f"inf-sup eigensolver did not converge (residual {residual:.3e})")
+    return float(np.sqrt(max(mu, 0.0)))
 
 
 def h1_velocity_error(space: FunctionSpace, u_free: np.ndarray, exact_velocity) -> float:

@@ -47,6 +47,44 @@ def test_s_list_must_decrease(tmp_path):
         parse_config(cfg, "qp-demo")
 
 
+FD_SQUARE = {
+    ("run", "s_list"): "1e-2 1e-3",
+    ("mesh", "kind"): "unit_square",
+    ("mesh", "n"): "2",
+    ("mesh", "neumann_sides"): "right",
+    ("velocity", "kind"): "affine",
+    ("velocity", "matrix"): "0.3 0.1 -0.2 0.15",
+    ("force", "name"): "trig",
+}
+
+
+@pytest.mark.parametrize(
+    "section,key,value",
+    [
+        ("run", "steps", "abc"),
+        ("run", "s_list", "1e-2 nan"),
+        ("run", "omega", "inf"),
+        ("mesh", "n", "0"),
+        ("mesh", "n", "2.5"),
+        ("velocity", "window", "0.1 0.85 -1 2"),  # with the ramp below: out of range
+        ("force", "scale", "nan"),
+        ("tolerances", "residual_tol", "nan"),
+    ],
+)
+def test_malformed_numbers_exit_2(tmp_path, capsys, section, key, value):
+    entries = dict(FD_SQUARE)
+    entries[(section, key)] = value
+    if key == "window":
+        entries[("velocity", "ramp")] = "0.9"
+    sections = {}
+    for (sec, k), v in entries.items():
+        sections.setdefault(sec, []).append(f"{k} = {v}")
+    text = "\n\n".join(f"[{sec}]\n" + "\n".join(lines) for sec, lines in sections.items())
+    cfg = write(tmp_path / "bad.cfg", text + "\n")
+    assert main(["fd-verify", "--config", cfg, "--output", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("error: ConfigError:")
+
+
 def test_missing_sections_reported(tmp_path):
     cfg = write(tmp_path / "a.cfg", "[mesh]\nkind = unit_square\n")
     with pytest.raises(ConfigError, match="force"):
@@ -81,6 +119,10 @@ def test_stokes_solve_pipeline(tmp_path):
     kv = read_kv(out / "report.kv")
     assert float(kv["result.u_max"]) <= 1e-9
     assert kv["config.mesh.kind"] == "unit_square"
+    assert int(kv["result.solver_iterations"]) > 0
+    assert f"{kv['result.solver_iterations']} Schur-complement CG iterations" in (
+        out / "summary.txt"
+    ).read_text()
     # nodal pressure matches x1 - 1
     rows = (out / "pressure.csv").read_text().strip().splitlines()[1:]
     for row in rows:
@@ -189,3 +231,8 @@ def test_reports_are_byte_identical(tmp_path):
     assert main(["fd-verify", "--config", cfg, "--output", str(out2)]) == 0
     assert (out1 / "report.kv").read_bytes() == (out2 / "report.kv").read_bytes()
     assert (out1 / "fd_table.csv").read_bytes() == (out2 / "fd_table.csv").read_bytes()
+    # stokes-solve adds the CG iteration count and the lobpcg inf-sup estimate
+    out3, out4 = tmp_path / "o3", tmp_path / "o4"
+    assert main(["stokes-solve", "--config", cfg, "--output", str(out3)]) == 0
+    assert main(["stokes-solve", "--config", cfg, "--output", str(out4)]) == 0
+    assert (out3 / "report.kv").read_bytes() == (out4 / "report.kv").read_bytes()

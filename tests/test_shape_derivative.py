@@ -160,8 +160,9 @@ def test_fd_quadratic_field_relaxed_slope():
 
 def test_fd_rejects_nonpositive_steps():
     mesh = sd.unit_square_mesh(2, {"right"})
-    with pytest.raises(ValueError):
-        fd_verify(mesh, TrigForce(), AFFINE, [1e-2, -1e-3])
+    for bad in (-1e-3, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            fd_verify(mesh, TrigForce(), AFFINE, [1e-2, bad])
 
 
 # --- rotation of a fully clamped domain ----------------------------------------

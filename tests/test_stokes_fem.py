@@ -1,9 +1,16 @@
 """Taylor-Hood assembly, exactly representable solutions, convergence."""
 
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse as sparse
+import scipy.sparse.linalg as spla
 
 import shapederiv as sd
+from shapederiv import stokes_fem
 from shapederiv.fields import ConstantForce, LeftEdgeTraction, trig_manufactured
 from shapederiv.mesh import TriMesh
 from shapederiv.stokes_fem import FunctionSpace, pressure_mass_matrix
@@ -192,7 +199,122 @@ def test_pure_dirichlet_gradient_force_zero_velocity():
     assert np.abs(sol.lam - (mesh.vertices[:, 0] - shift)).max() <= 1e-10
 
 
+# --- structured saddle solve ---------------------------------------------------
+
+
+def bordered_lu_solve(system, pin_pressure=False):
+    """Oracle: one sparse LU of the whole bordered matrix [[A, -B'], [-B, 0]]."""
+    B = system.B[1:] if pin_pressure else system.B
+    K = sparse.bmat([[system.A, -B.T], [-B, None]], format="csc")
+    sol = spla.splu(K).solve(np.concatenate([system.rhs, np.zeros(B.shape[0])]))
+    nu = system.A.shape[0]
+    u, lam = sol[:nu], sol[nu:]
+    if pin_pressure:
+        weights = system.space.pressure_integral_weights()
+        lam = np.concatenate([[0.0], lam])
+        lam = lam - (weights @ lam) / weights.sum()
+    return sd.StokesSolution(u=u, lam=lam, residual_momentum=0.0, residual_divergence=0.0)
+
+
+ORACLE_CASES = {  # name -> (system, pin_pressure)
+    "square8": lambda: (sd.assemble(sd.unit_square_mesh(8, {"right"}), sd.TrigForce()), False),
+    "square16": lambda: (sd.assemble(sd.unit_square_mesh(16, {"right"}), sd.TrigForce()), False),
+    "disk4": lambda: (sd.assemble(sd.disk_mesh(4), sd.TrigForce()), True),
+    "manufactured": lambda: (
+        sd.assemble(
+            sd.unit_square_mesh(8, {"right"}), trig_manufactured().force, trig_manufactured().traction
+        ),
+        False,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(ORACLE_CASES))
+def test_structured_solve_matches_bordered_lu(name):
+    system, pin = ORACLE_CASES[name]()
+    sol = sd.solve_stokes(system, pin_pressure=pin)
+    ref = bordered_lu_solve(system, pin_pressure=pin)
+    assert np.abs(sol.u - ref.u).max() <= 1e-10 * (1.0 + np.abs(ref.u).max())
+    assert np.abs(sol.lam - ref.lam).max() <= 1e-10 * (1.0 + np.abs(ref.lam).max())
+    e, e_ref = sd.energy(system, sol), sd.energy(system, ref)
+    assert abs(e - e_ref) <= 1e-13 * abs(e_ref)
+
+
+@pytest.mark.parametrize("mesh", [sd.unit_square_mesh(6, {"right"}), sd.disk_mesh(3)])
+def test_stiffness_is_scalar_laplacian_per_component(mesh):
+    # Both components share the Dirichlet nodes, so A = kron(L, I_2): the
+    # structure the saddle solver factors at half size.
+    A = sd.assemble(mesh, ConstantForce()).A
+    L = A[0::2, 0::2]
+    assert abs(A - sparse.kron(L, sparse.identity(2))).max() == 0.0
+
+
+def test_schur_cg_iterations_mesh_independent():
+    counts = [
+        sd.solve_stokes(sd.assemble(sd.unit_square_mesh(n, {"right"}), sd.TrigForce())).iterations
+        for n in (8, 16, 32)
+    ]
+    assert max(counts) - min(counts) <= 5
+    assert max(counts) <= 60
+
+
+def _square_system(n=4):
+    return sd.assemble(sd.unit_square_mesh(n, {"right"}), sd.TrigForce())
+
+
+def _zero_row(B, row):
+    B = B.tolil()
+    B[row, :] = 0.0
+    return B.tocsr()
+
+
+def _nan_entry(f):
+    f = f.copy()
+    f[3] = np.nan
+    return f
+
+
+@pytest.mark.parametrize(
+    "broken",
+    [
+        pytest.param(lambda s: dataclasses.replace(s, f=_nan_entry(s.f)), id="nan-load"),
+        pytest.param(lambda s: dataclasses.replace(s, B=_zero_row(s.B, 5)), id="rank-deficient-B"),
+        pytest.param(lambda s: dataclasses.replace(s, A=-s.A), id="cg-breakdown"),
+        pytest.param(lambda s: dataclasses.replace(s, A=s.A[::-1]), id="not-per-component"),
+    ],
+)
+def test_solver_failures_are_categorized(broken):
+    system = broken(_square_system())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(sd.SingularSystem):
+            sd.solve_stokes(system)
+
+
+def test_fully_clamped_triangle_pressure_not_unique():
+    verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    mesh = TriMesh(verts, np.array([[0, 1, 2]]), np.array([[0, 1], [1, 2], [2, 0]]), ("D", "D", "D"))
+    system = sd.assemble(mesh, ConstantForce())
+    with pytest.raises(sd.SingularSystem, match="rank deficient"):
+        sd.solve_stokes(system, pin_pressure=True)
+
+
+def test_cg_iteration_cap_raises(monkeypatch):
+    monkeypatch.setattr(stokes_fem, "_CG_MAX_ITER", 3)
+    with pytest.raises(sd.SingularSystem, match="did not converge"):
+        sd.solve_stokes(_square_system())
+
+
 # --- inf-sup and convergence --------------------------------------------------
+
+
+def dense_inf_sup(system):
+    """Oracle: dense Schur complement of the full stiffness, dense generalized eigh."""
+    bt = system.B.toarray().T
+    schur = bt.T @ spla.splu(system.A.tocsc()).solve(bt)
+    m = pressure_mass_matrix(system.space).toarray()
+    eigvals = scipy.linalg.eigh(schur, m, eigvals_only=True)
+    return float(np.sqrt(max(eigvals[0], 0.0)))
 
 
 def test_inf_sup_floor_under_refinement():
@@ -201,6 +323,7 @@ def test_inf_sup_floor_under_refinement():
         mesh = sd.unit_square_mesh(n, {"right"})
         system = sd.assemble(mesh, ConstantForce())
         values[n] = sd.inf_sup_constant(system)
+        assert values[n] == pytest.approx(dense_inf_sup(system), rel=1e-12)
     assert values[4] > 0.1
     assert values[8] >= 0.8 * values[4]
     assert values[16] >= 0.8 * values[8]
