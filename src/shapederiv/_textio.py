@@ -1,0 +1,66 @@
+"""Line-numbered parsing shared by the QP-instance and mesh text formats.
+
+Every error is a ValueError that names the file, the block and the line,
+so a caller can turn a malformed file into one categorized error.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+
+def numbered_lines(path, comment: str | None = None) -> list[tuple[int, str]]:
+    """Non-blank lines of a text file, stripped, with their 1-based numbers.
+
+    Lines that start with ``comment`` are skipped.
+    """
+    with open(path, encoding="ascii") as fh:
+        return [
+            (number, line.strip())
+            for number, line in enumerate(fh, 1)
+            if line.strip() and not (comment and line.startswith(comment))
+        ]
+
+
+def block_sizes(path, line: tuple[int, str], block: str, count: int) -> list[int]:
+    """The ``count`` non-negative integer sizes after the block name on ``line``."""
+    number, text = line
+    tokens = text.split()[1:]
+    sizes = [int(t) for t in tokens if t.isdigit()]
+    if len(tokens) != count or len(sizes) != count:
+        raise ValueError(f"{path}, line {number}: block {block} expects {count} non-negative integer size(s)")
+    return sizes
+
+
+def block_rows(lines, pos: int, path, block: str, rows: int, width: int, parse) -> list:
+    """Parse ``lines[pos:pos + rows]``, each a row of ``width`` tokens, with ``parse``."""
+    if pos + rows > len(lines):
+        last = lines[-1][0] if lines else 0
+        raise ValueError(
+            f"{path}: block {block} expects {rows} row(s), the file ends at line {last} "
+            f"after {len(lines) - pos} of them"
+        )
+    out = []
+    for number, text in lines[pos:pos + rows]:
+        tokens = text.split()
+        if len(tokens) != width:
+            raise ValueError(
+                f"{path}, line {number}: block {block} expects {width} value(s) per row, got {len(tokens)}"
+            )
+        try:
+            out.append(parse(tokens))
+        except ValueError as exc:
+            raise ValueError(f"{path}, line {number}: block {block}: {exc}") from None
+    return out
+
+
+def float_block(lines, pos: int, path, block: str, rows: int, width: int) -> np.ndarray:
+    """A ``rows`` x ``width`` array of finite floats from ``lines[pos:pos + rows]``."""
+    a = np.array(
+        block_rows(lines, pos, path, block, rows, width, lambda tokens: [float(t) for t in tokens]),
+        dtype=float,
+    ).reshape(rows, width)
+    bad = np.flatnonzero(~np.isfinite(a).all(axis=1))
+    if bad.size:
+        raise ValueError(f"{path}, line {lines[pos + bad[0]][0]}: block {block}: values must be finite")
+    return a

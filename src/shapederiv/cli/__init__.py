@@ -33,12 +33,15 @@ def _bundled_qp_path():
 
 
 def _qp_demo(cfg: RunConfig, rep: ReportWriter) -> None:
-    if cfg.qp_path:
-        qp, direction = cm.load_qp(cfg.qp_path)
-    else:
-        with resources.as_file(_bundled_qp_path()) as path:
-            qp, direction = cm.load_qp(path)
-    sp = cm.solve_saddle_point(qp, max_iter=int(cfg.tolerances.get("max_iter", 200)))
+    try:
+        if cfg.qp_path:
+            qp, direction = cm.load_qp(cfg.qp_path)
+        else:
+            with resources.as_file(_bundled_qp_path()) as path:
+                qp, direction = cm.load_qp(path)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"qp file: {exc}") from None
+    sp = cm.solve_saddle_point(qp, max_iter=cfg.tolerances.get("max_iter", 200))
     obj = cm.objective_value(qp, sp.u)
     lag = cm.lagrangian_value(qp, sp.u, sp.lam)
     rep.add_kv("result.n", qp.n)
@@ -49,9 +52,13 @@ def _qp_demo(cfg: RunConfig, rep: ReportWriter) -> None:
     rep.add_kv("result.objective", obj)
     rep.add_kv("result.lagrangian", lag)
     rep.add_kv("result.kkt_residual", sp.kkt_residual)
+    rep.add_kv("result.active_set_steps", sp.iterations)
     rep.add_kv("result.lbb_constant", cm.check_lbb(qp))
     rep.add_summary(f"cone QP: n={qp.n}, m={qp.m}, cone={qp.cone.value}")
-    rep.add_summary(f"objective {fmt6(obj)}, Lagrangian {fmt6(lag)}, KKT residual {fmt6(sp.kkt_residual)}")
+    rep.add_summary(
+        f"objective {fmt6(obj)}, Lagrangian {fmt6(lag)}, KKT residual {fmt6(sp.kkt_residual)}, "
+        f"{sp.iterations} active-set steps"
+    )
     if direction is None:
         rep.add_summary("no perturbation direction in the instance file")
         return

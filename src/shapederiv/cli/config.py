@@ -294,8 +294,11 @@ def parse_config(path, command: str) -> RunConfig:
         cfg.qp_path = parser["qp"].get("path")
 
     if parser.has_section("tolerances"):
-        for key, val in parser["tolerances"].items():
-            cfg.tolerances[key] = _number(val, f"tolerances.{key}")
+        tol = parser["tolerances"]
+        if "residual_tol" in tol:
+            cfg.tolerances["residual_tol"] = _number(tol["residual_tol"], "tolerances.residual_tol")
+        if "max_iter" in tol:
+            cfg.tolerances["max_iter"] = _number(tol["max_iter"], "tolerances.max_iter", int, minimum=1)
 
     _check_required(cfg)
     return cfg

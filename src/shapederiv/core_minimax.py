@@ -7,7 +7,15 @@ The model problem is
 with A symmetric positive definite and B of full row rank.  Solving the
 primal-dual saddle point of the Lagrangian L(u, lam) = 1/2 u'Au - f'u -
 lam'Bu gives the multiplier lam needed to differentiate the optimal value
-along a one-parameter family (A + s*A1, B + s*B1, f + s*f1).  The module
+along a one-parameter family (A + s*A1, B + s*B1, f + s*f1).
+
+The saddle point is found by a range-space method: A = LL' is factored
+once per problem, and the multiplier of a set of active constraints solves
+the Schur-complement system B_W A^{-1} B_W' lam_W = -B_W A^{-1} f through a
+QR factorization of G_W = L^{-1} B_W', updated by one Givens sweep when a
+constraint enters or leaves the working set (Goldfarb & Idnani 1983;
+Nocedal & Wright, Numerical Optimization, 2nd ed., sections 16.3 and
+16.5).  check_lbb reads the inf-sup constant off the same G.  The module
 also provides the central-difference quotient of the optimal value, used
 throughout the test suite as the independent check of that derivative.
 
@@ -23,6 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
+from ._textio import block_sizes, float_block, numbered_lines
 from .errors import (
     DimensionMismatch,
     MaxIterations,
@@ -156,6 +165,7 @@ class SaddlePoint:
     lam: np.ndarray
     active_set: frozenset[int] | None = None  # inequality case only, 0-based
     kkt_residual: float = 0.0
+    iterations: int = 0  # active-set steps (working-set solves); 0 for the equality cone
 
 
 def objective_value(qp: ConeQP, u) -> float:
@@ -175,25 +185,6 @@ def lagrangian_value(qp: ConeQP, u, lam) -> float:
     return objective_value(qp, u) - float(lam @ (qp.B @ u))
 
 
-def _solve_kkt(A: np.ndarray, B: np.ndarray, f: np.ndarray):
-    """Solve the bordered system [[A, -B'], [-B, 0]] (u, lam) = (f, 0).
-
-    The bordered matrix is symmetric indefinite; B may be a row subset of
-    the full constraint matrix (always full row rank here).
-    """
-    n = A.shape[0]
-    m = B.shape[0]
-    if m == 0:
-        return np.linalg.solve(A, f), np.zeros(0)
-    K = np.zeros((n + m, n + m))
-    K[:n, :n] = A
-    K[:n, n:] = -B.T
-    K[n:, :n] = -B
-    rhs = np.concatenate([f, np.zeros(m)])
-    sol = scipy.linalg.solve(K, rhs, assume_a="sym")
-    return sol[:n], sol[n:]
-
-
 def _kkt_residual(qp: ConeQP, u: np.ndarray, lam: np.ndarray) -> float:
     r_mom = float(np.linalg.norm(qp.A @ u - qp.f - qp.B.T @ lam))
     bu = qp.B @ u
@@ -205,17 +196,55 @@ def _kkt_residual(qp: ConeQP, u: np.ndarray, lam: np.ndarray) -> float:
     return max(r_mom, r_feas, r_dual, r_comp)
 
 
-def solve_saddle_point(qp: ConeQP, max_iter: int = 200) -> SaddlePoint:
-    """Solve the primal-dual saddle point of the cone QP.
+def _whitened_constraints(qp: ConeQP) -> tuple[np.ndarray, np.ndarray]:
+    """Cholesky factor L of A = LL' and G = L^{-1}B'.
 
-    Equality cone: one symmetric indefinite solve of the bordered KKT
-    system.  Inequality cone: primal active-set iteration starting from
-    the feasible origin; blocking constraints enter by lowest index and
-    constraints leave by most negative multiplier (lowest index on ties),
-    with ``max_iter`` as the cycling guard.
+    G'G = B A^{-1} B' is the Schur complement of the saddle system; its
+    columns are the constraints in the energy inner product.
     """
+    L = _cholesky_or_raise(qp.A)
+    return L, scipy.linalg.solve_triangular(L, qp.B.T, lower=True)
+
+
+def _working_multiplier(R: np.ndarray, qh: np.ndarray) -> np.ndarray:
+    """lam_W = -R^{-1}(Q'h) for the QR factor R of G_W (k x k, upper).
+
+    A diagonal entry that is non-finite or zero to roundoff (at most
+    k * eps * max|R_ii|, the numpy.linalg.matrix_rank rule) means the
+    working constraints are linearly dependent.
+    """
+    d = np.abs(R.diagonal())
+    if not np.isfinite(d).all() or (d <= d.size * np.finfo(float).eps * d.max(initial=0.0)).any():
+        raise RankDeficientB("working constraints are linearly dependent")
+    return -scipy.linalg.solve_triangular(R, qh, check_finite=False)
+
+
+def solve_saddle_point(qp: ConeQP, max_iter: int = 200) -> SaddlePoint:
+    """Solve the primal-dual saddle point of the cone QP by a range-space method.
+
+    A = LL' is factored once, and G = L^{-1}B', h = L^{-1}f, Z = A^{-1}B'
+    and u0 = A^{-1}f are formed once.  For a working set W the KKT system
+    A u - B_W' lam_W = f, B_W u = 0 reduces, with G_W = Q R, to
+    lam_W = -R^{-1} Q'h and u = u0 + Z_W lam_W; G_W'G_W = B_W A^{-1} B_W'
+    is never formed, so its conditioning is not squared.
+
+    Equality cone: one economic QR of G.  Inequality cone: primal
+    active-set iteration starting from the feasible origin; blocking
+    constraints enter by lowest index and constraints leave by most
+    negative multiplier (lowest index on ties), with ``max_iter`` working-set
+    solves as the cycling guard.  Q and R are updated by one Givens sweep
+    per entering or leaving constraint.  A working set whose R has a
+    diagonal entry that is zero to roundoff or non-finite raises
+    RankDeficientB.
+    """
+    L, G = _whitened_constraints(qp)
+    h = scipy.linalg.solve_triangular(L, qp.f, lower=True)
+    Z = scipy.linalg.solve_triangular(L, G, lower=True, trans="T")
+    u0 = scipy.linalg.solve_triangular(L, h, lower=True, trans="T")
     if qp.cone is ConeKind.EQUALITY:
-        u, lam = _solve_kkt(qp.A, qp.B, qp.f)
+        Q, R = scipy.linalg.qr(G, mode="economic")
+        lam = _working_multiplier(R, Q.T @ h)
+        u = u0 + Z @ lam
         res = _kkt_residual(qp, u, lam)
         return SaddlePoint(u=u, lam=lam, active_set=None, kkt_residual=res)
 
@@ -223,44 +252,52 @@ def solve_saddle_point(qp: ConeQP, max_iter: int = 200) -> SaddlePoint:
     f_scale = 1.0 + float(np.linalg.norm(qp.f))
     step_tol = 1e-12 * f_scale
     mult_tol = 1e-11 * f_scale
+    block_tol = -1e-14 * f_scale
     u = np.zeros(n)
-    working: list[int] = []
+    working: list[int] = []  # constraint of each column of G_W, in insertion order
+    in_working = np.zeros(m, dtype=bool)
+    Q, R = np.eye(n), np.zeros((n, 0))  # full QR of G_W
 
-    for _ in range(max_iter):
-        rows = np.array(sorted(working), dtype=int)
-        u_star, lam_w = _solve_kkt(qp.A, qp.B[rows] if rows.size else qp.B[:0], qp.f)
+    for step in range(1, max_iter + 1):
+        k = len(working)
+        lam_w = _working_multiplier(R[:k], Q[:, :k].T @ h)
+        u_star = u0 + Z[:, working] @ lam_w
         p = u_star - u
         if np.linalg.norm(p, np.inf) <= step_tol * (1.0 + np.linalg.norm(u, np.inf)):
-            if lam_w.size == 0 or lam_w.min() >= -mult_tol:
+            if k == 0 or lam_w.min() >= -mult_tol:
                 lam = np.zeros(m)
-                lam[rows] = lam_w
+                lam[working] = lam_w
                 res = _kkt_residual(qp, u_star, lam)
                 return SaddlePoint(
                     u=u_star,
                     lam=lam,
-                    active_set=frozenset(int(i) for i in rows),
+                    active_set=frozenset(working),
                     kkt_residual=res,
+                    iterations=step,
                 )
-            drop = int(rows[np.argmin(lam_w)])  # argmin takes the lowest index on ties
-            working.remove(drop)
+            # Columns are in insertion order, so argmin alone would not
+            # break ties by constraint index.
+            col = int(np.lexsort((working, lam_w))[0])
+            Q, R = scipy.linalg.qr_delete(Q, R, col, which="col", check_finite=False)
+            in_working[working.pop(col)] = False
             continue
         # Step toward the working-set minimizer, stopping at the first
         # blocking constraint (lowest index wins on equal ratios).
         bu = qp.B @ u
         bp = qp.B @ p
+        cand = np.flatnonzero(~in_working & (bp < block_tol))
         alpha = 1.0
         block = None
-        for i in range(m):
-            if i in working:
-                continue
-            if bp[i] < -1e-14 * f_scale:
-                ratio = max(0.0, bu[i]) / (-bp[i])
-                if ratio < alpha - 1e-15:
-                    alpha = ratio
-                    block = i
+        for i, bu_i, bp_i in zip(cand.tolist(), bu[cand].tolist(), bp[cand].tolist()):
+            ratio = max(0.0, bu_i) / (-bp_i)
+            if ratio < alpha - 1e-15:
+                alpha = ratio
+                block = i
         u = u + alpha * p
         if block is not None:
+            Q, R = scipy.linalg.qr_insert(Q, R, G[:, block], k, which="col", check_finite=False)
             working.append(block)
+            in_working[block] = True
     raise MaxIterations(f"active-set iteration did not settle in {max_iter} steps")
 
 
@@ -310,10 +347,9 @@ def check_lbb(qp: ConeQP) -> float:
 
     Positive exactly when the multiplier is unique.
     """
-    L = _cholesky_or_raise(qp.A)
-    # B L^{-T} has transpose L^{-1} B', a triangular solve.
-    M = scipy.linalg.solve_triangular(L, qp.B.T, lower=True).T
-    return float(np.linalg.svd(M, compute_uv=False)[-1])
+    # B L^{-T} is the transpose of the solver's G = L^{-1} B'.
+    _, G = _whitened_constraints(qp)
+    return float(np.linalg.svd(G, compute_uv=False)[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -353,40 +389,36 @@ def save_qp(path, qp: ConeQP, direction: PerturbationDirection | None = None) ->
 
 
 def load_qp(path) -> tuple[ConeQP, PerturbationDirection | None]:
-    """Read an instance file written by :func:`save_qp` (or by hand)."""
-    with open(path, encoding="ascii") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
-    if not lines or lines[0] != _HEADER:
+    """Read an instance file written by :func:`save_qp` (or by hand).
+
+    A malformed file raises ValueError naming the block and the line.
+    """
+    lines = numbered_lines(path, comment="#")
+    if not lines or lines[0][1] != _HEADER:
         raise ValueError(f"{path}: expected header '{_HEADER}'")
     pos = 1
     blocks: dict[str, np.ndarray] = {}
     cone = None
     while pos < len(lines):
-        head = lines[pos].split()
-        pos += 1
-        if head[0] == "cone":
-            cone = ConeKind(head[1])
-            continue
-        name = head[0]
-        if name in ("f", "f1"):
-            n = int(head[1])
-            vals = np.array([float(t) for t in lines[pos].split()])
+        number, text = lines[pos]
+        name, *rest = text.split()
+        if name == "cone":
+            try:
+                (value,) = rest
+                cone = ConeKind(value)
+            except ValueError:
+                raise ValueError(f"{path}, line {number}: cone must be 'equality' or 'inequality'") from None
             pos += 1
-            if vals.size != n:
-                raise ValueError(f"{path}: block {name} expects {n} values")
-            blocks[name] = vals
+        elif name in ("f", "f1"):
+            (n,) = block_sizes(path, lines[pos], name, 1)
+            blocks[name] = float_block(lines, pos + 1, path, name, 1, n)[0]
+            pos += 2
         elif name in ("A", "B", "A1", "B1"):
-            r, c = int(head[1]), int(head[2])
-            data = []
-            for _ in range(r):
-                data.append([float(t) for t in lines[pos].split()])
-                pos += 1
-            a = np.array(data)
-            if a.shape != (r, c):
-                raise ValueError(f"{path}: block {name} expects shape {(r, c)}")
-            blocks[name] = a
+            r, c = block_sizes(path, lines[pos], name, 2)
+            blocks[name] = float_block(lines, pos + 1, path, name, r, c)
+            pos += 1 + r
         else:
-            raise ValueError(f"{path}: unknown block '{name}'")
+            raise ValueError(f"{path}, line {number}: unknown block '{name}'")
     if cone is None or not {"A", "B", "f"} <= blocks.keys():
         raise ValueError(f"{path}: incomplete instance (need cone, A, B, f)")
     qp = ConeQP(A=blocks["A"], B=blocks["B"], f=blocks["f"], cone=cone)

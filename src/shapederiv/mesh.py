@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._textio import block_rows, block_sizes, float_block, numbered_lines
 from .errors import InvertedElement
 from .flow import VelocityField, integrate_flow
 
@@ -245,32 +246,43 @@ def write_mesh(path, mesh: TriMesh) -> None:
 
 
 def read_mesh(path) -> TriMesh:
-    with open(path, encoding="ascii") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines or lines[0] != _HEADER:
+    """Read the text format written by :func:`write_mesh`.
+
+    A malformed file raises ValueError naming the section and the line.
+    """
+    lines = numbered_lines(path)
+    if not lines or lines[0][1] != _HEADER:
         raise ValueError(f"{path}: expected header '{_HEADER}'")
     pos = 1
 
-    def section(letter: str) -> int:
+    def section(letter: str) -> tuple[int, int]:
+        """Index of the first row and row count of the section."""
         nonlocal pos
-        head = lines[pos].split()
-        if len(head) != 2 or head[0] != letter:
-            raise ValueError(f"{path}: expected section '{letter} <count>'")
-        pos += 1
-        return int(head[1])
+        if pos >= len(lines) or lines[pos][1].split()[0] != letter:
+            where = f"line {lines[pos][0]}" if pos < len(lines) else "end of file"
+            raise ValueError(f"{path}, {where}: expected section '{letter} <count>'")
+        (count,) = block_sizes(path, lines[pos], letter, 1)
+        pos += 1 + count
+        return pos - count, count
 
-    nv = section("V")
-    vertices = np.array([[float(t) for t in lines[pos + r].split()] for r in range(nv)])
-    pos += nv
-    nt = section("T")
-    triangles = np.array([[int(t) for t in lines[pos + r].split()] for r in range(nt)], dtype=int)
-    pos += nt
-    ne = section("E")
-    edges, tags = [], []
-    for r in range(ne):
-        i, j, tag = lines[pos + r].split()
-        edges.append((int(i), int(j)))
-        tags.append(tag)
-    mesh = TriMesh(vertices, triangles, np.array(edges, dtype=int), tuple(tags))
+    start, nv = section("V")
+    vertices = float_block(lines, start, path, "V", nv, 2)
+
+    def indices(tokens: list[str]) -> list[int]:
+        ids = [int(t) for t in tokens]
+        if not all(0 <= i < nv for i in ids):
+            raise ValueError(f"vertex index out of range 0..{nv - 1}")
+        return ids
+
+    start, nt = section("T")
+    triangles = block_rows(lines, start, path, "T", nt, 3, indices)
+    start, ne = section("E")
+    edges = block_rows(lines, start, path, "E", ne, 3, lambda t: (*indices(t[:2]), t[2]))
+    mesh = TriMesh(
+        vertices,
+        np.array(triangles, dtype=int).reshape(-1, 3),
+        np.array([e[:2] for e in edges], dtype=int).reshape(-1, 2),
+        tuple(e[2] for e in edges),
+    )
     mesh.validate()
     return mesh

@@ -3,8 +3,6 @@
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 """
 
-import itertools
-
 import numpy as np
 import pytest
 
@@ -12,6 +10,8 @@ import shapederiv as sd
 from shapederiv.core_minimax import ConeKind, ConeQP, PerturbationDirection
 from shapederiv.fields import ConstantForce, LeftEdgeTraction, RotationalForce, TrigForce, trig_manufactured
 from shapederiv.slopes import loglog_slope
+
+from kkt_oracle import enumerate_solve
 
 
 def _report(num: int, description: str, ok: bool) -> None:
@@ -84,25 +84,7 @@ def test_criterion_2_saddle_point_correctness():
         l = sd.lagrangian_value(qp, sp.u, sp.lam)
         ok &= abs(e - l) <= 1e-12 * (1.0 + abs(e))
 
-    # Exhaustive working-set enumeration for m <= 3.
-    def enumerate_solve(qp):
-        for subset in itertools.chain.from_iterable(
-            itertools.combinations(range(qp.m), k) for k in range(qp.m + 1)
-        ):
-            rows = np.array(subset, dtype=int)
-            n, k = qp.n, len(rows)
-            kkt = np.zeros((n + k, n + k))
-            kkt[:n, :n] = qp.A
-            if k:
-                kkt[:n, n:] = -qp.B[rows].T
-                kkt[n:, :n] = -qp.B[rows]
-            sol = np.linalg.solve(kkt, np.concatenate([qp.f, np.zeros(k)]))
-            u, lam = sol[:n], np.zeros(qp.m)
-            lam[rows] = sol[n:]
-            if np.all(qp.B @ u >= -1e-9) and np.all(lam >= -1e-9):
-                return u, lam
-        raise AssertionError("enumeration found no KKT point")
-
+    # Exhaustive working-set enumeration for m <= 3 (tests/kkt_oracle.py).
     for _ in range(15):
         m = int(rng.integers(1, 4))
         n = int(rng.integers(m, 8))

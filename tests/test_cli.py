@@ -69,6 +69,9 @@ FD_SQUARE = {
         ("velocity", "window", "0.1 0.85 -1 2"),  # with the ramp below: out of range
         ("force", "scale", "nan"),
         ("tolerances", "residual_tol", "nan"),
+        ("tolerances", "max_iter", "0"),
+        ("tolerances", "max_iter", "0.5"),
+        ("tolerances", "max_iter", "2.5"),
     ],
 )
 def test_malformed_numbers_exit_2(tmp_path, capsys, section, key, value):
@@ -83,6 +86,38 @@ def test_malformed_numbers_exit_2(tmp_path, capsys, section, key, value):
     cfg = write(tmp_path / "bad.cfg", text + "\n")
     assert main(["fd-verify", "--config", cfg, "--output", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err.startswith("error: ConfigError:")
+
+
+def _qp_cut_after_a(tmp_path):
+    qp = sd.ConeQP(A=np.eye(2), B=np.eye(2), f=np.array([1.0, 2.0]))
+    path = tmp_path / "inst.txt"
+    sd.save_qp(path, qp)
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines[: lines.index("B 2 2") + 1]) + "\n")
+    return "qp-demo", f"[qp]\npath = {path}\n", "block B expects 2 row(s), the file ends at line 6"
+
+
+def _qp_missing_file(tmp_path):
+    return "qp-demo", f"[qp]\npath = {tmp_path / 'absent.txt'}\n", "absent.txt"
+
+
+def _mesh_cut_in_half(tmp_path):
+    path = tmp_path / "mesh.txt"
+    sd.write_mesh(path, sd.unit_square_mesh(2))
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines[: len(lines) // 2]) + "\n")
+    text = f"[mesh]\nkind = file\npath = {path}\n\n[force]\nname = constant\nvalue = 1 0\n"
+    return "stokes-solve", text, "block T"
+
+
+@pytest.mark.parametrize("case", [_qp_missing_file, _qp_cut_after_a, _mesh_cut_in_half])
+def test_malformed_input_files_exit_2(tmp_path, capsys, case):
+    command, text, where = case(tmp_path)
+    cfg = write(tmp_path / "run.cfg", text)
+    assert main([command, "--config", cfg, "--output", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ConfigError:")
+    assert where in err
 
 
 def test_missing_sections_reported(tmp_path):
@@ -145,11 +180,13 @@ def test_fd_verify_zero_field_reports_exact(tmp_path):
 
 
 def test_qp_demo_bundled_instance(tmp_path):
-    cfg = write(tmp_path / "run.cfg", "[run]\ns_list = 1e-2 3e-3 1e-3\n")
+    cfg = write(tmp_path / "run.cfg", "[run]\ns_list = 1e-2 3e-3 1e-3\n\n[tolerances]\nmax_iter = 200\n")
     out = tmp_path / "out"
     assert main(["qp-demo", "--config", cfg, "--output", str(out)]) == 0
     kv = read_kv(out / "report.kv")
+    assert kv["config.tolerances.max_iter"] == "200"
     assert kv["result.cone"] == "equality"
+    assert kv["result.active_set_steps"] == "0"
     assert int(kv["result.n"]) == 6
     assert float(kv["result.slope"]) >= 1.8
     table = (out / "fd_table.csv").read_text().strip().splitlines()
@@ -167,6 +204,14 @@ def test_qp_demo_custom_instance(tmp_path):
     kv = read_kv(out / "report.kv")
     assert kv["result.u"].split() == ["0", "0"]
     assert "result.L1" not in kv  # no perturbation block in the file
+    # u >= 0 with f = (1, -2): constraint 1 enters, a full step, then the stop test
+    qp = sd.ConeQP(A=np.eye(2), B=np.eye(2), f=np.array([1.0, -2.0]))
+    sd.save_qp(path, qp)
+    assert main(["qp-demo", "--config", cfg, "--output", str(out)]) == 0
+    kv = read_kv(out / "report.kv")
+    assert kv["result.u"].split() == ["1", "0"]
+    assert kv["result.active_set_steps"] == "3"
+    assert "3 active-set steps" in (out / "summary.txt").read_text()
 
 
 def test_fd_verify_pipeline_slope(tmp_path):
@@ -236,3 +281,9 @@ def test_reports_are_byte_identical(tmp_path):
     assert main(["stokes-solve", "--config", cfg, "--output", str(out3)]) == 0
     assert main(["stokes-solve", "--config", cfg, "--output", str(out4)]) == 0
     assert (out3 / "report.kv").read_bytes() == (out4 / "report.kv").read_bytes()
+    # qp-demo on the bundled instance adds the active-set step count
+    out5, out6 = tmp_path / "o5", tmp_path / "o6"
+    assert main(["qp-demo", "--config", cfg, "--output", str(out5)]) == 0
+    assert main(["qp-demo", "--config", cfg, "--output", str(out6)]) == 0
+    assert (out5 / "report.kv").read_bytes() == (out6 / "report.kv").read_bytes()
+    assert (out5 / "fd_table.csv").read_bytes() == (out6 / "fd_table.csv").read_bytes()

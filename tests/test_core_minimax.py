@@ -1,13 +1,17 @@
 """Cone-QP solver, Lagrangian values and derivative consistency."""
 
-import itertools
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import shapederiv as sd
 from shapederiv.core_minimax import ConeKind, ConeQP, PerturbationDirection
 from shapederiv.slopes import loglog_slope
+
+from kkt_oracle import active_set_reference, bordered_solve, enumerate_solve
 
 
 def random_spd(rng, n):
@@ -71,28 +75,6 @@ def test_solver_kkt_residuals_scale():
 
 def test_brute_force_enumeration_agreement():
     """Oracle: try every working set, keep the KKT-feasible candidate."""
-
-    def enumerate_solve(qp):
-        tol = 1e-9
-        for subset in itertools.chain.from_iterable(
-            itertools.combinations(range(qp.m), k) for k in range(qp.m + 1)
-        ):
-            rows = np.array(subset, dtype=int)
-            n = qp.n
-            k = len(rows)
-            kkt = np.zeros((n + k, n + k))
-            kkt[:n, :n] = qp.A
-            if k:
-                kkt[:n, n:] = -qp.B[rows].T
-                kkt[n:, :n] = -qp.B[rows]
-            sol = np.linalg.solve(kkt, np.concatenate([qp.f, np.zeros(k)]))
-            u = sol[:n]
-            lam = np.zeros(qp.m)
-            lam[rows] = sol[n:]
-            if np.all(qp.B @ u >= -tol) and np.all(lam >= -tol):
-                return u, lam
-        raise AssertionError("no KKT-feasible working set found")
-
     rng = np.random.default_rng(23)
     for _ in range(20):
         m = int(rng.integers(1, 4))
@@ -109,6 +91,111 @@ def test_max_iterations_guard():
     qp = random_instance(rng, 6, 3, ConeKind.INEQUALITY)
     with pytest.raises(sd.MaxIterations):
         sd.solve_saddle_point(qp, max_iter=1)
+
+
+def _strictly_complementary_instance(rng, n, m, active):
+    """Inequality QP around a known solution: `active` rows of B with
+    multipliers in [0.5, 1.5], the others with slack in [0.5, 1.5]|u|."""
+    q = rng.standard_normal((n, n)) / np.sqrt(n)
+    b = rng.standard_normal((m, n))
+    act = np.sort(rng.choice(m, active, replace=False))
+    z = rng.standard_normal(n)
+    u = z - b[act].T @ np.linalg.solve(b[act] @ b[act].T, b[act] @ z)
+    rest = np.setdiff1d(np.arange(m), act)
+    slack = rng.uniform(0.5, 1.5, rest.size) * np.linalg.norm(u)
+    b[rest] += np.outer((slack - b[rest] @ u) / (u @ u), u)
+    a = q @ q.T + np.eye(n)
+    f = a @ u - b[act].T @ rng.uniform(0.5, 1.5, active)
+    a1 = rng.standard_normal((n, n)) / np.sqrt(n)
+    direction = PerturbationDirection(
+        A1=0.5 * (a1 + a1.T), B1=0.1 * rng.standard_normal((m, n)), f1=rng.standard_normal(n)
+    )
+    return ConeQP(A=a, B=b, f=f), direction, frozenset(act.tolist())
+
+
+def test_benchmark_scale_matches_bordered_oracle():
+    rng = np.random.default_rng(31)
+    qp, direction, act = _strictly_complementary_instance(rng, 120, 80, 70)
+    for s in (0.0, 1e-2, -1e-2, 1e-3, -1e-3):
+        qp_s = sd.perturbed_qp(qp, direction, s)
+        sp = sd.solve_saddle_point(qp_s)
+        u_ref, lam_ref, act_ref, steps = active_set_reference(qp_s)
+        assert sp.active_set == act_ref
+        assert sp.iterations == steps
+        if s == 0.0:
+            assert sp.active_set == act
+        assert np.abs(sp.u - u_ref).max() <= 1e-10 * (1.0 + np.linalg.norm(u_ref))
+        assert np.abs(sp.lam - lam_ref).max() <= 1e-10 * (1.0 + np.linalg.norm(lam_ref))
+        assert sp.kkt_residual <= 1e-10 * (1.0 + np.linalg.norm(qp_s.f))
+
+
+def test_drop_breaks_multiplier_ties_by_lowest_index():
+    # Constraints 1, 0, 2 enter in that order; then constraints 0 and 1 tie
+    # at multiplier -0.5 and constraint 0 must leave.  Dropping 1 instead
+    # takes 9 steps to reach the same solution.
+    qp = ConeQP(
+        A=np.eye(3),
+        B=np.array([[-2.0, -2.0, -1.0], [0.0, 2.0, 0.0], [-2.0, 2.0, 1.0]]),
+        f=np.array([2.0, -3.0, -2.0]),
+    )
+    sp = sd.solve_saddle_point(qp)
+    assert active_set_reference(qp, ties="lowest")[3] == 6
+    assert active_set_reference(qp, ties="highest")[3] == 9
+    assert sp.iterations == 6
+    u_ref, lam_ref = enumerate_solve(qp)
+    np.testing.assert_allclose(sp.u, u_ref, atol=1e-12)
+    np.testing.assert_allclose(sp.lam, lam_ref, atol=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_ill_conditioned_constraints(seed):
+    # sigma_min / sigma_max(B) = 1e-9: a bordered LDL' solve loses about
+    # eight digits on these; the QR of L^{-1}B_W' does not square the
+    # conditioning.
+    rng = np.random.default_rng(seed)
+    n, m = 8, 4
+    U = np.linalg.qr(rng.standard_normal((m, m)))[0]
+    V = np.linalg.qr(rng.standard_normal((n, m)))[0]
+    b = U @ np.diag(np.logspace(0, -9, m)) @ V.T
+    qp = ConeQP(A=random_spd(rng, n) + 0.2 * np.eye(n), B=b, f=rng.standard_normal(n))
+    sp = sd.solve_saddle_point(qp)
+    assert sp.kkt_residual <= 1e-8 * (1.0 + np.linalg.norm(qp.f))
+
+
+def test_dependent_working_constraints_raise():
+    # ConeQP rejects such a B, so the solver's own guard is reached only
+    # through roundoff; set B past the constructor to exercise it.
+    qp = ConeQP(A=np.diag([2.0, 1.0, 3.0]), B=np.eye(3)[:2], f=np.ones(3), cone=ConeKind.EQUALITY)
+    for b in ([[1.0, 2.0, 0.0], [1.0, 2.0, 0.0]], [[1.0, 2.0, 0.0], [2.0, 4.0, 0.0]]):
+        object.__setattr__(qp, "B", np.array(b))
+        with pytest.raises(sd.RankDeficientB):
+            sd.solve_saddle_point(qp)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.integers(1, 4),
+    m=st.integers(1, 4),
+    data=st.data(),
+)
+def test_random_small_instances_match_enumeration(n, m, data):
+    # Integer B: either rank deficient (RankDeficientB) or well conditioned.
+    ints = st.integers(-2, 2)
+    b = np.array(data.draw(st.lists(st.lists(ints, min_size=n, max_size=n), min_size=m, max_size=m)))
+    c = np.array(data.draw(st.lists(st.lists(ints, min_size=n, max_size=n), min_size=n, max_size=n)))
+    f = np.array(data.draw(st.lists(st.floats(-3, 3), min_size=n, max_size=n)))
+    cone = data.draw(st.sampled_from(ConeKind))
+    try:
+        qp = ConeQP(A=c @ c.T / n + 0.5 * np.eye(n), B=b, f=f, cone=cone)
+        sp = sd.solve_saddle_point(qp)
+    except sd.ShapeDerivError:
+        return
+    if cone is ConeKind.EQUALITY:
+        u_ref, lam_ref = bordered_solve(qp.A, qp.B, qp.f)
+    else:
+        u_ref, lam_ref = enumerate_solve(qp)
+    np.testing.assert_allclose(sp.u, u_ref, atol=1e-9)
+    np.testing.assert_allclose(sp.lam, lam_ref, atol=1e-9)
 
 
 # --- construction errors ----------------------------------------------------
@@ -345,3 +432,13 @@ def test_qp_file_rejects_garbage(tmp_path):
     path.write_text("cone-qp v1\ncone equality\nA 1 1\n1\nB 1 1\n1\nf 1\n0\nA1 1 1\n0\n")
     with pytest.raises(ValueError):
         sd.load_qp(path)  # partial perturbation block
+    for text, where in [
+        ("cone-qp v1\ncone equality\nA 2 2\n1 0\n", "block A expects 2 row(s), the file ends at line 4"),
+        ("cone-qp v1\ncone equality\nA 2 2\n1 0\n0\n", "line 5: block A expects 2 value(s) per row"),
+        ("cone-qp v1\ncone equality\nA 1 1\nnan\n", "line 4: block A: values must be finite"),
+        ("cone-qp v1\ncone\n", "line 2: cone must be"),
+        ("cone-qp v1\n# comment\n\nB 1\n", "line 4: block B expects 2 non-negative integer size(s)"),
+    ]:
+        path.write_text(text)
+        with pytest.raises(ValueError, match=re.escape(where)):
+            sd.load_qp(path)

@@ -1,6 +1,7 @@
 """Mesh generators, transport under flows and the text format."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -145,6 +146,18 @@ def test_mesh_file_rejects_garbage(tmp_path):
     path.write_text("nope\n")
     with pytest.raises(ValueError):
         sd.read_mesh(path)
+    sd.write_mesh(path, sd.unit_square_mesh(1))
+    good = path.read_text().splitlines()  # header, V 4, 4 rows, T 2, 2 rows, E 4, 4 rows
+    for lines, where in [
+        (good[:4], "block V expects 4 row(s), the file ends at line 4"),
+        (good[:6], "end of file: expected section 'T <count>'"),
+        (good[:8], "block T expects 2 row(s), the file ends at line 8"),
+        (good[:8] + ["0 1 7"] + good[9:], "line 9: block T: vertex index out of range 0..3"),
+        (good[:2] + ["0 inf"] + good[3:], "line 3: block V: values must be finite"),
+    ]:
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=re.escape(where)):
+            sd.read_mesh(path)
 
 
 def test_validate_catches_flipped_triangle():
