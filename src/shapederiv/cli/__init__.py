@@ -89,7 +89,7 @@ def _stokes_solve(cfg: RunConfig, rep: ReportWriter) -> None:
     system = assemble(mesh, cfg.build_force(), cfg.build_traction())
     solution = solve_stokes(
         system,
-        pin_pressure=not system.space.neumann_edges,
+        pin_pressure=not len(system.space.neumann_edges),
         residual_tol=cfg.tolerances.get("residual_tol", 1e-9),
     )
     space = system.space
@@ -104,7 +104,7 @@ def _stokes_solve(cfg: RunConfig, rep: ReportWriter) -> None:
     rep.add_kv("result.residual_momentum", solution.residual_momentum)
     rep.add_kv("result.residual_divergence", solution.residual_divergence)
     rep.add_kv("result.solver_iterations", solution.iterations)
-    if space.neumann_edges:
+    if len(space.neumann_edges):
         rep.add_kv("result.inf_sup", inf_sup_constant(system))
     vel = u_full.reshape(-1, 2)
     rep.add_table(

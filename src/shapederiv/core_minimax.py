@@ -68,6 +68,8 @@ def _as_matrix(x, name: str) -> np.ndarray:
     a = np.asarray(x, dtype=float)
     if a.ndim != 2:
         raise DimensionMismatch(f"{name} must be a 2-d array, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise DimensionMismatch(f"{name} must be finite")
     return a
 
 
@@ -75,6 +77,8 @@ def _as_vector(x, name: str) -> np.ndarray:
     v = np.asarray(x, dtype=float)
     if v.ndim != 1:
         raise DimensionMismatch(f"{name} must be a 1-d array, got shape {v.shape}")
+    if not np.isfinite(v).all():
+        raise DimensionMismatch(f"{name} must be finite")
     return v
 
 
@@ -391,13 +395,15 @@ def save_qp(path, qp: ConeQP, direction: PerturbationDirection | None = None) ->
 def load_qp(path) -> tuple[ConeQP, PerturbationDirection | None]:
     """Read an instance file written by :func:`save_qp` (or by hand).
 
-    A malformed file raises ValueError naming the block and the line.
+    A malformed file, blocks whose shapes disagree with the n x n block A
+    included, raises ValueError naming the block and the line.
     """
     lines = numbered_lines(path, comment="#")
     if not lines or lines[0][1] != _HEADER:
         raise ValueError(f"{path}: expected header '{_HEADER}'")
     pos = 1
     blocks: dict[str, np.ndarray] = {}
+    header_line: dict[str, int] = {}
     cone = None
     while pos < len(lines):
         number, text = lines[pos]
@@ -410,10 +416,12 @@ def load_qp(path) -> tuple[ConeQP, PerturbationDirection | None]:
                 raise ValueError(f"{path}, line {number}: cone must be 'equality' or 'inequality'") from None
             pos += 1
         elif name in ("f", "f1"):
+            header_line[name] = number
             (n,) = block_sizes(path, lines[pos], name, 1)
             blocks[name] = float_block(lines, pos + 1, path, name, 1, n)[0]
             pos += 2
         elif name in ("A", "B", "A1", "B1"):
+            header_line[name] = number
             r, c = block_sizes(path, lines[pos], name, 2)
             blocks[name] = float_block(lines, pos + 1, path, name, r, c)
             pos += 1 + r
@@ -421,6 +429,14 @@ def load_qp(path) -> tuple[ConeQP, PerturbationDirection | None]:
             raise ValueError(f"{path}, line {number}: unknown block '{name}'")
     if cone is None or not {"A", "B", "f"} <= blocks.keys():
         raise ValueError(f"{path}: incomplete instance (need cone, A, B, f)")
+    n, m = blocks["A"].shape[0], blocks["B"].shape[0]
+    expected = {"A": (n, n), "B": (m, n), "f": (n,), "A1": (n, n), "B1": (m, n), "f1": (n,)}
+    for name, block in blocks.items():
+        if block.shape != expected[name]:
+            raise ValueError(
+                f"{path}, line {header_line[name]}: block {name} has shape {block.shape}, "
+                f"expected {expected[name]} for the {n} x {n} block A"
+            )
     qp = ConeQP(A=blocks["A"], B=blocks["B"], f=blocks["f"], cone=cone)
     direction = None
     if {"A1", "B1", "f1"} <= blocks.keys():

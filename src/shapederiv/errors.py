@@ -6,7 +6,8 @@ class ShapeDerivError(Exception):
 
 
 class DimensionMismatch(ShapeDerivError):
-    """Operand shapes are incompatible with the problem dimensions."""
+    """Malformed operand: a shape incompatible with the problem dimensions,
+    or a non-finite entry."""
 
 
 class NotPositiveDefinite(ShapeDerivError):

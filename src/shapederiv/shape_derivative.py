@@ -37,6 +37,7 @@ from .stokes_fem import (
     FunctionSpace,
     StokesSolution,
     StokesSystem,
+    _residuals,
     assemble,
     energy,
     solve_stokes,
@@ -100,64 +101,32 @@ def assemble_perturbation(
     parent system, so the matrices pair directly with its solution
     vectors.
     """
-    nt = space.mesh.num_triangles
-    pg = space.phys_grads
-    coef = space.quad_coef
-    ndof = 2 * space.num_nodes
+    pg, coef = space.phys_grads, space.quad_coef
     grad, div = _field_kernels(space, field)
 
-    eye = np.eye(2)
-    q_kernel = div[..., None, None] * eye - grad - np.swapaxes(grad, -1, -2)
+    q_kernel = div[..., None, None] * np.eye(2) - grad - np.swapaxes(grad, -1, -2)
     a1e = np.einsum("tqai,tqij,tqbj,tq->tab", pg, q_kernel, pg, coef)
     a1e = 0.5 * (a1e + np.swapaxes(a1e, 1, 2))  # kernel is symmetric; enforce exactly
 
-    node_dofs = 2 * space.tri_nodes
-    rows = np.broadcast_to(node_dofs[:, :, None], (nt, 6, 6))
-    cols = np.broadcast_to(node_dofs[:, None, :], (nt, 6, 6))
-    data = np.concatenate([a1e.ravel(), a1e.ravel()])
-    rr = np.concatenate([rows.ravel(), (rows + 1).ravel()])
-    cc = np.concatenate([cols.ravel(), (cols + 1).ravel()])
-    a1_full = sparse.coo_matrix((data, (rr, cc)), shape=(ndof, ndof)).tocsr()
-
     b1e = np.einsum("tq,tq,qp,tqac->tpac", coef, div, _P1_VALS, pg)
     b1e -= np.einsum("tq,qp,tqjc,tqaj->tpac", coef, _P1_VALS, grad, pg)
-    prow = np.broadcast_to(space.mesh.triangles[:, :, None, None], (nt, 3, 6, 2))
-    vcol = node_dofs[:, None, :, None] + np.arange(2)[None, None, None, :]
-    vcol = np.broadcast_to(vcol, (nt, 3, 6, 2))
-    b1_full = sparse.coo_matrix(
-        (b1e.ravel(), (prow.ravel(), vcol.ravel())), shape=(space.num_pressure, ndof)
-    ).tocsr()
 
     f_vals = f_field.evaluate(space.quad_points)
     f_grad = f_field.gradient(space.quad_points)  # (nt, nq, 2, 2), [i, j] = d f_i / d x_j
     vel = field.evaluate(space.quad_points)
     f1_vals = div[..., None] * f_vals + np.einsum("tqij,tqj->tqi", f_grad, vel)
     f1e = np.einsum("tq,qa,tqc->tac", coef, _P2_VALS, f1_vals)
-    f1_full = np.zeros(ndof)
-    np.add.at(f1_full, vcol[:, 0], f1e)
-
-    free = space.free_dofs
     return PerturbationForms(
-        A1=a1_full[free][:, free].tocsr(),
-        B1=b1_full[:, free].tocsr(),
-        f1=f1_full[free],
+        A1=space.stiffness_matrix(a1e), B1=space.pairing_matrix(b1e), f1=space.load_vector(f1e)
     )
 
 
 def transport_pairing_matrix(space: FunctionSpace, field: VelocityField) -> sparse.csr_matrix:
     """Matrix T with lam'Tu = int( lambda sum_ij G_ji du_i/dx_j ), the
     transport part of the B1 kernel, assembled on its own."""
-    nt = space.mesh.num_triangles
     grad, _ = _field_kernels(space, field)
     te = np.einsum("tq,qp,tqjc,tqaj->tpac", space.quad_coef, _P1_VALS, grad, space.phys_grads)
-    node_dofs = 2 * space.tri_nodes
-    prow = np.broadcast_to(space.mesh.triangles[:, :, None, None], (nt, 3, 6, 2))
-    vcol = node_dofs[:, None, :, None] + np.arange(2)[None, None, None, :]
-    vcol = np.broadcast_to(vcol, (nt, 3, 6, 2))
-    t_full = sparse.coo_matrix(
-        (te.ravel(), (prow.ravel(), vcol.ravel())), shape=(space.num_pressure, 2 * space.num_nodes)
-    ).tocsr()
-    return t_full[:, space.free_dofs].tocsr()
+    return space.pairing_matrix(te)
 
 
 def _dual_term_quadrature(
@@ -171,10 +140,8 @@ def _dual_term_quadrature(
 
 
 def _check_solved(system: StokesSystem, solution: StokesSolution) -> None:
-    r_mom = float(np.linalg.norm(system.A @ solution.u - system.rhs - system.B.T @ solution.lam))
-    r_div = float(np.linalg.norm(system.B @ solution.u))
-    scale = 1.0 + float(np.linalg.norm(system.rhs))
-    if r_mom > 1e-8 * scale or r_div > 1e-8 * scale:
+    r_mom, r_div, scale = _residuals(system, solution.u, solution.lam)
+    if not (r_mom <= 1e-8 * scale and r_div <= 1e-8 * scale):
         raise UnsolvedSolution(
             f"solution does not satisfy this system (momentum {r_mom:.3e}, divergence {r_div:.3e})"
         )

@@ -8,8 +8,12 @@ inf-sup stable, which keeps the discrete multiplier unique whenever the
 Neumann part of the boundary is nonempty.
 
 Assembly uses a fixed six-point triangle rule (exact through degree 4)
-and three-point Gauss edges, with element contributions summed in a fixed
-order, so repeated assemblies are bit-identical.
+and three-point Gauss edges.  Element blocks become global arrays in
+three ``FunctionSpace`` methods only -- ``stiffness_matrix``,
+``pairing_matrix`` and ``load_vector`` -- which sum contributions in a
+fixed order and drop the Dirichlet dofs.  The state system and its
+first-order perturbation go through the same three, so they pair dof
+for dof and repeated assemblies are bit-identical.
 
 Saddle systems are solved through their structure rather than by one LU of
 the bordered matrix: both velocity components share the Dirichlet nodes,
@@ -33,7 +37,7 @@ import scipy.sparse.linalg as spla
 
 from .errors import DimensionMismatch, EmptyDirichletBoundary, SingularSystem
 from .fields import ForceField, ManufacturedStokes
-from .mesh import DIRICHLET, NEUMANN, TriMesh
+from .mesh import DIRICHLET, TriMesh
 
 __all__ = [
     "FunctionSpace",
@@ -110,6 +114,11 @@ def _edge_p2_values(t: np.ndarray) -> np.ndarray:
 _EDGE_P2 = _edge_p2_values(_EDGE_T)  # (3 quad, 3 nodes: start, end, mid)
 
 
+def _edge_keys(pairs: np.ndarray, num_vertices: int) -> np.ndarray:
+    """One integer per undirected edge of the vertex pairs (k, 2)."""
+    return pairs.min(axis=1) * num_vertices + pairs.max(axis=1)
+
+
 class FunctionSpace:
     """Taylor-Hood space on a mesh: P2 vector velocity, P1 scalar pressure.
 
@@ -124,31 +133,28 @@ class FunctionSpace:
         v, t = mesh.vertices, mesh.triangles
         nv, nt = mesh.num_vertices, mesh.num_triangles
 
-        edge_ids: dict[tuple[int, int], int] = {}
-        tri_nodes = np.empty((nt, 6), dtype=int)
-        tri_nodes[:, :3] = t
-        mid_coords: list[np.ndarray] = []
-        for ti, (i, j, k) in enumerate(t):
-            for local, (a, b) in enumerate(((i, j), (j, k), (k, i))):
-                key = (min(a, b), max(a, b))
-                if key not in edge_ids:
-                    edge_ids[key] = nv + len(mid_coords)
-                    mid_coords.append(0.5 * (v[a] + v[b]))
-                tri_nodes[ti, 3 + local] = edge_ids[key]
-        self.tri_nodes = tri_nodes
-        self.node_coords = np.vstack([v, np.array(mid_coords).reshape(-1, 2)])
+        # Edge midpoints are numbered nv, nv + 1, ... in order of first
+        # appearance over the local edges (01, 12, 20) of the triangles.
+        local = t[:, [[0, 1], [1, 2], [2, 0]]].reshape(-1, 2)
+        keys, first, inverse = np.unique(_edge_keys(local, nv), return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        mid_node = np.empty_like(order)
+        mid_node[order] = nv + np.arange(order.size)
+        self.tri_nodes = np.hstack([t, mid_node[inverse].reshape(nt, 3)])
+        a, b = local[first[order]].T
+        self.node_coords = np.vstack([v, 0.5 * (v[a] + v[b])])
         self.num_nodes = self.node_coords.shape[0]
         self.num_pressure = nv
 
-        dirichlet: set[int] = set()
-        self.neumann_edges: list[tuple[int, int, int]] = []
-        for (i, j), tag in zip(mesh.boundary_edges, mesh.boundary_tags):
-            mid = edge_ids[(min(i, j), max(i, j))]
-            if tag == DIRICHLET:
-                dirichlet.update((int(i), int(j), mid))
-            else:
-                self.neumann_edges.append((int(i), int(j), mid))
-        self.dirichlet_nodes = np.array(sorted(dirichlet), dtype=int)
+        ends = mesh.boundary_edges.reshape(-1, 2)
+        boundary_keys = _edge_keys(ends, nv)
+        pos = np.minimum(np.searchsorted(keys, boundary_keys), keys.size - 1)
+        if not np.array_equal(keys[pos], boundary_keys):
+            raise ValueError("a boundary edge is not an edge of the triangulation")
+        edges = np.column_stack([ends, mid_node[pos]])
+        on_dirichlet = np.array([tag == DIRICHLET for tag in mesh.boundary_tags], dtype=bool)
+        self.neumann_edges = edges[~on_dirichlet]  # (k, 3): start, end and midpoint node
+        self.dirichlet_nodes = np.unique(edges[on_dirichlet])
 
         constrained = np.zeros(2 * self.num_nodes, dtype=bool)
         constrained[2 * self.dirichlet_nodes] = True
@@ -202,6 +208,41 @@ class FunctionSpace:
         np.add.at(a, self.mesh.triangles, (self.det / 6.0)[:, None])
         return a
 
+    def stiffness_matrix(self, ke: np.ndarray) -> sparse.csr_matrix:
+        """Velocity matrix on the free dofs from scalar P2 blocks (nt, 6, 6),
+        one copy per velocity component."""
+        nt = ke.shape[0]
+        node_dofs = 2 * self.tri_nodes
+        rows = np.broadcast_to(node_dofs[:, :, None], (nt, 6, 6))
+        cols = np.broadcast_to(node_dofs[:, None, :], (nt, 6, 6))
+        data = np.concatenate([ke.ravel(), ke.ravel()])
+        rr = np.concatenate([rows.ravel(), (rows + 1).ravel()])
+        cc = np.concatenate([cols.ravel(), (cols + 1).ravel()])
+        ndof = 2 * self.num_nodes
+        full = sparse.coo_matrix((data, (rr, cc)), shape=(ndof, ndof)).tocsr()
+        return full[self.free_dofs][:, self.free_dofs].tocsr()
+
+    def pairing_matrix(self, be: np.ndarray) -> sparse.csr_matrix:
+        """Pressure-by-velocity matrix on the free dofs from P1 x P2 blocks
+        (nt, 3, 6, 2): vertex pressure, velocity node, component."""
+        shape = be.shape
+        rows = np.broadcast_to(self.mesh.triangles[:, :, None, None], shape)
+        cols = np.broadcast_to(2 * self.tri_nodes[:, None, :, None] + np.arange(2), shape)
+        full = sparse.coo_matrix(
+            (be.ravel(), (rows.ravel(), cols.ravel())), shape=(self.num_pressure, 2 * self.num_nodes)
+        ).tocsr()
+        return full[:, self.free_dofs].tocsr()
+
+    def load_vector(self, fe: np.ndarray) -> np.ndarray:
+        """Load vector on the free dofs from element blocks (nt, 6, 2)."""
+        return self._scatter_load(self.tri_nodes, fe)
+
+    def _scatter_load(self, nodes: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+        """Sum blocks (..., 2) into the velocity dofs of ``nodes``, in order."""
+        full = np.zeros(2 * self.num_nodes)
+        np.add.at(full, 2 * nodes[..., None] + np.arange(2), blocks)
+        return full[self.free_dofs]
+
 
 @dataclass(frozen=True)
 class StokesSystem:
@@ -240,57 +281,21 @@ def assemble(mesh: TriMesh, f_field: ForceField, g_field: ForceField | None = No
     if DIRICHLET not in mesh.boundary_tags:
         raise EmptyDirichletBoundary("no Dirichlet edges: velocity stiffness would be singular")
     space = FunctionSpace(mesh)
-    return _assemble_on(space, f_field, g_field)
-
-
-def _assemble_on(space: FunctionSpace, f_field: ForceField, g_field: ForceField | None) -> StokesSystem:
-    nt = space.mesh.num_triangles
-    pg = space.phys_grads
-    coef = space.quad_coef
-    ndof = 2 * space.num_nodes
-
-    # Scalar P2 stiffness, applied per velocity component.
-    ke = np.einsum("tqai,tqbi,tq->tab", pg, pg, coef)
-    node_dofs = 2 * space.tri_nodes  # (nt, 6)
-    rows = np.broadcast_to(node_dofs[:, :, None], (nt, 6, 6))
-    cols = np.broadcast_to(node_dofs[:, None, :], (nt, 6, 6))
-    data = np.concatenate([ke.ravel(), ke.ravel()])
-    rr = np.concatenate([rows.ravel(), (rows + 1).ravel()])
-    cc = np.concatenate([cols.ravel(), (cols + 1).ravel()])
-    a_full = sparse.coo_matrix((data, (rr, cc)), shape=(ndof, ndof)).tocsr()
-
-    # Divergence pairing: rows are vertex pressures, columns velocity dofs.
-    be = np.einsum("tq,qp,tqac->tpac", coef, _P1_VALS, pg)
-    prow = np.broadcast_to(space.mesh.triangles[:, :, None, None], (nt, 3, 6, 2))
-    vcol = node_dofs[:, None, :, None] + np.arange(2)[None, None, None, :]
-    vcol = np.broadcast_to(vcol, (nt, 3, 6, 2))
-    b_full = sparse.coo_matrix(
-        (be.ravel(), (prow.ravel(), vcol.ravel())), shape=(space.num_pressure, ndof)
-    ).tocsr()
-
+    pg, coef = space.phys_grads, space.quad_coef
+    A = space.stiffness_matrix(np.einsum("tqai,tqbi,tq->tab", pg, pg, coef))
+    B = space.pairing_matrix(np.einsum("tq,qp,tqac->tpac", coef, _P1_VALS, pg))
     f_vals = f_field.evaluate(space.quad_points)  # (nt, nq, 2)
-    fe = np.einsum("tq,qa,tqc->tac", coef, _P2_VALS, f_vals)
-    f_full = np.zeros(ndof)
-    np.add.at(f_full, vcol[:, 0], fe)
+    f = space.load_vector(np.einsum("tq,qa,tqc->tac", coef, _P2_VALS, f_vals))
 
-    g_full = None
-    if g_field is not None and space.neumann_edges:
-        g_full = np.zeros(ndof)
-        for i, j, mid in space.neumann_edges:
-            pa, pb = space.mesh.vertices[i], space.mesh.vertices[j]
-            length = float(np.linalg.norm(pb - pa))
-            xq = pa[None, :] + _EDGE_T[:, None] * (pb - pa)[None, :]
-            gv = g_field.evaluate(xq)  # (3, 2)
-            ge = length * np.einsum("q,qa,qc->ac", _EDGE_W, _EDGE_P2, gv)
-            for local, node in enumerate((i, j, mid)):
-                g_full[2 * node] += ge[local, 0]
-                g_full[2 * node + 1] += ge[local, 1]
-
-    free = space.free_dofs
-    A = a_full[free][:, free].tocsr()
-    B = b_full[:, free].tocsr()
-    f = f_full[free]
-    g = None if g_full is None else g_full[free]
+    g = None
+    if g_field is not None and len(space.neumann_edges):
+        v = space.mesh.vertices
+        start, end = v[space.neumann_edges[:, 0]], v[space.neumann_edges[:, 1]]
+        tangent = end - start
+        length = np.sqrt(np.vecdot(tangent, tangent))  # the dot of np.linalg.norm, per edge
+        xq = start[:, None, :] + _EDGE_T[None, :, None] * tangent[:, None, :]
+        ge = length[:, None, None] * np.einsum("q,qa,eqc->eac", _EDGE_W, _EDGE_P2, g_field.evaluate(xq))
+        g = space._scatter_load(space.neumann_edges, ge)
     return StokesSystem(space=space, A=A, B=B, f=f, g=g)
 
 
@@ -381,6 +386,13 @@ class _SchurComplement:
         raise SingularSystem(f"Schur-complement CG did not converge in {_CG_MAX_ITER} iterations")
 
 
+def _residuals(system: StokesSystem, u: np.ndarray, lam: np.ndarray) -> tuple[float, float, float]:
+    """Momentum and divergence defects of (u, lam) and the load scale 1 + |f + g|."""
+    r_mom = float(np.linalg.norm(system.A @ u - system.rhs - system.B.T @ lam))
+    r_div = float(np.linalg.norm(system.B @ u))
+    return r_mom, r_div, 1.0 + float(np.linalg.norm(system.rhs))
+
+
 def solve_stokes(
     system: StokesSystem, pin_pressure: bool = False, residual_tol: float = 1e-9
 ) -> StokesSolution:
@@ -400,7 +412,7 @@ def solve_stokes(
     past its iteration cap raises ``SingularSystem``.
     """
     space = system.space
-    if not space.neumann_edges and not pin_pressure:
+    if not len(space.neumann_edges) and not pin_pressure:
         raise SingularSystem(
             "no Neumann edges: the pressure is defined up to a constant; "
             "solve with pin_pressure=True"
@@ -416,14 +428,8 @@ def solve_stokes(
         weights = space.pressure_integral_weights()
         lam = lam - (weights @ lam) / weights.sum()
 
-    r_mom = float(np.linalg.norm(system.A @ u - rhs_u - system.B.T @ lam))
-    r_div = float(np.linalg.norm(system.B @ u))
-    scale = 1.0 + float(np.linalg.norm(rhs_u))
-    if (
-        not (np.isfinite(r_mom) and np.isfinite(r_div))
-        or r_mom > residual_tol * scale
-        or r_div > residual_tol * scale
-    ):
+    r_mom, r_div, scale = _residuals(system, u, lam)
+    if not (r_mom <= residual_tol * scale and r_div <= residual_tol * scale):
         raise SingularSystem(
             f"solution residuals too large (momentum {r_mom:.3e}, divergence {r_div:.3e})"
         )

@@ -97,6 +97,20 @@ def _qp_cut_after_a(tmp_path):
     return "qp-demo", f"[qp]\npath = {path}\n", "block B expects 2 row(s), the file ends at line 6"
 
 
+def _qp_blocks_disagree(tmp_path):
+    path = tmp_path / "inst.txt"
+    path.write_text("cone-qp v1\ncone inequality\nA 2 2\n1 0\n0 1\nB 1 3\n1 0 0\nf 2\n1 1\n")
+    return "qp-demo", f"[qp]\npath = {path}\n", "line 6: block B has shape (1, 3)"
+
+
+def _qp_perturbation_disagrees(tmp_path):
+    qp = sd.ConeQP(A=np.eye(2), B=np.eye(2), f=np.array([1.0, 2.0]))
+    direction = sd.PerturbationDirection(A1=np.zeros((2, 2)), B1=np.zeros((1, 2)), f1=np.zeros(2))
+    path = tmp_path / "inst.txt"
+    sd.save_qp(path, qp, direction)
+    return "qp-demo", f"[qp]\npath = {path}\n", "block B1 has shape (1, 2), expected (2, 2)"
+
+
 def _qp_missing_file(tmp_path):
     return "qp-demo", f"[qp]\npath = {tmp_path / 'absent.txt'}\n", "absent.txt"
 
@@ -110,7 +124,10 @@ def _mesh_cut_in_half(tmp_path):
     return "stokes-solve", text, "block T"
 
 
-@pytest.mark.parametrize("case", [_qp_missing_file, _qp_cut_after_a, _mesh_cut_in_half])
+@pytest.mark.parametrize(
+    "case",
+    [_qp_missing_file, _qp_cut_after_a, _qp_blocks_disagree, _qp_perturbation_disagrees, _mesh_cut_in_half],
+)
 def test_malformed_input_files_exit_2(tmp_path, capsys, case):
     command, text, where = case(tmp_path)
     cfg = write(tmp_path / "run.cfg", text)

@@ -222,6 +222,18 @@ def test_dimension_mismatch():
         sd.perturbed_qp(qp, direction, 0.1)
 
 
+@pytest.mark.parametrize("block", ["A", "B", "f", "A1", "B1", "f1"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_blocks_rejected(block, bad):
+    data = {"A": np.eye(3), "B": np.eye(2, 3), "f": np.ones(3),
+            "A1": np.zeros((3, 3)), "B1": np.zeros((2, 3)), "f1": np.zeros(3)}
+    data[block] = data[block].copy()
+    data[block].flat[0] = bad
+    with pytest.raises(sd.DimensionMismatch, match=f"^{block} must be finite$"):
+        ConeQP(A=data["A"], B=data["B"], f=data["f"])
+        PerturbationDirection(A1=data["A1"], B1=data["B1"], f1=data["f1"])
+
+
 # --- objective / Lagrangian -------------------------------------------------
 
 
@@ -438,6 +450,19 @@ def test_qp_file_rejects_garbage(tmp_path):
         ("cone-qp v1\ncone equality\nA 1 1\nnan\n", "line 4: block A: values must be finite"),
         ("cone-qp v1\ncone\n", "line 2: cone must be"),
         ("cone-qp v1\n# comment\n\nB 1\n", "line 4: block B expects 2 non-negative integer size(s)"),
+        (
+            "cone-qp v1\ncone equality\nA 2 2\n1 0\n0 1\nB 1 3\n1 0 0\nf 2\n0 0\n",
+            "line 6: block B has shape (1, 3), expected (1, 2) for the 2 x 2 block A",
+        ),
+        (
+            "cone-qp v1\ncone equality\nA 2 3\n1 0 0\n0 1 0\nB 1 3\n1 0 0\nf 2\n0 0\n",
+            "line 3: block A has shape (2, 3), expected (2, 2)",
+        ),
+        (
+            "cone-qp v1\ncone equality\nA 2 2\n1 0\n0 1\nB 1 2\n1 0\nf 2\n0 0\n"
+            "A1 2 2\n0 0\n0 0\nB1 1 2\n0 0\nf1 3\n0 0 0\n",
+            "line 15: block f1 has shape (3,), expected (2,)",
+        ),
     ]:
         path.write_text(text)
         with pytest.raises(ValueError, match=re.escape(where)):

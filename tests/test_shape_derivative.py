@@ -106,11 +106,12 @@ def test_translation_invariance_constant_force():
 def test_rejects_unsolved_solution():
     _, system, sol = solved_square()
     forms = assemble_perturbation(system.space, AFFINE, TrigForce())
-    fake = sd.StokesSolution(
-        u=sol.u + 1.0, lam=sol.lam, residual_momentum=0.0, residual_divergence=0.0
-    )
-    with pytest.raises(sd.UnsolvedSolution):
-        stokes_shape_derivative(system, fake, forms, AFFINE)
+    u_nan = sol.u.copy()
+    u_nan[0] = np.nan  # a NaN residual fails the check instead of passing it
+    for u in (sol.u + 1.0, u_nan):
+        fake = sd.StokesSolution(u=u, lam=sol.lam, residual_momentum=0.0, residual_divergence=0.0)
+        with pytest.raises(sd.UnsolvedSolution):
+            stokes_shape_derivative(system, fake, forms, AFFINE)
 
 
 # --- central-difference verification ------------------------------------------

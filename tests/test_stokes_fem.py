@@ -64,6 +64,94 @@ def test_assemble_requires_dirichlet_edges():
         sd.assemble(mesh, ConstantForce())
 
 
+def first_appearance_numbering(mesh):
+    """Reference dof numbering by a dict over the triangles' local edges
+    (01, 12, 20): midpoint nodes numbered in order of first appearance.
+    Returns tri_nodes, node_coords, the Neumann edges and the Dirichlet nodes."""
+    v, t, nv = mesh.vertices, mesh.triangles, mesh.num_vertices
+    edge_ids = {}
+    tri_nodes = np.empty((mesh.num_triangles, 6), dtype=int)
+    tri_nodes[:, :3] = t
+    mid_coords = []
+    for ti, (i, j, k) in enumerate(t):
+        for local, (a, b) in enumerate(((i, j), (j, k), (k, i))):
+            key = (min(a, b), max(a, b))
+            if key not in edge_ids:
+                edge_ids[key] = nv + len(mid_coords)
+                mid_coords.append(0.5 * (v[a] + v[b]))
+            tri_nodes[ti, 3 + local] = edge_ids[key]
+    node_coords = np.vstack([v, np.array(mid_coords).reshape(-1, 2)])
+    neumann, dirichlet = [], set()
+    for (i, j), tag in zip(mesh.boundary_edges, mesh.boundary_tags):
+        mid = edge_ids[(min(i, j), max(i, j))]
+        if tag == "D":
+            dirichlet.update((int(i), int(j), mid))
+        else:
+            neumann.append((int(i), int(j), mid))
+    return tri_nodes, node_coords, np.array(neumann, dtype=int).reshape(-1, 3), sorted(dirichlet)
+
+
+def shuffled_square():
+    mesh = sd.unit_square_mesh(5, {"right", "top"})
+    perm = np.random.default_rng(3).permutation(mesh.num_triangles)
+    return TriMesh(mesh.vertices, mesh.triangles[perm], mesh.boundary_edges, mesh.boundary_tags)
+
+
+def disk_with_neumann_arcs(rings):
+    """Disk with two of every three boundary edges Neumann: slanted edges."""
+    mesh = sd.disk_mesh(rings)
+    tags = tuple("D" if k % 3 == 0 else "N" for k in range(len(mesh.boundary_tags)))
+    return TriMesh(mesh.vertices, mesh.triangles, mesh.boundary_edges, tags)
+
+
+@pytest.mark.parametrize(
+    "mesh",
+    [sd.unit_square_mesh(5, {"right", "top"}), sd.disk_mesh(7), shuffled_square()],
+    ids=["square", "disk", "shuffled-square"],
+)
+def test_dof_numbering_matches_first_appearance(mesh):
+    # Any numbering gives the same physics, so only this pins velocity.csv.
+    tri_nodes, node_coords, neumann, dirichlet = first_appearance_numbering(mesh)
+    space = FunctionSpace(mesh)
+    assert np.array_equal(space.tri_nodes, tri_nodes)
+    assert np.array_equal(space.node_coords, node_coords)
+    assert np.array_equal(space.neumann_edges, neumann)
+    assert np.array_equal(space.dirichlet_nodes, dirichlet)
+
+
+def test_boundary_edge_outside_triangulation_rejected():
+    verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    edges = np.array([[0, 1], [1, 2], [2, 0], [1, 3]])
+    mesh = TriMesh(verts, np.array([[0, 1, 2]]), edges, ("D", "D", "D", "N"))
+    with pytest.raises(ValueError, match="boundary edge"):
+        FunctionSpace(mesh)
+
+
+def per_edge_traction_load(space, g_field):
+    """Reference Neumann load: edge by edge, three-point Gauss rule."""
+    g = np.zeros(2 * space.num_nodes)
+    for i, j, mid in space.neumann_edges:
+        pa, pb = space.mesh.vertices[i], space.mesh.vertices[j]
+        length = float(np.linalg.norm(pb - pa))
+        xq = pa[None, :] + stokes_fem._EDGE_T[:, None] * (pb - pa)[None, :]
+        ge = length * np.einsum("q,qa,qc->ac", stokes_fem._EDGE_W, stokes_fem._EDGE_P2, g_field.evaluate(xq))
+        for local, node in enumerate((i, j, mid)):
+            g[2 * node] += ge[local, 0]
+            g[2 * node + 1] += ge[local, 1]
+    return g[space.free_dofs]
+
+
+@pytest.mark.parametrize(
+    "mesh",
+    [sd.unit_square_mesh(6, {"right"}), sd.unit_square_mesh(5, {"right", "top"}), disk_with_neumann_arcs(5)],
+    ids=["square", "square-two-sides", "disk-arcs"],
+)
+def test_neumann_load_matches_per_edge_loop_bitwise(mesh):
+    traction = trig_manufactured().traction
+    system = sd.assemble(mesh, ConstantForce(), traction)
+    assert np.array_equal(system.g, per_edge_traction_load(system.space, traction))
+
+
 # --- assembly ---------------------------------------------------------------
 
 
