@@ -9,7 +9,7 @@ differences of the re-solved problems.
 import numpy as np
 
 import shapederiv as sd
-from shapederiv.slopes import loglog_slope
+from shapederiv.slopes import fd_table
 
 rng = np.random.default_rng(0)
 
@@ -37,11 +37,9 @@ l1 = sd.shape_derivative(qp, direction, sp)
 print(f"\npredicted derivative of the optimal value: {l1:.10g}")
 
 print("\n    s         (E(+s)-E(-s))/2s     |fd - L1|")
-s_values = [1e-2, 3e-3, 1e-3]
-errors = []
-for s in s_values:
-    fd = sd.fd_derivative(qp, direction, s)
-    errors.append(abs(fd - l1))
-    print(f"  {s:7.1e}   {fd:+.12e}   {errors[-1]:.3e}")
-print(f"\nlog-log slope of the disagreement: {loglog_slope(s_values, errors):.3f} "
+e0 = sd.objective_value(qp, sp.u)
+table = fd_table(lambda s: sd.optimal_value(qp, direction, s), l1, e0, [1e-2, 3e-3, 1e-3])
+for entry in table.entries:
+    print(f"  {entry.s:7.1e}   {entry.fd:+.12e}   {entry.abs_err:.3e}")
+print(f"\nlog-log slope of the disagreement: {table.slope:.3f} "
       "(central differences are second order)")

@@ -20,10 +20,10 @@ print(f"  stiffness/load part  E1 = {report.E1:+.10e}")
 print(f"  multiplier part         = {report.dual_term:+.10e}")
 
 print("\n    s        central difference      |fd - L1|")
-for entry in report.fd_table:
+for entry in report.fd.entries:
     print(f"  {entry.s:7.1e}   {entry.fd:+.12e}   {entry.abs_err:.3e}")
-print(f"\ncentral slope {report.slope:.4f} (second order), "
-      f"one-sided slope {report.one_sided_slope:.4f} (first order)")
+print(f"\ncentral slope {report.fd.slope:.4f} (second order), "
+      f"one-sided slope {report.fd.one_sided_slope:.4f} (first order)")
 
 # Freezing the free edge with a cutoff window and forcing with a pressure
 # gradient keeps the velocity at zero on every deformed domain: both the
@@ -38,4 +38,4 @@ frozen = sd.AffineField(
 trivial = sd.fd_verify(sd.unit_square_mesh(8, {"right"}),
                        ConstantForce(value=(1.0, 0.0)), frozen, [1e-2, 1e-3])
 print(f"\npressure-gradient forcing with a frozen free edge: "
-      f"L1 = {trivial.L1:.1e}, all quotients at machine zero: {trivial.exact}")
+      f"L1 = {trivial.L1:.1e}, all quotients at machine zero: {trivial.fd.exact}")

@@ -18,14 +18,14 @@ print(f"polygonal disk: {disk.num_vertices} vertices, {disk.num_triangles} trian
 symmetric = sd.corollary3_check(disk, RotationalForce(c=1.0), 1.0, [1e-2, 1e-3])
 print(f"\nequivariant forcing f = (-x2, x1):")
 print(f"  energy {symmetric.energy:+.6e}, L1 = {symmetric.L1:+.2e} "
-      f"(zero by symmetry), quotients at machine zero: {symmetric.exact}")
+      f"(zero by symmetry), quotients at machine zero: {symmetric.fd.exact}")
 
 generic = sd.corollary3_check(disk, TrigForce(), 1.0, [1e-2, 3e-3, 1e-3])
 print(f"\ngeneric trigonometric forcing:")
 print(f"  L1 = {generic.L1:+.10e}")
-for entry in generic.fd_table:
+for entry in generic.fd.entries:
     print(f"  s = {entry.s:7.1e}   fd = {entry.fd:+.10e}   |fd - L1| = {entry.abs_err:.3e}")
-print(f"  slope {generic.slope:.4f}")
+print(f"  slope {generic.fd.slope:.4f}")
 
 # The rotation is exactly area preserving, element by element.
 moved = sd.transport_mesh(disk, sd.RotationField(1.0), 0.2)

@@ -58,13 +58,13 @@ from .mesh import (
 )
 from .shape_derivative import (
     DerivativeReport,
-    FdEntry,
     PerturbationForms,
     assemble_perturbation,
     corollary3_check,
     fd_verify,
     stokes_shape_derivative,
 )
+from .slopes import FdEntry, FdTable
 from .stokes_fem import (
     ConvergenceRow,
     FunctionSpace,
@@ -90,6 +90,7 @@ from .core_minimax import (
     lagrangian_value,
     load_qp,
     objective_value,
+    optimal_value,
     perturbed_qp,
     save_qp,
     shape_derivative,

@@ -19,7 +19,7 @@ import numpy as np
 from .. import core_minimax as cm
 from ..errors import ConfigError, ShapeDerivError
 from ..shape_derivative import corollary3_check, fd_verify, stokes_shape_derivative, assemble_perturbation
-from ..slopes import loglog_slope
+from ..slopes import FdTable, fd_table
 from ..stokes_fem import assemble, convergence_study, energy, inf_sup_constant, solve_stokes
 from ..fields import trig_manufactured
 from .config import COMMANDS, RunConfig, parse_config
@@ -41,7 +41,8 @@ def _qp_demo(cfg: RunConfig, rep: ReportWriter) -> None:
                 qp, direction = cm.load_qp(path)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"qp file: {exc}") from None
-    sp = cm.solve_saddle_point(qp, max_iter=cfg.tolerances.get("max_iter", 200))
+    max_iter = cfg.tolerances.get("max_iter", 200)
+    sp = cm.solve_saddle_point(qp, max_iter=max_iter)
     obj = cm.objective_value(qp, sp.u)
     lag = cm.lagrangian_value(qp, sp.u, sp.lam)
     rep.add_kv("result.n", qp.n)
@@ -64,24 +65,9 @@ def _qp_demo(cfg: RunConfig, rep: ReportWriter) -> None:
         return
     l1 = cm.shape_derivative(qp, direction, sp)
     rep.add_kv("result.L1", l1)
-    rows = []
-    errs = []
-    for s in cfg.s_list:
-        fd = cm.fd_derivative(qp, direction, s)
-        err = abs(fd - l1)
-        errs.append(err)
-        rows.append(f"{fmt17(s)},{fmt17(fd)},{fmt17(l1)},{fmt17(err)}")
-    rep.add_table("fd_table.csv", "s,fd,L1,abs_err", rows)
-    if max(errs) <= 1e-12 * (1.0 + abs(l1)):
-        rep.add_kv("result.slope", "exact")
-        rep.add_summary(f"L1 = {fmt6(l1)}; slope line: exact (all errors 0)")
-    elif min(errs) > 0.0 and len(errs) >= 2:
-        slope = loglog_slope(cfg.s_list, errs)
-        rep.add_kv("result.slope", slope)
-        rep.add_summary(f"L1 = {fmt6(l1)}; central-difference slope {fmt6(slope)}")
-    else:
-        rep.add_kv("result.slope", "")
-        rep.add_summary(f"L1 = {fmt6(l1)}; slope not defined for this table")
+    rep.add_summary(f"L1 = {fmt6(l1)}")
+    table = fd_table(lambda s: cm.optimal_value(qp, direction, s, max_iter), l1, obj, cfg.s_list)
+    _emit_fd_table(rep, table, l1)
 
 
 def _stokes_solve(cfg: RunConfig, rep: ReportWriter) -> None:
@@ -154,26 +140,23 @@ def _emit_derivative(report, rep: ReportWriter) -> None:
     rep.add_kv("result.dual_term", report.dual_term)
     rep.add_kv("result.energy", report.energy)
     rep.add_summary(f"L1 = {fmt6(report.L1)} (energy part {fmt6(report.E1)}, dual part {fmt6(report.dual_term)})")
-    if report.fd_table is None:
-        return
-    rows = [
-        f"{fmt17(e.s)},{fmt17(e.fd)},{fmt17(report.L1)},{fmt17(e.abs_err)}"
-        for e in report.fd_table
-    ]
+    if report.fd is not None:
+        _emit_fd_table(rep, report.fd, report.L1)
+
+
+def _emit_fd_table(rep: ReportWriter, table: FdTable, l1: float) -> None:
+    rows = [f"{fmt17(e.s)},{fmt17(e.fd)},{fmt17(l1)},{fmt17(e.abs_err)}" for e in table.entries]
     rep.add_table("fd_table.csv", "s,fd,L1,abs_err", rows)
-    if report.exact:
+    if table.exact:
         rep.add_kv("result.slope", "exact")
         rep.add_summary("slope line: exact (all errors 0)")
-    else:
-        rep.add_kv("result.slope", "" if report.slope is None else fmt17(report.slope))
-        rep.add_kv(
-            "result.one_sided_slope",
-            "" if report.one_sided_slope is None else fmt17(report.one_sided_slope),
-        )
-        if report.slope is not None:
-            rep.add_summary(f"central-difference slope {fmt6(report.slope)}")
-        if report.one_sided_slope is not None:
-            rep.add_summary(f"one-sided slope {fmt6(report.one_sided_slope)}")
+        return
+    rep.add_kv("result.slope", "" if table.slope is None else fmt17(table.slope))
+    rep.add_kv("result.one_sided_slope", "" if table.one_sided_slope is None else fmt17(table.one_sided_slope))
+    if table.slope is not None:
+        rep.add_summary(f"central-difference slope {fmt6(table.slope)}")
+    if table.one_sided_slope is not None:
+        rep.add_summary(f"one-sided slope {fmt6(table.one_sided_slope)}")
 
 
 def _corollary3(cfg: RunConfig, rep: ReportWriter) -> None:

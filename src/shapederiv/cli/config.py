@@ -207,11 +207,9 @@ def parse_config(path, command: str) -> RunConfig:
     for section in parser.sections():
         if section not in _ALLOWED_KEYS:
             raise ConfigError(f"unknown section [{section}]")
-        allowed = _ALLOWED_KEYS[section]
-        if allowed is not None:
-            for key in parser[section]:
-                if key not in allowed:
-                    raise ConfigError(f"unknown key '{key}' in section [{section}]")
+        for key in parser[section]:
+            if key not in _ALLOWED_KEYS[section]:
+                raise ConfigError(f"unknown key '{key}' in section [{section}]")
 
     cfg = RunConfig(command=command)
 
@@ -225,6 +223,8 @@ def parse_config(path, command: str) -> RunConfig:
             cfg.steps = _number(run["steps"], "run.steps", int, minimum=1)
         if "s_list" in run:
             cfg.s_list = _floats(run["s_list"], "run.s_list")
+            if not cfg.s_list:
+                raise ConfigError("run.s_list needs at least one step")
             if any(s <= 0 for s in cfg.s_list):
                 raise ConfigError("run.s_list must be strictly positive")
             if any(b >= a for a, b in zip(cfg.s_list, cfg.s_list[1:])):

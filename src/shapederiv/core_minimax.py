@@ -16,8 +16,8 @@ QR factorization of G_W = L^{-1} B_W', updated by one Givens sweep when a
 constraint enters or leaves the working set (Goldfarb & Idnani 1983;
 Nocedal & Wright, Numerical Optimization, 2nd ed., sections 16.3 and
 16.5).  check_lbb reads the inf-sup constant off the same G.  The module
-also provides the central-difference quotient of the optimal value, used
-throughout the test suite as the independent check of that derivative.
+also provides the optimal value of a perturbed problem and its
+central-difference quotient, the independent check of that derivative.
 
 All operations are pure functions of immutable inputs and safe to call
 concurrently.
@@ -49,6 +49,7 @@ __all__ = [
     "lagrangian_value",
     "shape_derivative",
     "perturbed_qp",
+    "optimal_value",
     "fd_derivative",
     "check_lbb",
     "load_qp",
@@ -330,20 +331,22 @@ def perturbed_qp(qp: ConeQP, direction: PerturbationDirection, s: float) -> Cone
     )
 
 
-def fd_derivative(qp: ConeQP, direction: PerturbationDirection, s: float) -> float:
-    """Central-difference quotient of the optimal value at step s.
+def optimal_value(
+    qp: ConeQP, direction: PerturbationDirection, s: float, max_iter: int = 200
+) -> float:
+    """Optimal value of the QP perturbed by s along ``direction``.
 
-    Solves the perturbed problems at +s and -s and returns
-    (E(+s) - E(-s)) / (2 s).  Independent of ``shape_derivative``: it only
-    uses the solver and the objective.
+    Uses only the solver and the objective, never ``shape_derivative``.
     """
+    qp_s = perturbed_qp(qp, direction, s)
+    return objective_value(qp_s, solve_saddle_point(qp_s, max_iter=max_iter).u)
+
+
+def fd_derivative(qp: ConeQP, direction: PerturbationDirection, s: float) -> float:
+    """Central-difference quotient (E(+s) - E(-s)) / (2 s) of the optimal value."""
     if s == 0.0:
         raise ValueError("central difference requires s != 0")
-    qp_plus = perturbed_qp(qp, direction, s)
-    qp_minus = perturbed_qp(qp, direction, -s)
-    e_plus = objective_value(qp_plus, solve_saddle_point(qp_plus).u)
-    e_minus = objective_value(qp_minus, solve_saddle_point(qp_minus).u)
-    return (e_plus - e_minus) / (2.0 * s)
+    return (optimal_value(qp, direction, s) - optimal_value(qp, direction, -s)) / (2.0 * s)
 
 
 def check_lbb(qp: ConeQP) -> float:
@@ -395,8 +398,8 @@ def save_qp(path, qp: ConeQP, direction: PerturbationDirection | None = None) ->
 def load_qp(path) -> tuple[ConeQP, PerturbationDirection | None]:
     """Read an instance file written by :func:`save_qp` (or by hand).
 
-    A malformed file, blocks whose shapes disagree with the n x n block A
-    included, raises ValueError naming the block and the line.
+    A malformed file, a repeated block or one whose shape disagrees with
+    the n x n block A included, raises ValueError naming the block and the line.
     """
     lines = numbered_lines(path, comment="#")
     if not lines or lines[0][1] != _HEADER:
@@ -408,6 +411,9 @@ def load_qp(path) -> tuple[ConeQP, PerturbationDirection | None]:
     while pos < len(lines):
         number, text = lines[pos]
         name, *rest = text.split()
+        if name in header_line:
+            raise ValueError(f"{path}, line {number}: block {name} repeats the one at line {header_line[name]}")
+        header_line[name] = number
         if name == "cone":
             try:
                 (value,) = rest
@@ -416,12 +422,10 @@ def load_qp(path) -> tuple[ConeQP, PerturbationDirection | None]:
                 raise ValueError(f"{path}, line {number}: cone must be 'equality' or 'inequality'") from None
             pos += 1
         elif name in ("f", "f1"):
-            header_line[name] = number
             (n,) = block_sizes(path, lines[pos], name, 1)
             blocks[name] = float_block(lines, pos + 1, path, name, 1, n)[0]
             pos += 2
         elif name in ("A", "B", "A1", "B1"):
-            header_line[name] = number
             r, c = block_sizes(path, lines[pos], name, 2)
             blocks[name] = float_block(lines, pos + 1, path, name, r, c)
             pos += 1 + r

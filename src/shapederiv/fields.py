@@ -108,7 +108,6 @@ class SymbolicVectorField(ForceField):
 
     def __init__(self, fx: sp.Expr, fy: sp.Expr, symbols: tuple[sp.Symbol, sp.Symbol]):
         x, y = symbols
-        self._exprs = (fx, fy)
         self._val = [sp.lambdify((x, y), e, modules="numpy") for e in (fx, fy)]
         self._grad = [
             [sp.lambdify((x, y), sp.diff(e, v), modules="numpy") for v in (x, y)]

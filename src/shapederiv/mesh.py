@@ -94,7 +94,11 @@ class TriMesh:
         return n / np.linalg.norm(n, axis=1, keepdims=True)
 
     def validate(self) -> None:
-        """Check orientation, conformity and the boundary tagging."""
+        """Check vertex indices, orientation, conformity and the boundary tagging."""
+        nv = self.num_vertices
+        for name, ids in (("triangle", self.triangles), ("boundary edge", self.boundary_edges)):
+            if ids.size and (ids.min() < 0 or ids.max() >= nv):
+                raise ValueError(f"vertex index out of range 0..{nv - 1} in a {name}")
         areas = self.triangle_areas()
         if np.any(areas <= 0.0):
             raise InvertedElement("mesh contains a non-positively oriented triangle")

@@ -19,8 +19,7 @@ central differences of the energy on transported meshes.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -30,7 +29,7 @@ from .errors import UnsolvedSolution
 from .fields import ForceField
 from .flow import RotationField, VelocityField
 from .mesh import DIRICHLET, TriMesh, transport_mesh
-from .slopes import loglog_slope
+from .slopes import FdTable, fd_table
 from .stokes_fem import (
     _P1_VALS,
     _P2_VALS,
@@ -45,7 +44,6 @@ from .stokes_fem import (
 
 __all__ = [
     "PerturbationForms",
-    "FdEntry",
     "DerivativeReport",
     "assemble_perturbation",
     "transport_pairing_matrix",
@@ -65,25 +63,15 @@ class PerturbationForms:
 
 
 @dataclass(frozen=True)
-class FdEntry:
-    s: float
-    fd: float
-    abs_err: float
-
-
-@dataclass(frozen=True)
 class DerivativeReport:
     """Shape derivative L1 = E1 + dual_term, optionally with its
-    central-difference verification table."""
+    central-difference verification table ``fd``."""
 
     L1: float
     E1: float
     dual_term: float
     energy: float
-    fd_table: tuple[FdEntry, ...] | None = None
-    slope: float | None = None
-    one_sided_slope: float | None = None
-    exact: bool = False
+    fd: FdTable | None = None
 
 
 def _field_kernels(space: FunctionSpace, field: VelocityField):
@@ -183,53 +171,21 @@ def fd_verify(
 
     For each step s the mesh is transported by +s and -s, the problem is
     re-assembled with the same body force evaluated at the new coordinates
-    and re-solved, and the quotient (E(+s) - E(-s)) / (2s) enters the
-    table together with its distance to L1.  The slope of that distance
-    against s is fitted by least squares; ``one_sided_slope`` does the
-    same for the forward quotient (E(+s) - E(0)) / s.  Only the
+    and re-solved, and :func:`slopes.fd_table` compares the difference
+    quotients of the energy with L1 (the result's ``fd``).  Only the
     homogeneous Neumann condition is meaningful under transport, so no
     traction data enters here.
     """
-    s_values = [float(s) for s in s_values]
-    if any(not (s > 0.0 and math.isfinite(s)) for s in s_values):
-        raise ValueError("finite-difference steps must be positive and finite")
     base_system = assemble(mesh, f_field)
     base_solution = solve_stokes(base_system, pin_pressure=pin_pressure)
     forms = assemble_perturbation(base_system.space, field, f_field)
     head = stokes_shape_derivative(base_system, base_solution, forms, field)
 
-    entries: list[FdEntry] = []
-    one_sided_err: list[float] = []
-    for s in s_values:
-        e_pm = []
-        for sign in (+1.0, -1.0):
-            moved = transport_mesh(mesh, field, sign * s, steps=steps)
-            system = assemble(moved, f_field)
-            sol = solve_stokes(system, pin_pressure=pin_pressure)
-            e_pm.append(energy(system, sol))
-        fd = (e_pm[0] - e_pm[1]) / (2.0 * s)
-        entries.append(FdEntry(s=s, fd=fd, abs_err=abs(fd - head.L1)))
-        one_sided_err.append(abs((e_pm[0] - head.energy) / s - head.L1))
+    def energy_at(s: float) -> float:
+        system = assemble(transport_mesh(mesh, field, s, steps=steps), f_field)
+        return energy(system, solve_stokes(system, pin_pressure=pin_pressure))
 
-    scale = 1.0 + abs(head.energy) + abs(head.L1)
-    errs = [e.abs_err for e in entries]
-    exact = max(errs + one_sided_err) <= 1e-12 * scale
-    slope = one_sided = None
-    if not exact and len(s_values) >= 2:
-        if min(errs) > 0.0:
-            slope = loglog_slope(s_values, errs)
-        if min(one_sided_err) > 0.0:
-            one_sided = loglog_slope(s_values, one_sided_err)
-    return DerivativeReport(
-        L1=head.L1,
-        E1=head.E1,
-        dual_term=head.dual_term,
-        energy=head.energy,
-        fd_table=tuple(entries),
-        slope=slope,
-        one_sided_slope=one_sided,
-        exact=exact,
-    )
+    return replace(head, fd=fd_table(energy_at, head.L1, head.energy, s_values))
 
 
 def corollary3_check(

@@ -1,8 +1,31 @@
-"""Least-squares slope fitting for log-log convergence data."""
+"""Central-difference check of a derivative L1 of an optimal value E(s),
+shared by the cone-QP and the flow layer, and log-log slope fitting."""
 
 from __future__ import annotations
 
+import math
+from dataclasses import dataclass
+from typing import Callable, Sequence
+
 import numpy as np
+
+
+@dataclass(frozen=True)
+class FdEntry:
+    s: float
+    fd: float
+    abs_err: float
+
+
+@dataclass(frozen=True)
+class FdTable:
+    """Central quotients against L1, one entry per step, with the fitted
+    slopes of the central and the forward error (None where not defined)."""
+
+    entries: tuple[FdEntry, ...]
+    slope: float | None
+    one_sided_slope: float | None
+    exact: bool
 
 
 def loglog_slope(s_values, errors) -> float:
@@ -17,3 +40,35 @@ def loglog_slope(s_values, errors) -> float:
     if np.any(s <= 0.0) or np.any(e <= 0.0):
         raise ValueError("slope fit requires positive values")
     return float(np.polyfit(np.log(s), np.log(e), 1)[0])
+
+
+def fd_table(
+    value_at: Callable[[float], float], l1: float, e0: float, s_values: Sequence[float]
+) -> FdTable:
+    """Compare L1 with (E(+s) - E(-s)) / 2s and (E(+s) - E(0)) / s, E = ``value_at``.
+
+    Calls ``value_at`` at +s, then -s, for each s in order.  The table is
+    exact when every error is at most 1e-12 (1 + |E(0)| + |L1|); otherwise
+    a slope is fitted over two or more steps whose errors are all positive.
+    """
+    s_values = [float(s) for s in s_values]
+    if not s_values or any(not (s > 0.0 and math.isfinite(s)) for s in s_values):
+        raise ValueError("finite differences need one or more positive, finite steps")
+    entries: list[FdEntry] = []
+    one_sided_err: list[float] = []
+    for s in s_values:
+        e_plus = value_at(s)
+        e_minus = value_at(-s)
+        fd = (e_plus - e_minus) / (2.0 * s)
+        entries.append(FdEntry(s=s, fd=fd, abs_err=abs(fd - l1)))
+        one_sided_err.append(abs((e_plus - e0) / s - l1))
+
+    errs = [e.abs_err for e in entries]
+    exact = max(errs + one_sided_err) <= 1e-12 * (1.0 + abs(e0) + abs(l1))
+    slope = one_sided = None
+    if not exact and len(s_values) >= 2:
+        if min(errs) > 0.0:
+            slope = loglog_slope(s_values, errs)
+        if min(one_sided_err) > 0.0:
+            one_sided = loglog_slope(s_values, one_sided_err)
+    return FdTable(entries=tuple(entries), slope=slope, one_sided_slope=one_sided, exact=exact)

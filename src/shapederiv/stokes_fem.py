@@ -187,11 +187,6 @@ class FunctionSpace:
         full[self.free_dofs] = u_free
         return full
 
-    def interpolate_velocity(self, field) -> np.ndarray:
-        """Nodal interpolation of an analytic velocity, free dofs only."""
-        vals = field.evaluate(self.node_coords)
-        return vals.reshape(-1)[self.free_dofs]
-
     def element_velocity_gradients(self, u_free: np.ndarray) -> np.ndarray:
         """grad(u_h) at every quadrature point: (nt, nq, 2, 2)."""
         full = self.expand_velocity(u_free)

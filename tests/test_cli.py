@@ -63,6 +63,7 @@ FD_SQUARE = {
     [
         ("run", "steps", "abc"),
         ("run", "s_list", "1e-2 nan"),
+        ("run", "s_list", ""),
         ("run", "omega", "inf"),
         ("mesh", "n", "0"),
         ("mesh", "n", "2.5"),
@@ -111,6 +112,12 @@ def _qp_perturbation_disagrees(tmp_path):
     return "qp-demo", f"[qp]\npath = {path}\n", "block B1 has shape (1, 2), expected (2, 2)"
 
 
+def _qp_block_repeated(tmp_path):
+    path = tmp_path / "inst.txt"
+    path.write_text("cone-qp v1\ncone inequality\nA 1 1\n1\nA 1 1\n5\nB 1 1\n1\nf 1\n1\n")
+    return "qp-demo", f"[qp]\npath = {path}\n", "line 5: block A repeats the one at line 3"
+
+
 def _qp_missing_file(tmp_path):
     return "qp-demo", f"[qp]\npath = {tmp_path / 'absent.txt'}\n", "absent.txt"
 
@@ -126,7 +133,14 @@ def _mesh_cut_in_half(tmp_path):
 
 @pytest.mark.parametrize(
     "case",
-    [_qp_missing_file, _qp_cut_after_a, _qp_blocks_disagree, _qp_perturbation_disagrees, _mesh_cut_in_half],
+    [
+        _qp_missing_file,
+        _qp_cut_after_a,
+        _qp_blocks_disagree,
+        _qp_perturbation_disagrees,
+        _qp_block_repeated,
+        _mesh_cut_in_half,
+    ],
 )
 def test_malformed_input_files_exit_2(tmp_path, capsys, case):
     command, text, where = case(tmp_path)
@@ -229,6 +243,42 @@ def test_qp_demo_custom_instance(tmp_path):
     assert kv["result.u"].split() == ["1", "0"]
     assert kv["result.active_set_steps"] == "3"
     assert "3 active-set steps" in (out / "summary.txt").read_text()
+
+
+def test_qp_demo_max_iter_bounds_the_fd_re_solves(tmp_path, capsys):
+    # The base solve takes 7 active-set steps, the re-solve at s = +1e-2 takes 10.
+    rng = np.random.default_rng(38)
+    q = rng.standard_normal((6, 6))
+    qp = sd.ConeQP(A=q @ q.T + np.eye(6), B=rng.standard_normal((5, 6)), f=rng.standard_normal(6))
+    direction = sd.PerturbationDirection(
+        A1=np.zeros((6, 6)), B1=rng.standard_normal((5, 6)), f1=rng.standard_normal(6)
+    )
+    assert sd.solve_saddle_point(qp).iterations == 7
+    path = tmp_path / "inst.txt"
+    sd.save_qp(path, qp, direction)
+    for max_iter, code in ((7, 1), (10, 0)):
+        cfg = write(
+            tmp_path / "run.cfg",
+            f"[run]\ns_list = 1e-2 1e-3\n\n[qp]\npath = {path}\n\n[tolerances]\nmax_iter = {max_iter}\n",
+        )
+        assert main(["qp-demo", "--config", cfg, "--output", str(tmp_path / "o")]) == code
+    assert capsys.readouterr().err.startswith("error: MaxIterations:")
+
+
+def test_qp_demo_even_family_is_not_exact(tmp_path):
+    # E(s) = -1/2 (1 + s^2): every central quotient equals L1 = 0, but the
+    # forward quotient is off by s/2, so the table has only a one-sided slope.
+    qp = sd.ConeQP(A=np.eye(2), B=np.array([[1.0, 0.0]]), f=np.array([1.0, 0.0]), cone=sd.ConeKind.EQUALITY)
+    direction = sd.PerturbationDirection(A1=np.zeros((2, 2)), B1=np.zeros((1, 2)), f1=np.array([0.0, 1.0]))
+    path = tmp_path / "inst.txt"
+    sd.save_qp(path, qp, direction)
+    cfg = write(tmp_path / "run.cfg", f"[qp]\npath = {path}\n")
+    out = tmp_path / "out"
+    assert main(["qp-demo", "--config", cfg, "--output", str(out)]) == 0
+    kv = read_kv(out / "report.kv")
+    assert kv["result.slope"] == ""
+    assert float(kv["result.one_sided_slope"]) == pytest.approx(1.0, abs=1e-6)
+    assert "one-sided slope 1" in (out / "summary.txt").read_text()
 
 
 def test_fd_verify_pipeline_slope(tmp_path):

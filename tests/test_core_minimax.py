@@ -463,6 +463,8 @@ def test_qp_file_rejects_garbage(tmp_path):
             "A1 2 2\n0 0\n0 0\nB1 1 2\n0 0\nf1 3\n0 0 0\n",
             "line 15: block f1 has shape (3,), expected (2,)",
         ),
+        ("cone-qp v1\ncone inequality\nA 1 1\n1\nA 1 1\n5\n", "line 5: block A repeats the one at line 3"),
+        ("cone-qp v1\ncone inequality\ncone equality\n", "line 3: block cone repeats the one at line 2"),
     ]:
         path.write_text(text)
         with pytest.raises(ValueError, match=re.escape(where)):

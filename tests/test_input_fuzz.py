@@ -1,0 +1,82 @@
+"""Mutated input files end in a categorized error, never a raw exception.
+
+Each example takes a valid QP instance, mesh or config file, drops,
+duplicates or swaps a few lines or tokens, and reads it back.  The reader
+may accept the result or raise ValueError, OSError or a ShapeDerivError
+(which the CLI maps to exit 2 or 1); anything else fails the test.
+"""
+
+import os
+import tempfile
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import shapederiv as sd
+from shapederiv.cli.config import parse_config
+
+
+def _qp_text(path):
+    qp = sd.ConeQP(A=[[2.0, 0.5], [0.5, 1.0]], B=[[1.0, 1.0]], f=[1.0, -2.0])
+    direction = sd.PerturbationDirection(A1=np.diag([0.1, -0.2]), B1=[[0.0, 0.5]], f1=[0.3, 0.0])
+    sd.save_qp(path, qp, direction)
+
+
+def _mesh_text(path):
+    sd.write_mesh(path, sd.unit_square_mesh(2, {"right"}))
+
+
+def _config_text(path):
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(
+            "[run]\ns_list = 1e-2 3e-3\nsteps = 8\n\n"
+            "[mesh]\nkind = unit_square\nn = 2\nneumann_sides = right\n\n"
+            "[velocity]\nkind = affine\nmatrix = 0.3 0.1 -0.2 0.15\nb = 0.05 -0.04\n\n"
+            "[force]\nname = trig\nscale = 1.5\n\n"
+            "[tolerances]\nresidual_tol = 1e-9\nmax_iter = 50\n"
+        )
+
+
+READERS = {
+    "load_qp": (_qp_text, sd.load_qp),
+    "read_mesh": (_mesh_text, sd.read_mesh),
+    "parse_config": (_config_text, lambda path: parse_config(path, "fd-verify")),
+}
+
+
+def _mutate(lines: list[str], data) -> list[str]:
+    rows = [line.split() for line in lines]
+    for _ in range(data.draw(st.integers(1, 3), label="mutations")):
+        if not rows:
+            break
+        op = data.draw(st.sampled_from(["drop", "duplicate", "swap"]), label="op")
+        i = data.draw(st.integers(0, len(rows) - 1), label="line")
+        if op == "drop":
+            del rows[i]
+        elif op == "duplicate":
+            rows.insert(i, list(rows[i]))
+        else:
+            slots = [(r, c) for r, row in enumerate(rows) for c in range(len(row))]
+            (r1, c1), (r2, c2) = data.draw(st.tuples(st.sampled_from(slots), st.sampled_from(slots)), label="tokens")
+            rows[r1][c1], rows[r2][c2] = rows[r2][c2], rows[r1][c1]
+    return [" ".join(row) for row in rows]
+
+
+@pytest.mark.parametrize("reader", sorted(READERS))
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_mutated_inputs_raise_only_categorized_errors(reader, data):
+    write_valid, read = READERS[reader]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "input.txt")
+        write_valid(path)
+        with open(path, encoding="ascii") as fh:
+            lines = fh.read().splitlines()
+        with open(path, "w", encoding="ascii") as fh:
+            fh.write("\n".join(_mutate(lines, data)) + "\n")
+        try:
+            read(path)
+        except (ValueError, OSError, sd.ShapeDerivError):
+            pass

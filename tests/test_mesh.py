@@ -176,3 +176,20 @@ def test_validate_catches_wrong_boundary():
     )
     with pytest.raises(ValueError):
         wrong.validate()
+
+
+def test_validate_checks_vertex_index_range():
+    mesh = sd.unit_square_mesh(2)
+    nv = mesh.num_vertices
+    past_end = mesh.triangles.copy()
+    past_end[0, 0] = nv
+    shifted = sd.TriMesh(mesh.vertices, mesh.triangles - nv, mesh.boundary_edges - nv, mesh.boundary_tags)
+    edge_past_end = mesh.boundary_edges.copy()
+    edge_past_end[-1, 1] = nv
+    for bad in (
+        sd.TriMesh(mesh.vertices, past_end, mesh.boundary_edges, mesh.boundary_tags),
+        shifted,  # negative indices would wrap around in numpy
+        sd.TriMesh(mesh.vertices, mesh.triangles, edge_past_end, mesh.boundary_tags),
+    ):
+        with pytest.raises(ValueError, match=re.escape(f"vertex index out of range 0..{nv - 1}")):
+            bad.validate()

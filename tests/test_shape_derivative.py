@@ -120,8 +120,8 @@ def test_rejects_unsolved_solution():
 def test_fd_zero_field_exact():
     mesh = sd.unit_square_mesh(4, {"right"})
     report = fd_verify(mesh, TrigForce(), sd.ZeroField(), [1e-2, 1e-3])
-    assert report.exact
-    assert all(e.fd == 0.0 and e.abs_err == 0.0 for e in report.fd_table)
+    assert report.fd.exact
+    assert all(e.fd == 0.0 and e.abs_err == 0.0 for e in report.fd.entries)
     assert report.L1 == 0.0
 
 
@@ -132,7 +132,7 @@ def test_fd_pressure_gradient_with_cutoff_is_machine_zero():
     window = CutoffWindow(lo=(0.05, -1.0), hi=(0.8, 2.0))
     field = sd.AffineField(M=((0.2, 0.1), (0.0, -0.1)), b=(0.3, 0.1), window=window)
     report = fd_verify(mesh, ConstantForce(value=(1.0, 0.0)), field, [1e-2, 1e-3])
-    assert report.exact
+    assert report.fd.exact
     assert abs(report.L1) <= 1e-13
 
 
@@ -143,8 +143,8 @@ def test_fd_affine_slope_and_h_consistency():
         mesh = sd.unit_square_mesh(n, {"right"})
         report = fd_verify(mesh, TrigForce(), AFFINE, s_values)
         l1[n] = report.L1
-        assert report.slope >= 1.8
-        assert report.one_sided_slope >= 0.9
+        assert report.fd.slope >= 1.8
+        assert report.fd.one_sided_slope >= 0.9
     assert abs(l1[8] - l1[16]) <= 0.05 * abs(l1[16])
 
 
@@ -156,7 +156,7 @@ def test_fd_quadratic_field_relaxed_slope():
     )
     mesh = sd.unit_square_mesh(8, {"right"})
     report = fd_verify(mesh, TrigForce(), field, [2e-1, 1e-1, 5e-2])
-    assert report.slope >= 1.5
+    assert report.fd.slope >= 1.5
 
 
 def test_fd_rejects_nonpositive_steps():
@@ -174,8 +174,8 @@ def test_rotation_equivariant_forcing_all_zero():
     report = sd.corollary3_check(disk, RotationalForce(c=1.0), 1.0, [1e-2, 3e-3, 1e-3])
     scale = 1.0 + abs(report.energy)
     assert abs(report.L1) <= 1e-8 * scale
-    assert all(abs(e.fd) <= 1e-8 * scale for e in report.fd_table)
-    assert report.exact
+    assert all(abs(e.fd) <= 1e-8 * scale for e in report.fd.entries)
+    assert report.fd.exact
 
 
 def test_rotation_gradient_forcing_identically_zero():
@@ -183,21 +183,21 @@ def test_rotation_gradient_forcing_identically_zero():
     # on every rotated copy, so both sides of the comparison are zero.
     disk = sd.disk_mesh(3)
     report = sd.corollary3_check(disk, ConstantForce(value=(1.0, 0.0)), 1.0, [1e-2, 1e-3])
-    assert report.exact
+    assert report.fd.exact
     assert abs(report.L1) <= 1e-12
 
 
 def test_rotation_trig_forcing_slope():
     disk = sd.disk_mesh(4)
     report = sd.corollary3_check(disk, TrigForce(), 1.0, [1e-2, 3e-3, 1e-3])
-    assert not report.exact
-    assert report.slope >= 1.8
+    assert not report.fd.exact
+    assert report.fd.slope >= 1.8
 
 
 def test_rotation_zero_omega_all_zero():
     disk = sd.disk_mesh(2)
     report = sd.corollary3_check(disk, TrigForce(), 0.0, [1e-2, 1e-3])
-    assert report.exact
+    assert report.fd.exact
     assert report.L1 == 0.0
 
 
