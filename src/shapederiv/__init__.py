@@ -58,7 +58,6 @@ from .mesh import (
 )
 from .shape_derivative import (
     DerivativeReport,
-    PerturbationForms,
     assemble_perturbation,
     corollary3_check,
     fd_verify,

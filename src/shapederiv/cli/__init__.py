@@ -129,8 +129,8 @@ def _derivative_common(cfg: RunConfig, rep: ReportWriter, with_fd: bool) -> None
     else:
         system = assemble(mesh, force)
         solution = solve_stokes(system)
-        forms = assemble_perturbation(system.space, field, force)
-        report = stokes_shape_derivative(system, solution, forms, field)
+        f1 = assemble_perturbation(system.space, field, force)
+        report = stokes_shape_derivative(system, solution, f1, field)
     _emit_derivative(report, rep)
 
 

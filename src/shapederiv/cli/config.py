@@ -204,6 +204,10 @@ def parse_config(path, command: str) -> RunConfig:
     except configparser.Error as exc:
         raise ConfigError(f"malformed config: {exc}") from None
 
+    if parser.defaults():
+        # [DEFAULT] is not among parser.sections(), so its keys would
+        # escape the checks below.
+        raise ConfigError(f"keys under [DEFAULT] are not allowed: {', '.join(parser.defaults())}")
     for section in parser.sections():
         if section not in _ALLOWED_KEYS:
             raise ConfigError(f"unknown section [{section}]")
@@ -231,6 +235,8 @@ def parse_config(path, command: str) -> RunConfig:
                 raise ConfigError("run.s_list must be strictly decreasing")
         if "n_list" in run:
             cfg.n_list = _ints(run["n_list"], "run.n_list")
+            if not cfg.n_list:
+                raise ConfigError("run.n_list needs at least one mesh size")
             if any(n < 1 for n in cfg.n_list):
                 raise ConfigError("run.n_list entries must be >= 1")
         if "omega" in run:

@@ -3,18 +3,24 @@
 Deforming the domain through the flow of a velocity field Lambda changes
 the optimal energy; pulled back to the reference mesh, the change shows
 up as first-order perturbations of the stiffness, the divergence pairing
-and the load:
+and the load, with G = grad(Lambda):
 
-    A1 kernel:  (div Lambda) I - grad(Lambda) - grad(Lambda)'
-    B1 kernel:  (div Lambda)(div u) - sum_ij G_ji du_i/dx_j,  G = grad(Lambda)
+    A1 kernel:  K = (div Lambda) I - G - G'
+    B1 kernel:  (div Lambda)(div u) - sum_ij G_ji du_i/dx_j
     f1 kernel:  (div Lambda) f + grad(f) Lambda
 
-The derivative of the optimal energy splits into an energy part
-E1 = 1/2 u'A1 u - f1'u and a multiplier part
-int( lambda * sum_ij G_ji du_i/dx_j ), which is evaluated by direct
-quadrature rather than through the assembled B1 (the two routes are
-compared in the tests).  ``fd_verify`` checks the whole formula against
-central differences of the energy on transported meshes.
+The derivative of the Lagrangian at the saddle point is
+
+    L1 = 1/2 u'A1 u - f1'u + int( lambda * sum_ij G_ji du_i/dx_j ).
+
+Only f1 is assembled (it is the one part that needs the body force).
+A1 and B1 are never built: 1/2 u'A1 u = 1/2 int( sum_c grad(u_c).K grad(u_c) )
+and the multiplier term are integrated directly at the quadrature points
+from grad(u_h), lambda_h and G.  The (div Lambda)(div u) part of B1 is
+left out of the formula because div u = 0 at the saddle point.  The
+assembled matrices survive as an independent oracle in the tests.
+``fd_verify`` checks the whole formula against central differences of
+the energy on transported meshes.
 """
 
 from __future__ import annotations
@@ -23,15 +29,13 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
-import scipy.sparse as sparse
 
-from .errors import UnsolvedSolution
+from .errors import DimensionMismatch, UnsolvedSolution
 from .fields import ForceField
 from .flow import RotationField, VelocityField
 from .mesh import DIRICHLET, TriMesh, transport_mesh
 from .slopes import FdTable, fd_table
 from .stokes_fem import (
-    _P1_VALS,
     _P2_VALS,
     FunctionSpace,
     StokesSolution,
@@ -43,23 +47,12 @@ from .stokes_fem import (
 )
 
 __all__ = [
-    "PerturbationForms",
     "DerivativeReport",
     "assemble_perturbation",
-    "transport_pairing_matrix",
     "stokes_shape_derivative",
     "fd_verify",
     "corollary3_check",
 ]
-
-
-@dataclass(frozen=True)
-class PerturbationForms:
-    """First-order perturbation matrices, restricted to the free dofs."""
-
-    A1: sparse.csr_matrix
-    B1: sparse.csr_matrix
-    f1: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -74,60 +67,30 @@ class DerivativeReport:
     fd: FdTable | None = None
 
 
-def _field_kernels(space: FunctionSpace, field: VelocityField):
-    grad = field.jacobian(space.quad_points)  # (nt, nq, 2, 2)
-    div = field.divergence(space.quad_points)  # (nt, nq)
-    return grad, div
-
-
 def assemble_perturbation(
     space: FunctionSpace, field: VelocityField, f_field: ForceField
-) -> PerturbationForms:
-    """Assemble (A1, B1, f1) for a deformation velocity and a body force.
-
-    Uses the same quadrature and the same Dirichlet elimination as the
-    parent system, so the matrices pair directly with its solution
-    vectors.
-    """
-    pg, coef = space.phys_grads, space.quad_coef
-    grad, div = _field_kernels(space, field)
-
-    q_kernel = div[..., None, None] * np.eye(2) - grad - np.swapaxes(grad, -1, -2)
-    a1e = np.einsum("tqai,tqij,tqbj,tq->tab", pg, q_kernel, pg, coef)
-    a1e = 0.5 * (a1e + np.swapaxes(a1e, 1, 2))  # kernel is symmetric; enforce exactly
-
-    b1e = np.einsum("tq,tq,qp,tqac->tpac", coef, div, _P1_VALS, pg)
-    b1e -= np.einsum("tq,qp,tqjc,tqaj->tpac", coef, _P1_VALS, grad, pg)
-
+) -> np.ndarray:
+    """First-order load f1 on the free dofs for a deformation velocity and
+    a body force, with the parent system's quadrature and Dirichlet
+    elimination, so it pairs directly with its solution vectors."""
+    coef = space.quad_coef
+    div = field.divergence(space.quad_points)  # (nt, nq)
     f_vals = f_field.evaluate(space.quad_points)
     f_grad = f_field.gradient(space.quad_points)  # (nt, nq, 2, 2), [i, j] = d f_i / d x_j
     vel = field.evaluate(space.quad_points)
     f1_vals = div[..., None] * f_vals + np.einsum("tqij,tqj->tqi", f_grad, vel)
-    f1e = np.einsum("tq,qa,tqc->tac", coef, _P2_VALS, f1_vals)
-    return PerturbationForms(
-        A1=space.stiffness_matrix(a1e), B1=space.pairing_matrix(b1e), f1=space.load_vector(f1e)
-    )
+    return space.load_vector(np.einsum("tq,qa,tqc->tac", coef, _P2_VALS, f1_vals))
 
 
-def transport_pairing_matrix(space: FunctionSpace, field: VelocityField) -> sparse.csr_matrix:
-    """Matrix T with lam'Tu = int( lambda sum_ij G_ji du_i/dx_j ), the
-    transport part of the B1 kernel, assembled on its own."""
-    grad, _ = _field_kernels(space, field)
-    te = np.einsum("tq,qp,tqjc,tqaj->tpac", space.quad_coef, _P1_VALS, grad, space.phys_grads)
-    return space.pairing_matrix(te)
-
-
-def _dual_term_quadrature(
-    space: FunctionSpace, field: VelocityField, u_free: np.ndarray, lam: np.ndarray
-) -> float:
-    """Direct quadrature of int( lambda sum_ij G_ji du_i/dx_j )."""
-    grad, _ = _field_kernels(space, field)
-    grad_u = space.element_velocity_gradients(u_free)
-    lam_q = space.pressure_at_quad(lam)
-    return float(np.einsum("tq,tq,tqji,tqij->", space.quad_coef, lam_q, grad, grad_u))
-
-
-def _check_solved(system: StokesSystem, solution: StokesSolution) -> None:
+def _check_solved(system: StokesSystem, solution: StokesSolution, f1: np.ndarray) -> None:
+    sizes = {
+        "velocity": (solution.u.shape, system.A.shape[0]),
+        "pressure": (solution.lam.shape, system.B.shape[0]),
+        "f1": (np.shape(f1), system.A.shape[0]),
+    }
+    for name, (shape, n) in sizes.items():
+        if shape != (n,):
+            raise DimensionMismatch(f"{name} vector has shape {shape}, the system expects ({n},)")
     r_mom, r_div, scale = _residuals(system, solution.u, solution.lam)
     if not (r_mom <= 1e-8 * scale and r_div <= 1e-8 * scale):
         raise UnsolvedSolution(
@@ -138,19 +101,28 @@ def _check_solved(system: StokesSystem, solution: StokesSolution) -> None:
 def stokes_shape_derivative(
     system: StokesSystem,
     solution: StokesSolution,
-    forms: PerturbationForms,
+    f1: np.ndarray,
     field: VelocityField,
 ) -> DerivativeReport:
     """Evaluate the shape derivative at a solved state.
 
-    E1 comes from the assembled first-order matrices; the multiplier term
-    is integrated directly at quadrature points.  L1 = E1 + dual_term by
-    construction.
+    ``f1`` is :func:`assemble_perturbation`'s load for the same ``field``.
+    E1 = 1/2 u'A1 u - f1'u, with the quadratic form and the multiplier
+    term both integrated directly at quadrature points.  L1 = E1 +
+    dual_term by construction.  A solution or f1 of the wrong size raises
+    ``DimensionMismatch``; one that does not solve ``system`` raises
+    ``UnsolvedSolution``.
     """
-    _check_solved(system, solution)
-    u, lam = solution.u, solution.lam
-    e1 = float(0.5 * u @ (forms.A1 @ u) - forms.f1 @ u)
-    dual = _dual_term_quadrature(system.space, field, u, lam)
+    _check_solved(system, solution, f1)
+    space, u = system.space, solution.u
+    grad = field.jacobian(space.quad_points)  # (nt, nq, 2, 2), [i, j] = d Lambda_i / d x_j
+    div = field.divergence(space.quad_points)
+    kernel = div[..., None, None] * np.eye(2) - grad - np.swapaxes(grad, -1, -2)
+    grad_u = space.element_velocity_gradients(u)  # [c, j] = d u_c / d x_j
+    coef = space.quad_coef
+    e1 = float(0.5 * np.einsum("tq,tqci,tqij,tqcj->", coef, grad_u, kernel, grad_u) - f1 @ u)
+    lam_q = space.pressure_at_quad(solution.lam)
+    dual = float(np.einsum("tq,tq,tqji,tqij->", coef, lam_q, grad, grad_u))
     return DerivativeReport(
         L1=e1 + dual,
         E1=e1,
@@ -178,8 +150,8 @@ def fd_verify(
     """
     base_system = assemble(mesh, f_field)
     base_solution = solve_stokes(base_system, pin_pressure=pin_pressure)
-    forms = assemble_perturbation(base_system.space, field, f_field)
-    head = stokes_shape_derivative(base_system, base_solution, forms, field)
+    f1 = assemble_perturbation(base_system.space, field, f_field)
+    head = stokes_shape_derivative(base_system, base_solution, f1, field)
 
     def energy_at(s: float) -> float:
         system = assemble(transport_mesh(mesh, field, s, steps=steps), f_field)

@@ -30,6 +30,10 @@ def test_unknown_section_and_key(tmp_path):
     cfg = write(tmp_path / "b.cfg", "[mesh]\nkind = unit_square\nbanana = 3\n")
     with pytest.raises(ConfigError, match="banana"):
         parse_config(cfg, "stokes-solve")
+    # [DEFAULT] is not a section to configparser; its keys are still checked
+    cfg = write(tmp_path / "c.cfg", "[DEFAULT]\nbanana = 1\ns_list = 5\n")
+    with pytest.raises(ConfigError, match=r"\[DEFAULT\].*banana"):
+        parse_config(cfg, "qp-demo")
 
 
 def test_command_mismatch(tmp_path):
@@ -64,6 +68,7 @@ FD_SQUARE = {
         ("run", "steps", "abc"),
         ("run", "s_list", "1e-2 nan"),
         ("run", "s_list", ""),
+        ("run", "n_list", ""),
         ("run", "omega", "inf"),
         ("mesh", "n", "0"),
         ("mesh", "n", "2.5"),
@@ -343,6 +348,16 @@ def test_reports_are_byte_identical(tmp_path):
     assert main(["fd-verify", "--config", cfg, "--output", str(out2)]) == 0
     assert (out1 / "report.kv").read_bytes() == (out2 / "report.kv").read_bytes()
     assert (out1 / "fd_table.csv").read_bytes() == (out2 / "fd_table.csv").read_bytes()
+    out7, out8 = tmp_path / "o7", tmp_path / "o8"
+    assert main(["shape-derivative", "--config", cfg, "--output", str(out7)]) == 0
+    assert main(["shape-derivative", "--config", cfg, "--output", str(out8)]) == 0
+    assert (out7 / "report.kv").read_bytes() == (out8 / "report.kv").read_bytes()
+    # shape-derivative reports the head of the same computation as fd-verify
+    kv_fd, kv_sd = read_kv(out1 / "report.kv"), read_kv(out7 / "report.kv")
+    for key in ("result.L1", "result.E1", "result.dual_term", "result.energy"):
+        assert kv_sd[key] == kv_fd[key]
+    assert float(kv_sd["result.L1"]) != 0.0
+    assert "result.slope" not in kv_sd and not (out7 / "fd_table.csv").exists()
     # stokes-solve adds the CG iteration count and the lobpcg inf-sup estimate
     out3, out4 = tmp_path / "o3", tmp_path / "o4"
     assert main(["stokes-solve", "--config", cfg, "--output", str(out3)]) == 0

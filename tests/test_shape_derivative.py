@@ -10,6 +10,11 @@ from shapederiv.shape_derivative import (
     assemble_perturbation,
     fd_verify,
     stokes_shape_derivative,
+)
+
+from perturbation_oracle import (
+    assemble_perturbation_matrices,
+    dual_term_quadrature,
     transport_pairing_matrix,
 )
 
@@ -27,7 +32,7 @@ def solved_square(n=4, force=None):
 
 def test_zero_field_gives_zero_forms():
     _, system, _ = solved_square()
-    forms = assemble_perturbation(system.space, sd.ZeroField(), TrigForce())
+    forms = assemble_perturbation_matrices(system.space, sd.ZeroField(), TrigForce())
     assert abs(forms.A1).max() == 0.0
     assert abs(forms.B1).max() == 0.0
     assert np.abs(forms.f1).max() == 0.0
@@ -35,7 +40,7 @@ def test_zero_field_gives_zero_forms():
 
 def test_constant_field_constant_force_zero_forms():
     _, system, _ = solved_square(force=ConstantForce(value=(0.7, -0.3)))
-    forms = assemble_perturbation(system.space, sd.ConstantField(b=(1.0, 2.0)), ConstantForce(value=(0.7, -0.3)))
+    forms = assemble_perturbation_matrices(system.space, sd.ConstantField(b=(1.0, 2.0)), ConstantForce(value=(0.7, -0.3)))
     assert abs(forms.A1).max() == 0.0
     assert abs(forms.B1).max() == 0.0
     assert np.abs(forms.f1).max() == 0.0
@@ -46,14 +51,14 @@ def test_identity_field_algebraic_reduction():
     # kernel collapses onto the divergence, so A1 = 0 and B1 = B.
     _, system, _ = solved_square()
     identity = sd.AffineField(M=((1.0, 0.0), (0.0, 1.0)))
-    forms = assemble_perturbation(system.space, identity, TrigForce())
+    forms = assemble_perturbation_matrices(system.space, identity, TrigForce())
     assert abs(forms.A1).max() == 0.0
     assert abs(forms.B1 - system.B).max() <= 1e-14
 
 
 def test_a1_symmetry():
     _, system, _ = solved_square(n=6)
-    forms = assemble_perturbation(system.space, AFFINE, TrigForce())
+    forms = assemble_perturbation_matrices(system.space, AFFINE, TrigForce())
     assert abs(forms.A1 - forms.A1.T).max() <= 1e-14 * abs(forms.A1).max()
 
 
@@ -69,8 +74,8 @@ def test_decomposition_identity():
 
 def test_dual_term_two_quadrature_paths_agree():
     _, system, sol = solved_square(n=6)
-    forms = assemble_perturbation(system.space, AFFINE, TrigForce())
-    report = stokes_shape_derivative(system, sol, forms, AFFINE)
+    forms = assemble_perturbation_matrices(system.space, AFFINE, TrigForce())
+    report = stokes_shape_derivative(system, sol, forms.f1, AFFINE)
     pairing = transport_pairing_matrix(system.space, AFFINE)
     via_matrix = float(sol.lam @ (pairing @ sol.u))
     assert abs(report.dual_term - via_matrix) <= 1e-10
@@ -112,6 +117,55 @@ def test_rejects_unsolved_solution():
         fake = sd.StokesSolution(u=u, lam=sol.lam, residual_momentum=0.0, residual_divergence=0.0)
         with pytest.raises(sd.UnsolvedSolution):
             stokes_shape_derivative(system, fake, forms, AFFINE)
+
+
+
+def test_rejects_mismatched_solution_or_load():
+    _, system, sol = solved_square(n=4)
+    _, other_system, other = solved_square(n=3)
+    f1 = assemble_perturbation(system.space, AFFINE, TrigForce())
+    with pytest.raises(sd.DimensionMismatch, match="velocity"):
+        stokes_shape_derivative(system, other, f1, AFFINE)
+    wrong_lam = sd.StokesSolution(u=sol.u, lam=sol.lam[:-1], residual_momentum=0.0, residual_divergence=0.0)
+    with pytest.raises(sd.DimensionMismatch, match="pressure"):
+        stokes_shape_derivative(system, wrong_lam, f1, AFFINE)
+    other_f1 = assemble_perturbation(other_system.space, AFFINE, TrigForce())
+    with pytest.raises(sd.DimensionMismatch, match="f1"):
+        stokes_shape_derivative(system, sol, other_f1, AFFINE)
+
+
+def solved_pinned_disk():
+    mesh = sd.disk_mesh(4)
+    system = sd.assemble(mesh, TrigForce())
+    return mesh, system, sd.solve_stokes(system, pin_pressure=True)
+
+
+ORACLE_FIELDS = {
+    "affine": AFFINE,
+    "quadratic": sd.QuadraticField(
+        coeffs=((0.0, 0.1, -0.05, 0.08, 0.02, -0.04), (0.05, -0.02, 0.1, 0.01, -0.06, 0.03))
+    ),
+    "rotation": sd.RotationField(0.7),
+    "windowed": sd.AffineField(
+        M=((0.2, 0.1), (0.0, -0.1)), b=(0.3, 0.1), window=CutoffWindow(lo=(-0.6, -0.5), hi=(0.7, 0.6))
+    ),
+    "zero": sd.ZeroField(),
+}
+
+
+@pytest.mark.parametrize("field_name", sorted(ORACLE_FIELDS))
+@pytest.mark.parametrize("solved", [lambda: solved_square(n=6), solved_pinned_disk], ids=["square", "disk"])
+def test_quadrature_matches_assembled_oracle(solved, field_name):
+    _, system, sol = solved()
+    field = ORACLE_FIELDS[field_name]
+    force = TrigForce()
+    f1 = assemble_perturbation(system.space, field, force)
+    oracle = assemble_perturbation_matrices(system.space, field, force)
+    np.testing.assert_array_equal(f1, oracle.f1)
+    report = stokes_shape_derivative(system, sol, f1, field)
+    assert report.dual_term == dual_term_quadrature(system.space, field, sol.u, sol.lam)
+    e1 = float(0.5 * sol.u @ (oracle.A1 @ sol.u) - oracle.f1 @ sol.u)
+    assert abs(report.E1 - e1) <= 1e-13 * (1.0 + abs(e1))
 
 
 # --- central-difference verification ------------------------------------------
