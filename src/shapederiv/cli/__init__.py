@@ -128,7 +128,7 @@ def _derivative_common(cfg: RunConfig, rep: ReportWriter, with_fd: bool) -> None
         report = fd_verify(mesh, force, field, cfg.s_list, steps=cfg.steps)
     else:
         system = assemble(mesh, force)
-        solution = solve_stokes(system)
+        solution = solve_stokes(system, pin_pressure=not len(system.space.neumann_edges))
         f1 = assemble_perturbation(system.space, field, force)
         report = stokes_shape_derivative(system, solution, f1, field)
     _emit_derivative(report, rep)

@@ -32,6 +32,7 @@ __all__ = [
     "RotationField",
     "QuadraticField",
     "FlowSample",
+    "flow_points",
     "integrate_flow",
     "ExpansionReport",
     "expansion_check",
@@ -253,6 +254,34 @@ def _det2(j: np.ndarray) -> np.ndarray:
     return j[..., 0, 0] * j[..., 1, 1] - j[..., 0, 1] * j[..., 1, 0]
 
 
+def _rk4(rhs, state: tuple, s: float, steps: int, valid) -> tuple:
+    """Classical fixed-step RK4 on a tuple of arrays, points first:
+    ``rhs(*state)`` gives their derivatives.  Raises NonPositiveJacobian
+    as soon as ``valid(*state)`` fails after a step."""
+    if steps < 1:
+        raise ValueError("steps must be >= 1")
+    if state[0].shape[-1] != 2:
+        raise ValueError("points must have trailing dimension 2")
+    h = s / steps
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(steps):
+            k1 = rhs(*state)
+            k2 = rhs(*(y + 0.5 * h * dy for y, dy in zip(state, k1)))
+            k3 = rhs(*(y + 0.5 * h * dy for y, dy in zip(state, k2)))
+            k4 = rhs(*(y + h * dy for y, dy in zip(state, k3)))
+            state = tuple(y + (h / 6.0) * (a + 2.0 * b + 2.0 * c + d) for y, a, b, c, d in zip(state, k1, k2, k3, k4))
+            if not valid(*state):
+                raise NonPositiveJacobian(f"s={s} is outside the diffeomorphism range of the flow")
+    return state
+
+
+def flow_points(field: VelocityField, x, s: float, steps: int = 64) -> np.ndarray:
+    """``integrate_flow(field, x, s, steps).point`` without the Jacobian;
+    raises NonPositiveJacobian when a trajectory blows up."""
+    state = (np.array(x, dtype=float),)
+    return _rk4(lambda p: (field.evaluate(p),), state, s, steps, lambda p: np.all(np.isfinite(p)))[0]
+
+
 def integrate_flow(field: VelocityField, x, s: float, steps: int = 64) -> FlowSample:
     """Integrate the flow and its Jacobian with classical fixed-step RK4.
 
@@ -262,30 +291,14 @@ def integrate_flow(field: VelocityField, x, s: float, steps: int = 64) -> FlowSa
     NonPositiveJacobian when the determinant stops being positive (or the
     trajectory blows up), i.e. when s left the diffeomorphism range.
     """
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
     phi = np.array(x, dtype=float)
-    if phi.shape[-1] != 2:
-        raise ValueError("points must have trailing dimension 2")
     jac = np.broadcast_to(np.eye(2), phi.shape[:-1] + (2, 2)).copy()
-    h = s / steps
 
-    def rhs(p, j):
-        return field.evaluate(p), field.jacobian(p) @ j
+    def positive(p, j):
+        det = _det2(j)
+        return np.all((det > 0.0) & (det < np.inf))
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(steps):
-            k1p, k1j = rhs(phi, jac)
-            k2p, k2j = rhs(phi + 0.5 * h * k1p, jac + 0.5 * h * k1j)
-            k3p, k3j = rhs(phi + 0.5 * h * k2p, jac + 0.5 * h * k2j)
-            k4p, k4j = rhs(phi + h * k3p, jac + h * k3j)
-            phi = phi + (h / 6.0) * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
-            jac = jac + (h / 6.0) * (k1j + 2.0 * k2j + 2.0 * k3j + k4j)
-            det = _det2(jac)
-            if not np.all(np.isfinite(det)) or np.any(det <= 0.0):
-                raise NonPositiveJacobian(
-                    "flow Jacobian determinant left (0, inf); s is outside the diffeomorphism range"
-                )
+    phi, jac = _rk4(lambda p, j: (field.evaluate(p), field.jacobian(p) @ j), (phi, jac), s, steps, positive)
     return FlowSample(point=phi, jacobian=jac, det=_det2(jac))
 
 

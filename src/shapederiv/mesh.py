@@ -15,7 +15,7 @@ import numpy as np
 
 from ._textio import block_rows, block_sizes, float_block, numbered_lines
 from .errors import InvertedElement
-from .flow import VelocityField, integrate_flow
+from .flow import VelocityField, flow_points
 
 __all__ = [
     "DIRICHLET",
@@ -41,12 +41,21 @@ def _signed_areas(vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:
     return 0.5 * ((b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1]) - (b[:, 1] - a[:, 1]) * (c[:, 0] - a[:, 0]))
 
 
-def _boundary_edges(triangles: np.ndarray) -> list[tuple[int, int]]:
-    """Directed edges that appear in exactly one triangle, in CCW order."""
-    directed = set()
-    for i, j, k in triangles:
-        directed.update([(int(i), int(j)), (int(j), int(k)), (int(k), int(i))])
-    return sorted(e for e in directed if (e[1], e[0]) not in directed)
+def _edge_keys(pairs: np.ndarray, num_vertices: int) -> np.ndarray:
+    """One integer per undirected edge of the vertex pairs (k, 2)."""
+    return pairs.min(axis=1) * num_vertices + pairs.max(axis=1)
+
+
+def _edge_table(triangles: np.ndarray, num_vertices: int) -> tuple[np.ndarray, ...]:
+    """The local edges (01, 12, 20) of the triangles as directed vertex pairs;
+    ``np.unique`` of their undirected keys (sorted keys, first appearance,
+    inverse, counts); and the boundary: the edges of exactly one triangle,
+    in its direction, sorted by (start, end)."""
+    local = triangles[:, [[0, 1], [1, 2], [2, 0]]].reshape(-1, 2)
+    keys, first, inverse, counts = np.unique(_edge_keys(local, num_vertices), return_index=True,
+                                             return_inverse=True, return_counts=True)
+    boundary = local[first[counts == 1]]
+    return local, keys, first, inverse, counts, boundary[np.lexsort(boundary.T[::-1])]
 
 
 @dataclass(frozen=True)
@@ -102,23 +111,23 @@ class TriMesh:
         areas = self.triangle_areas()
         if np.any(areas <= 0.0):
             raise InvertedElement("mesh contains a non-positively oriented triangle")
-        expected = _boundary_edges(self.triangles)
-        got = sorted((int(i), int(j)) for i, j in self.boundary_edges)
-        if expected != got:
+        # Conformity: an undirected edge bounds one triangle, or two that
+        # traverse it in opposite directions, so its directions sum to 0.
+        local, _, first, inverse, counts, boundary = _edge_table(self.triangles, nv)
+        if np.any(counts > 2):
+            raise ValueError("mesh is not edge-to-edge conforming")
+        overlap = np.abs(np.bincount(inverse, weights=np.sign(local[:, 1] - local[:, 0]))) == 2
+        if np.any(overlap):
+            i, j = local[first[overlap][0]]
+            raise ValueError(f"edge {i} -> {j} appears twice in the same direction: triangles overlap")
+        got = self.boundary_edges.reshape(-1, 2)
+        if not np.array_equal(boundary, got[np.lexsort(got.T[::-1])]):
             raise ValueError("boundary edges do not cover the topological boundary")
         if len(self.boundary_tags) != len(self.boundary_edges):
             raise ValueError("each boundary edge needs exactly one tag")
         bad = set(self.boundary_tags) - {DIRICHLET, NEUMANN}
         if bad:
             raise ValueError(f"unknown boundary tags {bad!r}")
-        # Conformity: interior undirected edges appear in exactly two triangles.
-        counts: dict[tuple[int, int], int] = {}
-        for i, j, k in self.triangles:
-            for a, b in ((i, j), (j, k), (k, i)):
-                key = (int(min(a, b)), int(max(a, b)))
-                counts[key] = counts.get(key, 0) + 1
-        if any(c > 2 for c in counts.values()):
-            raise ValueError("mesh is not edge-to-edge conforming")
 
 
 def unit_square_mesh(n: int, neumann_sides: set[str] | frozenset[str] = frozenset()) -> TriMesh:
@@ -136,32 +145,15 @@ def unit_square_mesh(n: int, neumann_sides: set[str] | frozenset[str] = frozense
     xx, yy = np.meshgrid(xs, xs, indexing="xy")
     vertices = np.column_stack([xx.ravel(), yy.ravel()])
 
-    def vid(i: int, j: int) -> int:
-        return j * (n + 1) + i
-
-    tris = []
-    for j in range(n):
-        for i in range(n):
-            a, b = vid(i, j), vid(i + 1, j)
-            c, d = vid(i + 1, j + 1), vid(i, j + 1)
-            tris.append((a, b, c))
-            tris.append((a, c, d))
-    triangles = np.array(tris, dtype=int)
-
-    edges = _boundary_edges(triangles)
-    tags = []
-    for i, j in edges:
-        mx, my = 0.5 * (vertices[i] + vertices[j])
-        if my == 0.0:
-            side = "bottom"
-        elif my == 1.0:
-            side = "top"
-        elif mx == 0.0:
-            side = "left"
-        else:
-            side = "right"
-        tags.append(NEUMANN if side in neumann_sides else DIRICHLET)
-    mesh = TriMesh(vertices, triangles, np.array(edges, dtype=int), tuple(tags))
+    # Cell (i, j) with lower-left vertex a splits into triangles (a, a+1,
+    # a+n+2) and (a, a+n+2, a+n+1); cells run row by row.
+    a = (np.arange(n)[:, None] * (n + 1) + np.arange(n)).ravel()
+    triangles = np.stack([a, a + 1, a + n + 2, a, a + n + 2, a + n + 1], axis=1).reshape(-1, 3)
+    *_, edges = _edge_table(triangles, len(vertices))
+    mx, my = (0.5 * (vertices[edges[:, 0]] + vertices[edges[:, 1]])).T
+    side = np.select([my == 0.0, my == 1.0, mx == 0.0], ["bottom", "top", "left"], "right")
+    tags = np.where(np.isin(side, sorted(neumann_sides)), NEUMANN, DIRICHLET).tolist()
+    mesh = TriMesh(vertices, triangles, edges, tags)
     mesh.validate()
     return mesh
 
@@ -212,8 +204,8 @@ def disk_mesh(rings: int) -> TriMesh:
     flip = areas < 0.0
     triangles[flip] = triangles[flip][:, [0, 2, 1]]
 
-    edges = _boundary_edges(triangles)
-    mesh = TriMesh(vertices, triangles, np.array(edges, dtype=int), tuple(DIRICHLET for _ in edges))
+    *_, edges = _edge_table(triangles, len(vertices))
+    mesh = TriMesh(vertices, triangles, edges, (DIRICHLET,) * len(edges))
     mesh.validate()
     return mesh
 
@@ -224,8 +216,8 @@ def transport_mesh(mesh: TriMesh, field: VelocityField, s: float, steps: int = 6
     Connectivity and boundary tags are preserved.  Raises InvertedElement
     when a transported triangle flips, i.e. s is too large for this mesh.
     """
-    sample = integrate_flow(field, mesh.vertices, s, steps=steps)
-    moved = TriMesh(sample.point, mesh.triangles, mesh.boundary_edges, mesh.boundary_tags)
+    points = flow_points(field, mesh.vertices, s, steps=steps)
+    moved = TriMesh(points, mesh.triangles, mesh.boundary_edges, mesh.boundary_tags)
     if np.any(moved.triangle_areas() <= 0.0):
         raise InvertedElement(f"transport by s={s} flipped a triangle")
     return moved

@@ -37,7 +37,7 @@ import scipy.sparse.linalg as spla
 
 from .errors import DimensionMismatch, EmptyDirichletBoundary, SingularSystem
 from .fields import ForceField, ManufacturedStokes
-from .mesh import DIRICHLET, TriMesh
+from .mesh import DIRICHLET, TriMesh, _edge_keys, _edge_table
 
 __all__ = [
     "FunctionSpace",
@@ -114,11 +114,6 @@ def _edge_p2_values(t: np.ndarray) -> np.ndarray:
 _EDGE_P2 = _edge_p2_values(_EDGE_T)  # (3 quad, 3 nodes: start, end, mid)
 
 
-def _edge_keys(pairs: np.ndarray, num_vertices: int) -> np.ndarray:
-    """One integer per undirected edge of the vertex pairs (k, 2)."""
-    return pairs.min(axis=1) * num_vertices + pairs.max(axis=1)
-
-
 class FunctionSpace:
     """Taylor-Hood space on a mesh: P2 vector velocity, P1 scalar pressure.
 
@@ -135,8 +130,7 @@ class FunctionSpace:
 
         # Edge midpoints are numbered nv, nv + 1, ... in order of first
         # appearance over the local edges (01, 12, 20) of the triangles.
-        local = t[:, [[0, 1], [1, 2], [2, 0]]].reshape(-1, 2)
-        keys, first, inverse = np.unique(_edge_keys(local, nv), return_index=True, return_inverse=True)
+        local, keys, first, inverse, *_ = _edge_table(t, nv)
         order = np.argsort(first)
         mid_node = np.empty_like(order)
         mid_node[order] = nv + np.arange(order.size)

@@ -136,6 +136,18 @@ def _mesh_cut_in_half(tmp_path):
     return "stokes-solve", text, "block T"
 
 
+def _mesh_overlapping_triangles(tmp_path):
+    # Both triangles are counterclockwise with their apex above edge 0 -> 1,
+    # so they cover the same ground and share that edge in one direction.
+    path = tmp_path / "mesh.txt"
+    path.write_text(
+        "tri-mesh v1\nV 4\n0 0\n1 0\n0.5 1\n0.6 0.5\nT 2\n0 1 2\n0 1 3\n"
+        "E 5\n0 1 D\n1 2 D\n2 0 N\n1 3 D\n3 0 D\n"
+    )
+    text = f"[mesh]\nkind = file\npath = {path}\n\n[force]\nname = constant\nvalue = 1 0\n"
+    return "stokes-solve", text, "edge 0 -> 1 appears twice in the same direction"
+
+
 @pytest.mark.parametrize(
     "case",
     [
@@ -145,6 +157,7 @@ def _mesh_cut_in_half(tmp_path):
         _qp_perturbation_disagrees,
         _qp_block_repeated,
         _mesh_cut_in_half,
+        _mesh_overlapping_triangles,
     ],
 )
 def test_malformed_input_files_exit_2(tmp_path, capsys, case):
@@ -165,15 +178,35 @@ def test_missing_sections_reported(tmp_path):
         parse_config(cfg, "fd-verify")
 
 
-def test_exit_codes(tmp_path):
+def test_exit_codes(tmp_path, capsys):
     bad = write(tmp_path / "bad.cfg", "[mesh]\nkind = unit_square\nbanana = 1\n")
     assert main(["stokes-solve", "--config", bad, "--output", str(tmp_path / "o")]) == 2
-    # valid config, module-level failure: pure-Dirichlet square without pinning
+    # valid config, module-level failure: no Dirichlet edge leaves the velocity free
     cfg = write(
         tmp_path / "sing.cfg",
-        "[mesh]\nkind = unit_square\nn = 2\n\n[force]\nname = trig\n\n[velocity]\nkind = zero\n",
+        "[mesh]\nkind = unit_square\nn = 2\nneumann_sides = left right bottom top\n\n"
+        "[force]\nname = trig\n\n[velocity]\nkind = zero\n",
     )
     assert main(["shape-derivative", "--config", cfg, "--output", str(tmp_path / "o2")]) == 1
+    assert capsys.readouterr().err.endswith("error: EmptyDirichletBoundary: no Dirichlet edges: velocity stiffness would be singular\n")
+
+
+def test_pure_dirichlet_mesh_pins_the_pressure(tmp_path):
+    # Without a Neumann edge the pressure is fixed only up to a constant:
+    # fd-verify and shape-derivative pin it, as stokes-solve and corollary3 do.
+    text = (
+        "[run]\nomega = 1.0\ns_list = 1e-2 1e-3\n\n[mesh]\nkind = disk\nrings = 2\n\n"
+        "[force]\nname = trig\n\n[velocity]\nkind = rotation\nomega = 1.0\n"
+    )
+    cfg = write(tmp_path / "run.cfg", text)
+    kv = {}
+    for command in ("fd-verify", "shape-derivative", "corollary3"):
+        out = tmp_path / command
+        assert main([command, "--config", cfg, "--output", str(out)]) == 0
+        kv[command] = read_kv(out / "report.kv")
+    assert kv["fd-verify"]["result.L1"] == kv["corollary3"]["result.L1"]
+    assert kv["shape-derivative"]["result.L1"] == kv["fd-verify"]["result.L1"]
+    assert (tmp_path / "fd-verify" / "fd_table.csv").read_bytes() == (tmp_path / "corollary3" / "fd_table.csv").read_bytes()
 
 
 # --- pipelines ------------------------------------------------------------------

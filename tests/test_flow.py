@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg
 
 import shapederiv as sd
-from shapederiv.flow import CutoffWindow
+from shapederiv.flow import CutoffWindow, flow_points
 
 
 AFFINE = sd.AffineField(M=((0.3, 0.1), (-0.2, 0.15)), b=(0.05, -0.04))
@@ -132,6 +132,16 @@ def test_flow_blowup_raises():
 def test_integrate_flow_validates_steps():
     with pytest.raises(ValueError):
         sd.integrate_flow(sd.ZeroField(), np.zeros(2), 0.1, steps=0)
+    with pytest.raises(ValueError):
+        flow_points(sd.ZeroField(), np.zeros(2), 0.1, steps=0)
+
+
+@pytest.mark.parametrize("field", ALL_FIELDS)
+def test_flow_points_equal_integrate_flow_points(field):
+    # The same RK4 stages without the Jacobian: bit-identical image points.
+    x = sd.unit_square_mesh(6).vertices
+    for s, steps in ((0.3, 64), (-0.1, 5)):
+        assert np.array_equal(flow_points(field, x, s, steps=steps), sd.integrate_flow(field, x, s, steps=steps).point)
 
 
 # --- expansion residuals ------------------------------------------------------

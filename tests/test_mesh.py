@@ -1,14 +1,18 @@
 """Mesh generators, transport under flows and the text format."""
 
+import itertools
 import math
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import mesh_oracle
 import shapederiv as sd
 from shapederiv.flow import CutoffWindow
-from shapederiv.mesh import DIRICHLET, NEUMANN
+from shapederiv.mesh import DIRICHLET, NEUMANN, _edge_table
 
 
 def test_unit_square_n1():
@@ -113,6 +117,14 @@ def test_transport_divergence_free_preserves_area(field):
     assert abs(moved.triangle_areas().sum() - mesh.triangle_areas().sum()) <= 1e-9
 
 
+def test_transport_blowup_raises_non_positive_jacobian():
+    # d(x1)/ds = x1^2 blows up at s = 1 from x1 = 1: the right-side vertices
+    # leave the plane before any triangle can flip.
+    field = sd.QuadraticField(coeffs=((0.0, 0.0, 0.0, 1.0, 0.0, 0.0), (0.0,) * 6))
+    with pytest.raises(sd.NonPositiveJacobian):
+        sd.transport_mesh(sd.unit_square_mesh(4), field, 2.0)
+
+
 def test_transport_inverted_element():
     # A windowed swirl rotates the inner vertices past the frozen outer ones;
     # the straight-edged triangles between them fold once s is large enough.
@@ -178,6 +190,24 @@ def test_validate_catches_wrong_boundary():
         wrong.validate()
 
 
+@pytest.mark.parametrize(
+    "triangles,message",
+    [
+        # Both triangles are counterclockwise and lie above edge 0 -> 1: they
+        # overlap, and each traverses that edge in the same direction.
+        ([[0, 1, 2], [0, 1, 3]], "edge 0 -> 1 appears twice in the same direction"),
+        ([[0, 1, 2], [1, 0, 4], [0, 1, 3]], "mesh is not edge-to-edge conforming"),
+    ],
+    ids=["overlap", "three-triangles"],
+)
+def test_validate_rejects_bad_edge_sharing(triangles, message):
+    verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1.0], [0.6, 0.5], [0.5, -1.0]])
+    edges = mesh_oracle.boundary_edges(triangles)
+    mesh = sd.TriMesh(verts, triangles, edges, "D" * len(edges))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        mesh.validate()
+
+
 def test_validate_checks_vertex_index_range():
     mesh = sd.unit_square_mesh(2)
     nv = mesh.num_vertices
@@ -193,3 +223,61 @@ def test_validate_checks_vertex_index_range():
     ):
         with pytest.raises(ValueError, match=re.escape(f"vertex index out of range 0..{nv - 1}")):
             bad.validate()
+
+
+# --- the edge table against the loop oracles (tests/mesh_oracle.py) ---------
+
+
+def assert_table_matches_oracle(mesh):
+    _, keys, _, _, counts, boundary = _edge_table(mesh.triangles, mesh.num_vertices)
+    expected = np.array(mesh_oracle.boundary_edges(mesh.triangles), dtype=int).reshape(-1, 2)
+    assert np.array_equal(boundary, expected)
+    oracle_counts = mesh_oracle.edge_counts(mesh.triangles)
+    pairs = np.array(sorted(oracle_counts))
+    assert np.array_equal(keys, pairs[:, 0] * mesh.num_vertices + pairs[:, 1])
+    assert np.array_equal(counts, [oracle_counts[tuple(p)] for p in pairs.tolist()])
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_unit_square_matches_loop_oracle(n):
+    for k in range(len(sd.mesh._SIDES) + 1):
+        for sides in itertools.combinations(sd.mesh._SIDES, k):
+            mesh = sd.unit_square_mesh(n, set(sides))
+            vertices, triangles, edges, tags = mesh_oracle.unit_square(n, set(sides))
+            assert np.array_equal(mesh.vertices, vertices)
+            assert np.array_equal(mesh.triangles, triangles)
+            assert np.array_equal(mesh.boundary_edges, edges)
+            assert mesh.boundary_tags == tags
+            assert all(type(tag) is str for tag in mesh.boundary_tags)
+    assert_table_matches_oracle(mesh)
+
+
+@pytest.mark.parametrize("rings", range(1, 9))
+def test_disk_boundary_matches_loop_oracle(rings):
+    mesh = sd.disk_mesh(rings)
+    assert np.array_equal(mesh.boundary_edges, mesh_oracle.boundary_edges(mesh.triangles))
+    assert_table_matches_oracle(mesh)
+
+
+def test_shuffled_square_matches_loop_oracle():
+    square = sd.unit_square_mesh(5, {"right", "top"})
+    perm = np.random.default_rng(3).permutation(square.num_triangles)
+    mesh = sd.TriMesh(square.vertices, square.triangles[perm], square.boundary_edges, square.boundary_tags)
+    mesh.validate()
+    assert_table_matches_oracle(mesh)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), rings=st.integers(1, 4))
+def test_boundary_is_invariant_under_renumbering_triangles(seed, rings):
+    # Reordering the triangles and rotating each one's vertices keeps every
+    # directed edge, so the boundary and the counts match the oracle still.
+    mesh = sd.disk_mesh(rings)
+    rng = np.random.default_rng(seed)
+    shift = rng.integers(0, 3, mesh.num_triangles)
+    rotated = np.take_along_axis(mesh.triangles, (np.arange(3) + shift[:, None]) % 3, axis=1)
+    moved = sd.TriMesh(mesh.vertices, rotated[rng.permutation(mesh.num_triangles)], mesh.boundary_edges, mesh.boundary_tags)
+    moved.validate()
+    assert_table_matches_oracle(moved)
+    *_, boundary = _edge_table(moved.triangles, moved.num_vertices)
+    assert np.array_equal(boundary, mesh.boundary_edges)
