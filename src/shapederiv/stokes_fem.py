@@ -32,6 +32,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
 
@@ -297,9 +298,8 @@ _CG_MAX_ITER = 500
 
 # lobpcg for the inf-sup constant: bound on the residual of the smallest
 # generalized eigenpair in the M^-1 norm (the eigenvalue error is of its
-# square), start block width and iteration cap.
+# square) and iteration cap.
 _EIG_RTOL = 1e-9
-_EIG_BLOCK = 2
 _EIG_MAX_ITER = 200
 
 
@@ -341,8 +341,13 @@ class _SchurComplement:
     def precondition(self, r: np.ndarray) -> np.ndarray:
         return self._mass.solve(r)
 
-    def cg(self, b: np.ndarray) -> tuple[np.ndarray, int]:
-        """Mass-preconditioned CG on S x = b; returns x and the iteration count."""
+    def cg(self, b: np.ndarray) -> tuple[np.ndarray, int, list, list]:
+        """Mass-preconditioned CG on S x = b.
+
+        Returns x, the iteration count, and the search directions p with
+        their products S p, one array per iteration.  The directions are
+        S-conjugate and span the Krylov space of M^-1 S from M^-1 b.
+        """
         x = np.zeros_like(b)
         r = b.copy()
         stop = _CG_RTOL * float(np.linalg.norm(b))
@@ -351,12 +356,15 @@ class _SchurComplement:
         z = self.precondition(r)
         p = z.copy()
         rz = float(r @ z)
+        directions, products = [], []
         for iteration in range(_CG_MAX_ITER + 1):
             if np.linalg.norm(r) <= stop:
-                return x, iteration
+                return x, iteration, directions, products
             if iteration == _CG_MAX_ITER:
                 break
             sp = self.apply(p)
+            directions.append(p)
+            products.append(sp)
             psp = float(p @ sp)
             # r != 0 here, so both forms are positive for SPD S and M.
             if not (np.isfinite(psp) and psp > 0.0 and rz > 0.0):
@@ -410,7 +418,7 @@ def solve_stokes(
     if not np.all(np.isfinite(rhs_u)):
         raise SingularSystem("load vector has non-finite entries")
     schur = _SchurComplement(system, pin_pressure)
-    lam, iterations = schur.cg(-(schur.B @ schur.solve_velocity(rhs_u)))
+    lam, iterations, _, _ = schur.cg(-(schur.B @ schur.solve_velocity(rhs_u)))
     u = schur.solve_velocity(rhs_u + schur.B.T @ lam)
     if pin_pressure:
         lam = np.concatenate([[0.0], lam])
@@ -451,11 +459,28 @@ def inf_sup_constant(system: StokesSystem) -> float:
 
     Smallest generalized singular value of B with the stiffness norm on
     velocities and the pressure mass norm on multipliers: the square root
-    of the smallest eigenvalue of S x = mu M x, S = B A^-1 B'.  Computed by
-    lobpcg on the same factored Schur operator that ``solve_stokes`` uses,
-    preconditioned by M^-1, from a fixed seeded start block.  Meaningful
-    when the Neumann boundary is nonempty (B has full row rank).
+    of the smallest eigenvalue of S x = mu M x, S = B A^-1 B'.  Computed on
+    the same factored Schur operator that ``solve_stokes`` uses, in three
+    steps.  One mass-preconditioned CG on S with a seeded right-hand side
+    (independent of the load) keeps its S-conjugate search directions P
+    and their products S P: CG is a Lanczos process, so P spans a Krylov
+    space holding the smallest Ritz pair.  A Rayleigh-Ritz on that space,
+    with no further Schur products, scales the columns to Q = P
+    diag(p'Sp)^-1/2 and takes the largest eigenpair of the small problem
+    Q'MQ y = nu Q'SQ y, so that 1/nu is the smallest Ritz value.  Its one
+    Ritz vector Q y starts a one-column lobpcg, preconditioned by M^-1,
+    which must bring the residual of the eigenpair below a fixed bound.
+
+    A mesh with no Neumann edge raises ``SingularSystem`` before any
+    factorization: constant pressures then lie in the kernel of B', so
+    the constant is 0.  A rank-deficient B, a failed factorization, a CG
+    failure or an eigenpair that misses the bound raises it too.
     """
+    if not len(system.space.neumann_edges):
+        raise SingularSystem(
+            "no Neumann edges: constant pressures lie in the kernel of B', "
+            "so the inf-sup constant is 0"
+        )
     schur = _SchurComplement(system, pin_pressure=False)
     n = schur.B.shape[0]
     S = spla.LinearOperator((n, n), matvec=schur.apply, matmat=schur.apply, dtype=float)
@@ -465,7 +490,18 @@ def inf_sup_constant(system: StokesSystem) -> float:
     # P1 mass eigenvalues are at least half the smallest diagonal entry, so
     # this Euclidean bound implies an M^-1-norm residual below _EIG_RTOL.
     tol = _EIG_RTOL * float(np.sqrt(0.5 * schur.M.diagonal().min()))
-    start = np.random.default_rng(0).standard_normal((n, min(_EIG_BLOCK, n)))
+
+    _, _, directions, products = schur.cg(np.random.default_rng(0).standard_normal(n))
+    P, SP = np.column_stack(directions), np.column_stack(products)
+    scale = 1.0 / np.sqrt(np.vecdot(P, SP, axis=0))
+    Q, SQ = P * scale, SP * scale
+    # Q'SQ is the identity up to lost conjugacy; eigh reads its lower triangle.
+    last = Q.shape[1] - 1
+    _, y = scipy.linalg.eigh(Q.T @ (schur.M @ Q), Q.T @ SQ, subset_by_index=[last, last])
+    # One column only: Ritz vectors of one Krylov space have parallel
+    # residuals, so a wider start block gives lobpcg a rank-deficient
+    # residual block, and it stalls.
+    start = Q @ y
     # lobpcg warns when it falls back to a dense solve on tiny problems and
     # when it stops short of ``tol``; convergence is checked below instead.
     with warnings.catch_warnings():

@@ -417,6 +417,67 @@ def test_inf_sup_floor_under_refinement():
     assert values[16] >= 0.8 * values[8]
 
 
+def disk_file_mesh(tmp_path):
+    path = tmp_path / "disk.txt"
+    sd.write_mesh(path, disk_with_neumann_arcs(5))
+    return sd.read_mesh(path)
+
+
+SQUARE_SIDES = {"left-right": {"left", "right"}, "left-right-top": {"left", "right", "top"},
+                "right-top": {"right", "top"}}
+
+
+@pytest.mark.parametrize(
+    "make_mesh",
+    [lambda _, n=n, sides=sides: sd.unit_square_mesh(n, sides)
+     for n in (4, 8, 12) for sides in SQUARE_SIDES.values()] + [disk_file_mesh],
+    ids=[f"square{n}-{name}" for n in (4, 8, 12) for name in SQUARE_SIDES] + ["disk-file-arcs"],
+)
+def test_inf_sup_matches_dense_where_warm_start_is_weakest(make_mesh, tmp_path):
+    # {left, right} clusters the bottom of the spectrum (mu = 0.3651,
+    # 0.3766, 0.3782 at n=8); the disk's Neumann arcs are slanted.
+    system = sd.assemble(make_mesh(tmp_path), ConstantForce())
+    assert sd.inf_sup_constant(system) == pytest.approx(dense_inf_sup(system), rel=1e-12)
+
+
+@pytest.mark.parametrize("mesh", [sd.disk_mesh(4), sd.unit_square_mesh(6, set())],
+                         ids=["disk", "square"])
+def test_inf_sup_pure_dirichlet_raises_before_factoring(mesh, monkeypatch):
+    # Constant pressures lie in the kernel of B', so the constant is 0.
+    system = sd.assemble(mesh, ConstantForce())
+
+    def no_factorization(*args):
+        raise AssertionError("factored a system with no Neumann edge")
+
+    monkeypatch.setattr(stokes_fem, "_SchurComplement", no_factorization)
+    with pytest.raises(sd.SingularSystem, match="no Neumann edges"):
+        sd.inf_sup_constant(system)
+
+
+def test_inf_sup_does_not_depend_on_the_load():
+    mesh = sd.unit_square_mesh(8, {"right"})
+    still = sd.inf_sup_constant(sd.assemble(mesh, ConstantForce((0.0, 0.0))))
+    driven = sd.inf_sup_constant(sd.assemble(mesh, sd.TrigForce()))
+    assert still == driven
+
+
+def test_inf_sup_schur_product_count(monkeypatch):
+    # Columns of S = B A^-1 B' applied by one call on square n=16, right side
+    # Neumann: 91 from a random two-column lobpcg start block (before the
+    # warm start), 38 from the seeded CG and one-column Ritz start.  The
+    # count is deterministic, so this is not a timing test.
+    columns = []
+    apply = stokes_fem._SchurComplement.apply
+
+    def counted(self, x):
+        columns.append(1 if x.ndim == 1 else x.shape[1])
+        return apply(self, x)
+
+    monkeypatch.setattr(stokes_fem._SchurComplement, "apply", counted)
+    sd.inf_sup_constant(sd.assemble(sd.unit_square_mesh(16, {"right"}), ConstantForce()))
+    assert sum(columns) <= 50
+
+
 def test_pressure_mass_total():
     mesh = sd.unit_square_mesh(3, {"right"})
     m = pressure_mass_matrix(FunctionSpace(mesh))
