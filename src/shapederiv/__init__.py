@@ -29,8 +29,6 @@ from .fields import (
     LeftEdgeTraction,
     RotationalForce,
     TrigForce,
-    force_by_name,
-    traction_by_name,
     trig_manufactured,
 )
 from .flow import (

@@ -33,15 +33,16 @@ def _bundled_qp_path():
 
 
 def _qp_demo(cfg: RunConfig, rep: ReportWriter) -> None:
+    qp_path = cfg.value("qp", "path")
     try:
-        if cfg.qp_path:
-            qp, direction = cm.load_qp(cfg.qp_path)
+        if qp_path:
+            qp, direction = cm.load_qp(qp_path)
         else:
             with resources.as_file(_bundled_qp_path()) as path:
                 qp, direction = cm.load_qp(path)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"qp file: {exc}") from None
-    max_iter = cfg.tolerances.get("max_iter", 200)
+    max_iter = cfg.value("tolerances", "max_iter")
     sp = cm.solve_saddle_point(qp, max_iter=max_iter)
     obj = cm.objective_value(qp, sp.u)
     lag = cm.lagrangian_value(qp, sp.u, sp.lam)
@@ -66,7 +67,7 @@ def _qp_demo(cfg: RunConfig, rep: ReportWriter) -> None:
     l1 = cm.shape_derivative(qp, direction, sp)
     rep.add_kv("result.L1", l1)
     rep.add_summary(f"L1 = {fmt6(l1)}")
-    table = fd_table(lambda s: cm.optimal_value(qp, direction, s, max_iter), l1, obj, cfg.s_list)
+    table = fd_table(lambda s: cm.optimal_value(qp, direction, s, max_iter), l1, obj, cfg.value("run", "s_list"))
     _emit_fd_table(rep, table, l1)
 
 
@@ -76,7 +77,7 @@ def _stokes_solve(cfg: RunConfig, rep: ReportWriter) -> None:
     solution = solve_stokes(
         system,
         pin_pressure=not len(system.space.neumann_edges),
-        residual_tol=cfg.tolerances.get("residual_tol", 1e-9),
+        residual_tol=cfg.value("tolerances", "residual_tol"),
     )
     space = system.space
     e = energy(system, solution)
@@ -125,7 +126,7 @@ def _derivative_common(cfg: RunConfig, rep: ReportWriter, with_fd: bool) -> None
     force = cfg.build_force()
     field = cfg.build_velocity()
     if with_fd:
-        report = fd_verify(mesh, force, field, cfg.s_list, steps=cfg.steps)
+        report = fd_verify(mesh, force, field, cfg.value("run", "s_list"), steps=cfg.value("run", "steps"))
     else:
         system = assemble(mesh, force)
         solution = solve_stokes(system, pin_pressure=not len(system.space.neumann_edges))
@@ -161,13 +162,15 @@ def _emit_fd_table(rep: ReportWriter, table: FdTable, l1: float) -> None:
 
 def _corollary3(cfg: RunConfig, rep: ReportWriter) -> None:
     mesh = cfg.build_mesh()
-    report = corollary3_check(mesh, cfg.build_force(), cfg.omega, cfg.s_list, steps=cfg.steps)
+    report = corollary3_check(
+        mesh, cfg.build_force(), cfg.value("run", "omega"), cfg.value("run", "s_list"), steps=cfg.value("run", "steps")
+    )
     _emit_derivative(report, rep)
 
 
 def _convergence(cfg: RunConfig, rep: ReportWriter) -> None:
-    sides = set(cfg.neumann_sides) if cfg.neumann_sides else {"right"}
-    rows = convergence_study(trig_manufactured(), cfg.n_list, neumann_sides=sides)
+    sides = set(cfg.value("mesh", "neumann_sides")) or {"right"}
+    rows = convergence_study(trig_manufactured(), cfg.value("run", "n_list"), neumann_sides=sides)
     csv_rows = []
     for row in rows:
         order = "" if row.order is None else fmt17(row.order)

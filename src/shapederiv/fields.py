@@ -29,8 +29,6 @@ __all__ = [
     "LeftEdgeTraction",
     "ManufacturedStokes",
     "trig_manufactured",
-    "force_by_name",
-    "traction_by_name",
 ]
 
 
@@ -188,26 +186,3 @@ def trig_manufactured() -> ManufacturedStokes:
     pressure_fn = sp.lambdify((x, y), lam, modules="numpy")
     return ManufacturedStokes(velocity=velocity, pressure_fn=pressure_fn, force=force, traction=traction)
 
-
-def force_by_name(name: str, **params) -> ForceField:
-    """Named force-field registry used by run configurations."""
-    if name == "constant":
-        return ConstantForce(value=tuple(params.get("value", (1.0, 0.0))))
-    if name == "rotational":
-        return RotationalForce(c=float(params.get("scale", 1.0)))
-    if name == "trig":
-        return TrigForce(c=float(params.get("scale", 1.0)))
-    if name == "manufactured-trig":
-        return trig_manufactured().force
-    raise KeyError(f"unknown force field '{name}'")
-
-
-def traction_by_name(name: str, **params) -> ForceField | None:
-    """Named traction registry; returns None for the homogeneous case."""
-    if name in ("none", ""):
-        return None
-    if name == "constant-left":
-        return LeftEdgeTraction(value=tuple(params.get("value", (2.0, 0.0))))
-    if name == "manufactured-trig":
-        return trig_manufactured().traction
-    raise KeyError(f"unknown traction field '{name}'")

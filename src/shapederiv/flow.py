@@ -204,7 +204,7 @@ class AffineField(VelocityField):
         return np.broadcast_to(self.matrix(), p.shape[:-1] + (2, 2)).copy()
 
 
-def RotationField(omega: float, window: CutoffWindow | None = None) -> AffineField:
+def RotationField(omega: float = 1.0, window: CutoffWindow | None = None) -> AffineField:
     """Rigid rotation velocity Lambda(x) = omega * (-x2, x1); divergence-free."""
     return AffineField(M=((0.0, -float(omega)), (float(omega), 0.0)), window=window)
 

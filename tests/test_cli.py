@@ -51,6 +51,82 @@ def test_s_list_must_decrease(tmp_path):
         parse_config(cfg, "qp-demo")
 
 
+def _every_key(mesh_kind):
+    return (
+        "[run]\ncommand = fd-verify\nsteps = 16\ns_list = 2e-2 5e-3 1e-3\nn_list = 2 4\nomega = 0.7\n\n"
+        f"[mesh]\nkind = {mesh_kind}\nn = 3\nrings = 2\nneumann_sides = right, top\npath = mesh.txt\n\n"
+        "[velocity]\nkind = quadratic\nb = 0.05 -0.04\nmatrix = 0.3 0.1 -0.2 0.15\nomega = 0.5\n"
+        "coeffs = 0 0.1 0 0.2 0 0.3 0 0 0.1 0 0.2 0.1\nwindow = 0.1 0.9 0.2 0.8\nramp = 0.3\n\n"
+        "[force]\nname = constant\nvalue = 1 0.5\nscale = 1.5\n\n"
+        "[traction]\nname = constant-left\nvalue = 3 0.25\n\n"
+        "[qp]\npath = qp.txt\n\n"
+        "[tolerances]\nresidual_tol = 1e-8\nmax_iter = 50\n"
+    )
+
+
+_RESOLVED_RUN = [
+    ("config.command", "fd-verify"),
+    ("config.run.steps", "16"),
+    ("config.run.s_list", "0.02 0.0050000000000000001 0.001"),
+    ("config.run.n_list", "2 4"),
+    ("config.run.omega", "0.69999999999999996"),
+]
+_RESOLVED_MESH = {
+    "unit_square": [
+        ("config.mesh.kind", "unit_square"),
+        ("config.mesh.n", "3"),
+        ("config.mesh.neumann_sides", "right top"),
+    ],
+    "disk": [("config.mesh.kind", "disk"), ("config.mesh.rings", "2")],
+    "file": [("config.mesh.kind", "file"), ("config.mesh.path", "mesh.txt")],
+}
+_RESOLVED_REST = [
+    ("config.velocity.kind", "quadratic"),
+    ("config.velocity.b", "0.050000000000000003 -0.040000000000000001"),
+    (
+        "config.velocity.coeffs",
+        "0 0.10000000000000001 0 0.20000000000000001 0 0.29999999999999999 "
+        "0 0 0.10000000000000001 0 0.20000000000000001 0.10000000000000001",
+    ),
+    ("config.velocity.matrix", "0.29999999999999999 0.10000000000000001 -0.20000000000000001 0.14999999999999999"),
+    ("config.velocity.omega", "0.5"),
+    ("config.velocity.ramp", "0.29999999999999999"),
+    ("config.velocity.window", "0.10000000000000001 0.90000000000000002 0.20000000000000001 0.80000000000000004"),
+    ("config.force.name", "constant"),
+    ("config.force.scale", "1.5"),
+    ("config.force.value", "1 0.5"),
+    ("config.traction.name", "constant-left"),
+    ("config.traction.value", "3 0.25"),
+    ("config.qp.path", "qp.txt"),
+    ("config.tolerances.max_iter", "50"),
+    ("config.tolerances.residual_tol", "1e-08"),
+]
+
+
+@pytest.mark.parametrize("mesh_kind", sorted(_RESOLVED_MESH))
+def test_resolved_config_golden(tmp_path, mesh_kind):
+    # Every key of every section is set; the mesh kind picks which mesh keys
+    # are recorded.  Order and digits are part of report.kv's format.
+    cfg = parse_config(write(tmp_path / "all.cfg", _every_key(mesh_kind)), "fd-verify")
+    assert cfg.resolved_items() == _RESOLVED_RUN + _RESOLVED_MESH[mesh_kind] + _RESOLVED_REST
+
+
+def test_traction_value_is_recorded(tmp_path):
+    base = (
+        "[mesh]\nkind = unit_square\nn = 4\nneumann_sides = left right\n\n"
+        "[force]\nname = constant\nvalue = 1 0\n\n[traction]\nname = constant-left\n"
+    )
+    kv = {}
+    for value in ("2 0", "5 0"):
+        out = tmp_path / value.replace(" ", "_")
+        assert main(["stokes-solve", "--config", write(tmp_path / "t.cfg", base + f"value = {value}\n"), "--output", str(out)]) == 0
+        kv[value] = read_kv(out / "report.kv")
+    assert kv["2 0"]["config.traction.value"] == "2 0"
+    assert kv["5 0"]["config.traction.value"] == "5 0"
+    # the two runs differ only in the traction, and so do their results
+    assert float(kv["5 0"]["result.lambda_max"]) - float(kv["2 0"]["result.lambda_max"]) == pytest.approx(3.0, abs=1e-9)
+
+
 FD_SQUARE = {
     ("run", "s_list"): "1e-2 1e-3",
     ("mesh", "kind"): "unit_square",
@@ -148,16 +224,30 @@ def _mesh_overlapping_triangles(tmp_path):
     return "stokes-solve", text, "edge 0 -> 1 appears twice in the same direction"
 
 
+def _qp_path_empty(tmp_path):
+    # an empty path used to fall back to the bundled instance without a word
+    return "qp-demo", "[qp]\npath =\n", "qp.path is empty"
+
+
+def _corollary3_mesh_file_with_neumann_edge(tmp_path):
+    path = tmp_path / "mesh.txt"
+    sd.write_mesh(path, sd.unit_square_mesh(2, {"right"}))
+    text = f"[mesh]\nkind = file\npath = {path}\n\n[force]\nname = trig\n"
+    return "corollary3", text, f"mesh file {path}: corollary3 needs a pure-Dirichlet mesh"
+
+
 @pytest.mark.parametrize(
     "case",
     [
         _qp_missing_file,
+        _qp_path_empty,
         _qp_cut_after_a,
         _qp_blocks_disagree,
         _qp_perturbation_disagrees,
         _qp_block_repeated,
         _mesh_cut_in_half,
         _mesh_overlapping_triangles,
+        _corollary3_mesh_file_with_neumann_edge,
     ],
 )
 def test_malformed_input_files_exit_2(tmp_path, capsys, case):

@@ -31,10 +31,13 @@ def _mesh_text(path):
 def _config_text(path):
     with open(path, "w", encoding="ascii") as fh:
         fh.write(
-            "[run]\ns_list = 1e-2 3e-3\nsteps = 8\n\n"
-            "[mesh]\nkind = unit_square\nn = 2\nneumann_sides = right\n\n"
-            "[velocity]\nkind = affine\nmatrix = 0.3 0.1 -0.2 0.15\nb = 0.05 -0.04\n\n"
-            "[force]\nname = trig\nscale = 1.5\n\n"
+            "[run]\ncommand = fd-verify\ns_list = 1e-2 3e-3\nsteps = 8\nn_list = 2 4\nomega = 1.0\n\n"
+            "[mesh]\nkind = unit_square\nn = 2\nneumann_sides = right\nrings = 2\npath = mesh.txt\n\n"
+            "[velocity]\nkind = affine\nmatrix = 0.3 0.1 -0.2 0.15\nb = 0.05 -0.04\nomega = 0.5\n"
+            "coeffs = 0 0.1 0 0.2 0 0.3 0 0 0.1 0 0.2 0.1\nwindow = 0.1 0.9 0.1 0.9\nramp = 0.25\n\n"
+            "[force]\nname = trig\nscale = 1.5\nvalue = 1 0\n\n"
+            "[traction]\nname = constant-left\nvalue = 2 0\n\n"
+            "[qp]\npath = qp.txt\n\n"
             "[tolerances]\nresidual_tol = 1e-9\nmax_iter = 50\n"
         )
 
