@@ -74,6 +74,13 @@ def _qp_demo(cfg: RunConfig, rep: ReportWriter) -> None:
 def _stokes_solve(cfg: RunConfig, rep: ReportWriter) -> None:
     mesh = cfg.build_mesh()
     system = assemble(mesh, cfg.build_force(), cfg.build_traction())
+    traction = cfg.value("traction", "name")
+    if traction != "none" and (system.g is None or not system.g.any()):
+        # e.g. constant-left, which acts only left of x = 1/2, on a mesh whose
+        # Neumann edges all lie to the right
+        raise ConfigError(
+            f"traction '{traction}' applies no load on this mesh: it is zero on every Neumann edge"
+        )
     solution = solve_stokes(
         system,
         pin_pressure=not len(system.space.neumann_edges),

@@ -225,19 +225,18 @@ class QuadraticField(VelocityField):
             raise ValueError("coeffs must be 2 components x 6 monomials")
 
     def _evaluate(self, p):
-        c = np.asarray(self.coeffs, dtype=float)
         x, y = p[..., 0], p[..., 1]
-        mono = np.stack([np.ones_like(x), x, y, x * x, x * y, y * y], axis=-1)
-        return mono @ c.T
+        v = np.empty(p.shape)
+        for i, (c0, c1, c2, c3, c4, c5) in enumerate(np.asarray(self.coeffs, dtype=float)):
+            v[..., i] = c0 + x * (c1 + c3 * x + c4 * y) + y * (c2 + c5 * y)
+        return v
 
     def _jacobian(self, p):
-        c = np.asarray(self.coeffs, dtype=float)
         x, y = p[..., 0], p[..., 1]
-        dx = np.stack([np.zeros_like(x), np.ones_like(x), np.zeros_like(x), 2 * x, y, np.zeros_like(x)], axis=-1)
-        dy = np.stack([np.zeros_like(x), np.zeros_like(x), np.ones_like(x), np.zeros_like(x), x, 2 * y], axis=-1)
         jac = np.empty(p.shape[:-1] + (2, 2))
-        jac[..., 0, :] = np.stack([dx @ c[0], dy @ c[0]], axis=-1)
-        jac[..., 1, :] = np.stack([dx @ c[1], dy @ c[1]], axis=-1)
+        for i, (_, c1, c2, c3, c4, c5) in enumerate(np.asarray(self.coeffs, dtype=float)):
+            jac[..., i, 0] = c1 + 2.0 * c3 * x + c4 * y
+            jac[..., i, 1] = c2 + c4 * x + 2.0 * c5 * y
         return jac
 
 

@@ -16,7 +16,8 @@ The derivative of the Lagrangian at the saddle point is
 Only f1 is assembled (it is the one part that needs the body force).
 A1 and B1 are never built: 1/2 u'A1 u = 1/2 int( sum_c grad(u_c).K grad(u_c) )
 and the multiplier term are integrated directly at the quadrature points
-from grad(u_h), lambda_h and G.  The (div Lambda)(div u) part of B1 is
+from grad(u_h), lambda_h and G, with G evaluated once per call and
+div Lambda taken as its trace.  The (div Lambda)(div u) part of B1 is
 left out of the formula because div u = 0 at the saddle point.  The
 assembled matrices survive as an independent oracle in the tests.
 ``fd_verify`` checks the whole formula against central differences of
@@ -53,6 +54,11 @@ __all__ = [
     "fd_verify",
     "corollary3_check",
 ]
+
+
+# Contraction order of the E1 integrand: grad_u with the kernel, then with
+# grad_u again, then the quadrature weights; no (nt, nq, 2, 2, 2) product.
+_E1_PATH = ["einsum_path", (1, 2), (1, 2), (0, 1)]
 
 
 @dataclass(frozen=True)
@@ -108,7 +114,8 @@ def stokes_shape_derivative(
 
     ``f1`` is :func:`assemble_perturbation`'s load for the same ``field``.
     E1 = 1/2 u'A1 u - f1'u, with the quadratic form and the multiplier
-    term both integrated directly at quadrature points.  L1 = E1 +
+    term both integrated directly at quadrature points; ``field.jacobian``
+    is evaluated once, and the divergence is its trace.  L1 = E1 +
     dual_term by construction.  A solution or f1 of the wrong size raises
     ``DimensionMismatch``; one that does not solve ``system`` raises
     ``UnsolvedSolution``.
@@ -116,11 +123,11 @@ def stokes_shape_derivative(
     _check_solved(system, solution, f1)
     space, u = system.space, solution.u
     grad = field.jacobian(space.quad_points)  # (nt, nq, 2, 2), [i, j] = d Lambda_i / d x_j
-    div = field.divergence(space.quad_points)
+    div = grad[..., 0, 0] + grad[..., 1, 1]
     kernel = div[..., None, None] * np.eye(2) - grad - np.swapaxes(grad, -1, -2)
     grad_u = space.element_velocity_gradients(u)  # [c, j] = d u_c / d x_j
     coef = space.quad_coef
-    e1 = float(0.5 * np.einsum("tq,tqci,tqij,tqcj->", coef, grad_u, kernel, grad_u) - f1 @ u)
+    e1 = float(0.5 * np.einsum("tq,tqci,tqij,tqcj->", coef, grad_u, kernel, grad_u, optimize=_E1_PATH) - f1 @ u)
     lam_q = space.pressure_at_quad(solution.lam)
     dual = float(np.einsum("tq,tq,tqji,tqij->", coef, lam_q, grad, grad_u))
     return DerivativeReport(

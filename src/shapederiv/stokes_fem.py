@@ -8,12 +8,15 @@ inf-sup stable, which keeps the discrete multiplier unique whenever the
 Neumann part of the boundary is nonempty.
 
 Assembly uses a fixed six-point triangle rule (exact through degree 4)
-and three-point Gauss edges.  Element blocks become global arrays in
-three ``FunctionSpace`` methods only -- ``stiffness_matrix``,
-``pairing_matrix`` and ``load_vector`` -- which sum contributions in a
-fixed order and drop the Dirichlet dofs.  The state system and its
-first-order perturbation go through the same three, so they pair dof
-for dof and repeated assemblies are bit-identical.
+and three-point Gauss edges.  Every element kernel is a sum over the
+quadrature points, evaluated as a batched matrix product or as an einsum
+along a contraction path, so that it costs what its arithmetic costs; the
+direct einsum forms are kept as test oracles.  Element blocks become
+global arrays in three ``FunctionSpace`` methods only --
+``stiffness_matrix``, ``pairing_matrix`` and ``load_vector`` -- which sum
+contributions in a fixed order and drop the Dirichlet dofs.  The state
+system and its first-order perturbation go through the same three, so
+they pair dof for dof and repeated assemblies are bit-identical.
 
 Saddle systems are solved through their structure rather than by one LU of
 the bordered matrix: both velocity components share the Dirichlet nodes,
@@ -169,7 +172,7 @@ class FunctionSpace:
         jinv_t[:, 1, 1] = e1[:, 0]
         jinv_t /= det[:, None, None]
         self.det = det
-        self.phys_grads = np.einsum("tij,qaj->tqai", jinv_t, _P2_REF_GRADS)
+        self.phys_grads = np.einsum("tij,qaj->tqai", jinv_t, _P2_REF_GRADS, optimize=True)
         xi, eta = _TRI_BARY[:, 1], _TRI_BARY[:, 2]
         self.quad_points = (
             v0[:, None, :] + xi[None, :, None] * e1[:, None, :] + eta[None, :, None] * e2[:, None, :]
@@ -186,11 +189,11 @@ class FunctionSpace:
         """grad(u_h) at every quadrature point: (nt, nq, 2, 2)."""
         full = self.expand_velocity(u_free)
         coeffs = full.reshape(-1, 2)[self.tri_nodes]  # (nt, 6, 2)
-        return np.einsum("tai,tqaj->tqij", coeffs, self.phys_grads)
+        return np.einsum("tai,tqaj->tqij", coeffs, self.phys_grads, optimize=True)
 
     def pressure_at_quad(self, lam: np.ndarray) -> np.ndarray:
         """P1 pressure values at every quadrature point: (nt, nq)."""
-        return np.einsum("tp,qp->tq", lam[self.mesh.triangles], _P1_VALS)
+        return lam[self.mesh.triangles] @ _P1_VALS.T
 
     def pressure_integral_weights(self) -> np.ndarray:
         """Vector a with a.lam = integral of the P1 pressure (exact)."""
@@ -272,10 +275,15 @@ def assemble(mesh: TriMesh, f_field: ForceField, g_field: ForceField | None = No
         raise EmptyDirichletBoundary("no Dirichlet edges: velocity stiffness would be singular")
     space = FunctionSpace(mesh)
     pg, coef = space.phys_grads, space.quad_coef
-    A = space.stiffness_matrix(np.einsum("tqai,tqbi,tq->tab", pg, pg, coef))
-    B = space.pairing_matrix(np.einsum("tq,qp,tqac->tpac", coef, _P1_VALS, pg))
+    nt = pg.shape[0]
+    # Each kernel is a batched matrix product over the quadrature points:
+    # sum_q coef grad(phi_a).grad(phi_b), one 6x6 product per component;
+    # sum_q coef psi_p grad(phi_a); and sum_q coef phi_a f.
+    weighted = pg * coef[:, :, None, None]
+    A = space.stiffness_matrix(sum(np.swapaxes(weighted[..., i], 1, 2) @ pg[..., i] for i in range(2)))
+    B = space.pairing_matrix(((coef[:, None, :] * _P1_VALS.T) @ pg.reshape(nt, -1, 12)).reshape(nt, 3, 6, 2))
     f_vals = f_field.evaluate(space.quad_points)  # (nt, nq, 2)
-    f = space.load_vector(np.einsum("tq,qa,tqc->tac", coef, _P2_VALS, f_vals))
+    f = space.load_vector(_P2_VALS.T @ (coef[:, :, None] * f_vals))
 
     g = None
     if g_field is not None and len(space.neumann_edges):
@@ -320,6 +328,7 @@ class _SchurComplement:
         if A.nnz != 2 * L.nnz or (A[1::2, 1::2] != L).nnz:
             raise SingularSystem("velocity stiffness is not one scalar block per component")
         self.B = system.B[1:] if pin_pressure else system.B
+        self.Bt = self.B.T.tocsr()  # B' applied on every CG step and in the back-solve
         mass = pressure_mass_matrix(system.space)
         self.M = mass[1:, 1:] if pin_pressure else mass
         row_norms = np.sqrt(np.asarray(self.B.multiply(self.B).sum(axis=1)).ravel())
@@ -336,7 +345,7 @@ class _SchurComplement:
         return self._velocity.solve(rhs.reshape(rhs.shape[0] // 2, -1)).reshape(rhs.shape)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        return self.B @ self.solve_velocity(self.B.T @ x)
+        return self.B @ self.solve_velocity(self.Bt @ x)
 
     def precondition(self, r: np.ndarray) -> np.ndarray:
         return self._mass.solve(r)
@@ -419,7 +428,7 @@ def solve_stokes(
         raise SingularSystem("load vector has non-finite entries")
     schur = _SchurComplement(system, pin_pressure)
     lam, iterations, _, _ = schur.cg(-(schur.B @ schur.solve_velocity(rhs_u)))
-    u = schur.solve_velocity(rhs_u + schur.B.T @ lam)
+    u = schur.solve_velocity(rhs_u + schur.Bt @ lam)
     if pin_pressure:
         lam = np.concatenate([[0.0], lam])
         weights = space.pressure_integral_weights()
@@ -445,7 +454,7 @@ def energy(system: StokesSystem, solution: StokesSolution) -> float:
 
 def pressure_mass_matrix(space: FunctionSpace) -> sparse.csr_matrix:
     nt = space.mesh.num_triangles
-    me = np.einsum("tq,qp,qr->tpr", space.quad_coef, _P1_VALS, _P1_VALS)
+    me = np.einsum("tq,qp,qr->tpr", space.quad_coef, _P1_VALS, _P1_VALS, optimize=True)
     rows = np.broadcast_to(space.mesh.triangles[:, :, None], (nt, 3, 3))
     cols = np.broadcast_to(space.mesh.triangles[:, None, :], (nt, 3, 3))
     return sparse.coo_matrix(
@@ -522,7 +531,7 @@ def h1_velocity_error(space: FunctionSpace, u_free: np.ndarray, exact_velocity) 
     grad_h = space.element_velocity_gradients(u_free)
     grad_ex = exact_velocity.gradient(space.quad_points)
     diff = grad_h - grad_ex
-    return float(np.sqrt(np.einsum("tqij,tqij,tq->", diff, diff, space.quad_coef)))
+    return float(np.sqrt(np.einsum("tqij,tqij,tq->", diff, diff, space.quad_coef, optimize=True)))
 
 
 @dataclass(frozen=True)

@@ -236,6 +236,16 @@ def _corollary3_mesh_file_with_neumann_edge(tmp_path):
     return "corollary3", text, f"mesh file {path}: corollary3 needs a pure-Dirichlet mesh"
 
 
+def _traction_constant_left_without_left_neumann_edge(tmp_path):
+    # constant-left acts only left of x = 1/2; with the right side Neumann it
+    # used to apply no load without a word
+    text = (
+        "[mesh]\nkind = unit_square\nn = 4\nneumann_sides = right\n\n"
+        "[force]\nname = constant\nvalue = 1 0\n\n[traction]\nname = constant-left\nvalue = 2 0\n"
+    )
+    return "stokes-solve", text, "traction 'constant-left' applies no load"
+
+
 @pytest.mark.parametrize(
     "case",
     [
@@ -248,6 +258,7 @@ def _corollary3_mesh_file_with_neumann_edge(tmp_path):
         _mesh_cut_in_half,
         _mesh_overlapping_triangles,
         _corollary3_mesh_file_with_neumann_edge,
+        _traction_constant_left_without_left_neumann_edge,
     ],
 )
 def test_malformed_input_files_exit_2(tmp_path, capsys, case):

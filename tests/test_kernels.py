@@ -1,0 +1,151 @@
+"""Element kernels and the quadratic field against their direct forms.
+
+The package contracts its per-quadrature-point kernels along chosen paths
+and evaluates QuadraticField in closed form; ``kernel_oracle`` keeps the
+plain einsum strings and the monomial stack.  Every comparison allows
+1e-15 of the oracle's roundoff scale: the largest entry of the same
+contraction taken over absolute values.
+"""
+
+from dataclasses import dataclass, field
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+import shapederiv as sd
+from shapederiv.fields import TrigForce
+from shapederiv.flow import VelocityField
+
+import kernel_oracle as oracle
+
+RTOL = 1e-15
+
+
+def _max_abs(a):
+    return float(abs(a).max())
+
+
+def _kernel_pairs(mesh, u_values, coeffs):
+    """name -> (package result, oracle result, oracle scale); the velocity
+    repeats ``u_values`` over the free dofs."""
+    force = TrigForce()
+    system = sd.assemble(mesh, force)
+    space = system.space
+    u = np.resize(u_values, space.num_velocity)
+    f_vals = force.evaluate(space.quad_points)
+    lam = np.sin(np.arange(space.num_pressure))
+    stiffness = [space.stiffness_matrix(b) for b in oracle.stiffness_blocks(space)]
+    pairing = [space.pairing_matrix(b) for b in oracle.pairing_blocks(space)]
+    load = [space.load_vector(b) for b in oracle.load_blocks(space, f_vals)]
+    fast = sd.QuadraticField(coeffs=coeffs)
+    stacked = oracle.StackedQuadraticField(coeffs=coeffs)
+    value_scale, jacobian_scale = stacked.scales(space.quad_points)
+    return {
+        "phys_grads": (space.phys_grads, *oracle.phys_grads(mesh)),
+        "stiffness": (system.A, *stiffness),
+        "pairing": (system.B, *pairing),
+        "load": (system.f, *load),
+        "velocity_gradients": (space.element_velocity_gradients(u), *oracle.velocity_gradients(space, u)),
+        "pressure_values": (space.pressure_at_quad(lam), *oracle.pressure_values(space, lam)),
+        "quadratic_value": (fast.evaluate(space.quad_points), stacked.evaluate(space.quad_points), value_scale),
+        "quadratic_jacobian": (fast.jacobian(space.quad_points), stacked.jacobian(space.quad_points), jacobian_scale),
+    }
+
+
+def _assert_pairs_close(pairs):
+    for name, (new, old, scale) in pairs.items():
+        gap = _max_abs(new - old)
+        assert gap <= RTOL * _max_abs(scale), f"{name}: |new - old| = {gap:.3e}, scale {_max_abs(scale):.3e}"
+
+
+COEFFS = ((0.3, -1.2, 0.7, 0.45, -0.8, 1.1), (-0.5, 0.25, 0.9, -1.3, 0.6, 0.35))
+MESHES = {
+    "square": lambda: sd.unit_square_mesh(8, {"right"}),
+    "disk": lambda: sd.disk_mesh(6),
+}
+
+
+@pytest.mark.parametrize("mesh_name", sorted(MESHES))
+def test_kernels_match_plain_einsum(mesh_name):
+    u_values = np.random.default_rng(7).standard_normal(1000)
+    _assert_pairs_close(_kernel_pairs(MESHES[mesh_name](), u_values, COEFFS))
+
+
+@pytest.mark.parametrize("mesh_name", sorted(MESHES))
+def test_e1_matches_plain_einsum(mesh_name):
+    mesh, force, fld = MESHES[mesh_name](), TrigForce(), sd.QuadraticField(coeffs=COEFFS)
+    system = sd.assemble(mesh, force)
+    solution = sd.solve_stokes(system, pin_pressure=not len(system.space.neumann_edges))
+    f1 = sd.assemble_perturbation(system.space, fld, force)
+    e1, scale = oracle.e1(system.space, fld, solution.u, f1)
+    assert abs(sd.stokes_shape_derivative(system, solution, f1, fld).E1 - e1) <= RTOL * scale
+
+
+_finite = dict(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    jitter=arrays(float, (4, 2), elements=st.floats(-0.05, 0.05, **_finite)),
+    u=arrays(float, 48, elements=st.floats(-10.0, 10.0, **_finite)),
+    coeffs=arrays(float, (2, 6), elements=st.floats(-10.0, 10.0, **_finite)),
+)
+def test_kernels_match_plain_einsum_on_drawn_meshes(jitter, u, coeffs):
+    # n = 3 square, interior vertices moved by up to 0.15 h: every triangle
+    # keeps a positive area.
+    base = sd.unit_square_mesh(3, {"right"})
+    vertices = base.vertices.copy()
+    interior = np.all((vertices > 0.0) & (vertices < 1.0), axis=1)
+    vertices[interior] += jitter
+    mesh = sd.TriMesh(vertices, base.triangles, base.boundary_edges, base.boundary_tags)
+    assert np.all(mesh.triangle_areas() > 0.0)
+    _assert_pairs_close(_kernel_pairs(mesh, u, tuple(map(tuple, coeffs))))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    coeffs=arrays(float, (2, 6), elements=st.floats(-1e3, 1e3, **_finite)),
+    points=st.integers(1, 12).flatmap(lambda k: arrays(float, (k, 2), elements=st.floats(-3.0, 3.0, **_finite))),
+)
+def test_quadratic_field_matches_monomial_stack(coeffs, points):
+    c = tuple(map(tuple, coeffs))
+    fast, stacked = sd.QuadraticField(coeffs=c), oracle.StackedQuadraticField(coeffs=c)
+    value_scale, jacobian_scale = stacked.scales(points)
+    for new, old, scale in (
+        (fast.evaluate(points), stacked.evaluate(points), value_scale),
+        (fast.jacobian(points), stacked.jacobian(points), jacobian_scale),
+        (fast.divergence(points), stacked.divergence(points), np.trace(jacobian_scale, axis1=-2, axis2=-1)),
+    ):
+        assert new.shape == old.shape
+        assert _max_abs(new - old) <= RTOL * _max_abs(scale)
+
+
+@dataclass(frozen=True, kw_only=True)
+class _CountingField(VelocityField):
+    """Delegates to ``inner`` and counts the Jacobian evaluations; the
+    inherited ``divergence`` goes through ``jacobian`` and counts too."""
+
+    inner: VelocityField
+    calls: dict = field(default_factory=lambda: {"jacobian": 0})
+
+    def evaluate(self, points):
+        return self.inner.evaluate(points)
+
+    def jacobian(self, points):
+        self.calls["jacobian"] += 1
+        return self.inner.jacobian(points)
+
+
+def test_shape_derivative_evaluates_the_jacobian_once():
+    mesh = sd.unit_square_mesh(4, {"right"})
+    force, inner = TrigForce(), sd.QuadraticField(coeffs=COEFFS)
+    system = sd.assemble(mesh, force)
+    solution = sd.solve_stokes(system)
+    f1 = sd.assemble_perturbation(system.space, inner, force)
+    counting = _CountingField(inner=inner)
+    report = sd.stokes_shape_derivative(system, solution, f1, counting)
+    assert counting.calls["jacobian"] == 1
+    assert report.L1 == sd.stokes_shape_derivative(system, solution, f1, inner).L1
