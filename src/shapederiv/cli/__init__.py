@@ -176,8 +176,7 @@ def _corollary3(cfg: RunConfig, rep: ReportWriter) -> None:
 
 
 def _convergence(cfg: RunConfig, rep: ReportWriter) -> None:
-    sides = set(cfg.value("mesh", "neumann_sides")) or {"right"}
-    rows = convergence_study(trig_manufactured(), cfg.value("run", "n_list"), neumann_sides=sides)
+    rows = convergence_study(trig_manufactured(), cfg.value("run", "n_list"))
     csv_rows = []
     for row in rows:
         order = "" if row.order is None else fmt17(row.order)

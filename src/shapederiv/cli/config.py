@@ -321,6 +321,9 @@ def parse_config(path, command: str) -> RunConfig:
     for section in _NEEDS[command]:
         if section not in cfg.values:
             raise ConfigError(f"command '{command}' needs a [{section}] section")
+    if command == "convergence" and len(cfg.values) > 1:
+        # the manufactured problem fixes the mesh, force and traction
+        raise ConfigError(f"convergence reads only [run], not [{list(cfg.values)[1]}]")
     if command == "corollary3" and cfg.value("mesh", "kind") == "unit_square":
         raise ConfigError("corollary3 needs a pure-Dirichlet mesh (disk or file)")
     return cfg

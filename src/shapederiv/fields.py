@@ -6,26 +6,24 @@ energy kernels consume grad(f) directly.  Batch convention matches
 ``flow``: points (..., 2) -> values (..., 2), gradients (..., 2, 2) with
 ``gradient(p)[..., i, j] = d f_i / d x_j``.
 
-``trig_manufactured`` builds a full manufactured problem (velocity,
-pressure, force, traction) symbolically and differentiates it with sympy,
-so the convergence study compares against genuinely independent exact
-fields.
+``trig_manufactured`` is a full manufactured Stokes problem (velocity,
+pressure, force, traction) written out in closed form with exact
+gradients.  ``tests/manufactured_oracle.py`` derives the same fields
+symbolically and checks the closed form against them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from typing import Callable
 
 import numpy as np
-import sympy as sp
 
 __all__ = [
     "ForceField",
     "ConstantForce",
     "RotationalForce",
     "TrigForce",
-    "SymbolicVectorField",
     "LeftEdgeTraction",
     "ManufacturedStokes",
     "trig_manufactured",
@@ -101,32 +99,6 @@ class TrigForce(ForceField):
         return self.c * g
 
 
-class SymbolicVectorField(ForceField):
-    """Vector field defined by two sympy expressions in symbols x, y."""
-
-    def __init__(self, fx: sp.Expr, fy: sp.Expr, symbols: tuple[sp.Symbol, sp.Symbol]):
-        x, y = symbols
-        self._val = [sp.lambdify((x, y), e, modules="numpy") for e in (fx, fy)]
-        self._grad = [
-            [sp.lambdify((x, y), sp.diff(e, v), modules="numpy") for v in (x, y)]
-            for e in (fx, fy)
-        ]
-
-    def evaluate(self, points):
-        p = np.asarray(points, dtype=float)
-        x, y = p[..., 0], p[..., 1]
-        return np.stack([np.broadcast_to(f(x, y), x.shape).astype(float) for f in self._val], axis=-1)
-
-    def gradient(self, points):
-        p = np.asarray(points, dtype=float)
-        x, y = p[..., 0], p[..., 1]
-        g = np.empty(p.shape[:-1] + (2, 2))
-        for i in range(2):
-            for j in range(2):
-                g[..., i, j] = np.broadcast_to(self._grad[i][j](x, y), x.shape)
-        return g
-
-
 @dataclass(frozen=True)
 class LeftEdgeTraction(ForceField):
     """Constant traction on the left edge of the unit square, zero elsewhere.
@@ -143,6 +115,70 @@ class LeftEdgeTraction(ForceField):
         return on_left[..., None] * np.asarray(self.value, dtype=float)
 
 
+# --- the manufactured Stokes solution ------------------------------------------
+# psi = sin^2(pi x) sin^2(pi y), u = curl psi and lambda = sin(pi x) cos(pi y),
+# written in sx = sin(pi x), cx = cos(pi x), sy = sin(pi y), cy = cos(pi y).
+
+
+def _sincos(points) -> tuple[np.ndarray, ...]:
+    p = np.pi * np.asarray(points, dtype=float)
+    return np.sin(p[..., 0]), np.cos(p[..., 0]), np.sin(p[..., 1]), np.cos(p[..., 1])
+
+
+def _matrix(g00, g01, g10, g11) -> np.ndarray:
+    return np.stack([np.stack([g00, g01], axis=-1), np.stack([g10, g11], axis=-1)], axis=-2)
+
+
+def _manufactured_pressure(points) -> np.ndarray:
+    sx, _, _, cy = _sincos(points)
+    return sx * cy
+
+
+@dataclass(frozen=True)
+class _ManufacturedVelocity(ForceField):
+    """u = 2 pi (sx^2 sy cy, -sx cx sy^2), zero on the square's boundary."""
+
+    def evaluate(self, points):
+        sx, cx, sy, cy = _sincos(points)
+        return 2.0 * np.pi * np.stack([sx * sx * sy * cy, -sx * cx * sy * sy], axis=-1)
+
+    def gradient(self, points):
+        sx, cx, sy, cy = _sincos(points)
+        d = 2.0 * sx * cx * sy * cy
+        return 2.0 * np.pi**2 * _matrix(d, sx * sx * (cy * cy - sy * sy), (sx * sx - cx * cx) * sy * sy, -d)
+
+
+@dataclass(frozen=True)
+class _ManufacturedForce(ForceField):
+    """f = -Lap(u) + grad(lambda), with k = 4 pi^2."""
+
+    def evaluate(self, points):
+        sx, cx, sy, cy = _sincos(points)
+        k = 4.0 * np.pi**2
+        f1 = cy * (k * sy * (4.0 * sx * sx - 1.0) + cx)
+        return np.pi * np.stack([f1, sx * (k * cx * (1.0 - 4.0 * sy * sy) - sy)], axis=-1)
+
+    def gradient(self, points):
+        sx, cx, sy, cy = _sincos(points)
+        k = 4.0 * np.pi**2
+        return np.pi**2 * _matrix(
+            sx * cy * (8.0 * k * cx * sy - 1.0),
+            k * (4.0 * sx * sx - 1.0) * (cy * cy - sy * sy) - cx * sy,
+            k * (1.0 - 4.0 * sy * sy) * (cx * cx - sx * sx) - cx * sy,
+            -sx * cy * (8.0 * k * cx * sy + 1.0),
+        )
+
+
+@dataclass(frozen=True)
+class _ManufacturedTraction(ForceField):
+    """du/dx - lambda e1: the Neumann datum on the right edge (normal e1)."""
+
+    def evaluate(self, points):
+        g = _ManufacturedVelocity().gradient(points)[..., :, 0]
+        g[..., 0] -= _manufactured_pressure(points)
+        return g
+
+
 @dataclass(frozen=True)
 class ManufacturedStokes:
     """Exactly known velocity/pressure pair with matching force and traction.
@@ -152,37 +188,16 @@ class ManufacturedStokes:
     ``neumann_sides={"right"}``.
     """
 
-    velocity: SymbolicVectorField
-    pressure_fn: object  # callable (x, y) -> lambda values
-    force: SymbolicVectorField
-    traction: SymbolicVectorField
-
-    def pressure(self, points) -> np.ndarray:
-        p = np.asarray(points, dtype=float)
-        return np.broadcast_to(self.pressure_fn(p[..., 0], p[..., 1]), p.shape[:-1]).astype(float)
+    velocity: ForceField
+    force: ForceField
+    traction: ForceField
+    pressure: Callable[[np.ndarray], np.ndarray]  # points (..., 2) -> values (...)
 
 
-@lru_cache(maxsize=1)
 def trig_manufactured() -> ManufacturedStokes:
-    """Divergence-free trigonometric solution on the unit square.
-
-    The velocity is the curl of the bump stream function
-    psi = sin^2(pi x) sin^2(pi y), so it vanishes on the whole square
-    boundary; the pressure is sin(pi x) cos(pi y).  Force and traction are
-    derived by substitution into the momentum balance.
-    """
-    x, y = sp.symbols("x y", real=True)
-    psi = sp.sin(sp.pi * x) ** 2 * sp.sin(sp.pi * y) ** 2
-    u1 = sp.diff(psi, y)
-    u2 = -sp.diff(psi, x)
-    lam = sp.sin(sp.pi * x) * sp.cos(sp.pi * y)
-    f1 = -(sp.diff(u1, x, 2) + sp.diff(u1, y, 2)) + sp.diff(lam, x)
-    f2 = -(sp.diff(u2, x, 2) + sp.diff(u2, y, 2)) + sp.diff(lam, y)
-    g1 = sp.diff(u1, x) - lam
-    g2 = sp.diff(u2, x)
-    velocity = SymbolicVectorField(sp.simplify(u1), sp.simplify(u2), (x, y))
-    force = SymbolicVectorField(sp.simplify(f1), sp.simplify(f2), (x, y))
-    traction = SymbolicVectorField(sp.simplify(g1), sp.simplify(g2), (x, y))
-    pressure_fn = sp.lambdify((x, y), lam, modules="numpy")
-    return ManufacturedStokes(velocity=velocity, pressure_fn=pressure_fn, force=force, traction=traction)
-
+    """Divergence-free trigonometric solution on the unit square: the curl
+    of the bump stream function psi = sin^2(pi x) sin^2(pi y), which
+    vanishes on the whole boundary, and the pressure sin(pi x) cos(pi y)."""
+    return ManufacturedStokes(
+        _ManufacturedVelocity(), _ManufacturedForce(), _ManufacturedTraction(), _manufactured_pressure
+    )

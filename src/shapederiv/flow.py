@@ -134,9 +134,6 @@ class VelocityField:
         """Field with the opposite sign, generating the inverse flow."""
         return _Negated(inner=self)
 
-    def __add__(self, other: "VelocityField") -> "VelocityField":
-        return _Sum(first=self, second=other)
-
 
 @dataclass(frozen=True, kw_only=True)
 class _Negated(VelocityField):
@@ -150,21 +147,6 @@ class _Negated(VelocityField):
 
     def divergence(self, points):
         return -self.inner.divergence(points)
-
-
-@dataclass(frozen=True, kw_only=True)
-class _Sum(VelocityField):
-    first: VelocityField
-    second: VelocityField
-
-    def evaluate(self, points):
-        return self.first.evaluate(points) + self.second.evaluate(points)
-
-    def jacobian(self, points):
-        return self.first.jacobian(points) + self.second.jacobian(points)
-
-    def divergence(self, points):
-        return self.first.divergence(points) + self.second.divergence(points)
 
 
 @dataclass(frozen=True, kw_only=True)

@@ -542,19 +542,16 @@ class ConvergenceRow:
     order: float | None  # vs the previous row; None on the first row
 
 
-def convergence_study(
-    manufactured: ManufacturedStokes,
-    n_list,
-    neumann_sides: set[str] = frozenset({"right"}),
-) -> list[ConvergenceRow]:
-    """Solve the manufactured problem on a sequence of meshes and report
-    H1 velocity errors with consecutive-ratio orders."""
+def convergence_study(manufactured: ManufacturedStokes, n_list) -> list[ConvergenceRow]:
+    """Solve the manufactured problem on unit squares with the right edge
+    traction-free, where its traction is the Neumann datum, and report H1
+    velocity errors with consecutive-ratio orders."""
     from .mesh import unit_square_mesh
 
     rows: list[ConvergenceRow] = []
     prev: ConvergenceRow | None = None
     for n in n_list:
-        mesh = unit_square_mesh(int(n), neumann_sides=set(neumann_sides))
+        mesh = unit_square_mesh(int(n), neumann_sides={"right"})
         system = assemble(mesh, manufactured.force, manufactured.traction)
         solution = solve_stokes(system)
         err = h1_velocity_error(system.space, solution.u, manufactured.velocity)

@@ -456,6 +456,19 @@ def test_convergence_pipeline(tmp_path):
     assert len(rows) == 3
 
 
+@pytest.mark.parametrize(
+    "section,line", [("mesh", "neumann_sides = top"), ("force", "name = trig"), ("tolerances", "max_iter = 5")]
+)
+def test_convergence_rejects_sections_it_never_reads(tmp_path, capsys, section, line):
+    # the manufactured problem fixes mesh, force and traction: these keys
+    # would be recorded in report.kv without changing the run
+    cfg = write(tmp_path / "run.cfg", f"[run]\nn_list = 2 4\n\n[{section}]\n{line}\n")
+    assert main(["convergence", "--config", cfg, "--output", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ConfigError:")
+    assert f"[{section}]" in err
+
+
 def test_mesh_from_file(tmp_path):
     mesh = sd.unit_square_mesh(2, {"right"})
     mesh_path = tmp_path / "m.txt"

@@ -93,7 +93,10 @@ def test_linearity_in_the_velocity_field():
     fb = sd.QuadraticField(coeffs=((0.0, 0.1, 0.0, 0.05, 0.0, -0.02), (0.1, 0.0, -0.1, 0.0, 0.03, 0.0)))
     ra = stokes_shape_derivative(system, sol, assemble_perturbation(system.space, fa, force), fa)
     rb = stokes_shape_derivative(system, sol, assemble_perturbation(system.space, fb, force), fb)
-    both = fa + fb
+    # fb's coefficients plus fa's, whose matrix M gives the linear ones
+    both = sd.QuadraticField(
+        coeffs=((0.0, 0.1 + 0.2, 0.0, 0.05, 0.0, -0.02), (0.1, 0.0 + 0.1, -0.1 - 0.1, 0.0, 0.03, 0.0))
+    )
     rs = stokes_shape_derivative(system, sol, assemble_perturbation(system.space, both, force), both)
     assert abs(rs.L1 - ra.L1 - rb.L1) <= 1e-10 * (1.0 + abs(rs.L1))
 
