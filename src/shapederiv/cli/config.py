@@ -286,7 +286,7 @@ def parse_config(path, command: str) -> RunConfig:
     try:
         with open(path, encoding="utf-8") as fh:
             parser.read_file(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config: {exc}") from None
     except configparser.Error as exc:
         raise ConfigError(f"malformed config: {exc}") from None

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import os
 
+from ..errors import ConfigError
+
 
 def fmt17(x: float) -> str:
     return f"{float(x):.17g}"
@@ -44,31 +46,30 @@ class ReportWriter:
         self.tables[name] = (header, rows)
 
     def write(self) -> list[str]:
-        os.makedirs(self.output_dir, exist_ok=True)
+        """Write report.kv, summary.txt and the tables as UTF-8; returns their
+        paths.  An output directory that cannot be written is a ConfigError."""
+        files = {
+            "report.kv": [f"{key} = {value}" for key, value in self.kv],
+            "summary.txt": self.summary,
+            **{name: [header, *rows] for name, (header, rows) in self.tables.items()},
+        }
         written = []
-        path = os.path.join(self.output_dir, "report.kv")
-        with open(path, "w", encoding="ascii") as fh:
-            for key, value in self.kv:
-                fh.write(f"{key} = {value}\n")
-        written.append(path)
-        path = os.path.join(self.output_dir, "summary.txt")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(self.summary) + "\n")
-        written.append(path)
-        for name, (header, rows) in self.tables.items():
-            path = os.path.join(self.output_dir, name)
-            with open(path, "w", encoding="ascii") as fh:
-                fh.write(header + "\n")
-                for row in rows:
-                    fh.write(row + "\n")
-            written.append(path)
+        try:
+            os.makedirs(self.output_dir, exist_ok=True)
+            for name, lines in files.items():
+                path = os.path.join(self.output_dir, name)
+                with open(path, "w", encoding="utf-8") as fh:
+                    fh.writelines(line + "\n" for line in lines)
+                written.append(path)
+        except OSError as exc:
+            raise ConfigError(f"cannot write the report to {self.output_dir}: {exc}") from None
         return written
 
 
 def read_kv(path) -> dict[str, str]:
     """Parse a report.kv file back into a dict (test and tooling helper)."""
     out: dict[str, str] = {}
-    with open(path, encoding="ascii") as fh:
+    with open(path, encoding="utf-8") as fh:
         for line in fh:
             if " = " in line:
                 key, value = line.rstrip("\n").split(" = ", 1)

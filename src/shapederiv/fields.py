@@ -6,6 +6,10 @@ energy kernels consume grad(f) directly.  Batch convention matches
 ``flow``: points (..., 2) -> values (..., 2), gradients (..., 2, 2) with
 ``gradient(p)[..., i, j] = d f_i / d x_j``.
 
+The constant and rotational forces are polynomials, so ``ConstantForce``
+and ``RotationalForce`` return a ``flow.QuadraticField``, whose
+``gradient`` is its Jacobian.
+
 ``trig_manufactured`` is a full manufactured Stokes problem (velocity,
 pressure, force, traction) written out in closed form with exact
 gradients.  ``tests/manufactured_oracle.py`` derives the same fields
@@ -15,9 +19,11 @@ symbolically and checks the closed form against them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
+
+from .flow import ConstantField, QuadraticField, RotationField
 
 __all__ = [
     "ForceField",
@@ -31,7 +37,8 @@ __all__ = [
 
 
 class ForceField:
-    """Interface: ``evaluate(points)`` and, for forces, ``gradient(points)``."""
+    """Interface: ``evaluate(points)`` and, for forces, ``gradient(points)``.
+    ``flow.QuadraticField`` has both without deriving from it."""
 
     def evaluate(self, points) -> np.ndarray:
         raise NotImplementedError
@@ -40,35 +47,14 @@ class ForceField:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
-class ConstantForce(ForceField):
-    value: tuple[float, float] = (1.0, 0.0)
-
-    def evaluate(self, points):
-        p = np.asarray(points, dtype=float)
-        return np.broadcast_to(np.asarray(self.value, dtype=float), p.shape).copy()
-
-    def gradient(self, points):
-        p = np.asarray(points, dtype=float)
-        return np.zeros(p.shape[:-1] + (2, 2))
+def ConstantForce(value: Sequence[float] = (1.0, 0.0)) -> QuadraticField:
+    """f(x) = value."""
+    return ConstantField(b=value)
 
 
-@dataclass(frozen=True)
-class RotationalForce(ForceField):
+def RotationalForce(c: float = 1.0) -> QuadraticField:
     """f(x) = c * (-x2, x1): equivariant under rotations about the origin."""
-
-    c: float = 1.0
-
-    def evaluate(self, points):
-        p = np.asarray(points, dtype=float)
-        return self.c * np.stack([-p[..., 1], p[..., 0]], axis=-1)
-
-    def gradient(self, points):
-        p = np.asarray(points, dtype=float)
-        g = np.zeros(p.shape[:-1] + (2, 2))
-        g[..., 0, 1] = -self.c
-        g[..., 1, 0] = self.c
-        return g
+    return RotationField(c)
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,10 @@ A stationary velocity field Lambda deforms the plane through the
 autonomous system  d(phi)/ds = Lambda(phi), phi(0) = x.  Integrating the
 variational equation dJ/ds = grad(Lambda)(phi) J alongside gives the flow
 Jacobian, whose determinant must stay positive for the map to remain a
-diffeomorphism.  All field families are closed-form, so their Jacobians
+diffeomorphism.  Every velocity is one ``QuadraticField``, a polynomial
+of degree at most 2 per component, optionally times a cutoff window;
+``ZeroField``, ``ConstantField``, ``AffineField`` and ``RotationField``
+only choose its coefficients, and ``negated()`` flips them.  Jacobians
 and divergences are exact; this matters because downstream first-order
 kernels consume grad(Lambda) and div(Lambda) directly and any
 finite-difference noise would pollute the o(s) residual checks.
@@ -15,7 +18,8 @@ of shape (..., 2), Jacobians (..., 2, 2) and divergences (...,).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -130,96 +134,88 @@ class VelocityField:
         jac = self.jacobian(points)
         return jac[..., 0, 0] + jac[..., 1, 1]
 
-    def negated(self) -> "VelocityField":
-        """Field with the opposite sign, generating the inverse flow."""
-        return _Negated(inner=self)
-
-
-@dataclass(frozen=True, kw_only=True)
-class _Negated(VelocityField):
-    inner: VelocityField
-
-    def evaluate(self, points):
-        return -self.inner.evaluate(points)
-
-    def jacobian(self, points):
-        return -self.inner.jacobian(points)
-
-    def divergence(self, points):
-        return -self.inner.divergence(points)
-
-
-@dataclass(frozen=True, kw_only=True)
-class ZeroField(VelocityField):
-    def _evaluate(self, p):
-        return np.zeros(p.shape)
-
-    def _jacobian(self, p):
-        return np.zeros(p.shape[:-1] + (2, 2))
-
-
-@dataclass(frozen=True, kw_only=True)
-class ConstantField(VelocityField):
-    b: tuple[float, float]
-
-    def _evaluate(self, p):
-        return np.broadcast_to(np.asarray(self.b, dtype=float), p.shape).copy()
-
-    def _jacobian(self, p):
-        return np.zeros(p.shape[:-1] + (2, 2))
-
-
-@dataclass(frozen=True, kw_only=True)
-class AffineField(VelocityField):
-    """Lambda(x) = M x + b with a constant matrix M."""
-
-    M: tuple[tuple[float, float], tuple[float, float]]
-    b: tuple[float, float] = (0.0, 0.0)
-
-    def matrix(self) -> np.ndarray:
-        return np.asarray(self.M, dtype=float)
-
-    def _evaluate(self, p):
-        return p @ self.matrix().T + np.asarray(self.b, dtype=float)
-
-    def _jacobian(self, p):
-        return np.broadcast_to(self.matrix(), p.shape[:-1] + (2, 2)).copy()
-
-
-def RotationField(omega: float = 1.0, window: CutoffWindow | None = None) -> AffineField:
-    """Rigid rotation velocity Lambda(x) = omega * (-x2, x1); divergence-free."""
-    return AffineField(M=((0.0, -float(omega)), (float(omega), 0.0)), window=window)
-
 
 @dataclass(frozen=True, kw_only=True)
 class QuadraticField(VelocityField):
-    """Per-component degree-2 polynomial velocity.
+    """Per-component polynomial of degree at most 2.
 
     ``coeffs[i]`` holds the six coefficients of component i against the
-    monomials (1, x1, x2, x1^2, x1*x2, x2^2).
+    monomials (1, x1, x2, x1^2, x1*x2, x2^2).  Without degree-2 terms the
+    field is affine, Lambda(x) = M x + b, and is evaluated as such.
     """
 
     coeffs: tuple[tuple[float, ...], tuple[float, ...]]
 
     def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=float)
-        if c.shape != (2, 6):
+        if self._c.shape != (2, 6):
             raise ValueError("coeffs must be 2 components x 6 monomials")
 
+    @cached_property
+    def _c(self) -> np.ndarray:
+        return np.asarray(self.coeffs, dtype=float)
+
+    @cached_property
+    def _affine(self) -> bool:
+        return not self._c[:, 3:].any()
+
+    @property
+    def b(self) -> tuple[float, float]:
+        """The constant terms."""
+        return tuple(self._c[:, 0].tolist())
+
+    def matrix(self) -> np.ndarray:
+        """The linear terms M: ``matrix()[i, j]`` multiplies x_j in component i."""
+        return self._c[:, 1:3].copy()
+
     def _evaluate(self, p):
+        if self._affine:
+            return p @ self.matrix().T + self._c[:, 0]
         x, y = p[..., 0], p[..., 1]
         v = np.empty(p.shape)
-        for i, (c0, c1, c2, c3, c4, c5) in enumerate(np.asarray(self.coeffs, dtype=float)):
+        for i, (c0, c1, c2, c3, c4, c5) in enumerate(self._c):
             v[..., i] = c0 + x * (c1 + c3 * x + c4 * y) + y * (c2 + c5 * y)
         return v
 
     def _jacobian(self, p):
+        if self._affine:
+            return np.broadcast_to(self.matrix(), p.shape[:-1] + (2, 2)).copy()
         x, y = p[..., 0], p[..., 1]
         jac = np.empty(p.shape[:-1] + (2, 2))
-        for i, (_, c1, c2, c3, c4, c5) in enumerate(np.asarray(self.coeffs, dtype=float)):
+        for i, (_, c1, c2, c3, c4, c5) in enumerate(self._c):
             jac[..., i, 0] = c1 + 2.0 * c3 * x + c4 * y
             jac[..., i, 1] = c2 + c4 * x + 2.0 * c5 * y
         return jac
+
+    def gradient(self, points) -> np.ndarray:
+        """The Jacobian, under the name a force field gives it."""
+        return self.jacobian(points)
+
+    def negated(self) -> "QuadraticField":
+        """Field with the opposite sign, generating the inverse flow."""
+        return replace(self, coeffs=tuple(map(tuple, (-self._c).tolist())))
+
+
+def AffineField(
+    *, M: Sequence[Sequence[float]], b: Sequence[float] = (0.0, 0.0), window: CutoffWindow | None = None
+) -> QuadraticField:
+    """Lambda(x) = M x + b with a constant matrix M."""
+    linear = np.column_stack([b, M, np.zeros((2, 3))])
+    return QuadraticField(coeffs=tuple(map(tuple, linear.tolist())), window=window)
+
+
+def ZeroField(*, window: CutoffWindow | None = None) -> QuadraticField:
+    """Lambda = 0."""
+    return AffineField(M=np.zeros((2, 2)), window=window)
+
+
+def ConstantField(*, b: Sequence[float], window: CutoffWindow | None = None) -> QuadraticField:
+    """Lambda = b, a rigid translation."""
+    return AffineField(M=np.zeros((2, 2)), b=b, window=window)
+
+
+def RotationField(omega: float = 1.0, window: CutoffWindow | None = None) -> QuadraticField:
+    """Rigid rotation velocity Lambda(x) = omega * (-x2, x1); divergence-free."""
+    return AffineField(M=((0.0, -float(omega)), (float(omega), 0.0)), window=window)
 
 
 @dataclass(frozen=True)

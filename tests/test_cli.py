@@ -270,6 +270,24 @@ def test_malformed_input_files_exit_2(tmp_path, capsys, case):
     assert where in err
 
 
+def test_config_that_is_not_utf8_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(b"[mesh]\n# caf\xe9\nkind = unit_square\n\n[force]\nname = trig\n")
+    assert main(["stokes-solve", "--config", str(cfg), "--output", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ConfigError: cannot read config:") and "0xe9" in err
+
+
+@pytest.mark.parametrize("output", ["taken", "taken/sub"], ids=["file", "below-a-file"])
+def test_output_that_cannot_be_a_directory_exits_2(tmp_path, capsys, output):
+    (tmp_path / "taken").write_text("")
+    cfg = write(tmp_path / "run.cfg", "[run]\ns_list = 1e-2\n")
+    assert main(["qp-demo", "--config", cfg, "--output", str(tmp_path / output)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: ConfigError: cannot write the report to {tmp_path / output}:")
+    assert err.count("\n") == 1
+
+
 def test_missing_sections_reported(tmp_path):
     cfg = write(tmp_path / "a.cfg", "[mesh]\nkind = unit_square\n")
     with pytest.raises(ConfigError, match="force"):
@@ -481,6 +499,24 @@ def test_mesh_from_file(tmp_path):
     assert main(["stokes-solve", "--config", cfg, "--output", str(out)]) == 0
     kv = read_kv(out / "report.kv")
     assert float(kv["result.u_max"]) <= 1e-9
+
+
+@pytest.mark.parametrize("command", ["stokes-solve", "qp-demo"])
+def test_non_ascii_input_path_is_recorded(tmp_path, command):
+    if command == "stokes-solve":
+        path = tmp_path / "méš.txt"
+        sd.write_mesh(path, sd.unit_square_mesh(2, {"right"}))
+        text = f"[mesh]\nkind = file\npath = {path}\n\n[force]\nname = constant\nvalue = 1 0\n"
+        key = "config.mesh.path"
+    else:
+        path = tmp_path / "qéš.txt"
+        sd.save_qp(path, sd.ConeQP(A=np.eye(2), B=np.eye(2), f=np.array([1.0, 2.0])))
+        text, key = f"[qp]\npath = {path}\n", "config.qp.path"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text, encoding="utf-8")
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--output", str(out)]) == 0
+    assert read_kv(out / "report.kv")[key] == str(path)
 
 
 def test_reports_are_byte_identical(tmp_path):

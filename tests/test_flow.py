@@ -5,6 +5,7 @@ import pytest
 import scipy.linalg
 
 import shapederiv as sd
+from shapederiv.fields import ConstantForce, RotationalForce
 from shapederiv.flow import CutoffWindow, flow_points
 
 
@@ -28,7 +29,12 @@ ALL_FIELDS = [
 ]
 
 
-@pytest.mark.parametrize("field", ALL_FIELDS, ids=lambda f: type(f).__name__ + ("_win" if f.window else ""))
+@pytest.mark.parametrize(
+    "field",
+    ALL_FIELDS,
+    ids=["ZeroField", "ConstantField", "AffineField0", "AffineField1", "QuadraticField", "ConstantField_win",
+         "QuadraticField_win"],
+)
 def test_jacobian_matches_finite_differences(field):
     rng = np.random.default_rng(1)
     eps = 1e-6
@@ -178,3 +184,119 @@ def test_window_validation():
     win = CutoffWindow(lo=(0.0, 0.0), hi=(1.0, 1.0), ramp=0.25)
     assert win.value(np.array([0.5, 0.5])) == 1.0
     assert win.value(np.array([1.5, 0.5])) == 0.0
+
+
+# --- every polynomial field is a QuadraticField --------------------------------
+# Oracles: the closed forms the constructors' fields had as classes of their own.
+
+M_AFFINE = ((0.3, 0.1), (-0.2, 0.15))
+B_AFFINE = (0.05, -0.04)
+WINDOW = CutoffWindow(lo=(-0.6, -0.4), hi=(0.9, 1.1))
+
+
+# Each oracle is a pair: value(p) and Jacobian(p).
+def _affine_oracle(M, b=(0.0, 0.0)):
+    M = np.asarray(M, dtype=float)
+    return (
+        lambda p: p @ M.T + np.asarray(b, dtype=float),
+        lambda p: np.broadcast_to(M, p.shape[:-1] + (2, 2)).copy(),
+    )
+
+
+def _constant_oracle(b):
+    return (
+        lambda p: np.broadcast_to(np.asarray(b, dtype=float), p.shape).copy(),
+        lambda p: np.zeros(p.shape[:-1] + (2, 2)),
+    )
+
+
+def _rotational_oracle(c):
+    def gradient(p):
+        g = np.zeros(p.shape[:-1] + (2, 2))
+        g[..., 0, 1] = -c
+        g[..., 1, 0] = c
+        return g
+
+    return lambda p: c * np.stack([-p[..., 1], p[..., 0]], axis=-1), gradient
+
+
+def _windowed(oracle, window):
+    value, jacobian = oracle
+
+    def windowed_jacobian(p):
+        chi, grad_chi = window.value(p), window.gradient(p)
+        return chi[..., None, None] * jacobian(p) + value(p)[..., :, None] * grad_chi[..., None, :]
+
+    return lambda p: value(p) * window.value(p)[..., None], windowed_jacobian
+
+
+CONSTRUCTORS = {
+    "zero": (sd.ZeroField(), _constant_oracle((0.0, 0.0))),
+    "constant": (sd.ConstantField(b=(0.4, -0.7)), _constant_oracle((0.4, -0.7))),
+    "affine": (sd.AffineField(M=M_AFFINE, b=B_AFFINE), _affine_oracle(M_AFFINE, B_AFFINE)),
+    "affine-no-b": (sd.AffineField(M=M_AFFINE), _affine_oracle(M_AFFINE)),
+    "rotation": (sd.RotationField(1.3), _affine_oracle(((0.0, -1.3), (1.3, 0.0)))),
+    "rotation-default": (sd.RotationField(), _affine_oracle(((0.0, -1.0), (1.0, 0.0)))),
+    "constant-force": (ConstantForce(value=(0.7, -0.3)), _constant_oracle((0.7, -0.3))),
+    "constant-force-default": (ConstantForce(), _constant_oracle((1.0, 0.0))),
+    "rotational-force": (RotationalForce(c=0.8), _rotational_oracle(0.8)),
+    "rotational-force-default": (RotationalForce(), _rotational_oracle(1.0)),
+    "zero-windowed": (sd.ZeroField(window=WINDOW), _windowed(_constant_oracle((0.0, 0.0)), WINDOW)),
+    "constant-windowed": (
+        sd.ConstantField(b=(0.4, -0.7), window=WINDOW),
+        _windowed(_constant_oracle((0.4, -0.7)), WINDOW),
+    ),
+    "affine-windowed": (
+        sd.AffineField(M=M_AFFINE, b=B_AFFINE, window=WINDOW),
+        _windowed(_affine_oracle(M_AFFINE, B_AFFINE), WINDOW),
+    ),
+    "rotation-windowed": (
+        sd.RotationField(0.9, window=WINDOW),
+        _windowed(_affine_oracle(((0.0, -0.9), (0.9, 0.0))), WINDOW),
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def seeded_points():
+    return np.random.default_rng(12).uniform(-1.5, 1.5, size=(6, 40, 2))
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(CONSTRUCTORS))
+def test_constructors_are_quadratic_fields_with_the_closed_forms(seeded_points, name):
+    field, (value, jacobian) = CONSTRUCTORS[name]
+    p, jac = seeded_points, jacobian(seeded_points)
+    assert type(field) is sd.QuadraticField
+    assert _same_bits(field.evaluate(p), value(p))
+    assert _same_bits(field.jacobian(p), jac)
+    assert _same_bits(field.divergence(p), jac[..., 0, 0] + jac[..., 1, 1])
+    assert _same_bits(field.gradient(p), field.jacobian(p))
+
+
+def test_affine_accessors():
+    field = sd.AffineField(M=M_AFFINE, b=B_AFFINE)
+    assert np.array_equal(field.matrix(), np.asarray(M_AFFINE)) and field.matrix().flags.c_contiguous
+    assert field.b == B_AFFINE
+    assert sd.RotationField(2.0).b == (0.0, 0.0)
+
+
+@pytest.mark.parametrize(
+    "field",
+    [
+        sd.AffineField(M=M_AFFINE, b=B_AFFINE, window=WINDOW),
+        sd.QuadraticField(coeffs=QUADRATIC.coeffs, window=WINDOW),
+        QUADRATIC,
+    ],
+    ids=["affine-windowed", "quadratic-windowed", "quadratic"],
+)
+def test_negated_is_the_exact_negation(seeded_points, field):
+    neg, p = field.negated(), seeded_points
+    assert type(neg) is sd.QuadraticField and neg.window == field.window
+    for method in ("evaluate", "jacobian", "divergence"):
+        assert np.array_equal(getattr(neg, method)(p), -getattr(field, method)(p))
+    assert neg.negated() == field
+    assert np.array_equal(neg.negated().evaluate(p), field.evaluate(p))

@@ -1,9 +1,11 @@
 """Mutated input files end in a categorized error, never a raw exception.
 
 Each example takes a valid QP instance, mesh or config file, drops,
-duplicates or swaps a few lines or tokens, and reads it back.  The reader
-may accept the result or raise ValueError, OSError or a ShapeDerivError
-(which the CLI maps to exit 2 or 1); anything else fails the test.
+duplicates or swaps a few lines or tokens, or puts a byte that is not
+UTF-8 in place of one, and reads it back.  ``parse_config`` may accept the
+result or raise ConfigError, the only error the CLI expects from it.  The
+QP and mesh readers may also raise ValueError or OSError, which their CLI
+callers turn into a ConfigError; anything else fails the test.
 """
 
 import os
@@ -16,6 +18,7 @@ from hypothesis import strategies as st
 
 import shapederiv as sd
 from shapederiv.cli.config import parse_config
+from shapederiv.errors import ConfigError
 
 
 def _qp_text(path):
@@ -42,10 +45,12 @@ def _config_text(path):
         )
 
 
+FILE_ERRORS = (ValueError, OSError, sd.ShapeDerivError)
+# reader -> (writer of a valid file, reader, the errors it may raise)
 READERS = {
-    "load_qp": (_qp_text, sd.load_qp),
-    "read_mesh": (_mesh_text, sd.read_mesh),
-    "parse_config": (_config_text, lambda path: parse_config(path, "fd-verify")),
+    "load_qp": (_qp_text, sd.load_qp, FILE_ERRORS),
+    "read_mesh": (_mesh_text, sd.read_mesh, FILE_ERRORS),
+    "parse_config": (_config_text, lambda path: parse_config(path, "fd-verify"), ConfigError),
 }
 
 
@@ -67,19 +72,42 @@ def _mutate(lines: list[str], data) -> list[str]:
     return [" ".join(row) for row in rows]
 
 
+def _read_mutated(reader, mutate):
+    """Write the reader's valid file, replace its bytes by ``mutate(bytes)``
+    and read it back."""
+    write_valid, read, allowed = READERS[reader]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "input.txt")
+        write_valid(path)
+        with open(path, "rb") as fh:
+            raw = mutate(fh.read())
+        with open(path, "wb") as fh:
+            fh.write(raw)
+        try:
+            read(path)
+        except allowed:
+            pass
+
+
 @pytest.mark.parametrize("reader", sorted(READERS))
 @settings(max_examples=500, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_mutated_inputs_raise_only_categorized_errors(reader, data):
-    write_valid, read = READERS[reader]
-    with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "input.txt")
-        write_valid(path)
-        with open(path, encoding="ascii") as fh:
-            lines = fh.read().splitlines()
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write("\n".join(_mutate(lines, data)) + "\n")
-        try:
-            read(path)
-        except (ValueError, OSError, sd.ShapeDerivError):
-            pass
+    def mutate(raw):
+        lines = _mutate(raw.decode("ascii").splitlines(), data)
+        return ("\n".join(lines) + "\n").encode("ascii")
+
+    _read_mutated(reader, mutate)
+
+
+@pytest.mark.parametrize("reader", sorted(READERS))
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_non_utf8_byte_raises_only_categorized_errors(reader, data):
+    def mutate(raw):
+        i = data.draw(st.integers(0, len(raw) - 1), label="byte")
+        # a stray continuation byte, lead bytes before ASCII, and a byte UTF-8 never uses
+        bad = data.draw(st.sampled_from([0x80, 0xC3, 0xE9, 0xFF]), label="value")
+        return raw[:i] + bytes([bad]) + raw[i + 1 :]
+
+    _read_mutated(reader, mutate)
