@@ -10,16 +10,21 @@ import numpy as np
 
 
 def numbered_lines(path, comment: str | None = None) -> list[tuple[int, str]]:
-    """Non-blank lines of a text file, stripped, with their 1-based numbers.
-
-    Lines that start with ``comment`` are skipped.
+    """Non-blank lines of a UTF-8 text file, stripped, with their 1-based
+    numbers.  Lines that start with ``comment`` are skipped.
     """
-    with open(path, encoding="ascii") as fh:
-        return [
-            (number, line.strip())
-            for number, line in enumerate(fh, 1)
-            if line.strip() and not (comment and line.startswith(comment))
-        ]
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        lines = list(enumerate(fh, 1))
+    for number, line in lines:
+        try:
+            line.encode("utf-8")
+        except UnicodeEncodeError as exc:  # a byte that is not UTF-8, escaped to U+DC80..U+DCFF
+            raise ValueError(f"{path}, line {number}: byte 0x{ord(line[exc.start]) - 0xDC00:02x} is not UTF-8") from None
+    return [
+        (number, line.strip())
+        for number, line in lines
+        if line.strip() and not (comment and line.startswith(comment))
+    ]
 
 
 def block_sizes(path, line: tuple[int, str], block: str, count: int) -> list[int]:

@@ -125,31 +125,38 @@ def _mesh_file(path: str) -> TriMesh:
         raise ConfigError(f"mesh file: {exc}") from None
 
 
-# Builders by kind or name.  A velocity, force or traction builder gets the
-# keys its section sets and passes each on only when the file sets it, so
-# the field's own default applies otherwise.
+class _Builder(NamedTuple):
+    """A velocity kind's, force's or traction's constructor and the keys of
+    its section that it reads, as constructor argument -> key."""
+
+    make: Callable
+    needs: dict = {}  # keys the section must set
+    takes: dict = {}  # keys passed on only when set, so the default applies otherwise
+
+
+# Builders by kind or name.
 _MESH_KINDS = {
     "unit_square": lambda cfg: unit_square_mesh(cfg.value("mesh", "n"), set(cfg.value("mesh", "neumann_sides"))),
     "disk": lambda cfg: disk_mesh(cfg.value("mesh", "rings")),
     "file": lambda cfg: _mesh_file(cfg.value("mesh", "path")),
 }
 _VELOCITY_KINDS = {
-    "zero": lambda p, window: ZeroField(window=window),
-    "constant": lambda p, window: ConstantField(b=p["b"], window=window),
-    "affine": lambda p, window: AffineField(M=p["matrix"], window=window, **_pick(p, b="b")),
-    "rotation": lambda p, window: RotationField(window=window, **_pick(p, omega="omega")),
-    "quadratic": lambda p, window: QuadraticField(coeffs=p["coeffs"], window=window),
+    "zero": _Builder(ZeroField),
+    "constant": _Builder(ConstantField, needs={"b": "b"}),
+    "affine": _Builder(AffineField, needs={"M": "matrix"}, takes={"b": "b"}),
+    "rotation": _Builder(RotationField, takes={"omega": "omega"}),
+    "quadratic": _Builder(QuadraticField, needs={"coeffs": "coeffs"}),
 }
 _FORCES = {
-    "constant": lambda p: ConstantForce(**_pick(p, value="value")),
-    "rotational": lambda p: RotationalForce(**_pick(p, c="scale")),
-    "trig": lambda p: TrigForce(**_pick(p, c="scale")),
-    "manufactured-trig": lambda p: trig_manufactured().force,
+    "constant": _Builder(ConstantForce, takes={"value": "value"}),
+    "rotational": _Builder(RotationalForce, takes={"c": "scale"}),
+    "trig": _Builder(TrigForce, takes={"c": "scale"}),
+    "manufactured-trig": _Builder(lambda: trig_manufactured().force),
 }
 _TRACTIONS = {
-    "none": lambda p: None,
-    "constant-left": lambda p: LeftEdgeTraction(**_pick(p, value="value")),
-    "manufactured-trig": lambda p: trig_manufactured().traction,
+    "none": _Builder(lambda: None),
+    "constant-left": _Builder(LeftEdgeTraction, takes={"value": "value"}),
+    "manufactured-trig": _Builder(lambda: trig_manufactured().traction),
 }
 
 # command -> the sections it cannot run without, in the order they are checked
@@ -245,25 +252,35 @@ class RunConfig:
             )
         return mesh
 
+    def _build(self, section: str, field: str, registry: dict, read=(), **extra):
+        """Build what ``section.field`` names with its registry entry.  A key
+        of the section that neither the entry nor the caller (``read``)
+        reads is a ConfigError, as is a missing ``needs`` key."""
+        given, name = self.values.get(section, {}), self.value(section, field)
+        make, needs, takes = registry[name]
+        unread = [key for key in given if key not in (field, *read, *needs.values(), *takes.values())]
+        missing = [key for key in needs.values() if key not in given]
+        for problem, keys in (("does not read", unread), ("is missing", missing)):
+            if keys:
+                raise ConfigError(f"{section} {field} '{name}' {problem} key '{keys[0]}'")
+        return make(**_pick(given, **needs, **takes), **extra)
+
     def build_velocity(self) -> VelocityField:
         p = self.values["velocity"]
-        kind = p["kind"]
         try:
             window = None
-            if "window" in p:
+            if "window" in p:  # every kind reads the window, and the ramp only with it
                 w = p["window"]
                 window = CutoffWindow(lo=(w[0], w[2]), hi=(w[1], w[3]), **_pick(p, ramp="ramp"))
-            return _VELOCITY_KINDS[kind](p, window)
-        except KeyError as exc:
-            raise ConfigError(f"velocity kind '{kind}' is missing key {exc}") from None
+            return self._build("velocity", "kind", _VELOCITY_KINDS, ("window", "ramp") if window else (), window=window)
         except ValueError as exc:
             raise ConfigError(f"velocity: {exc}") from None
 
     def build_force(self):
-        return _FORCES[self.value("force", "name")](self.values["force"])
+        return self._build("force", "name", _FORCES)
 
     def build_traction(self):
-        return _TRACTIONS[self.value("traction", "name")](self.values.get("traction", {}))
+        return self._build("traction", "name", _TRACTIONS)
 
     def resolved_items(self) -> list[tuple[str, str]]:
         """Flat, ordered view of every setting, embedded in reports."""

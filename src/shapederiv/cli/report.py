@@ -26,13 +26,18 @@ def vec17(values) -> str:
 
 class ReportWriter:
     """Collects key-value pairs, summary lines and CSV tables, then writes
-    summary.txt, report.kv and one file per table into the output directory."""
+    summary.txt, report.kv and one file per table into the output directory,
+    which it makes at once: one that cannot be made or written is a ConfigError."""
 
     def __init__(self, output_dir: str):
         self.output_dir = output_dir
         self.kv: list[tuple[str, str]] = []
         self.summary: list[str] = []
         self.tables: dict[str, tuple[str, list[str]]] = {}
+        try:
+            os.makedirs(output_dir, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot write the report to {output_dir}: {exc}") from None
 
     def add_kv(self, key: str, value) -> None:
         if isinstance(value, float):
@@ -46,8 +51,7 @@ class ReportWriter:
         self.tables[name] = (header, rows)
 
     def write(self) -> list[str]:
-        """Write report.kv, summary.txt and the tables as UTF-8; returns their
-        paths.  An output directory that cannot be written is a ConfigError."""
+        """Write report.kv, summary.txt and the tables as UTF-8; returns their paths."""
         files = {
             "report.kv": [f"{key} = {value}" for key, value in self.kv],
             "summary.txt": self.summary,
@@ -55,7 +59,6 @@ class ReportWriter:
         }
         written = []
         try:
-            os.makedirs(self.output_dir, exist_ok=True)
             for name, lines in files.items():
                 path = os.path.join(self.output_dir, name)
                 with open(path, "w", encoding="utf-8") as fh:

@@ -90,9 +90,9 @@ def assemble_perturbation(
 
 def _check_solved(system: StokesSystem, solution: StokesSolution, f1: np.ndarray) -> None:
     sizes = {
-        "velocity": (solution.u.shape, system.A.shape[0]),
+        "velocity": (solution.u.shape, system.space.num_velocity),
         "pressure": (solution.lam.shape, system.B.shape[0]),
-        "f1": (np.shape(f1), system.A.shape[0]),
+        "f1": (np.shape(f1), system.space.num_velocity),
     }
     for name, (shape, n) in sizes.items():
         if shape != (n,):

@@ -14,19 +14,20 @@ along a contraction path, so that it costs what its arithmetic costs; the
 direct einsum forms are kept as test oracles.  Element blocks become
 global arrays in three ``FunctionSpace`` methods only --
 ``stiffness_matrix``, ``pairing_matrix`` and ``load_vector`` -- which sum
-contributions in a fixed order and drop the Dirichlet dofs.  The state
-system and its first-order perturbation go through the same three, so
-they pair dof for dof and repeated assemblies are bit-identical.
+contributions in a fixed order, through one ``_scatter`` for matrices,
+and drop the Dirichlet dofs.  The state system and its perturbation go
+through the same three, so they pair dof for dof and repeated assemblies
+are bit-identical.
 
-Saddle systems are solved through their structure rather than by one LU of
-the bordered matrix: both velocity components share the Dirichlet nodes,
-so the stiffness is two interleaved copies of the scalar P2 Laplacian,
-which is factored once at half size; the pressure then comes from
-conjugate gradients on the Schur complement B A^-1 B', preconditioned by
-the P1 pressure mass matrix (Elman, Silvester & Wathen, "Finite Elements
-and Fast Iterative Solvers", OUP 2014).  Inf-sup stability bounds the
-preconditioned spectrum independently of the mesh, so the iteration count
-does not grow under refinement.
+Both velocity components vanish on the same Dirichlet nodes, so the
+stiffness is A = kron(L, I_2), L the scalar P2 Laplacian on the free
+nodes; a system stores L and applies A as L times the (n, 2) velocity,
+bitwise equal to A u.  The saddle system is solved through its structure:
+one LU of L, then conjugate gradients on the Schur complement B A^-1 B',
+preconditioned by the P1 pressure mass matrix (Elman, Silvester & Wathen,
+"Finite Elements and Fast Iterative Solvers", OUP 2014), whose iteration
+count inf-sup stability keeps bounded under refinement.  Each system
+factors once, on first use, for ``solve_stokes`` and ``inf_sup_constant``.
 """
 
 from __future__ import annotations
@@ -118,6 +119,13 @@ def _edge_p2_values(t: np.ndarray) -> np.ndarray:
 _EDGE_P2 = _edge_p2_values(_EDGE_T)  # (3 quad, 3 nodes: start, end, mid)
 
 
+def _scatter(rows: np.ndarray, cols: np.ndarray, blocks: np.ndarray, shape) -> sparse.csr_matrix:
+    """Sum element blocks into a sparse matrix: ``blocks[k]`` lands at
+    (``rows[k]``, ``cols[k]``), with the indices broadcast to the blocks."""
+    rows, cols = (np.broadcast_to(i, blocks.shape).ravel() for i in (rows, cols))
+    return sparse.coo_matrix((blocks.ravel(), (rows, cols)), shape=shape).tocsr()
+
+
 class FunctionSpace:
     """Taylor-Hood space on a mesh: P2 vector velocity, P1 scalar pressure.
 
@@ -154,10 +162,8 @@ class FunctionSpace:
         self.neumann_edges = edges[~on_dirichlet]  # (k, 3): start, end and midpoint node
         self.dirichlet_nodes = np.unique(edges[on_dirichlet])
 
-        constrained = np.zeros(2 * self.num_nodes, dtype=bool)
-        constrained[2 * self.dirichlet_nodes] = True
-        constrained[2 * self.dirichlet_nodes + 1] = True
-        self.free_dofs = np.nonzero(~constrained)[0]
+        self.free_nodes = np.setdiff1d(np.arange(self.num_nodes), self.dirichlet_nodes)
+        self.free_dofs = (2 * self.free_nodes[:, None] + np.arange(2)).ravel()
         self.num_velocity = self.free_dofs.size
 
         # Element geometry: affine maps, physical basis gradients, quadrature.
@@ -202,47 +208,35 @@ class FunctionSpace:
         return a
 
     def stiffness_matrix(self, ke: np.ndarray) -> sparse.csr_matrix:
-        """Velocity matrix on the free dofs from scalar P2 blocks (nt, 6, 6),
-        one copy per velocity component."""
-        nt = ke.shape[0]
-        node_dofs = 2 * self.tri_nodes
-        rows = np.broadcast_to(node_dofs[:, :, None], (nt, 6, 6))
-        cols = np.broadcast_to(node_dofs[:, None, :], (nt, 6, 6))
-        data = np.concatenate([ke.ravel(), ke.ravel()])
-        rr = np.concatenate([rows.ravel(), (rows + 1).ravel()])
-        cc = np.concatenate([cols.ravel(), (cols + 1).ravel()])
-        ndof = 2 * self.num_nodes
-        full = sparse.coo_matrix((data, (rr, cc)), shape=(ndof, ndof)).tocsr()
-        return full[self.free_dofs][:, self.free_dofs].tocsr()
+        """Scalar matrix on the free nodes from P2 blocks (nt, 6, 6); the
+        velocity matrix is its Kronecker product with I_2."""
+        nodes = self.tri_nodes
+        full = _scatter(nodes[:, :, None], nodes[:, None, :], ke, (self.num_nodes, self.num_nodes))
+        return full[self.free_nodes][:, self.free_nodes].tocsr()
 
     def pairing_matrix(self, be: np.ndarray) -> sparse.csr_matrix:
         """Pressure-by-velocity matrix on the free dofs from P1 x P2 blocks
         (nt, 3, 6, 2): vertex pressure, velocity node, component."""
-        shape = be.shape
-        rows = np.broadcast_to(self.mesh.triangles[:, :, None, None], shape)
-        cols = np.broadcast_to(2 * self.tri_nodes[:, None, :, None] + np.arange(2), shape)
-        full = sparse.coo_matrix(
-            (be.ravel(), (rows.ravel(), cols.ravel())), shape=(self.num_pressure, 2 * self.num_nodes)
-        ).tocsr()
-        return full[:, self.free_dofs].tocsr()
+        rows = self.mesh.triangles[:, :, None, None]
+        cols = 2 * self.tri_nodes[:, None, :, None] + np.arange(2)
+        return _scatter(rows, cols, be, (self.num_pressure, 2 * self.num_nodes))[:, self.free_dofs].tocsr()
 
-    def load_vector(self, fe: np.ndarray) -> np.ndarray:
-        """Load vector on the free dofs from element blocks (nt, 6, 2)."""
-        return self._scatter_load(self.tri_nodes, fe)
-
-    def _scatter_load(self, nodes: np.ndarray, blocks: np.ndarray) -> np.ndarray:
-        """Sum blocks (..., 2) into the velocity dofs of ``nodes``, in order."""
+    def load_vector(self, blocks: np.ndarray, nodes: np.ndarray | None = None) -> np.ndarray:
+        """Load vector on the free dofs: blocks (..., 2) summed in order into
+        the velocity dofs of ``nodes``, by default the triangles' (nt, 6)."""
         full = np.zeros(2 * self.num_nodes)
-        np.add.at(full, 2 * nodes[..., None] + np.arange(2), blocks)
+        np.add.at(full, 2 * (self.tri_nodes if nodes is None else nodes)[..., None] + np.arange(2), blocks)
         return full[self.free_dofs]
 
 
 @dataclass(frozen=True)
 class StokesSystem:
-    """Assembled saddle system: stiffness A, divergence pairing B, loads f, g."""
+    """Assembled saddle system: scalar stiffness L on the free nodes (the
+    velocity stiffness is A = kron(L, I_2)), divergence pairing B, loads f,
+    g, and the factored Schur operator once a solve has built it."""
 
     space: FunctionSpace
-    A: sparse.csr_matrix
+    L: sparse.csr_matrix
     B: sparse.csr_matrix
     f: np.ndarray
     g: np.ndarray | None = None
@@ -250,6 +244,20 @@ class StokesSystem:
     @property
     def rhs(self) -> np.ndarray:
         return self.f if self.g is None else self.f + self.g
+
+    @property
+    def A(self) -> sparse.csr_matrix:
+        """The velocity stiffness kron(L, I_2), built on every access; the
+        solver and the energy never form it."""
+        return sparse.kron(self.L, sparse.identity(2), format="csr")
+
+    def _schur(self) -> "_SchurComplement":
+        # Memoized by hand: before Python 3.12 functools' cached property
+        # takes one lock per class, which would serialize the
+        # factorizations of different systems.
+        if "_schur_complement" not in self.__dict__:
+            self.__dict__["_schur_complement"] = _SchurComplement(self)
+        return self.__dict__["_schur_complement"]
 
 
 @dataclass(frozen=True)
@@ -280,7 +288,7 @@ def assemble(mesh: TriMesh, f_field: ForceField, g_field: ForceField | None = No
     # sum_q coef grad(phi_a).grad(phi_b), one 6x6 product per component;
     # sum_q coef psi_p grad(phi_a); and sum_q coef phi_a f.
     weighted = pg * coef[:, :, None, None]
-    A = space.stiffness_matrix(sum(np.swapaxes(weighted[..., i], 1, 2) @ pg[..., i] for i in range(2)))
+    L = space.stiffness_matrix(sum(np.swapaxes(weighted[..., i], 1, 2) @ pg[..., i] for i in range(2)))
     B = space.pairing_matrix(((coef[:, None, :] * _P1_VALS.T) @ pg.reshape(nt, -1, 12)).reshape(nt, 3, 6, 2))
     f_vals = f_field.evaluate(space.quad_points)  # (nt, nq, 2)
     f = space.load_vector(_P2_VALS.T @ (coef[:, :, None] * f_vals))
@@ -293,8 +301,8 @@ def assemble(mesh: TriMesh, f_field: ForceField, g_field: ForceField | None = No
         length = np.sqrt(np.vecdot(tangent, tangent))  # the dot of np.linalg.norm, per edge
         xq = start[:, None, :] + _EDGE_T[None, :, None] * tangent[:, None, :]
         ge = length[:, None, None] * np.einsum("q,qa,eqc->eac", _EDGE_W, _EDGE_P2, g_field.evaluate(xq))
-        g = space._scatter_load(space.neumann_edges, ge)
-    return StokesSystem(space=space, A=A, B=B, f=f, g=g)
+        g = space.load_vector(ge, space.neumann_edges)
+    return StokesSystem(space=space, L=L, B=B, f=f, g=g)
 
 
 # Schur-complement CG stops once the recursively updated residual falls
@@ -314,28 +322,24 @@ _EIG_MAX_ITER = 200
 class _SchurComplement:
     """The pressure Schur complement S = B A^-1 B' of a Taylor-Hood system.
 
-    Both velocity components vanish on the same Dirichlet nodes, so the
-    free dofs come in (x, y) pairs per node and A = kron(L, I_2) with L the
-    scalar P2 Laplacian.  A^-1 is one LU of L applied to the two components
-    as columns.  The P1 pressure mass matrix M is factored as the
-    preconditioner.  With ``pin_pressure`` the first pressure dof is
-    dropped from B and M.
+    A = kron(L, I_2), so A^-1 is one LU of the scalar stiffness L applied
+    to the two velocity components as columns.  The P1 pressure mass
+    matrix M is factored as the preconditioner.  A mesh with no Neumann
+    edge fixes the pressure only up to a constant, so there the first
+    pressure dof is dropped from B and M (the pressure is pinned).
     """
 
-    def __init__(self, system: StokesSystem, pin_pressure: bool):
-        A = system.A
-        L = A[0::2, 0::2]
-        if A.nnz != 2 * L.nnz or (A[1::2, 1::2] != L).nnz:
-            raise SingularSystem("velocity stiffness is not one scalar block per component")
-        self.B = system.B[1:] if pin_pressure else system.B
+    def __init__(self, system: StokesSystem):
+        pinned = not len(system.space.neumann_edges)
+        self.B = system.B[1:] if pinned else system.B
         self.Bt = self.B.T.tocsr()  # B' applied on every CG step and in the back-solve
         mass = pressure_mass_matrix(system.space)
-        self.M = mass[1:, 1:] if pin_pressure else mass
+        self.M = mass[1:, 1:] if pinned else mass
         row_norms = np.sqrt(np.asarray(self.B.multiply(self.B).sum(axis=1)).ravel())
         if self.B.shape[0] > self.B.shape[1] or not np.all(row_norms > 0.0):
             raise SingularSystem("divergence pairing is rank deficient: the pressure is not unique")
         try:
-            self._velocity = spla.splu(L.tocsc(), permc_spec="MMD_AT_PLUS_A")
+            self._velocity = spla.splu(system.L.tocsc(), permc_spec="MMD_AT_PLUS_A")
             self._mass = spla.splu(self.M.tocsc(), permc_spec="MMD_AT_PLUS_A")
         except RuntimeError as exc:
             raise SingularSystem(f"factorization failed: {exc}") from None
@@ -394,7 +398,7 @@ class _SchurComplement:
 
 def _residuals(system: StokesSystem, u: np.ndarray, lam: np.ndarray) -> tuple[float, float, float]:
     """Momentum and divergence defects of (u, lam) and the load scale 1 + |f + g|."""
-    r_mom = float(np.linalg.norm(system.A @ u - system.rhs - system.B.T @ lam))
+    r_mom = float(np.linalg.norm((system.L @ u.reshape(-1, 2)).ravel() - system.rhs - system.B.T @ lam))
     r_div = float(np.linalg.norm(system.B @ u))
     return r_mom, r_div, 1.0 + float(np.linalg.norm(system.rhs))
 
@@ -412,21 +416,22 @@ def solve_stokes(
     With an empty Neumann boundary the pressure is only determined up to a
     constant; callers must then opt into ``pin_pressure``: one pressure
     dof is fixed to zero for the solve and the result is shifted to zero
-    mean afterwards.  ``residual_tol`` scales with 1 + |f + g| and bounds
-    the accepted momentum and divergence defects.  A non-finite load, a
+    mean afterwards; with a Neumann edge pinning is a ``SingularSystem``.
+    The factors are the system's, made once.  ``residual_tol`` scales with
+    1 + |f + g| and bounds the accepted defects.  A non-finite load, a
     rank-deficient B, a failed factorization, a CG breakdown or a CG run
     past its iteration cap raises ``SingularSystem``.
     """
     space = system.space
-    if not len(space.neumann_edges) and not pin_pressure:
+    if pin_pressure == bool(len(space.neumann_edges)):
         raise SingularSystem(
-            "no Neumann edges: the pressure is defined up to a constant; "
-            "solve with pin_pressure=True"
+            "Neumann edges fix the pressure; solve with pin_pressure=False" if pin_pressure else
+            "no Neumann edges: the pressure is defined up to a constant; solve with pin_pressure=True"
         )
     rhs_u = system.rhs
     if not np.all(np.isfinite(rhs_u)):
         raise SingularSystem("load vector has non-finite entries")
-    schur = _SchurComplement(system, pin_pressure)
+    schur = system._schur()
     lam, iterations, _, _ = schur.cg(-(schur.B @ schur.solve_velocity(rhs_u)))
     u = schur.solve_velocity(rhs_u + schur.Bt @ lam)
     if pin_pressure:
@@ -447,20 +452,15 @@ def solve_stokes(
 def energy(system: StokesSystem, solution: StokesSolution) -> float:
     """Discrete energy 1/2 u'Au - (f+g)'u of a velocity vector."""
     u = solution.u
-    if u.shape[0] != system.A.shape[0]:
+    if u.shape != (system.space.num_velocity,):
         raise DimensionMismatch("velocity vector does not match the system")
-    return float(0.5 * u @ (system.A @ u) - system.rhs @ u)
+    return float(0.5 * u @ (system.L @ u.reshape(-1, 2)).ravel() - system.rhs @ u)
 
 
 def pressure_mass_matrix(space: FunctionSpace) -> sparse.csr_matrix:
-    nt = space.mesh.num_triangles
     me = np.einsum("tq,qp,qr->tpr", space.quad_coef, _P1_VALS, _P1_VALS, optimize=True)
-    rows = np.broadcast_to(space.mesh.triangles[:, :, None], (nt, 3, 3))
-    cols = np.broadcast_to(space.mesh.triangles[:, None, :], (nt, 3, 3))
-    return sparse.coo_matrix(
-        (me.ravel(), (rows.ravel(), cols.ravel())),
-        shape=(space.num_pressure, space.num_pressure),
-    ).tocsr()
+    tri = space.mesh.triangles
+    return _scatter(tri[:, :, None], tri[:, None, :], me, (space.num_pressure, space.num_pressure))
 
 
 def inf_sup_constant(system: StokesSystem) -> float:
@@ -469,9 +469,9 @@ def inf_sup_constant(system: StokesSystem) -> float:
     Smallest generalized singular value of B with the stiffness norm on
     velocities and the pressure mass norm on multipliers: the square root
     of the smallest eigenvalue of S x = mu M x, S = B A^-1 B'.  Computed on
-    the same factored Schur operator that ``solve_stokes`` uses, in three
-    steps.  One mass-preconditioned CG on S with a seeded right-hand side
-    (independent of the load) keeps its S-conjugate search directions P
+    the system's factored Schur operator, shared with ``solve_stokes``, in
+    three steps.  One mass-preconditioned CG on S with a seeded right-hand
+    side (independent of the load) keeps its S-conjugate search directions P
     and their products S P: CG is a Lanczos process, so P spans a Krylov
     space holding the smallest Ritz pair.  A Rayleigh-Ritz on that space,
     with no further Schur products, scales the columns to Q = P
@@ -490,7 +490,7 @@ def inf_sup_constant(system: StokesSystem) -> float:
             "no Neumann edges: constant pressures lie in the kernel of B', "
             "so the inf-sup constant is 0"
         )
-    schur = _SchurComplement(system, pin_pressure=False)
+    schur = system._schur()
     n = schur.B.shape[0]
     S = spla.LinearOperator((n, n), matvec=schur.apply, matmat=schur.apply, dtype=float)
     precond = spla.LinearOperator(

@@ -48,7 +48,9 @@ def assemble_perturbation_matrices(space, field, f_field) -> PerturbationMatrice
     f1_vals = div[..., None] * f_vals + np.einsum("tqij,tqj->tqi", f_grad, vel)
     f1e = np.einsum("tq,qa,tqc->tac", coef, _P2_VALS, f1_vals)
     return PerturbationMatrices(
-        A1=space.stiffness_matrix(a1e), B1=space.pairing_matrix(b1e), f1=space.load_vector(f1e)
+        A1=sparse.kron(space.stiffness_matrix(a1e), sparse.identity(2), format="csr"),
+        B1=space.pairing_matrix(b1e),
+        f1=space.load_vector(f1e),
     )
 
 

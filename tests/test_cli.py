@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import shapederiv as sd
+from shapederiv import cli, stokes_fem
 from shapederiv.cli import main
 from shapederiv.cli.config import parse_config
 from shapederiv.cli.report import read_kv
@@ -224,6 +225,16 @@ def _mesh_overlapping_triangles(tmp_path):
     return "stokes-solve", text, "edge 0 -> 1 appears twice in the same direction"
 
 
+def _mesh_byte_not_utf8(tmp_path):
+    path = tmp_path / "mesh.txt"
+    sd.write_mesh(path, sd.unit_square_mesh(2, {"right"}))
+    lines = path.read_bytes().split(b"\n")
+    lines[3] += b"\xff"
+    path.write_bytes(b"\n".join(lines))
+    text = f"[mesh]\nkind = file\npath = {path}\n\n[force]\nname = trig\n"
+    return "stokes-solve", text, f"{path}, line 4: byte 0xff is not UTF-8"
+
+
 def _qp_path_empty(tmp_path):
     # an empty path used to fall back to the bundled instance without a word
     return "qp-demo", "[qp]\npath =\n", "qp.path is empty"
@@ -257,6 +268,7 @@ def _traction_constant_left_without_left_neumann_edge(tmp_path):
         _qp_block_repeated,
         _mesh_cut_in_half,
         _mesh_overlapping_triangles,
+        _mesh_byte_not_utf8,
         _corollary3_mesh_file_with_neumann_edge,
         _traction_constant_left_without_left_neumann_edge,
     ],
@@ -279,13 +291,84 @@ def test_config_that_is_not_utf8_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("output", ["taken", "taken/sub"], ids=["file", "below-a-file"])
-def test_output_that_cannot_be_a_directory_exits_2(tmp_path, capsys, output):
+def test_output_that_cannot_be_a_directory_exits_2(tmp_path, capsys, monkeypatch, output):
     (tmp_path / "taken").write_text("")
     cfg = write(tmp_path / "run.cfg", "[run]\ns_list = 1e-2\n")
     assert main(["qp-demo", "--config", cfg, "--output", str(tmp_path / output)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: ConfigError: cannot write the report to {tmp_path / output}:")
     assert err.count("\n") == 1
+    # the output is checked before the pipeline runs: stokes-solve never assembles
+
+    def no_assembly(*args):
+        raise AssertionError("assembled a system for an output that cannot be written")
+
+    monkeypatch.setattr(cli, "assemble", no_assembly)
+    cfg = write(tmp_path / "solve.cfg", "[mesh]\nkind = unit_square\n\n[force]\nname = trig\n")
+    assert main(["stokes-solve", "--config", cfg, "--output", str(tmp_path / output)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: ConfigError: cannot write the report to {tmp_path / output}:")
+
+
+_VELOCITY = "[velocity]\nkind = affine\nmatrix = 0.3 0.1 -0.2 0.15\n\n"
+
+
+@pytest.mark.parametrize(
+    "command,sections,message",
+    [
+        ("shape-derivative", _VELOCITY + "[force]\nname = constant\nscale = 5\n",
+         "force name 'constant' does not read key 'scale'"),
+        ("shape-derivative", _VELOCITY + "[force]\nname = trig\nvalue = 1 0\n",
+         "force name 'trig' does not read key 'value'"),
+        ("shape-derivative", "[velocity]\nkind = zero\nmatrix = 0.3 0.1 -0.2 0.15\n\n[force]\nname = trig\n",
+         "velocity kind 'zero' does not read key 'matrix'"),
+        ("shape-derivative", "[velocity]\nkind = zero\nomega = 2\n\n[force]\nname = trig\n",
+         "velocity kind 'zero' does not read key 'omega'"),
+        ("shape-derivative", _VELOCITY.replace("\n\n", "\nramp = 0.3\n\n") + "[force]\nname = trig\n",
+         "velocity kind 'affine' does not read key 'ramp'"),
+        ("stokes-solve", "[force]\nname = trig\n\n[traction]\nname = none\nvalue = 2 0\n",
+         "traction name 'none' does not read key 'value'"),
+        ("shape-derivative", "[velocity]\nkind = constant\n\n[force]\nname = trig\n",
+         "velocity kind 'constant' is missing key 'b'"),
+    ],
+    ids=["constant-scale", "trig-value", "zero-matrix", "zero-omega", "ramp-without-window", "none-value",
+         "constant-without-b"],
+)
+def test_keys_that_do_not_fit_the_kind_exit_2(tmp_path, capsys, command, sections, message):
+    # a key the kind does not read would be recorded in report.kv without
+    # changing the run
+    cfg = write(tmp_path / "run.cfg", "[mesh]\nkind = unit_square\nn = 2\nneumann_sides = right\n\n" + sections)
+    assert main([command, "--config", cfg, "--output", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"error: ConfigError: {message}\n"
+
+
+def test_stokes_solve_factors_once(tmp_path, monkeypatch):
+    # solve_stokes and inf_sup_constant share the system's Schur operator
+    built = []
+    schur = stokes_fem._SchurComplement
+
+    def counted(*args, **kwargs):
+        built.append(args)
+        return schur(*args, **kwargs)
+
+    monkeypatch.setattr(stokes_fem, "_SchurComplement", counted)
+    cfg = write(tmp_path / "run.cfg", "[mesh]\nkind = unit_square\nn = 4\nneumann_sides = right\n\n[force]\nname = trig\n")
+    assert main(["stokes-solve", "--config", cfg, "--output", str(tmp_path / "o")]) == 0
+    assert "result.inf_sup" in read_kv(tmp_path / "o" / "report.kv")
+    assert len(built) == 1
+
+
+def test_qp_comment_in_utf8_is_read(tmp_path):
+    qp = sd.ConeQP(A=np.eye(2), B=np.eye(2), f=np.array([1.0, -2.0]))
+    plain, accented = tmp_path / "plain.txt", tmp_path / "accented.txt"
+    sd.save_qp(plain, qp)
+    lines = plain.read_text().splitlines(keepends=True)
+    accented.write_text("".join([lines[0], "# café\n", *lines[1:]]), encoding="utf-8")
+    results = []
+    for path in (plain, accented):
+        out = tmp_path / path.stem
+        assert main(["qp-demo", "--config", write(tmp_path / "run.cfg", f"[qp]\npath = {path}\n"), "--output", str(out)]) == 0
+        results.append({k: v for k, v in read_kv(out / "report.kv").items() if k.startswith("result.")})
+    assert results[0] == results[1] and results[0]
 
 
 def test_missing_sections_reported(tmp_path):
@@ -308,6 +391,7 @@ def test_exit_codes(tmp_path, capsys):
     )
     assert main(["shape-derivative", "--config", cfg, "--output", str(tmp_path / "o2")]) == 1
     assert capsys.readouterr().err.endswith("error: EmptyDirichletBoundary: no Dirichlet edges: velocity stiffness would be singular\n")
+    assert not any((tmp_path / "o2").iterdir())  # made before the run, left empty by its failure
 
 
 def test_pure_dirichlet_mesh_pins_the_pressure(tmp_path):

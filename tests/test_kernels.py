@@ -45,7 +45,7 @@ def _kernel_pairs(mesh, u_values, coeffs):
     value_scale, jacobian_scale = stacked.scales(space.quad_points)
     return {
         "phys_grads": (space.phys_grads, *oracle.phys_grads(mesh)),
-        "stiffness": (system.A, *stiffness),
+        "stiffness": (system.L, *stiffness),
         "pairing": (system.B, *pairing),
         "load": (system.f, *load),
         "velocity_gradients": (space.element_velocity_gradients(u), *oracle.velocity_gradients(space, u)),

@@ -330,11 +330,29 @@ def test_structured_solve_matches_bordered_lu(name):
 
 @pytest.mark.parametrize("mesh", [sd.unit_square_mesh(6, {"right"}), sd.disk_mesh(3)])
 def test_stiffness_is_scalar_laplacian_per_component(mesh):
-    # Both components share the Dirichlet nodes, so A = kron(L, I_2): the
-    # structure the saddle solver factors at half size.
-    A = sd.assemble(mesh, ConstantForce()).A
-    L = A[0::2, 0::2]
-    assert abs(A - sparse.kron(L, sparse.identity(2))).max() == 0.0
+    # Both components share the Dirichlet nodes, so the vector stiffness is
+    # A = kron(L, I_2) with the scalar L the system stores.  Oracle: the form
+    # int grad u : grad v at the quadrature points, for two drawn velocities.
+    system = sd.assemble(mesh, ConstantForce())
+    space = system.space
+    u, v = np.random.default_rng(3).standard_normal((2, space.num_velocity))
+    gu, gv = space.element_velocity_gradients(u), space.element_velocity_gradients(v)
+    form = np.einsum("tq,tqij,tqij->", space.quad_coef, gu, gv)
+    scale = np.einsum("tq,tqij,tqij->", space.quad_coef, abs(gu), abs(gv))
+    assert abs(u @ (system.A @ v) - form) <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("name", ["square8", "disk4"])
+def test_stiffness_products_equal_the_kronecker_form(name):
+    # energy and the residuals apply A as L times the (n, 2) velocity; that
+    # must be bitwise the product with the assembled kron(L, I_2).
+    system, pin = ORACLE_CASES[name]()
+    sol = sd.solve_stokes(system, pin_pressure=pin)
+    u, A = sol.u, system.A
+    assert sd.energy(system, sol) == float(0.5 * u @ (A @ u) - system.rhs @ u)
+    r_mom, r_div, _ = stokes_fem._residuals(system, u, sol.lam)
+    assert r_mom == float(np.linalg.norm(A @ u - system.rhs - system.B.T @ sol.lam))
+    assert r_div == float(np.linalg.norm(system.B @ u))
 
 
 def test_schur_cg_iterations_mesh_independent():
@@ -367,8 +385,7 @@ def _nan_entry(f):
     [
         pytest.param(lambda s: dataclasses.replace(s, f=_nan_entry(s.f)), id="nan-load"),
         pytest.param(lambda s: dataclasses.replace(s, B=_zero_row(s.B, 5)), id="rank-deficient-B"),
-        pytest.param(lambda s: dataclasses.replace(s, A=-s.A), id="cg-breakdown"),
-        pytest.param(lambda s: dataclasses.replace(s, A=s.A[::-1]), id="not-per-component"),
+        pytest.param(lambda s: dataclasses.replace(s, L=-s.L), id="cg-breakdown"),
     ],
 )
 def test_solver_failures_are_categorized(broken):
@@ -385,6 +402,18 @@ def test_fully_clamped_triangle_pressure_not_unique():
     system = sd.assemble(mesh, ConstantForce())
     with pytest.raises(sd.SingularSystem, match="rank deficient"):
         sd.solve_stokes(system, pin_pressure=True)
+
+
+def _no_factorization(*args):
+    raise AssertionError("factored a system whose pressure pinning is wrong")
+
+
+def test_pinned_solve_with_a_neumann_edge_raises_before_factoring(monkeypatch):
+    # A Neumann edge already fixes the pressure; pinning one dof as well
+    # would solve a different problem.
+    monkeypatch.setattr(stokes_fem, "_SchurComplement", _no_factorization)
+    with pytest.raises(sd.SingularSystem, match="pin_pressure=False"):
+        sd.solve_stokes(_square_system(), pin_pressure=True)
 
 
 def test_cg_iteration_cap_raises(monkeypatch):
@@ -445,11 +474,7 @@ def test_inf_sup_matches_dense_where_warm_start_is_weakest(make_mesh, tmp_path):
 def test_inf_sup_pure_dirichlet_raises_before_factoring(mesh, monkeypatch):
     # Constant pressures lie in the kernel of B', so the constant is 0.
     system = sd.assemble(mesh, ConstantForce())
-
-    def no_factorization(*args):
-        raise AssertionError("factored a system with no Neumann edge")
-
-    monkeypatch.setattr(stokes_fem, "_SchurComplement", no_factorization)
+    monkeypatch.setattr(stokes_fem, "_SchurComplement", _no_factorization)
     with pytest.raises(sd.SingularSystem, match="no Neumann edges"):
         sd.inf_sup_constant(system)
 
