@@ -32,7 +32,6 @@ factors once, on first use, for ``solve_stokes`` and ``inf_sup_constant``.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,7 +41,7 @@ import scipy.sparse.linalg as spla
 
 from .errors import DimensionMismatch, EmptyDirichletBoundary, SingularSystem
 from .fields import ForceField, ManufacturedStokes
-from .mesh import DIRICHLET, TriMesh, _edge_keys, _edge_table
+from .mesh import DIRICHLET, TriMesh, _edge_keys, _edge_table, unit_square_mesh
 
 __all__ = [
     "FunctionSpace",
@@ -312,9 +311,9 @@ def assemble(mesh: TriMesh, f_field: ForceField, g_field: ForceField | None = No
 _CG_RTOL = 1e-14
 _CG_MAX_ITER = 500
 
-# lobpcg for the inf-sup constant: bound on the residual of the smallest
-# generalized eigenpair in the M^-1 norm (the eigenvalue error is of its
-# square) and iteration cap.
+# Rayleigh-Ritz loop for the inf-sup constant: bound on the residual of the
+# smallest generalized eigenpair in the M^-1 norm (the eigenvalue error is
+# of its square) and cap on the refinement steps after the Krylov space.
 _EIG_RTOL = 1e-9
 _EIG_MAX_ITER = 200
 
@@ -468,22 +467,21 @@ def inf_sup_constant(system: StokesSystem) -> float:
 
     Smallest generalized singular value of B with the stiffness norm on
     velocities and the pressure mass norm on multipliers: the square root
-    of the smallest eigenvalue of S x = mu M x, S = B A^-1 B'.  Computed on
-    the system's factored Schur operator, shared with ``solve_stokes``, in
-    three steps.  One mass-preconditioned CG on S with a seeded right-hand
-    side (independent of the load) keeps its S-conjugate search directions P
-    and their products S P: CG is a Lanczos process, so P spans a Krylov
-    space holding the smallest Ritz pair.  A Rayleigh-Ritz on that space,
-    with no further Schur products, scales the columns to Q = P
-    diag(p'Sp)^-1/2 and takes the largest eigenpair of the small problem
-    Q'MQ y = nu Q'SQ y, so that 1/nu is the smallest Ritz value.  Its one
-    Ritz vector Q y starts a one-column lobpcg, preconditioned by M^-1,
-    which must bring the residual of the eigenpair below a fixed bound.
+    of the smallest eigenvalue of S x = mu M x, S = B A^-1 B', on the
+    system's factored Schur operator.  A Rayleigh-Ritz loop scales a trial
+    space V and S V to unit S-norm columns and takes the largest eigenpair
+    of V'MV y = nu V'SV y (1/nu is the smallest Ritz value): first on the
+    search directions of a mass-preconditioned CG on S from a seeded,
+    load-independent right-hand side, a Krylov space (CG is Lanczos), then
+    on [x, M^-1 r, p], the Ritz vector, its residual and its last step, as
+    one-column LOBPCG (Knyazev, SIAM J. Sci. Comput. 23(2), 2001, Alg. 4.1),
+    until |S x - mu M x| for x normalized in M, S x applied afresh, is
+    below a fixed bound.
 
     A mesh with no Neumann edge raises ``SingularSystem`` before any
     factorization: constant pressures then lie in the kernel of B', so
     the constant is 0.  A rank-deficient B, a failed factorization, a CG
-    failure or an eigenpair that misses the bound raises it too.
+    failure, a degenerate trial space or an unconverged eigenpair raises it.
     """
     if not len(system.space.neumann_edges):
         raise SingularSystem(
@@ -491,39 +489,42 @@ def inf_sup_constant(system: StokesSystem) -> float:
             "so the inf-sup constant is 0"
         )
     schur = system._schur()
-    n = schur.B.shape[0]
-    S = spla.LinearOperator((n, n), matvec=schur.apply, matmat=schur.apply, dtype=float)
-    precond = spla.LinearOperator(
-        (n, n), matvec=schur.precondition, matmat=schur.precondition, dtype=float
-    )
+    M = schur.M
     # P1 mass eigenvalues are at least half the smallest diagonal entry, so
     # this Euclidean bound implies an M^-1-norm residual below _EIG_RTOL.
-    tol = _EIG_RTOL * float(np.sqrt(0.5 * schur.M.diagonal().min()))
+    tol = _EIG_RTOL * float(np.sqrt(0.5 * M.diagonal().min()))
 
-    _, _, directions, products = schur.cg(np.random.default_rng(0).standard_normal(n))
-    P, SP = np.column_stack(directions), np.column_stack(products)
-    scale = 1.0 / np.sqrt(np.vecdot(P, SP, axis=0))
-    Q, SQ = P * scale, SP * scale
-    # Q'SQ is the identity up to lost conjugacy; eigh reads its lower triangle.
-    last = Q.shape[1] - 1
-    _, y = scipy.linalg.eigh(Q.T @ (schur.M @ Q), Q.T @ SQ, subset_by_index=[last, last])
-    # One column only: Ritz vectors of one Krylov space have parallel
-    # residuals, so a wider start block gives lobpcg a rank-deficient
-    # residual block, and it stalls.
-    start = Q @ y
-    # lobpcg warns when it falls back to a dense solve on tiny problems and
-    # when it stops short of ``tol``; convergence is checked below instead.
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
-        values, vectors = spla.lobpcg(
-            S, start, B=schur.M, M=precond, largest=False, tol=tol, maxiter=_EIG_MAX_ITER
-        )
-    mu, x = float(values[0]), vectors[:, 0]
-    x = x / np.sqrt(x @ (schur.M @ x))
-    residual = float(np.linalg.norm(S @ x - mu * (schur.M @ x)))
-    if not residual <= tol:
-        raise SingularSystem(f"inf-sup eigensolver did not converge (residual {residual:.3e})")
-    return float(np.sqrt(max(mu, 0.0)))
+    _, _, trial, products = schur.cg(np.random.default_rng(0).standard_normal(M.shape[0]))
+    for step in range(_EIG_MAX_ITER + 1):
+        V, SV = np.column_stack(trial), np.column_stack(products)
+        norms = np.vecdot(V, SV, axis=0)
+        if not np.all(np.isfinite(norms) & (norms > 0.0)):
+            raise SingularSystem("inf-sup trial space has a column of no positive, finite S-norm")
+        scale = 1.0 / np.sqrt(norms)
+        V, SV = V * scale, SV * scale
+        last = V.shape[1] - 1  # eigh reads the lower triangles of the Gram matrices
+        try:
+            y = scipy.linalg.eigh(V.T @ (M @ V), V.T @ SV, subset_by_index=[last, last])[1][:, 0]
+        except np.linalg.LinAlgError as exc:
+            raise SingularSystem(f"inf-sup Rayleigh-Ritz failed: {exc}") from None
+        x, Sx = V @ y, SV @ y
+        Mx = M @ x
+        norm = np.sqrt(x @ Mx)
+        x, Sx, Mx = x / norm, Sx / norm, Mx / norm
+        mu = float(x @ Sx)
+        residual = float(np.linalg.norm(Sx - mu * Mx))
+        if residual <= tol:  # S x so far combines earlier products: certify afresh
+            Sx = schur.apply(x)
+            mu = float(x @ Sx)
+            residual = float(np.linalg.norm(Sx - mu * Mx))
+            if residual <= tol:
+                return float(np.sqrt(max(mu, 0.0)))
+        w = schur.precondition(Sx - mu * Mx)
+        trial, products = [x, w], [Sx, schur.apply(w)]
+        if step:  # p, the step from the previous Ritz vector
+            trial.append(V[:, 1:] @ y[1:])
+            products.append(SV[:, 1:] @ y[1:])
+    raise SingularSystem(f"inf-sup eigensolver did not converge (residual {residual:.3e})")
 
 
 def h1_velocity_error(space: FunctionSpace, u_free: np.ndarray, exact_velocity) -> float:
@@ -546,8 +547,6 @@ def convergence_study(manufactured: ManufacturedStokes, n_list) -> list[Converge
     """Solve the manufactured problem on unit squares with the right edge
     traction-free, where its traction is the Neumann datum, and report H1
     velocity errors with consecutive-ratio orders."""
-    from .mesh import unit_square_mesh
-
     rows: list[ConvergenceRow] = []
     prev: ConvergenceRow | None = None
     for n in n_list:

@@ -625,7 +625,7 @@ def test_reports_are_byte_identical(tmp_path):
         assert kv_sd[key] == kv_fd[key]
     assert float(kv_sd["result.L1"]) != 0.0
     assert "result.slope" not in kv_sd and not (out7 / "fd_table.csv").exists()
-    # stokes-solve adds the CG iteration count and the lobpcg inf-sup estimate
+    # stokes-solve adds the CG iteration count and the Rayleigh-Ritz inf-sup estimate
     out3, out4 = tmp_path / "o3", tmp_path / "o4"
     assert main(["stokes-solve", "--config", cfg, "--output", str(out3)]) == 0
     assert main(["stokes-solve", "--config", cfg, "--output", str(out4)]) == 0

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import shapederiv as sd
 from shapederiv.core_minimax import ConeKind, ConeQP, PerturbationDirection
-from shapederiv.slopes import loglog_slope
+from shapederiv.slopes import fd_table, loglog_slope
 
 from kkt_oracle import active_set_reference, bordered_solve, enumerate_solve
 
@@ -406,6 +406,56 @@ def test_derivative_matches_central_differences(cone):
     assert loglog_slope(s_values, errs) >= 1.8
     fd4 = sd.fd_derivative(qp, direction, 1e-4)
     assert abs(fd4 - l1) <= 1e-6 * (1.0 + abs(l1))
+
+
+def _weakly_active_instance(seed, n=8, m=4):
+    """Inequality QP around a known solution u: row 0 weakly active
+    ((Bu)_0 = 0, lam_0 = 0), row 1 active with lam_1 in [0.5, 1.5], the
+    other rows with slack 1, and a seeded direction.  A multiple of B_0'
+    joins f1 so that, with row 1 alone held active, (Bu)_0 leaves 0 at
+    rate +1 or -1 (seeded): the kink has a planted size, and A1, B1 of
+    size 0.1 keep the smooth third-order term below it over the stencil."""
+    rng = np.random.default_rng(seed)
+    u = rng.standard_normal(n)
+    b = rng.standard_normal((m, n))
+    b -= np.outer((b @ u - np.array([0.0, 0.0] + [1.0] * (m - 2))) / (u @ u), u)
+    a = random_spd(rng, n)
+    lam = np.zeros(m)
+    lam[1] = rng.uniform(0.5, 1.5)
+    a1, b1, f1 = rng.standard_normal((n, n)), 0.1 * rng.standard_normal((m, n)), rng.standard_normal(n)
+    a1 = 0.05 * (a1 + a1.T)
+    # The KKT system of the working set {1}, differentiated in s.
+    kkt = np.block([[a, -b[1:2].T], [-b[1:2], np.zeros((1, 1))]])
+
+    def rate(g):
+        du = np.linalg.solve(kkt, np.concatenate([g - a1 @ u + b1[1] * lam[1], [b1[1] @ u]]))[:n]
+        return b1[0] @ u + b[0] @ du
+
+    r0, r1 = rate(f1), rate(f1 + b[0])  # rate is affine in f1
+    f1 = f1 + (rng.choice([-1.0, 1.0]) - r0) / (r1 - r0) * b[0]
+    return ConeQP(A=a, B=b, f=a @ u - b.T @ lam), PerturbationDirection(A1=a1, B1=b1, f1=f1)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_weakly_active_constraint(seed):
+    # Row 0 joins the working set on one side of s = 0 only, so the value
+    # is C^1 but its second derivative jumps (Bonnans & Shapiro 2000, 4.3):
+    # L1 holds, and the central quotient converges at first order only.
+    qp, direction = _weakly_active_instance(seed)
+    sides = [sd.solve_saddle_point(sd.perturbed_qp(qp, direction, s)).active_set
+             for s in (1e-3, -1e-3)]
+    assert [0 in active for active in sides].count(True) == 1
+    sp = sd.solve_saddle_point(qp)
+    l1 = sd.shape_derivative(qp, direction, sp)
+    # Oracle: the equality-cone QP of the working set on either side.
+    for rows in ([0, 1], [1]):
+        fixed = ConeQP(A=qp.A, B=qp.B[rows], f=qp.f, cone=ConeKind.EQUALITY)
+        along = PerturbationDirection(A1=direction.A1, B1=direction.B1[rows], f1=direction.f1)
+        one_sided = sd.shape_derivative(fixed, along, sd.solve_saddle_point(fixed))
+        assert abs(one_sided - l1) <= 1e-12 * (1.0 + abs(l1))
+    table = fd_table(lambda s: sd.optimal_value(qp, direction, s), l1,
+                     sd.objective_value(qp, sp.u), [1e-2, 3e-3, 1e-3, 3e-4])
+    assert table.slope == pytest.approx(1.0, abs=0.1)
 
 
 # --- check_lbb ----------------------------------------------------------------

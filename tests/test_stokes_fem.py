@@ -2,6 +2,7 @@
 
 import dataclasses
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -489,8 +490,9 @@ def test_inf_sup_does_not_depend_on_the_load():
 def test_inf_sup_schur_product_count(monkeypatch):
     # Columns of S = B A^-1 B' applied by one call on square n=16, right side
     # Neumann: 91 from a random two-column lobpcg start block (before the
-    # warm start), 38 from the seeded CG and one-column Ritz start.  The
-    # count is deterministic, so this is not a timing test.
+    # warm start), 38 from the seeded CG and a one-column lobpcg, 36 from the
+    # Rayleigh-Ritz loop: 35 CG steps and one fresh product that certifies
+    # their Ritz pair.  The count is deterministic, so not a timing test.
     columns = []
     apply = stokes_fem._SchurComplement.apply
 
@@ -501,6 +503,63 @@ def test_inf_sup_schur_product_count(monkeypatch):
     monkeypatch.setattr(stokes_fem._SchurComplement, "apply", counted)
     sd.inf_sup_constant(sd.assemble(sd.unit_square_mesh(16, {"right"}), ConstantForce()))
     assert sum(columns) <= 50
+
+
+def _fresh_systems():
+    return [sd.assemble(sd.unit_square_mesh(n, sides), ConstantForce())
+            for n in (4, 8, 12) for sides in ({"right"}, {"left", "right"})]
+
+
+def test_inf_sup_leaves_the_warnings_filters_alone(monkeypatch):
+    # warnings.catch_warnings swaps process-wide state, so it is not thread-safe
+    def unsafe(*args, **kwargs):
+        raise AssertionError("inf_sup_constant entered warnings.catch_warnings")
+
+    system = _fresh_systems()[3]
+    monkeypatch.setattr(warnings, "catch_warnings", unsafe)
+    try:
+        value = sd.inf_sup_constant(system)
+    finally:
+        monkeypatch.undo()  # pytest reports failures under catch_warnings
+    assert value > 0.0
+
+
+def test_inf_sup_on_threads_equals_sequential():
+    sequential = [sd.inf_sup_constant(system) for system in _fresh_systems()]
+    with ThreadPoolExecutor(2) as pool:
+        threaded = list(pool.map(sd.inf_sup_constant, _fresh_systems(), timeout=120))
+    assert threaded == sequential
+
+
+def test_inf_sup_short_of_the_bound_raises(monkeypatch):
+    # On this clustered spectrum the Krylov Ritz pair alone misses the bound
+    # (residual 4.6e-5), so no refinement step means no certificate.
+    monkeypatch.setattr(stokes_fem, "_EIG_MAX_ITER", 0)
+    system = sd.assemble(sd.unit_square_mesh(8, {"left", "right"}), ConstantForce())
+    with pytest.raises(sd.SingularSystem, match="did not converge"):
+        sd.inf_sup_constant(system)
+
+
+def _failing_eigh(*args, **kwargs):
+    raise np.linalg.LinAlgError("the leading minor of order 2 is not positive")
+
+
+def _zero_direction_cg(cg):
+    def patched(self, b):
+        x, iterations, directions, products = cg(self, b)
+        return x, iterations, directions + [0.0 * b], products + [0.0 * b]
+
+    return patched
+
+
+@pytest.mark.parametrize("target, name, patch, message", [
+    (scipy.linalg, "eigh", lambda _: _failing_eigh, "Rayleigh-Ritz failed"),
+    (stokes_fem._SchurComplement, "cg", _zero_direction_cg, "no positive, finite S-norm"),
+], ids=["eigh-fails", "zero-column"])
+def test_inf_sup_degenerate_rayleigh_ritz_raises(monkeypatch, target, name, patch, message):
+    monkeypatch.setattr(target, name, patch(getattr(target, name)))
+    with pytest.raises(sd.SingularSystem, match=message):
+        sd.inf_sup_constant(_square_system())
 
 
 def test_pressure_mass_total():
