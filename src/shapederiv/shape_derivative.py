@@ -150,22 +150,26 @@ def fd_verify(
     For each step s the mesh is transported by +s and -s, the problem is
     re-assembled with the same body force evaluated at the new coordinates
     and re-solved, and :func:`slopes.fd_table` compares the difference
-    quotients of the energy with L1 (the result's ``fd``).  Only the
-    homogeneous Neumann condition is meaningful under transport, so no
-    traction data enters here.  Without a Neumann edge the pressure is
-    fixed only up to a constant, so every solve pins it.
+    quotients of the energy with L1 (the result's ``fd``).  The signed
+    steps run concurrently; the base system, its factors and its solution
+    are released before they start, so each thread holds at most one
+    factored system.  Only the homogeneous Neumann condition is meaningful
+    under transport, so no traction data enters here.  Without a Neumann
+    edge the pressure is fixed only up to a constant, so every solve pins
+    it.
     """
     base_system = assemble(mesh, f_field)
     pin_pressure = not len(base_system.space.neumann_edges)
     base_solution = solve_stokes(base_system, pin_pressure=pin_pressure)
     f1 = assemble_perturbation(base_system.space, field, f_field)
     head = stokes_shape_derivative(base_system, base_solution, f1, field)
+    del base_system, base_solution, f1
 
     def energy_at(s: float) -> float:
         system = assemble(transport_mesh(mesh, field, s, steps=steps), f_field)
         return energy(system, solve_stokes(system, pin_pressure=pin_pressure))
 
-    return replace(head, fd=fd_table(energy_at, head.L1, head.energy, s_values))
+    return replace(head, fd=fd_table(energy_at, head.L1, head.energy, s_values, concurrent=True))
 
 
 def corollary3_check(

@@ -4,6 +4,9 @@ shared by the cone-QP and the flow layer, and log-log slope fitting."""
 from __future__ import annotations
 
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -42,23 +45,78 @@ def loglog_slope(s_values, errors) -> float:
     return float(np.polyfit(np.log(s), np.log(e), 1)[0])
 
 
+def _values_at(value_at: Callable[[float], float], steps: list[float], workers: int) -> list[float]:
+    """``value_at`` at every step, returned in step order.
+
+    The calling thread and a pool of ``workers`` threads take the steps in
+    order from one shared counter; with no workers the steps run in a plain
+    loop.  Once a step fails no further step starts, and after every
+    started step has finished the first failure in step order is raised,
+    so no thread outlives the call.
+    """
+    if workers < 1:
+        return [value_at(s) for s in steps]
+    values = [math.nan] * len(steps)
+    failures: dict[int, Exception] = {}
+    lock = threading.Lock()
+    order = iter(range(len(steps)))
+
+    def take() -> int | None:
+        with lock:
+            return next(order, None)
+
+    def work() -> None:
+        try:
+            while (k := take()) is not None:
+                try:
+                    values[k] = value_at(steps[k])
+                except Exception as exc:
+                    failures[k] = exc
+                    return
+        finally:
+            with lock:  # a stopped thread, failed or interrupted, ends the whole map
+                for _ in order:
+                    pass
+
+    with ThreadPoolExecutor(workers) as pool:
+        futures = [pool.submit(work) for _ in range(workers)]
+        work()
+    for future in futures:
+        future.result()
+    if failures:
+        raise failures[min(failures)]
+    return values
+
+
 def fd_table(
-    value_at: Callable[[float], float], l1: float, e0: float, s_values: Sequence[float]
+    value_at: Callable[[float], float],
+    l1: float,
+    e0: float,
+    s_values: Sequence[float],
+    *,
+    concurrent: bool = False,
 ) -> FdTable:
     """Compare L1 with (E(+s) - E(-s)) / 2s and (E(+s) - E(0)) / s, E = ``value_at``.
 
-    Calls ``value_at`` at +s, then -s, for each s in order.  The table is
-    exact when every error is at most 1e-12 (1 + |E(0)| + |L1|); otherwise
-    a slope is fitted over two or more steps whose errors are all positive.
+    ``value_at`` is called once at each signed step +s1, -s1, +s2, ...,
+    in that order, or with ``concurrent`` on up to one thread per CPU, for
+    a ``value_at`` that is safe to call from several threads at once and
+    spends its time in native code that releases the GIL, such as sparse
+    factorizations.  The table depends only on the values: it equals the
+    one built from the same values in sequence, and a failing step raises
+    the error of the first failing step in that order.  The table is exact
+    when every error is at most 1e-12 (1 + |E(0)| + |L1|); otherwise a
+    slope is fitted over two or more steps whose errors are all positive.
     """
     s_values = [float(s) for s in s_values]
     if not s_values or any(not (s > 0.0 and math.isfinite(s)) for s in s_values):
         raise ValueError("finite differences need one or more positive, finite steps")
+    steps = [sign * s for s in s_values for sign in (1.0, -1.0)]
+    workers = min(len(steps), os.cpu_count() or 1) - 1 if concurrent else 0
+    values = _values_at(value_at, steps, workers)
     entries: list[FdEntry] = []
     one_sided_err: list[float] = []
-    for s in s_values:
-        e_plus = value_at(s)
-        e_minus = value_at(-s)
+    for s, e_plus, e_minus in zip(s_values, values[0::2], values[1::2]):
         fd = (e_plus - e_minus) / (2.0 * s)
         entries.append(FdEntry(s=s, fd=fd, abs_err=abs(fd - l1)))
         one_sided_err.append(abs((e_plus - e0) / s - l1))

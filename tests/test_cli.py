@@ -1,5 +1,8 @@
 """Config parsing, command pipelines, report files and determinism."""
 
+import os
+import threading
+
 import numpy as np
 import pytest
 
@@ -392,6 +395,51 @@ def test_exit_codes(tmp_path, capsys):
     assert main(["shape-derivative", "--config", cfg, "--output", str(tmp_path / "o2")]) == 1
     assert capsys.readouterr().err.endswith("error: EmptyDirichletBoundary: no Dirichlet edges: velocity stiffness would be singular\n")
     assert not any((tmp_path / "o2").iterdir())  # made before the run, left empty by its failure
+
+
+def test_first_failing_fd_step_is_reported(tmp_path, capsys):
+    # Transport by +0.8 flips a triangle; the later steps run on other
+    # threads, but the error is that of the first failing step in order.
+    cfg = write(
+        tmp_path / "run.cfg",
+        "[run]\ns_list = 0.8 0.5\n\n[mesh]\nkind = unit_square\nn = 8\nneumann_sides = right\n\n"
+        "[force]\nname = trig\n\n[velocity]\nkind = quadratic\ncoeffs = 0 0 0 3 1 -2 0 0 0 -2 2 1\n",
+    )
+    assert main(["fd-verify", "--config", cfg, "--output", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == "error: InvertedElement: transport by s=0.8 flipped a triangle\n"
+
+
+_FD_RUNS = {
+    "fd-verify": "[run]\ns_list = 1e-2 3e-3 1e-3\n\n"
+    "[mesh]\nkind = unit_square\nn = 8\nneumann_sides = right\n\n"
+    "[velocity]\nkind = affine\nmatrix = 0.3 0.1 -0.2 0.15\nb = 0.05 -0.04\n\n"
+    "[force]\nname = trig\n",
+    "fd-verify-pinned": "[run]\nomega = 1.0\ns_list = 1e-2 1e-3\n\n[mesh]\nkind = disk\nrings = 2\n\n"
+    "[force]\nname = trig\n\n[velocity]\nkind = rotation\nomega = 1.0\n",
+    "corollary3": "[run]\nomega = 1.0\ns_list = 1e-2 1e-3\n\n[mesh]\nkind = disk\nrings = 2\n\n"
+    "[force]\nname = rotational\n",
+    "qp-demo": "[run]\ns_list = 1e-2 3e-3 1e-3\n\n[tolerances]\nmax_iter = 200\n",
+}
+
+
+@pytest.mark.parametrize("run", sorted(_FD_RUNS))
+def test_one_cpu_reports_equal_the_threaded_ones(tmp_path, monkeypatch, run):
+    # With one CPU the re-solves run in a plain loop on the calling thread;
+    # the reports do not depend on which path ran.  qp-demo's active-set
+    # re-solves hold the GIL, so they stay on the calling thread.
+    cfg = write(tmp_path / "run.cfg", _FD_RUNS[run])
+    command = run.removesuffix("-pinned")
+    started = []
+    start = threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start", lambda self: started.append(self) or start(self))
+    with monkeypatch.context() as one_cpu:
+        one_cpu.setattr(os, "cpu_count", lambda: 1)
+        assert main([command, "--config", cfg, "--output", str(tmp_path / "one")]) == 0
+    assert started == []
+    assert main([command, "--config", cfg, "--output", str(tmp_path / "all")]) == 0
+    assert bool(started) == (command != "qp-demo" and (os.cpu_count() or 1) > 1)
+    for name in ("report.kv", "fd_table.csv"):
+        assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "all" / name).read_bytes()
 
 
 def test_pure_dirichlet_mesh_pins_the_pressure(tmp_path):

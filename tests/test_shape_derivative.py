@@ -1,5 +1,8 @@
 """First-order energy sensitivity vs central differences on moved meshes."""
 
+import importlib
+import weakref
+
 import numpy as np
 import pytest
 
@@ -214,6 +217,25 @@ def test_fd_quadratic_field_relaxed_slope():
     mesh = sd.unit_square_mesh(8, {"right"})
     report = fd_verify(mesh, TrigForce(), field, [2e-1, 1e-1, 5e-2])
     assert report.fd.slope >= 1.5
+
+
+def test_fd_releases_the_base_system_before_the_re_solves(monkeypatch):
+    # Each re-solve holds one factored system, so the base one must be
+    # gone before the first of them starts.
+    module = importlib.import_module("shapederiv.shape_derivative")  # the package's name is the QP function
+    base, alive = [], []
+    solve = module.solve_stokes
+
+    def watched(system, **kwargs):
+        if base:
+            alive.append(base[0]() is not None)
+        else:
+            base.append(weakref.ref(system))
+        return solve(system, **kwargs)
+
+    monkeypatch.setattr(module, "solve_stokes", watched)
+    fd_verify(sd.unit_square_mesh(4, {"right"}), TrigForce(), AFFINE, [1e-2, 1e-3])
+    assert alive == [False] * 4
 
 
 def test_fd_rejects_nonpositive_steps():

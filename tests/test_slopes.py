@@ -1,9 +1,13 @@
 """The shared central-difference check on closed-form optimal values."""
 
 import math
+import sys
+import threading
+import time
 
 import pytest
 
+from shapederiv import slopes
 from shapederiv.slopes import fd_table
 
 S_VALUES = [1e-2, 3e-3, 1e-3]
@@ -46,6 +50,74 @@ def test_calls_plus_then_minus_in_step_order():
     calls = []
     fd_table(lambda s: calls.append(s) or 0.0, 0.0, 0.0, [1e-2, 1e-3])
     assert calls == [1e-2, -1e-2, 1e-3, -1e-3]
+
+
+def _uneven_cubic(calls):
+    # E(s) = s + s^2 + s^3, slower at the small steps, so that the threads
+    # finish their steps out of order.
+    def value_at(s):
+        calls.append(s)
+        time.sleep(0.02 * (abs(s) < 5e-3))
+        return s + s**2 + s**3
+
+    return value_at
+
+
+@pytest.mark.parametrize("cpus", [2, 4])
+def test_each_signed_step_once_and_the_sequential_table(monkeypatch, cpus):
+    # The table depends on the values only: the concurrent map gives the
+    # table of the sequential loop, bit for bit.
+    s_values = [1e-2, 3e-3, 1e-3]
+    sequential = fd_table(_uneven_cubic([]), 1.0, 0.0, s_values)
+    monkeypatch.setattr(slopes.os, "cpu_count", lambda: cpus)
+    calls = []
+    table = fd_table(_uneven_cubic(calls), 1.0, 0.0, s_values, concurrent=True)
+    assert sorted(calls) == sorted([s for v in s_values for s in (v, -v)])
+    assert repr(table) == repr(sequential)
+
+
+def test_many_steps_on_more_threads_than_cpus(monkeypatch):
+    # Seven pool threads share the step counter under a short switch
+    # interval; a step lost or taken twice shows in the calls.
+    monkeypatch.setattr(slopes.os, "cpu_count", lambda: 8)
+    s_values = [10.0 ** -(1.0 + k / 20.0) for k in range(60)]
+    calls = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        table = fd_table(lambda s: calls.append(s) or s + s * s, 1.0, 0.0, s_values, concurrent=True)
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(calls) == sorted([s for v in s_values for s in (v, -v)])
+    assert repr(table) == repr(fd_table(lambda s: s + s * s, 1.0, 0.0, s_values))
+
+
+class _MinusFirstStep(Exception):
+    pass
+
+
+class _PlusSecondStep(Exception):
+    pass
+
+
+def _fails_at_minus_first_and_plus_second(s):
+    if s == -1e-2:
+        time.sleep(0.2)  # fails last in time, first in step order
+        raise _MinusFirstStep("at -s1")
+    if s == 1e-3:
+        raise _PlusSecondStep("at +s2")
+    return 0.0
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 4])
+def test_first_failure_in_step_order_is_raised(monkeypatch, cpus):
+    monkeypatch.setattr(slopes.os, "cpu_count", lambda: cpus)
+    threads = threading.active_count()
+    fd_table(_uneven_cubic([]), 1.0, 0.0, [1e-2, 1e-3], concurrent=True)
+    assert threading.active_count() == threads
+    with pytest.raises(_MinusFirstStep, match="at -s1"):
+        fd_table(_fails_at_minus_first_and_plus_second, 0.0, 0.0, [1e-2, 1e-3], concurrent=True)
+    assert threading.active_count() == threads
 
 
 @pytest.mark.parametrize("bad", [0.0, -1e-3, math.nan, math.inf])
