@@ -35,13 +35,11 @@ from .flow import (
     AffineField,
     ConstantField,
     CutoffWindow,
-    ExpansionReport,
     FlowSample,
     QuadraticField,
     RotationField,
     VelocityField,
     ZeroField,
-    expansion_check,
     integrate_flow,
 )
 from .mesh import (

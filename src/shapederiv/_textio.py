@@ -31,7 +31,7 @@ def block_sizes(path, line: tuple[int, str], block: str, count: int) -> list[int
     """The ``count`` non-negative integer sizes after the block name on ``line``."""
     number, text = line
     tokens = text.split()[1:]
-    sizes = [int(t) for t in tokens if t.isdigit()]
+    sizes = [int(t) for t in tokens if t.isdecimal()]
     if len(tokens) != count or len(sizes) != count:
         raise ValueError(f"{path}, line {number}: block {block} expects {count} non-negative integer size(s)")
     return sizes

@@ -48,6 +48,13 @@ def _count(text: str, name: str) -> int:
     return _number(text, name, int, minimum=1)
 
 
+def _positive(text: str, name: str) -> float:
+    value = _number(text, name)
+    if value <= 0:
+        raise ConfigError(f"{name} must be strictly positive")
+    return value
+
+
 def _words(text: str) -> list[str]:
     return text.replace(",", " ").split()
 
@@ -68,11 +75,9 @@ def _floats(count: int, rows: int = 1):
 
 
 def _s_list(text: str, name: str) -> tuple[float, ...]:
-    steps = tuple(_number(t, name) for t in _words(text))
+    steps = tuple(_positive(t, name) for t in _words(text))
     if not steps:
         raise ConfigError(f"{name} needs at least one step")
-    if any(s <= 0 for s in steps):
-        raise ConfigError(f"{name} must be strictly positive")
     if any(b >= a for a, b in zip(steps, steps[1:])):
         raise ConfigError(f"{name} must be strictly decreasing")
     return steps
@@ -217,7 +222,7 @@ _SCHEMA = {
     "qp": {"path": _Key(_path)},  # qp-demo reads the bundled instance without it
     "tolerances": {
         "max_iter": _Key(_count, 200),
-        "residual_tol": _Key(_number, 1e-9),
+        "residual_tol": _Key(_positive, 1e-9),
     },
 }
 

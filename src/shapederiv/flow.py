@@ -8,9 +8,9 @@ diffeomorphism.  Every velocity is one ``QuadraticField``, a polynomial
 of degree at most 2 per component, optionally times a cutoff window;
 ``ZeroField``, ``ConstantField``, ``AffineField`` and ``RotationField``
 only choose its coefficients, and ``negated()`` flips them.  Jacobians
-and divergences are exact; this matters because downstream first-order
-kernels consume grad(Lambda) and div(Lambda) directly and any
-finite-difference noise would pollute the o(s) residual checks.
+and divergences are exact: the shape derivative's first-order kernels
+consume grad(Lambda) and div(Lambda) directly, and finite-difference
+noise in them would stall the second-order decay ``fd_verify`` checks.
 
 Every field evaluates on batches: points of shape (..., 2) produce values
 of shape (..., 2), Jacobians (..., 2, 2) and divergences (...,).
@@ -25,7 +25,6 @@ from typing import Sequence
 import numpy as np
 
 from .errors import NonPositiveJacobian
-from .slopes import loglog_slope
 
 __all__ = [
     "CutoffWindow",
@@ -38,8 +37,6 @@ __all__ = [
     "FlowSample",
     "flow_points",
     "integrate_flow",
-    "ExpansionReport",
-    "expansion_check",
 ]
 
 
@@ -277,52 +274,3 @@ def integrate_flow(field: VelocityField, x, s: float, steps: int = 64) -> FlowSa
 
     phi, jac = _rk4(lambda p, j: (field.evaluate(p), field.jacobian(p) @ j), (phi, jac), s, steps, positive)
     return FlowSample(point=phi, jacobian=jac, det=_det2(jac))
-
-
-@dataclass(frozen=True)
-class ExpansionReport:
-    """Residual sizes of the first-order flow expansions and their decay slopes.
-
-    r1 is the remainder of  inv(grad phi_s) = I - s grad(Lambda) + r1,
-    r2 the remainder of  det(grad phi_s) = 1 + s div(Lambda) + r2,
-    both evaluated at a fixed base point.  ``exact`` marks fields whose
-    residuals vanish identically (zero and constant velocities), in which
-    case the slopes are None.
-    """
-
-    s_values: tuple[float, ...]
-    r1_norms: tuple[float, ...]
-    r2_norms: tuple[float, ...]
-    slope_r1: float | None
-    slope_r2: float | None
-    exact: bool
-
-
-def expansion_check(field: VelocityField, x, s_values: Sequence[float], steps: int = 64) -> ExpansionReport:
-    """Measure how fast the first-order expansion residuals vanish with s."""
-    x = np.asarray(x, dtype=float)
-    grad = field.jacobian(x)
-    div = field.divergence(x)
-    r1n, r2n = [], []
-    for s in s_values:
-        sample = integrate_flow(field, x, float(s), steps=steps)
-        inv_jac = np.linalg.inv(sample.jacobian)
-        r1 = inv_jac - (np.eye(2) - s * grad)
-        r2 = sample.det - (1.0 + s * div)
-        r1n.append(float(np.linalg.norm(r1)))
-        r2n.append(float(abs(r2)))
-    scale = 1.0 + float(np.abs(grad).max()) + float(abs(div))
-    exact = max(r1n + r2n) <= 1e-13 * scale
-    if exact:
-        slope1 = slope2 = None
-    else:
-        slope1 = loglog_slope(s_values, np.maximum(r1n, 1e-300))
-        slope2 = loglog_slope(s_values, np.maximum(r2n, 1e-300))
-    return ExpansionReport(
-        s_values=tuple(float(s) for s in s_values),
-        r1_norms=tuple(r1n),
-        r2_norms=tuple(r2n),
-        slope_r1=slope1,
-        slope_r2=slope2,
-        exact=exact,
-    )

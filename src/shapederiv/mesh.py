@@ -90,18 +90,6 @@ class TriMesh:
     def triangle_areas(self) -> np.ndarray:
         return _signed_areas(self.vertices, self.triangles)
 
-    def edges_with_tag(self, tag: str) -> np.ndarray:
-        mask = np.array([t == tag for t in self.boundary_tags])
-        return self.boundary_edges[mask]
-
-    def outward_normals(self) -> np.ndarray:
-        """Unit outward normal per boundary edge."""
-        p = self.vertices[self.boundary_edges[:, 0]]
-        q = self.vertices[self.boundary_edges[:, 1]]
-        t = q - p
-        n = np.stack([t[:, 1], -t[:, 0]], axis=1)
-        return n / np.linalg.norm(n, axis=1, keepdims=True)
-
     def validate(self) -> None:
         """Check vertex indices, orientation, conformity and the boundary tagging."""
         nv = self.num_vertices

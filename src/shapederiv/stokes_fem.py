@@ -12,12 +12,13 @@ and three-point Gauss edges.  Every element kernel is a sum over the
 quadrature points, evaluated as a batched matrix product or as an einsum
 along a contraction path, so that it costs what its arithmetic costs; the
 direct einsum forms are kept as test oracles.  Element blocks become
-global arrays in three ``FunctionSpace`` methods only --
-``stiffness_matrix``, ``pairing_matrix`` and ``load_vector`` -- which sum
-contributions in a fixed order, through one ``_scatter`` for matrices,
-and drop the Dirichlet dofs.  The state system and its perturbation go
-through the same three, so they pair dof for dof and repeated assemblies
-are bit-identical.
+global arrays, summed in a fixed order, in five places: matrices through
+one ``_scatter`` (``FunctionSpace.stiffness_matrix``, ``.pairing_matrix``
+and ``pressure_mass_matrix``), vectors by ``np.add.at``
+(``FunctionSpace.load_vector``, ``.pressure_integral_weights``); velocity
+dofs on the Dirichlet boundary are dropped.  The state system and its
+perturbation share these, so they pair dof for dof, and assemblies are
+bit-identical.
 
 Both velocity components vanish on the same Dirichlet nodes, so the
 stiffness is A = kron(L, I_2), L the scalar P2 Laplacian on the free

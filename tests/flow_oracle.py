@@ -1,0 +1,71 @@
+"""The paper's first-order flow expansions, measured on one trajectory.
+
+For the flow phi_s of a velocity Lambda,
+
+    inv(grad phi_s) = I - s grad(Lambda) + o(s),
+    det(grad phi_s) = 1 + s div(Lambda) + o(s).
+
+``expansion_check`` integrates the flow Jacobian with
+``shapederiv.flow.integrate_flow`` and fits the decay slope of both
+remainders, an oracle for the expansions the shape-derivative kernels
+are built on.  No command of the package runs it.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Sequence
+
+import numpy as np
+
+from shapederiv.flow import VelocityField, integrate_flow
+from shapederiv.slopes import loglog_slope
+
+
+@dataclass(frozen=True)
+class ExpansionReport:
+    """Residual sizes of the first-order flow expansions and their decay slopes.
+
+    r1 is the remainder of  inv(grad phi_s) = I - s grad(Lambda) + r1,
+    r2 the remainder of  det(grad phi_s) = 1 + s div(Lambda) + r2,
+    both evaluated at a fixed base point.  ``exact`` marks fields whose
+    residuals vanish identically (zero and constant velocities), in which
+    case the slopes are None.
+    """
+
+    s_values: tuple[float, ...]
+    r1_norms: tuple[float, ...]
+    r2_norms: tuple[float, ...]
+    slope_r1: float | None
+    slope_r2: float | None
+    exact: bool
+
+
+def expansion_check(field: VelocityField, x, s_values: Sequence[float], steps: int = 64) -> ExpansionReport:
+    """Measure how fast the first-order expansion residuals vanish with s."""
+    x = np.asarray(x, dtype=float)
+    grad = field.jacobian(x)
+    div = field.divergence(x)
+    r1n, r2n = [], []
+    for s in s_values:
+        sample = integrate_flow(field, x, float(s), steps=steps)
+        inv_jac = np.linalg.inv(sample.jacobian)
+        r1 = inv_jac - (np.eye(2) - s * grad)
+        r2 = sample.det - (1.0 + s * div)
+        r1n.append(float(np.linalg.norm(r1)))
+        r2n.append(float(abs(r2)))
+    scale = 1.0 + float(np.abs(grad).max()) + float(abs(div))
+    exact = max(r1n + r2n) <= 1e-13 * scale
+    if exact:
+        slope1 = slope2 = None
+    else:
+        slope1 = loglog_slope(s_values, np.maximum(r1n, 1e-300))
+        slope2 = loglog_slope(s_values, np.maximum(r2n, 1e-300))
+    return ExpansionReport(
+        s_values=tuple(float(s) for s in s_values),
+        r1_norms=tuple(r1n),
+        r2_norms=tuple(r2n),
+        slope_r1=slope1,
+        slope_r2=slope2,
+        exact=exact,
+    )

@@ -3,6 +3,8 @@
 The mesh layer finds boundary edges, checks conformity and tags the unit
 square's sides from one numpy edge table (``mesh._edge_table``).  These
 are the loop versions it replaced, kept as oracles for the array code.
+``edges_with_tag`` and ``outward_normals`` query a ``TriMesh`` for the
+tests; no command of the package needs them.
 """
 
 import numpy as np
@@ -60,3 +62,18 @@ def unit_square(n, neumann_sides=frozenset()):
             side = "right"
         tags.append(NEUMANN if side in neumann_sides else DIRICHLET)
     return vertices, triangles, np.array(edges, dtype=int), tuple(tags)
+
+
+def edges_with_tag(mesh, tag):
+    """The boundary edges of ``mesh`` tagged ``tag``, in boundary order."""
+    mask = np.array([t == tag for t in mesh.boundary_tags])
+    return mesh.boundary_edges[mask]
+
+
+def outward_normals(mesh):
+    """Unit outward normal per boundary edge: the tangent rotated clockwise."""
+    p = mesh.vertices[mesh.boundary_edges[:, 0]]
+    q = mesh.vertices[mesh.boundary_edges[:, 1]]
+    t = q - p
+    n = np.stack([t[:, 1], -t[:, 0]], axis=1)
+    return n / np.linalg.norm(n, axis=1, keepdims=True)

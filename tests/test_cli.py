@@ -115,6 +115,29 @@ def test_resolved_config_golden(tmp_path, mesh_kind):
     assert cfg.resolved_items() == _RESOLVED_RUN + _RESOLVED_MESH[mesh_kind] + _RESOLVED_REST
 
 
+_WINDOW = sd.CutoffWindow(lo=(-0.2, 0.1), hi=(0.9, 1.3), ramp=0.3)
+
+
+@pytest.mark.parametrize(
+    "kind,keys,field",
+    [
+        ("quadratic", "coeffs = 0 0.1 0 0.2 0 0.3 0 0 0.1 0 0.2 0.1",
+         sd.QuadraticField(coeffs=((0, 0.1, 0, 0.2, 0, 0.3), (0, 0, 0.1, 0, 0.2, 0.1)), window=_WINDOW)),
+        ("rotation", "omega = 0.5", sd.RotationField(0.5, window=_WINDOW)),
+    ],
+    ids=["quadratic", "rotation"],
+)
+def test_window_maps_to_the_cutoff_box(tmp_path, kind, keys, field):
+    # window = xlo xhi ylo yhi; the box is not symmetric in x and y, so a
+    # swapped axis builds a different, still valid window
+    text = (
+        f"[mesh]\nkind = unit_square\n\n[velocity]\nkind = {kind}\n{keys}\n"
+        "window = -0.2 0.9 0.1 1.3\nramp = 0.3\n\n[force]\nname = trig\n"
+    )
+    cfg = parse_config(write(tmp_path / "run.cfg", text), "shape-derivative")
+    assert cfg.build_velocity() == field
+
+
 def test_traction_value_is_recorded(tmp_path):
     base = (
         "[mesh]\nkind = unit_square\nn = 4\nneumann_sides = left right\n\n"
@@ -155,6 +178,8 @@ FD_SQUARE = {
         ("velocity", "window", "0.1 0.85 -1 2"),  # with the ramp below: out of range
         ("force", "scale", "nan"),
         ("tolerances", "residual_tol", "nan"),
+        ("tolerances", "residual_tol", "0"),
+        ("tolerances", "residual_tol", "-1e-9"),
         ("tolerances", "max_iter", "0"),
         ("tolerances", "max_iter", "0.5"),
         ("tolerances", "max_iter", "2.5"),
@@ -201,6 +226,13 @@ def _qp_block_repeated(tmp_path):
     path = tmp_path / "inst.txt"
     path.write_text("cone-qp v1\ncone inequality\nA 1 1\n1\nA 1 1\n5\nB 1 1\n1\nf 1\n1\n")
     return "qp-demo", f"[qp]\npath = {path}\n", "line 5: block A repeats the one at line 3"
+
+
+def _qp_size_not_a_decimal_digit(tmp_path):
+    # "²" passes str.isdigit, but int() cannot parse it
+    path = tmp_path / "inst.txt"
+    path.write_text("cone-qp v1\ncone inequality\nA ² 2\n1 0\n0 1\nB 1 2\n1 0\nf 2\n1 1\n", encoding="utf-8")
+    return "qp-demo", f"[qp]\npath = {path}\n", "line 3: block A expects 2 non-negative integer size(s)"
 
 
 def _qp_missing_file(tmp_path):
@@ -269,6 +301,7 @@ def _traction_constant_left_without_left_neumann_edge(tmp_path):
         _qp_blocks_disagree,
         _qp_perturbation_disagrees,
         _qp_block_repeated,
+        _qp_size_not_a_decimal_digit,
         _mesh_cut_in_half,
         _mesh_overlapping_triangles,
         _mesh_byte_not_utf8,

