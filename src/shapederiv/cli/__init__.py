@@ -28,18 +28,10 @@ from .report import ReportWriter, fmt6, fmt17, vec17
 __all__ = ["main", "console_main", "run"]
 
 
-def _bundled_qp_path():
-    return resources.files("shapederiv").joinpath("data", "qp6.txt")
-
-
 def _qp_demo(cfg: RunConfig, rep: ReportWriter) -> None:
-    qp_path = cfg.value("qp", "path")
-    try:
-        if qp_path:
-            qp, direction = cm.load_qp(qp_path)
-        else:
-            with resources.as_file(_bundled_qp_path()) as path:
-                qp, direction = cm.load_qp(path)
+    try:  # without a qp.path, the bundled instance
+        with resources.as_file(resources.files("shapederiv") / "data" / "qp6.txt") as bundled:
+            qp, direction = cm.load_qp(cfg.value("qp", "path") or bundled)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"qp file: {exc}") from None
     max_iter = cfg.value("tolerances", "max_iter")
@@ -73,7 +65,7 @@ def _qp_demo(cfg: RunConfig, rep: ReportWriter) -> None:
 
 def _stokes_solve(cfg: RunConfig, rep: ReportWriter) -> None:
     mesh = cfg.build_mesh()
-    system = assemble(mesh, cfg.build_force(), cfg.build_traction())
+    system = assemble(mesh, cfg.build("force"), cfg.build("traction"))
     traction = cfg.value("traction", "name")
     if traction != "none" and (system.g is None or not system.g.any()):
         # e.g. constant-left, which acts only left of x = 1/2, on a mesh whose
@@ -130,7 +122,7 @@ def _stokes_solve(cfg: RunConfig, rep: ReportWriter) -> None:
 
 def _derivative_common(cfg: RunConfig, rep: ReportWriter, with_fd: bool) -> None:
     mesh = cfg.build_mesh()
-    force = cfg.build_force()
+    force = cfg.build("force")
     field = cfg.build_velocity()
     if with_fd:
         report = fd_verify(mesh, force, field, cfg.value("run", "s_list"), steps=cfg.value("run", "steps"))
@@ -170,7 +162,7 @@ def _emit_fd_table(rep: ReportWriter, table: FdTable, l1: float) -> None:
 def _corollary3(cfg: RunConfig, rep: ReportWriter) -> None:
     mesh = cfg.build_mesh()
     report = corollary3_check(
-        mesh, cfg.build_force(), cfg.value("run", "omega"), cfg.value("run", "s_list"), steps=cfg.value("run", "steps")
+        mesh, cfg.build("force"), cfg.value("run", "omega"), cfg.value("run", "s_list"), steps=cfg.value("run", "steps")
     )
     _emit_derivative(report, rep)
 

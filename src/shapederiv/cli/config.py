@@ -1,13 +1,13 @@
 """Run configuration: one INI-style file per reproducible run.
 
-The file is flat and sectioned; every key is validated against the
-section's vocabulary and unknown keys are rejected, so a config either
-parses completely or fails with a ConfigError naming the offender.  The
-resolved configuration is embedded in every machine report.
+The file is flat and sectioned; a section or key that is unknown, or that
+the command does not read, is a ConfigError naming it, so a config either
+parses completely or fails.  The keys the run reads are embedded in every
+machine report.
 
-``_SCHEMA`` is that vocabulary, written once: section -> key -> parser,
-default and when the key is recorded, in report.kv order.  The kinds and
-names a key may take are the keys of the registries just above it.
+``_SCHEMA`` is the vocabulary, written once: section -> key -> parser and
+default, in report.kv order.  ``_KINDS`` and ``_READS`` above it say which
+keys each kind and each command read.
 """
 
 from __future__ import annotations
@@ -87,6 +87,8 @@ def _n_list(text: str, name: str) -> tuple[int, ...]:
     sizes = tuple(_count(t, name) for t in _words(text))
     if not sizes:
         raise ConfigError(f"{name} needs at least one mesh size")
+    if any(b <= a for a, b in zip(sizes, sizes[1:])):
+        raise ConfigError(f"{name} must be strictly increasing")
     return sizes
 
 
@@ -118,9 +120,9 @@ def _choice(registry: dict):
     return parse
 
 
-def _pick(params: dict, **names) -> dict:
-    """Constructor arguments from the given config keys: ``argument=key``."""
-    return {arg: params[key] for arg, key in names.items() if key in params}
+def _set(**args) -> dict:
+    """The arguments that are not None; a constructor's own default applies to the rest."""
+    return {arg: value for arg, value in args.items() if value is not None}
 
 
 def _mesh_file(path: str) -> TriMesh:
@@ -131,49 +133,54 @@ def _mesh_file(path: str) -> TriMesh:
 
 
 class _Builder(NamedTuple):
-    """A velocity kind's, force's or traction's constructor and the keys of
-    its section that it reads, as constructor argument -> key."""
+    """A kind's constructor and the keys it reads, as constructor argument -> key."""
 
     make: Callable
     needs: dict = {}  # keys the section must set
-    takes: dict = {}  # keys passed on only when set, so the default applies otherwise
+    takes: dict = {}  # keys passed on when set, else with their _SCHEMA default unless it is None
 
 
-# Builders by kind or name.
-_MESH_KINDS = {
-    "unit_square": lambda cfg: unit_square_mesh(cfg.value("mesh", "n"), set(cfg.value("mesh", "neumann_sides"))),
-    "disk": lambda cfg: disk_mesh(cfg.value("mesh", "rings")),
-    "file": lambda cfg: _mesh_file(cfg.value("mesh", "path")),
-}
-_VELOCITY_KINDS = {
-    "zero": _Builder(ZeroField),
-    "constant": _Builder(ConstantField, needs={"b": "b"}),
-    "affine": _Builder(AffineField, needs={"M": "matrix"}, takes={"b": "b"}),
-    "rotation": _Builder(RotationField, takes={"omega": "omega"}),
-    "quadratic": _Builder(QuadraticField, needs={"coeffs": "coeffs"}),
-}
-_FORCES = {
-    "constant": _Builder(ConstantForce, takes={"value": "value"}),
-    "rotational": _Builder(RotationalForce, takes={"c": "scale"}),
-    "trig": _Builder(TrigForce, takes={"c": "scale"}),
-    "manufactured-trig": _Builder(lambda: trig_manufactured().force),
-}
-_TRACTIONS = {
-    "none": _Builder(lambda: None),
-    "constant-left": _Builder(LeftEdgeTraction, takes={"value": "value"}),
-    "manufactured-trig": _Builder(lambda: trig_manufactured().traction),
+# section -> the key that names its kind, and the builder of each kind.  The
+# mesh builders look their function up at call time, so that a wrapper
+# installed on the mesh module sees the call.
+_KINDS = {
+    "mesh": ("kind", {
+        "unit_square": _Builder(lambda **a: unit_square_mesh(**a), takes={"n": "n", "neumann_sides": "neumann_sides"}),
+        "disk": _Builder(lambda **a: disk_mesh(**a), takes={"rings": "rings"}),
+        "file": _Builder(_mesh_file, needs={"path": "path"}),
+    }),
+    "velocity": ("kind", {
+        "zero": _Builder(ZeroField),
+        "constant": _Builder(ConstantField, needs={"b": "b"}),
+        "affine": _Builder(AffineField, needs={"M": "matrix"}, takes={"b": "b"}),
+        "rotation": _Builder(RotationField, takes={"omega": "omega"}),
+        "quadratic": _Builder(QuadraticField, needs={"coeffs": "coeffs"}),
+    }),
+    "force": ("name", {
+        "constant": _Builder(ConstantForce, takes={"value": "value"}),
+        "rotational": _Builder(RotationalForce, takes={"c": "scale"}),
+        "trig": _Builder(TrigForce, takes={"c": "scale"}),
+        "manufactured-trig": _Builder(lambda: trig_manufactured().force),
+    }),
+    "traction": ("name", {
+        "none": _Builder(lambda: None),
+        "constant-left": _Builder(LeftEdgeTraction, takes={"value": "value"}),
+        "manufactured-trig": _Builder(lambda: trig_manufactured().traction),
+    }),
 }
 
-# command -> the sections it cannot run without, in the order they are checked
-_NEEDS = {
-    "qp-demo": (),
-    "stokes-solve": ("mesh", "force"),
-    "shape-derivative": ("mesh", "velocity", "force"),
-    "fd-verify": ("mesh", "velocity", "force"),
-    "corollary3": ("mesh", "force"),
-    "convergence": (),
+# command -> (the kind sections it cannot run without, in the order they are
+# checked; the other keys it reads).  Where it reads the key that names a
+# kind, it reads that kind's keys too.  Any other section or key is a ConfigError.
+_READS = {
+    "qp-demo": ((), ("run.s_list", "qp.path", "tolerances.max_iter")),
+    "stokes-solve": (("mesh", "force"), ("traction.name", "tolerances.residual_tol")),
+    "shape-derivative": (("mesh", "velocity", "force"), ()),
+    "fd-verify": (("mesh", "velocity", "force"), ("run.steps", "run.s_list")),
+    "corollary3": (("mesh", "force"), ("run.steps", "run.s_list", "run.omega")),
+    "convergence": ((), ("run.n_list",)),  # the manufactured problem fixes mesh, force and traction
 }
-COMMANDS = tuple(_NEEDS)
+COMMANDS = tuple(_READS)
 
 _REQUIRED = object()  # the default of a key its section cannot do without
 
@@ -181,42 +188,39 @@ _REQUIRED = object()  # the default of a key its section cannot do without
 class _Key(NamedTuple):
     parse: Callable[[str, str], object]  # (text, "section.key") -> value, or ConfigError
     default: object = None  # the value when the file leaves the key out
-    # When report.kv records the key: "given" (the file sets it), "always"
-    # (its default too), or a mesh kind (exactly when the mesh is of it).
-    recorded: str = "given"
 
 
 _SCHEMA = {
     "run": {
-        "command": _Key(_choice(_NEEDS)),  # must name the requested command
-        "steps": _Key(_count, 64, "always"),
-        "s_list": _Key(_s_list, (1e-2, 3e-3, 1e-3), "always"),
-        "n_list": _Key(_n_list, (4, 8, 16), "always"),
-        "omega": _Key(_number, 1.0, "always"),
+        "command": _Key(_choice(_READS)),  # must name the requested command
+        "steps": _Key(_count, 64),
+        "s_list": _Key(_s_list, (1e-2, 3e-3, 1e-3)),
+        "n_list": _Key(_n_list, (4, 8, 16)),
+        "omega": _Key(_number, 1.0),
     },
     "mesh": {
-        "kind": _Key(_choice(_MESH_KINDS), "unit_square", "always"),
-        "n": _Key(_count, 4, "unit_square"),
-        "neumann_sides": _Key(_sides, (), "unit_square"),
-        "rings": _Key(_count, 4, "disk"),
-        "path": _Key(_path, None, "file"),
+        "kind": _Key(_choice(_KINDS["mesh"][1]), "unit_square"),
+        "n": _Key(_count, 4),
+        "neumann_sides": _Key(_sides, ()),
+        "rings": _Key(_count, 4),
+        "path": _Key(_path),
     },
     "velocity": {
-        "kind": _Key(_choice(_VELOCITY_KINDS), _REQUIRED),
+        "kind": _Key(_choice(_KINDS["velocity"][1]), _REQUIRED),
         "b": _Key(_floats(2)),
         "coeffs": _Key(_floats(12, rows=2)),
         "matrix": _Key(_floats(4, rows=2)),
         "omega": _Key(_number),
         "ramp": _Key(_number),
-        "window": _Key(_floats(4)),  # xlo xhi ylo yhi
+        "window": _Key(_floats(4, rows=2)),  # xlo xhi, ylo yhi
     },
     "force": {
-        "name": _Key(_choice(_FORCES), _REQUIRED),
+        "name": _Key(_choice(_KINDS["force"][1]), _REQUIRED),
         "scale": _Key(_number),
         "value": _Key(_floats(2)),
     },
     "traction": {
-        "name": _Key(_choice(_TRACTIONS), "none"),
+        "name": _Key(_choice(_KINDS["traction"][1]), "none"),
         "value": _Key(_floats(2)),
     },
     "qp": {"path": _Key(_path)},  # qp-demo reads the bundled instance without it
@@ -248,55 +252,70 @@ class RunConfig:
         """The parsed value of ``section.key``, or its default."""
         return self.values.get(section, {}).get(key, _SCHEMA[section][key].default)
 
+    def reads(self) -> dict[str, list[str]]:
+        """section -> the keys this run reads, in _SCHEMA order."""
+        needs, other = _READS[self.command]
+        read = {*other, *(f"{section}.{_KINDS[section][0]}" for section in needs)}
+        for section, (field, kinds) in _KINDS.items():
+            if f"{section}.{field}" in read:
+                _, need, take = kinds[self.value(section, field)]
+                read |= {f"{section}.{key}" for key in (*need.values(), *take.values())}
+        if "velocity.kind" in read:  # every velocity kind reads the window, and the ramp only with it
+            read |= {"velocity.window", "velocity.ramp"} if self.value("velocity", "window") else {"velocity.window"}
+        listed = {section: [key for key in spec if f"{section}.{key}" in read] for section, spec in _SCHEMA.items()}
+        return {section: keys for section, keys in listed.items() if keys or section == "run"}  # run.command is read
+
+    def _check_reads(self) -> None:
+        """A needed section or key left out is a ConfigError, as is one the run does not read."""
+        for section in _READS[self.command][0]:
+            if section not in self.values:
+                raise ConfigError(f"command '{self.command}' needs a [{section}] section")
+        reads = self.reads()
+        for section, given in self.values.items():
+            if section not in reads:
+                raise ConfigError(f"command '{self.command}' does not read [{section}]")
+            owner, prefix, needs = f"command '{self.command}'", f"{section}.", {}
+            if section in _KINDS:
+                field, kinds = _KINDS[section]
+                name = self.value(section, field)
+                owner, prefix, needs = f"{section} {field} '{name}'", "", kinds[name].needs
+            unread = [key for key in given if key not in reads[section]]
+            missing = [key for key in needs.values() if key not in given]
+            for problem, keys in (("does not read", unread), ("is missing", missing)):
+                if keys:
+                    raise ConfigError(f"{owner} {problem} key '{prefix}{keys[0]}'")
+
+    def build(self, section: str, **extra):
+        """Build the kind ``section`` names; build_mesh and build_velocity add their rules."""
+        field, kinds = _KINDS[section]
+        make, needs, takes = kinds[self.value(section, field)]
+        return make(**_set(**{arg: self.value(section, key) for arg, key in {**needs, **takes}.items()}), **extra)
+
     def build_mesh(self) -> TriMesh:
-        mesh = _MESH_KINDS[self.value("mesh", "kind")](self)
+        mesh = self.build("mesh")
         if self.command == "corollary3" and NEUMANN in mesh.boundary_tags:
-            raise ConfigError(
-                f"mesh file {self.value('mesh', 'path')}: corollary3 needs a pure-Dirichlet mesh, "
-                "but the file tags Neumann edges"
-            )
+            raise ConfigError(f"mesh file {self.value('mesh', 'path')}: corollary3 needs a pure-Dirichlet mesh, "
+                              "but the file tags Neumann edges")
         return mesh
 
-    def _build(self, section: str, field: str, registry: dict, read=(), **extra):
-        """Build what ``section.field`` names with its registry entry.  A key
-        of the section that neither the entry nor the caller (``read``)
-        reads is a ConfigError, as is a missing ``needs`` key."""
-        given, name = self.values.get(section, {}), self.value(section, field)
-        make, needs, takes = registry[name]
-        unread = [key for key in given if key not in (field, *read, *needs.values(), *takes.values())]
-        missing = [key for key in needs.values() if key not in given]
-        for problem, keys in (("does not read", unread), ("is missing", missing)):
-            if keys:
-                raise ConfigError(f"{section} {field} '{name}' {problem} key '{keys[0]}'")
-        return make(**_pick(given, **needs, **takes), **extra)
-
     def build_velocity(self) -> VelocityField:
-        p = self.values["velocity"]
+        window = self.value("velocity", "window")
         try:
-            window = None
-            if "window" in p:  # every kind reads the window, and the ramp only with it
-                w = p["window"]
-                window = CutoffWindow(lo=(w[0], w[2]), hi=(w[1], w[3]), **_pick(p, ramp="ramp"))
-            return self._build("velocity", "kind", _VELOCITY_KINDS, ("window", "ramp") if window else (), window=window)
+            if window is not None:  # rows (xlo, xhi), (ylo, yhi) -> lo, hi
+                window = CutoffWindow(*zip(*window), **_set(ramp=self.value("velocity", "ramp")))
+            return self.build("velocity", window=window)
         except ValueError as exc:
             raise ConfigError(f"velocity: {exc}") from None
 
-    def build_force(self):
-        return self._build("force", "name", _FORCES)
-
-    def build_traction(self):
-        return self._build("traction", "name", _TRACTIONS)
-
     def resolved_items(self) -> list[tuple[str, str]]:
-        """Flat, ordered view of every setting, embedded in reports."""
+        """Flat, ordered view of the settings this run reads, embedded in
+        reports: [run] and [mesh] with their defaults, the other sections as
+        far as the file sets them, and a traction of none not at all."""
         items = [("config.command", self.command)]
-        mesh_kind = self.value("mesh", "kind")
-        for section, given in self.values.items():
-            if section == "traction" and self.value("traction", "name") == "none":
-                continue
-            for key, spec in _SCHEMA[section].items():
-                if spec.recorded in ("always", mesh_kind) or (spec.recorded == "given" and key in given):
-                    items.append((f"config.{section}.{key}", _show(self.value(section, key))))
+        for section, keys in self.reads().items():
+            if section != "traction" or self.value("traction", "name") != "none":
+                shown = [key for key in keys if key in self.values.get(section, {}) or section in ("run", "mesh")]
+                items += [(f"config.{section}.{key}", _show(self.value(section, key))) for key in shown]
         return items
 
 
@@ -317,35 +336,24 @@ def parse_config(path, command: str) -> RunConfig:
         # [DEFAULT] is not among parser.sections(), so its keys would
         # escape the checks below.
         raise ConfigError(f"keys under [DEFAULT] are not allowed: {', '.join(parser.defaults())}")
+    cfg = RunConfig(command)
     for section in parser.sections():
         if section not in _SCHEMA:
             raise ConfigError(f"unknown section [{section}]")
-        for key in parser[section]:
+        given = parser[section]
+        for key in given:
             if key not in _SCHEMA[section]:
                 raise ConfigError(f"unknown key '{key}' in section [{section}]")
-
-    cfg = RunConfig(command)
-    for section, keys in _SCHEMA.items():
-        if not parser.has_section(section):
-            continue
-        given = parser[section]
         cfg.values[section] = {
             key: spec.parse(given.get(key, ""), f"{section}.{key}")
-            for key, spec in keys.items()
+            for key, spec in _SCHEMA[section].items()
             if key in given or spec.default is _REQUIRED
         }
 
     requested = cfg.values["run"].pop("command", command)
     if requested != command:
         raise ConfigError(f"config names command '{requested}' but '{command}' was requested")
-    if cfg.value("mesh", "kind") == "file" and cfg.value("mesh", "path") is None:
-        raise ConfigError("mesh kind 'file' needs mesh.path")
-    for section in _NEEDS[command]:
-        if section not in cfg.values:
-            raise ConfigError(f"command '{command}' needs a [{section}] section")
-    if command == "convergence" and len(cfg.values) > 1:
-        # the manufactured problem fixes the mesh, force and traction
-        raise ConfigError(f"convergence reads only [run], not [{list(cfg.values)[1]}]")
+    cfg._check_reads()
     if command == "corollary3" and cfg.value("mesh", "kind") == "unit_square":
         raise ConfigError("corollary3 needs a pure-Dirichlet mesh (disk or file)")
     return cfg

@@ -9,8 +9,8 @@ import pytest
 import shapederiv as sd
 from shapederiv import cli, stokes_fem
 from shapederiv.cli import main
-from shapederiv.cli.config import parse_config
-from shapederiv.cli.report import read_kv
+from shapederiv.cli.config import _KINDS, RunConfig, parse_config
+from shapederiv.cli.report import ReportWriter, read_kv
 from shapederiv.errors import ConfigError
 
 
@@ -55,64 +55,117 @@ def test_s_list_must_decrease(tmp_path):
         parse_config(cfg, "qp-demo")
 
 
-def _every_key(mesh_kind):
-    return (
-        "[run]\ncommand = fd-verify\nsteps = 16\ns_list = 2e-2 5e-3 1e-3\nn_list = 2 4\nomega = 0.7\n\n"
-        f"[mesh]\nkind = {mesh_kind}\nn = 3\nrings = 2\nneumann_sides = right, top\npath = mesh.txt\n\n"
-        "[velocity]\nkind = quadratic\nb = 0.05 -0.04\nmatrix = 0.3 0.1 -0.2 0.15\nomega = 0.5\n"
-        "coeffs = 0 0.1 0 0.2 0 0.3 0 0 0.1 0 0.2 0.1\nwindow = 0.1 0.9 0.2 0.8\nramp = 0.3\n\n"
-        "[force]\nname = constant\nvalue = 1 0.5\nscale = 1.5\n\n"
-        "[traction]\nname = constant-left\nvalue = 3 0.25\n\n"
-        "[qp]\npath = qp.txt\n\n"
-        "[tolerances]\nresidual_tol = 1e-8\nmax_iter = 50\n"
-    )
-
-
-_RESOLVED_RUN = [
-    ("config.command", "fd-verify"),
-    ("config.run.steps", "16"),
-    ("config.run.s_list", "0.02 0.0050000000000000001 0.001"),
-    ("config.run.n_list", "2 4"),
-    ("config.run.omega", "0.69999999999999996"),
-]
-_RESOLVED_MESH = {
-    "unit_square": [
-        ("config.mesh.kind", "unit_square"),
-        ("config.mesh.n", "3"),
-        ("config.mesh.neumann_sides", "right top"),
-    ],
-    "disk": [("config.mesh.kind", "disk"), ("config.mesh.rings", "2")],
-    "file": [("config.mesh.kind", "file"), ("config.mesh.path", "mesh.txt")],
+_S_LIST = ("s_list = 2e-2 5e-3 1e-3\n", ("config.run.s_list", "0.02 0.0050000000000000001 0.001"))
+# mesh kind -> the lines setting every key it reads, and what report.kv records for them.  Each
+# mesh kind comes with one velocity kind, so that the three goldens record every velocity key.
+_MESH_KEYS = {
+    "unit_square": ("n = 3\nneumann_sides = right, top\n", [("config.mesh.n", "3"), ("config.mesh.neumann_sides", "right top")]),
+    "disk": ("rings = 2\n", [("config.mesh.rings", "2")]),
+    "file": ("path = mesh.txt\n", [("config.mesh.path", "mesh.txt")]),
 }
-_RESOLVED_REST = [
-    ("config.velocity.kind", "quadratic"),
-    ("config.velocity.b", "0.050000000000000003 -0.040000000000000001"),
-    (
-        "config.velocity.coeffs",
-        "0 0.10000000000000001 0 0.20000000000000001 0 0.29999999999999999 "
-        "0 0 0.10000000000000001 0 0.20000000000000001 0.10000000000000001",
+_VELOCITY_KEYS = {
+    "unit_square": (
+        "affine",
+        "b = 0.05 -0.04\nmatrix = 0.3 0.1 -0.2 0.15\n",
+        [
+            ("config.velocity.b", "0.050000000000000003 -0.040000000000000001"),
+            ("config.velocity.matrix", "0.29999999999999999 0.10000000000000001 -0.20000000000000001 0.14999999999999999"),
+        ],
     ),
-    ("config.velocity.matrix", "0.29999999999999999 0.10000000000000001 -0.20000000000000001 0.14999999999999999"),
-    ("config.velocity.omega", "0.5"),
-    ("config.velocity.ramp", "0.29999999999999999"),
-    ("config.velocity.window", "0.10000000000000001 0.90000000000000002 0.20000000000000001 0.80000000000000004"),
-    ("config.force.name", "constant"),
-    ("config.force.scale", "1.5"),
-    ("config.force.value", "1 0.5"),
-    ("config.traction.name", "constant-left"),
-    ("config.traction.value", "3 0.25"),
-    ("config.qp.path", "qp.txt"),
-    ("config.tolerances.max_iter", "50"),
-    ("config.tolerances.residual_tol", "1e-08"),
-]
+    "disk": ("rotation", "omega = 0.5\n", [("config.velocity.omega", "0.5")]),
+    "file": (
+        "quadratic",
+        "coeffs = 0 0.1 0 0.2 0 0.3 0 0 0.1 0 0.2 0.1\n",
+        [
+            (
+                "config.velocity.coeffs",
+                "0 0.10000000000000001 0 0.20000000000000001 0 0.29999999999999999 "
+                "0 0 0.10000000000000001 0 0.20000000000000001 0.10000000000000001",
+            )
+        ],
+    ),
+}
 
 
-@pytest.mark.parametrize("mesh_kind", sorted(_RESOLVED_MESH))
+@pytest.mark.parametrize("mesh_kind", sorted(_MESH_KEYS))
 def test_resolved_config_golden(tmp_path, mesh_kind):
-    # Every key of every section is set; the mesh kind picks which mesh keys
-    # are recorded.  Order and digits are part of report.kv's format.
-    cfg = parse_config(write(tmp_path / "all.cfg", _every_key(mesh_kind)), "fd-verify")
-    assert cfg.resolved_items() == _RESOLVED_RUN + _RESOLVED_MESH[mesh_kind] + _RESOLVED_REST
+    # fd-verify with every key it reads set; the mesh kind picks which mesh
+    # keys are read and recorded.  Order and digits are part of report.kv's format.
+    velocity_kind, velocity_lines, velocity_items = _VELOCITY_KEYS[mesh_kind]
+    text = (
+        f"[run]\ncommand = fd-verify\nsteps = 16\n{_S_LIST[0]}\n"
+        f"[mesh]\nkind = {mesh_kind}\n{_MESH_KEYS[mesh_kind][0]}\n"
+        f"[velocity]\nkind = {velocity_kind}\n{velocity_lines}window = 0.1 0.9 0.2 0.8\nramp = 0.3\n\n"
+        "[force]\nname = constant\nvalue = 1 0.5\n"
+    )
+    cfg = parse_config(write(tmp_path / "all.cfg", text), "fd-verify")
+    assert cfg.resolved_items() == [
+        ("config.command", "fd-verify"),
+        ("config.run.steps", "16"),
+        _S_LIST[1],
+        ("config.mesh.kind", mesh_kind),
+        *_MESH_KEYS[mesh_kind][1],
+        ("config.velocity.kind", velocity_kind),
+        *velocity_items,
+        ("config.velocity.ramp", "0.29999999999999999"),
+        ("config.velocity.window", "0.10000000000000001 0.90000000000000002 0.20000000000000001 0.80000000000000004"),
+        ("config.force.name", "constant"),
+        ("config.force.value", "1 0.5"),
+    ]
+
+
+# command -> a config setting every key it reads, and the items report.kv records, in order
+_RESOLVED = {
+    "qp-demo": (
+        f"[run]\n{_S_LIST[0]}\n[qp]\npath = qp.txt\n\n[tolerances]\nmax_iter = 50\n",
+        [_S_LIST[1], ("config.qp.path", "qp.txt"), ("config.tolerances.max_iter", "50")],
+    ),
+    "stokes-solve": (
+        f"[mesh]\nkind = unit_square\n{_MESH_KEYS['unit_square'][0]}\n[force]\nname = trig\nscale = 1.5\n\n"
+        "[traction]\nname = constant-left\nvalue = 3 0.25\n\n[tolerances]\nresidual_tol = 1e-8\n",
+        [
+            ("config.mesh.kind", "unit_square"),
+            *_MESH_KEYS["unit_square"][1],
+            ("config.force.name", "trig"),
+            ("config.force.scale", "1.5"),
+            ("config.traction.name", "constant-left"),
+            ("config.traction.value", "3 0.25"),
+            ("config.tolerances.residual_tol", "1e-08"),
+        ],
+    ),
+    # [run] and [mesh] are recorded with their defaults
+    "shape-derivative": (
+        "[mesh]\n\n[velocity]\nkind = zero\n\n[force]\nname = manufactured-trig\n",
+        [
+            ("config.mesh.kind", "unit_square"),
+            ("config.mesh.n", "4"),
+            ("config.mesh.neumann_sides", "none"),
+            ("config.velocity.kind", "zero"),
+            ("config.force.name", "manufactured-trig"),
+        ],
+    ),
+    "corollary3": (
+        f"[run]\nsteps = 16\n{_S_LIST[0]}omega = 0.7\n\n[mesh]\nkind = disk\n{_MESH_KEYS['disk'][0]}\n"
+        "[force]\nname = rotational\nscale = 1.5\n",
+        [
+            ("config.run.steps", "16"),
+            _S_LIST[1],
+            ("config.run.omega", "0.69999999999999996"),
+            ("config.mesh.kind", "disk"),
+            *_MESH_KEYS["disk"][1],
+            ("config.force.name", "rotational"),
+            ("config.force.scale", "1.5"),
+        ],
+    ),
+    "convergence": ("[run]\nn_list = 2 4\n", [("config.run.n_list", "2 4")]),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_RESOLVED))
+def test_resolved_config_of_each_command(tmp_path, command):
+    text, items = _RESOLVED[command]
+    cfg = parse_config(write(tmp_path / "all.cfg", text), command)
+    assert cfg.resolved_items() == [("config.command", command), *items]
 
 
 _WINDOW = sd.CutoffWindow(lo=(-0.2, 0.1), hi=(0.9, 1.3), ramp=0.3)
@@ -165,26 +218,32 @@ FD_SQUARE = {
 }
 
 
-@pytest.mark.parametrize(
-    "section,key,value",
-    [
-        ("run", "steps", "abc"),
-        ("run", "s_list", "1e-2 nan"),
-        ("run", "s_list", ""),
-        ("run", "n_list", ""),
-        ("run", "omega", "inf"),
-        ("mesh", "n", "0"),
-        ("mesh", "n", "2.5"),
-        ("velocity", "window", "0.1 0.85 -1 2"),  # with the ramp below: out of range
-        ("force", "scale", "nan"),
-        ("tolerances", "residual_tol", "nan"),
-        ("tolerances", "residual_tol", "0"),
-        ("tolerances", "residual_tol", "-1e-9"),
-        ("tolerances", "max_iter", "0"),
-        ("tolerances", "max_iter", "0.5"),
-        ("tolerances", "max_iter", "2.5"),
-    ],
-)
+# a malformed value -> its parser's message.  fd-verify reads neither
+# n_list, omega nor [tolerances]: every value is parsed before the check of
+# what the command reads, so these fail on the value too.
+_PARSE_ERRORS = {
+    ("run", "steps", "abc"): "run.steps: expected an integer, got 'abc'",
+    ("run", "s_list", "1e-2 nan"): "run.s_list: expected a finite number, got 'nan'",
+    ("run", "s_list", ""): "run.s_list needs at least one step",
+    ("run", "n_list", ""): "run.n_list needs at least one mesh size",
+    ("run", "n_list", "4 4"): "run.n_list must be strictly increasing",
+    ("run", "n_list", "8 4"): "run.n_list must be strictly increasing",
+    ("run", "omega", "inf"): "run.omega: expected a finite number, got 'inf'",
+    ("mesh", "n", "0"): "mesh.n must be >= 1",
+    ("mesh", "n", "2.5"): "mesh.n: expected an integer, got '2.5'",
+    # with the ramp below: out of range
+    ("velocity", "window", "0.1 0.85 -1 2"): "velocity: ramp fraction must lie in (0, 0.5]",
+    ("force", "scale", "nan"): "force.scale: expected a finite number, got 'nan'",
+    ("tolerances", "residual_tol", "nan"): "tolerances.residual_tol: expected a finite number, got 'nan'",
+    ("tolerances", "residual_tol", "0"): "tolerances.residual_tol must be strictly positive",
+    ("tolerances", "residual_tol", "-1e-9"): "tolerances.residual_tol must be strictly positive",
+    ("tolerances", "max_iter", "0"): "tolerances.max_iter must be >= 1",
+    ("tolerances", "max_iter", "0.5"): "tolerances.max_iter: expected an integer, got '0.5'",
+    ("tolerances", "max_iter", "2.5"): "tolerances.max_iter: expected an integer, got '2.5'",
+}
+
+
+@pytest.mark.parametrize("section,key,value", list(_PARSE_ERRORS))
 def test_malformed_numbers_exit_2(tmp_path, capsys, section, key, value):
     entries = dict(FD_SQUARE)
     entries[(section, key)] = value
@@ -196,7 +255,7 @@ def test_malformed_numbers_exit_2(tmp_path, capsys, section, key, value):
     text = "\n\n".join(f"[{sec}]\n" + "\n".join(lines) for sec, lines in sections.items())
     cfg = write(tmp_path / "bad.cfg", text + "\n")
     assert main(["fd-verify", "--config", cfg, "--output", str(tmp_path / "o")]) == 2
-    assert capsys.readouterr().err.startswith("error: ConfigError:")
+    assert capsys.readouterr().err == f"error: ConfigError: {_PARSE_ERRORS[section, key, value]}\n"
 
 
 def _qp_cut_after_a(tmp_path):
@@ -377,6 +436,100 @@ def test_keys_that_do_not_fit_the_kind_exit_2(tmp_path, capsys, command, section
     assert capsys.readouterr().err == f"error: ConfigError: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "mesh,message",
+    [
+        ("kind = disk\nrings = 2\nn = 8\n", "mesh kind 'disk' does not read key 'n'"),
+        ("kind = unit_square\nn = 2\nrings = 2\n", "mesh kind 'unit_square' does not read key 'rings'"),
+        ("kind = file\npath = mesh.txt\nneumann_sides = right\n", "mesh kind 'file' does not read key 'neumann_sides'"),
+        ("kind = file\n", "mesh kind 'file' is missing key 'path'"),
+    ],
+    ids=["disk-n", "unit_square-rings", "file-neumann_sides", "file-without-path"],
+)
+def test_mesh_keys_that_do_not_fit_the_kind_exit_2(tmp_path, capsys, mesh, message):
+    # a mesh key of another kind would change nothing: the kind's defaults apply
+    cfg = write(tmp_path / "run.cfg", f"[mesh]\n{mesh}\n[force]\nname = trig\n")
+    assert main(["stokes-solve", "--config", cfg, "--output", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"error: ConfigError: {message}\n"
+
+
+_DISK_TRIG = "[mesh]\nkind = disk\nrings = 2\n\n[force]\nname = trig\n\n"
+
+
+@pytest.mark.parametrize(
+    "command,text,message",
+    [
+        ("stokes-solve", _DISK_TRIG + "[qp]\npath = /nonexistent\n", "command 'stokes-solve' does not read [qp]"),
+        ("stokes-solve", _DISK_TRIG + "[velocity]\nkind = zero\n", "command 'stokes-solve' does not read [velocity]"),
+        ("stokes-solve", _DISK_TRIG + "[tolerances]\nmax_iter = 5\n",
+         "command 'stokes-solve' does not read key 'tolerances.max_iter'"),
+        ("stokes-solve", "[run]\nsteps = 3\n\n" + _DISK_TRIG, "command 'stokes-solve' does not read key 'run.steps'"),
+        ("shape-derivative", _DISK_TRIG + "[velocity]\nkind = zero\n\n[traction]\nname = none\n",
+         "command 'shape-derivative' does not read [traction]"),
+        ("fd-verify", "[run]\nomega = 2\n\n" + _DISK_TRIG + "[velocity]\nkind = zero\n",
+         "command 'fd-verify' does not read key 'run.omega'"),
+        ("corollary3", _DISK_TRIG + "[velocity]\nkind = zero\n", "command 'corollary3' does not read [velocity]"),
+        ("qp-demo", "[mesh]\nkind = unit_square\n", "command 'qp-demo' does not read [mesh]"),
+        ("qp-demo", "[run]\nn_list = 2 4\n", "command 'qp-demo' does not read key 'run.n_list'"),
+    ],
+    ids=["stokes-qp", "stokes-velocity", "stokes-max_iter", "stokes-steps", "derivative-traction", "fd-omega",
+         "corollary3-velocity", "qp-mesh", "qp-n_list"],
+)
+def test_sections_and_keys_the_command_does_not_read_exit_2(tmp_path, capsys, command, text, message):
+    # such a setting would be recorded in report.kv without changing the run
+    cfg = write(tmp_path / "run.cfg", text)
+    assert main([command, "--config", cfg, "--output", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"error: ConfigError: {message}\n"
+
+
+_SQUARE = "[mesh]\nkind = unit_square\nn = 2\nneumann_sides = left right\n\n"
+# every command runs: stokes-solve and shape-derivative below, once for every
+# kind of each section that they build
+_READ_RUNS = {
+    "qp-demo": ("qp-demo", "[run]\ns_list = 1e-2\n"),
+    "fd-verify": ("fd-verify", "[run]\ns_list = 1e-2\n\n" + _DISK_TRIG + "[velocity]\nkind = rotation\n"),
+    "corollary3": ("corollary3", "[run]\ns_list = 1e-2\n\n" + _DISK_TRIG),
+    "convergence": ("convergence", "[run]\nn_list = 2\n"),
+    "velocity-window": ("shape-derivative", _SQUARE + "[force]\nname = trig\n\n"
+                        "[velocity]\nkind = rotation\nwindow = 0.1 0.9 0.1 0.9\nramp = 0.3\n"),
+}
+_NEEDED = {"path": "mesh.txt", "b": "0.1 0", "matrix": "0.3 0.1 -0.2 0.15", "coeffs": "0 0.1 0 0.2 0 0.3 0 0 0.1 0 0.2 0.1"}
+_KIND_RUNS = {  # section -> the command that builds it, and the other sections it needs
+    "mesh": ("stokes-solve", "[force]\nname = trig\n"),
+    "velocity": ("shape-derivative", _SQUARE + "[force]\nname = trig\n"),
+    "force": ("stokes-solve", _SQUARE),
+    "traction": ("stokes-solve", _SQUARE + "[force]\nname = trig\n"),
+}
+
+
+def _kind_run(section, field, kind, builder):
+    command, others = _KIND_RUNS[section]
+    needed = "".join(f"{key} = {_NEEDED[key]}\n" for key in builder.needs.values())
+    return command, f"[{section}]\n{field} = {kind}\n{needed}\n{others}"
+
+
+_READ_RUNS.update(
+    (f"{section}-{kind}", _kind_run(section, field, kind, builder))
+    for section, (field, kinds) in _KINDS.items()
+    for kind, builder in kinds.items()
+)
+
+
+@pytest.mark.parametrize("run", sorted(_READ_RUNS))
+def test_each_run_reads_exactly_its_declared_keys(tmp_path, monkeypatch, run):
+    # RunConfig.reads decides what a file may set and what report.kv records;
+    # the keys the pipeline reads through RunConfig.value must be those
+    command, text = _READ_RUNS[run]
+    monkeypatch.chdir(tmp_path)
+    sd.write_mesh("mesh.txt", sd.unit_square_mesh(2))
+    cfg = parse_config(write(tmp_path / "run.cfg", text), command)
+    declared = {(section, key) for section, keys in cfg.reads().items() for key in keys}
+    logged, value = set(), RunConfig.value
+    monkeypatch.setattr(RunConfig, "value", lambda self, section, key: logged.add((section, key)) or value(self, section, key))
+    cli._PIPELINES[command](cfg, ReportWriter(str(tmp_path / "out")))
+    assert logged == declared
+
+
 def test_stokes_solve_factors_once(tmp_path, monkeypatch):
     # solve_stokes and inf_sup_constant share the system's Schur operator
     built = []
@@ -447,7 +600,7 @@ _FD_RUNS = {
     "[mesh]\nkind = unit_square\nn = 8\nneumann_sides = right\n\n"
     "[velocity]\nkind = affine\nmatrix = 0.3 0.1 -0.2 0.15\nb = 0.05 -0.04\n\n"
     "[force]\nname = trig\n",
-    "fd-verify-pinned": "[run]\nomega = 1.0\ns_list = 1e-2 1e-3\n\n[mesh]\nkind = disk\nrings = 2\n\n"
+    "fd-verify-pinned": "[run]\ns_list = 1e-2 1e-3\n\n[mesh]\nkind = disk\nrings = 2\n\n"
     "[force]\nname = trig\n\n[velocity]\nkind = rotation\nomega = 1.0\n",
     "corollary3": "[run]\nomega = 1.0\ns_list = 1e-2 1e-3\n\n[mesh]\nkind = disk\nrings = 2\n\n"
     "[force]\nname = rotational\n",
@@ -478,14 +631,18 @@ def test_one_cpu_reports_equal_the_threaded_ones(tmp_path, monkeypatch, run):
 def test_pure_dirichlet_mesh_pins_the_pressure(tmp_path):
     # Without a Neumann edge the pressure is fixed only up to a constant:
     # fd-verify and shape-derivative pin it, as stokes-solve and corollary3 do.
-    text = (
-        "[run]\nomega = 1.0\ns_list = 1e-2 1e-3\n\n[mesh]\nkind = disk\nrings = 2\n\n"
-        "[force]\nname = trig\n\n[velocity]\nkind = rotation\nomega = 1.0\n"
-    )
-    cfg = write(tmp_path / "run.cfg", text)
+    # each command is given only the sections and keys it reads
+    mesh_force = "[mesh]\nkind = disk\nrings = 2\n\n[force]\nname = trig\n"
+    velocity = "\n[velocity]\nkind = rotation\nomega = 1.0\n"
+    texts = {
+        "fd-verify": "[run]\ns_list = 1e-2 1e-3\n\n" + mesh_force + velocity,
+        "shape-derivative": mesh_force + velocity,
+        "corollary3": "[run]\nomega = 1.0\ns_list = 1e-2 1e-3\n\n" + mesh_force,
+    }
     kv = {}
-    for command in ("fd-verify", "shape-derivative", "corollary3"):
+    for command, text in texts.items():
         out = tmp_path / command
+        cfg = write(tmp_path / f"{command}.cfg", text)
         assert main([command, "--config", cfg, "--output", str(out)]) == 0
         kv[command] = read_kv(out / "report.kv")
     assert kv["fd-verify"]["result.L1"] == kv["corollary3"]["result.L1"]
@@ -685,18 +842,17 @@ def test_non_ascii_input_path_is_recorded(tmp_path, command):
 
 
 def test_reports_are_byte_identical(tmp_path):
-    cfg = write(
-        tmp_path / "run.cfg",
-        "[run]\ns_list = 1e-2 3e-3\n\n"
-        "[mesh]\nkind = unit_square\nn = 4\nneumann_sides = right\n\n"
-        "[velocity]\nkind = affine\nmatrix = 0.3 0.1 -0.2 0.15\n\n[force]\nname = trig\n",
-    )
+    # each command is given only the sections and keys it reads
+    run, mesh = "[run]\ns_list = 1e-2 3e-3\n\n", "[mesh]\nkind = unit_square\nn = 4\nneumann_sides = right\n\n"
+    velocity, force = "[velocity]\nkind = affine\nmatrix = 0.3 0.1 -0.2 0.15\n\n", "[force]\nname = trig\n"
+    cfg = write(tmp_path / "run.cfg", run + mesh + velocity + force)
     out1, out2 = tmp_path / "o1", tmp_path / "o2"
     assert main(["fd-verify", "--config", cfg, "--output", str(out1)]) == 0
     assert main(["fd-verify", "--config", cfg, "--output", str(out2)]) == 0
     assert (out1 / "report.kv").read_bytes() == (out2 / "report.kv").read_bytes()
     assert (out1 / "fd_table.csv").read_bytes() == (out2 / "fd_table.csv").read_bytes()
     out7, out8 = tmp_path / "o7", tmp_path / "o8"
+    cfg = write(tmp_path / "derivative.cfg", mesh + velocity + force)
     assert main(["shape-derivative", "--config", cfg, "--output", str(out7)]) == 0
     assert main(["shape-derivative", "--config", cfg, "--output", str(out8)]) == 0
     assert (out7 / "report.kv").read_bytes() == (out8 / "report.kv").read_bytes()
@@ -708,11 +864,13 @@ def test_reports_are_byte_identical(tmp_path):
     assert "result.slope" not in kv_sd and not (out7 / "fd_table.csv").exists()
     # stokes-solve adds the CG iteration count and the Rayleigh-Ritz inf-sup estimate
     out3, out4 = tmp_path / "o3", tmp_path / "o4"
+    cfg = write(tmp_path / "solve.cfg", mesh + force)
     assert main(["stokes-solve", "--config", cfg, "--output", str(out3)]) == 0
     assert main(["stokes-solve", "--config", cfg, "--output", str(out4)]) == 0
     assert (out3 / "report.kv").read_bytes() == (out4 / "report.kv").read_bytes()
     # qp-demo on the bundled instance adds the active-set step count
     out5, out6 = tmp_path / "o5", tmp_path / "o6"
+    cfg = write(tmp_path / "qp.cfg", run)
     assert main(["qp-demo", "--config", cfg, "--output", str(out5)]) == 0
     assert main(["qp-demo", "--config", cfg, "--output", str(out6)]) == 0
     assert (out5 / "report.kv").read_bytes() == (out6 / "report.kv").read_bytes()
