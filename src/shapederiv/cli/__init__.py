@@ -34,6 +34,8 @@ def _qp_demo(cfg: RunConfig, rep: ReportWriter) -> None:
             qp, direction = cm.load_qp(cfg.value("qp", "path") or bundled)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"qp file: {exc}") from None
+    if direction is None:  # no re-solves
+        cfg.skip("run", "s_list", "the qp file has no perturbation block")
     max_iter = cfg.value("tolerances", "max_iter")
     sp = cm.solve_saddle_point(qp, max_iter=max_iter)
     obj = cm.objective_value(qp, sp.u)
@@ -59,7 +61,10 @@ def _qp_demo(cfg: RunConfig, rep: ReportWriter) -> None:
     l1 = cm.shape_derivative(qp, direction, sp)
     rep.add_kv("result.L1", l1)
     rep.add_summary(f"L1 = {fmt6(l1)}")
-    table = fd_table(lambda s: cm.optimal_value(qp, direction, s, max_iter), l1, obj, cfg.value("run", "s_list"))
+    # The re-solves start from the base working set (None for the equality cone).
+    table = fd_table(
+        lambda s: cm.optimal_value(qp, direction, s, max_iter, start=sp.active_set), l1, obj, cfg.value("run", "s_list")
+    )
     _emit_fd_table(rep, table, l1)
 
 
@@ -196,11 +201,10 @@ _PIPELINES = {
 def run(cfg: RunConfig, output_dir: str, verbose: bool = False) -> list[str]:
     """Execute a validated configuration; returns the written file paths."""
     rep = ReportWriter(output_dir)
-    for key, value in cfg.resolved_items():
-        rep.add_kv(key, value)
     rep.add_summary(f"shapederiv {cfg.command}")
     rep.add_summary()
     _PIPELINES[cfg.command](cfg, rep)
+    rep.kv[:0] = cfg.resolved_items()  # after the run, which may skip a key
     written = rep.write()
     if verbose:
         for line in rep.summary:

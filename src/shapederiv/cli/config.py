@@ -247,6 +247,8 @@ class RunConfig:
     # section -> key -> parsed value, for the keys the file sets; [run] is
     # always present, other sections only when the file has them.
     values: dict = field(default_factory=lambda: {"run": {}})
+    # "section.key" of the keys the run found it does not read (see skip)
+    skipped: set = field(default_factory=set)
 
     def value(self, section: str, key: str):
         """The parsed value of ``section.key``, or its default."""
@@ -262,8 +264,15 @@ class RunConfig:
                 read |= {f"{section}.{key}" for key in (*need.values(), *take.values())}
         if "velocity.kind" in read:  # every velocity kind reads the window, and the ramp only with it
             read |= {"velocity.window", "velocity.ramp"} if self.value("velocity", "window") else {"velocity.window"}
+        read -= self.skipped
         listed = {section: [key for key in spec if f"{section}.{key}" in read] for section, spec in _SCHEMA.items()}
         return {section: keys for section, keys in listed.items() if keys or section == "run"}  # run.command is read
+
+    def skip(self, section: str, key: str, reason: str) -> None:
+        """Leave out a key the run turns out not to read; a ConfigError if the file sets it."""
+        if key in self.values.get(section, {}):
+            raise ConfigError(f"{reason}, so command '{self.command}' does not read key '{section}.{key}'")
+        self.skipped.add(f"{section}.{key}")
 
     def _check_reads(self) -> None:
         """A needed section or key left out is a ConfigError, as is one the run does not read."""
@@ -294,8 +303,8 @@ class RunConfig:
     def build_mesh(self) -> TriMesh:
         mesh = self.build("mesh")
         if self.command == "corollary3" and NEUMANN in mesh.boundary_tags:
-            raise ConfigError(f"mesh file {self.value('mesh', 'path')}: corollary3 needs a pure-Dirichlet mesh, "
-                              "but the file tags Neumann edges")
+            where = f"mesh file {self.value('mesh', 'path')}" if self.value("mesh", "path") else "mesh.neumann_sides"
+            raise ConfigError(f"{where}: corollary3 needs a pure-Dirichlet mesh, but the mesh has Neumann edges")
         return mesh
 
     def build_velocity(self) -> VelocityField:
@@ -354,6 +363,4 @@ def parse_config(path, command: str) -> RunConfig:
     if requested != command:
         raise ConfigError(f"config names command '{requested}' but '{command}' was requested")
     cfg._check_reads()
-    if command == "corollary3" and cfg.value("mesh", "kind") == "unit_square":
-        raise ConfigError("corollary3 needs a pure-Dirichlet mesh (disk or file)")
     return cfg

@@ -15,8 +15,11 @@ the Schur-complement system B_W A^{-1} B_W' lam_W = -B_W A^{-1} f through a
 QR factorization of G_W = L^{-1} B_W', updated by one Givens sweep when a
 constraint enters or leaves the working set (Goldfarb & Idnani 1983;
 Nocedal & Wright, Numerical Optimization, 2nd ed., sections 16.3 and
-16.5).  check_lbb reads the inf-sup constant off the same G.  The module
-also provides the optimal value of a perturbed problem and its
+16.5).  The iteration may start from a given working set, such as the
+terminal set of a nearby problem (the parametric warm start of Nocedal &
+Wright, section 16.5, and of qpOASES, Ferreau, Bock & Diehl 2008).
+check_lbb reads the inf-sup constant off the same G.  The module also
+provides the optimal value of a perturbed problem and its
 central-difference quotient, the independent check of that derivative.
 
 All operations are pure functions of immutable inputs and safe to call
@@ -26,6 +29,7 @@ concurrently.
 from __future__ import annotations
 
 import enum
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -224,7 +228,7 @@ def _working_multiplier(R: np.ndarray, qh: np.ndarray) -> np.ndarray:
     return -scipy.linalg.solve_triangular(R, qh, check_finite=False)
 
 
-def solve_saddle_point(qp: ConeQP, max_iter: int = 200) -> SaddlePoint:
+def solve_saddle_point(qp: ConeQP, max_iter: int = 200, start: Iterable[int] | None = None) -> SaddlePoint:
     """Solve the primal-dual saddle point of the cone QP by a range-space method.
 
     A = LL' is factored once, and G = L^{-1}B', h = L^{-1}f, Z = A^{-1}B'
@@ -234,14 +238,22 @@ def solve_saddle_point(qp: ConeQP, max_iter: int = 200) -> SaddlePoint:
     is never formed, so its conditioning is not squared.
 
     Equality cone: one economic QR of G.  Inequality cone: primal
-    active-set iteration starting from the feasible origin; blocking
-    constraints enter by lowest index and constraints leave by most
-    negative multiplier (lowest index on ties), with ``max_iter`` working-set
-    solves as the cycling guard.  Q and R are updated by one Givens sweep
-    per entering or leaving constraint.  A working set whose R has a
-    diagonal entry that is zero to roundoff or non-finite raises
-    RankDeficientB.
+    active-set iteration from the origin, where every constraint holds
+    with equality, so that any working set is feasible there.  It starts
+    from the empty working set, or from ``start`` (a set of constraint
+    indices in range(m), say the terminal set of a nearby QP), with one
+    full QR of G_start.  Blocking constraints enter by lowest index and
+    constraints leave by most negative multiplier (lowest index on ties),
+    with ``max_iter`` working-set solves from the start as the cycling
+    guard.  Q and R are updated by one Givens sweep per entering or
+    leaving constraint.  A working set whose R has a diagonal entry that
+    is zero to roundoff or non-finite raises RankDeficientB, the start set
+    included.  A ``start`` that is not such a set, or that is given for
+    the equality cone, raises DimensionMismatch.
     """
+    if start is not None and (qp.cone is ConeKind.EQUALITY or not all(
+            isinstance(i, (int, np.integer)) and 0 <= i < qp.m for i in start)):
+        raise DimensionMismatch(f"start must be a set of constraint indices in range({qp.m}) of an inequality-cone QP")
     L, G = _whitened_constraints(qp)
     h = scipy.linalg.solve_triangular(L, qp.f, lower=True)
     Z = scipy.linalg.solve_triangular(L, G, lower=True, trans="T")
@@ -259,9 +271,11 @@ def solve_saddle_point(qp: ConeQP, max_iter: int = 200) -> SaddlePoint:
     mult_tol = 1e-11 * f_scale
     block_tol = -1e-14 * f_scale
     u = np.zeros(n)
-    working: list[int] = []  # constraint of each column of G_W, in insertion order
+    # constraint of each column of G_W: the start set in order, then in insertion order
+    working = sorted({int(i) for i in start or ()})
     in_working = np.zeros(m, dtype=bool)
-    Q, R = np.eye(n), np.zeros((n, 0))  # full QR of G_W
+    in_working[working] = True
+    Q, R = scipy.linalg.qr(G[:, working])  # full QR of G_W
 
     for step in range(1, max_iter + 1):
         k = len(working)
@@ -332,14 +346,15 @@ def perturbed_qp(qp: ConeQP, direction: PerturbationDirection, s: float) -> Cone
 
 
 def optimal_value(
-    qp: ConeQP, direction: PerturbationDirection, s: float, max_iter: int = 200
+    qp: ConeQP, direction: PerturbationDirection, s: float, max_iter: int = 200, start: Iterable[int] | None = None
 ) -> float:
     """Optimal value of the QP perturbed by s along ``direction``.
 
-    Uses only the solver and the objective, never ``shape_derivative``.
+    Uses only the solver and the objective, never ``shape_derivative``;
+    ``start`` is the solver's starting working set.
     """
     qp_s = perturbed_qp(qp, direction, s)
-    return objective_value(qp_s, solve_saddle_point(qp_s, max_iter=max_iter).u)
+    return objective_value(qp_s, solve_saddle_point(qp_s, max_iter=max_iter, start=start).u)
 
 
 def fd_derivative(qp: ConeQP, direction: PerturbationDirection, s: float) -> float:

@@ -704,7 +704,7 @@ def test_qp_demo_bundled_instance(tmp_path):
     assert len(table) == 4
 
 
-def test_qp_demo_custom_instance(tmp_path):
+def test_qp_demo_custom_instance(tmp_path, capsys):
     qp = sd.ConeQP(A=np.eye(2), B=np.eye(2), f=np.array([1.0, 2.0]), cone=sd.ConeKind.EQUALITY)
     path = tmp_path / "inst.txt"
     sd.save_qp(path, qp)
@@ -714,6 +714,13 @@ def test_qp_demo_custom_instance(tmp_path):
     kv = read_kv(out / "report.kv")
     assert kv["result.u"].split() == ["0", "0"]
     assert "result.L1" not in kv  # no perturbation block in the file
+    assert "config.run.s_list" not in kv  # so no re-solves read it
+    s_list = write(tmp_path / "s_list.cfg", f"[run]\ns_list = 1e-2\n\n[qp]\npath = {path}\n")
+    assert main(["qp-demo", "--config", s_list, "--output", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == (
+        "error: ConfigError: the qp file has no perturbation block, "
+        "so command 'qp-demo' does not read key 'run.s_list'\n"
+    )
     # u >= 0 with f = (1, -2): constraint 1 enters, a full step, then the stop test
     qp = sd.ConeQP(A=np.eye(2), B=np.eye(2), f=np.array([1.0, -2.0]))
     sd.save_qp(path, qp)
@@ -725,17 +732,21 @@ def test_qp_demo_custom_instance(tmp_path):
 
 
 def test_qp_demo_max_iter_bounds_the_fd_re_solves(tmp_path, capsys):
-    # The base solve takes 7 active-set steps, the re-solve at s = +1e-2 takes 10.
-    rng = np.random.default_rng(38)
-    q = rng.standard_normal((6, 6))
-    qp = sd.ConeQP(A=q @ q.T + np.eye(6), B=rng.standard_normal((5, 6)), f=rng.standard_normal(6))
+    # u >= 0 with A = B = I and f = (-1, 1, 1, 1): the cold base solve adds
+    # row 0 and stops after 3 active-set steps.  At s = +1e-2, f1 turns
+    # f_1 and f_2 negative, so the re-solve warm-started from {0} adds
+    # rows 1 and 2 and takes 4; the other re-solves take 2.
+    qp = sd.ConeQP(A=np.eye(4), B=np.eye(4), f=np.array([-1.0, 1.0, 1.0, 1.0]))
     direction = sd.PerturbationDirection(
-        A1=np.zeros((6, 6)), B1=rng.standard_normal((5, 6)), f1=rng.standard_normal(6)
+        A1=np.zeros((4, 4)), B1=np.zeros((4, 4)), f1=np.array([0.0, -200.0, -200.0, 0.0])
     )
-    assert sd.solve_saddle_point(qp).iterations == 7
+    sp = sd.solve_saddle_point(qp)
+    assert (sp.iterations, sp.active_set) == (3, {0})
+    warm = sd.solve_saddle_point(sd.perturbed_qp(qp, direction, 1e-2), start=sp.active_set)
+    assert (warm.iterations, warm.active_set) == (4, {0, 1, 2})
     path = tmp_path / "inst.txt"
     sd.save_qp(path, qp, direction)
-    for max_iter, code in ((7, 1), (10, 0)):
+    for max_iter, code in ((3, 1), (4, 0)):
         cfg = write(
             tmp_path / "run.cfg",
             f"[run]\ns_list = 1e-2 1e-3\n\n[qp]\npath = {path}\n\n[tolerances]\nmax_iter = {max_iter}\n",
@@ -785,6 +796,17 @@ def test_corollary3_pipeline(tmp_path):
     kv = read_kv(out / "report.kv")
     assert kv["result.slope"] == "exact"
     assert abs(float(kv["result.L1"])) <= 1e-10
+
+
+def test_corollary3_on_the_unit_square(tmp_path, capsys):
+    # A unit_square without neumann_sides is pure Dirichlet.
+    text = "[run]\ns_list = 1e-2 1e-3\n\n[mesh]\nkind = unit_square\nn = 4\n{}\n[force]\nname = rotational\n"
+    for sides, code in (("", 0), ("neumann_sides = right\n", 2)):
+        cfg = write(tmp_path / "run.cfg", text.format(sides))
+        assert main(["corollary3", "--config", cfg, "--output", str(tmp_path / "o")]) == code
+    assert capsys.readouterr().err == (
+        "error: ConfigError: mesh.neumann_sides: corollary3 needs a pure-Dirichlet mesh, but the mesh has Neumann edges\n"
+    )
 
 
 def test_convergence_pipeline(tmp_path):

@@ -147,6 +147,39 @@ def test_drop_breaks_multiplier_ties_by_lowest_index():
     np.testing.assert_allclose(sp.lam, lam_ref, atol=1e-12)
 
 
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 40), data=st.data())
+def test_warm_start_matches_cold_solve(seed, n, data):
+    # Re-solves at +-s started from the base working set end at the cold
+    # optimum: the stopping test is the same KKT test.
+    m = data.draw(st.integers(1, n - 1))
+    active = data.draw(st.integers(1, m))
+    qp, direction, _ = _strictly_complementary_instance(np.random.default_rng(seed), n, m, active)
+    base = sd.solve_saddle_point(qp).active_set
+    for s in (1e-2, -1e-2, 1e-3, -1e-3):
+        qp_s = sd.perturbed_qp(qp, direction, s)
+        cold, warm = sd.solve_saddle_point(qp_s), sd.solve_saddle_point(qp_s, start=base)
+        e_cold, e_warm = sd.objective_value(qp_s, cold.u), sd.objective_value(qp_s, warm.u)
+        assert abs(e_warm - e_cold) <= 1e-12 * (1.0 + abs(e_cold))
+        assert sd.optimal_value(qp, direction, s, start=base) == e_warm
+        assert warm.kkt_residual <= 1e-10 * (1.0 + np.linalg.norm(qp_s.f))
+
+
+def test_bad_start_raises():
+    qp = ConeQP(A=np.eye(2), B=np.eye(2), f=np.ones(2))
+    for start in ({2}, {-1}, {0.0}):
+        with pytest.raises(sd.DimensionMismatch, match="^start must be"):
+            sd.solve_saddle_point(qp, start=start)
+    equality = ConeQP(A=np.eye(2), B=np.eye(2), f=np.ones(2), cone=ConeKind.EQUALITY)
+    with pytest.raises(sd.DimensionMismatch, match="^start must be"):
+        sd.solve_saddle_point(equality, start=frozenset())
+    # Dependent start rows raise as a cold solve that reaches them does
+    # (set past the constructor, which rejects such a B).
+    object.__setattr__(qp, "B", np.array([[1.0, 2.0], [2.0, 4.0]]))
+    with pytest.raises(sd.RankDeficientB):
+        sd.solve_saddle_point(qp, start={0, 1})
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_ill_conditioned_constraints(seed):
     # sigma_min / sigma_max(B) = 1e-9: a bordered LDL' solve loses about
@@ -436,6 +469,16 @@ def _weakly_active_instance(seed, n=8, m=4):
     return ConeQP(A=a, B=b, f=a @ u - b.T @ lam), PerturbationDirection(A1=a1, B1=b1, f1=f1)
 
 
+def _assert_warm_sides(qp, direction, sides, base):
+    """Re-solves at +-1e-3 started from the base working set end on the
+    cold sets ``sides``: on one side the base set, on the other the base
+    set with row 0 added or dropped."""
+    warm = [sd.solve_saddle_point(sd.perturbed_qp(qp, direction, s), start=base).active_set
+            for s in (1e-3, -1e-3)]
+    assert warm == sides
+    assert {active ^ base for active in warm} == {frozenset(), frozenset({0})}
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_weakly_active_constraint(seed):
     # Row 0 joins the working set on one side of s = 0 only, so the value
@@ -446,6 +489,7 @@ def test_weakly_active_constraint(seed):
              for s in (1e-3, -1e-3)]
     assert [0 in active for active in sides].count(True) == 1
     sp = sd.solve_saddle_point(qp)
+    _assert_warm_sides(qp, direction, sides, sp.active_set)
     l1 = sd.shape_derivative(qp, direction, sp)
     # Oracle: the equality-cone QP of the working set on either side.
     for rows in ([0, 1], [1]):
@@ -468,7 +512,9 @@ def test_weakly_active_constraint_any_seed(seed):
     sides = [sd.solve_saddle_point(sd.perturbed_qp(qp, direction, s)).active_set
              for s in (1e-3, -1e-3)]
     assert [0 in active for active in sides].count(True) == 1
-    l1 = sd.shape_derivative(qp, direction, sd.solve_saddle_point(qp))
+    sp = sd.solve_saddle_point(qp)
+    _assert_warm_sides(qp, direction, sides, sp.active_set)
+    l1 = sd.shape_derivative(qp, direction, sp)
     for rows in ([0, 1], [1]):
         fixed = ConeQP(A=qp.A, B=qp.B[rows], f=qp.f, cone=ConeKind.EQUALITY)
         along = PerturbationDirection(A1=direction.A1, B1=direction.B1[rows], f1=direction.f1)
