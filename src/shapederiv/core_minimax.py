@@ -239,20 +239,22 @@ def solve_saddle_point(qp: ConeQP, max_iter: int = 200, start: Iterable[int] | N
 
     Equality cone: one economic QR of G.  Inequality cone: primal
     active-set iteration from the origin, where every constraint holds
-    with equality, so that any working set is feasible there.  It starts
-    from the empty working set, or from ``start`` (a set of constraint
-    indices in range(m), say the terminal set of a nearby QP), with one
-    full QR of G_start.  Blocking constraints enter by lowest index and
+    with equality, so any working set is feasible: it starts from the
+    empty set or from ``start`` (constraint indices in range(m), say the
+    terminal set of a nearby QP; one full QR of G_start), which saves
+    steps only near the terminal set, as each row in one set and not the
+    other costs a step.  Blocking constraints enter by lowest index and
     constraints leave by most negative multiplier (lowest index on ties),
     with ``max_iter`` working-set solves from the start as the cycling
     guard.  Q and R are updated by one Givens sweep per entering or
     leaving constraint.  A working set whose R has a diagonal entry that
-    is zero to roundoff or non-finite raises RankDeficientB, the start set
-    included.  A ``start`` that is not such a set, or that is given for
-    the equality cone, raises DimensionMismatch.
+    is zero to roundoff or non-finite raises RankDeficientB, the start
+    set included; a bad ``start``, or any on the equality cone, raises
+    DimensionMismatch.
     """
+    start = None if start is None else list(start)  # an iterator is read once
     if start is not None and (qp.cone is ConeKind.EQUALITY or not all(
-            isinstance(i, (int, np.integer)) and 0 <= i < qp.m for i in start)):
+            isinstance(i, (int, np.integer)) and not isinstance(i, bool) and 0 <= i < qp.m for i in start)):
         raise DimensionMismatch(f"start must be a set of constraint indices in range({qp.m}) of an inequality-cone QP")
     L, G = _whitened_constraints(qp)
     h = scipy.linalg.solve_triangular(L, qp.f, lower=True)
@@ -275,7 +277,7 @@ def solve_saddle_point(qp: ConeQP, max_iter: int = 200, start: Iterable[int] | N
     working = sorted({int(i) for i in start or ()})
     in_working = np.zeros(m, dtype=bool)
     in_working[working] = True
-    Q, R = scipy.linalg.qr(G[:, working])  # full QR of G_W
+    Q, R = np.linalg.qr(G[:, working], mode="complete") if working else (np.eye(n), np.zeros((n, 0)))  # full QR of G_W
 
     for step in range(1, max_iter + 1):
         k = len(working)
@@ -350,11 +352,15 @@ def optimal_value(
 ) -> float:
     """Optimal value of the QP perturbed by s along ``direction``.
 
-    Uses only the solver and the objective, never ``shape_derivative``;
-    ``start`` is the solver's starting working set.
+    Uses only the solver and the Lagrangian, never ``shape_derivative``;
+    ``start`` is the solver's starting working set.  At the saddle point
+    the Lagrangian equals the objective, but it is stationary in u and
+    lam, so a roundoff residual r in B_W u, which moves the objective by
+    lam_W'r, moves it only at second order.
     """
     qp_s = perturbed_qp(qp, direction, s)
-    return objective_value(qp_s, solve_saddle_point(qp_s, max_iter=max_iter, start=start).u)
+    sp = solve_saddle_point(qp_s, max_iter=max_iter, start=start)
+    return lagrangian_value(qp_s, sp.u, sp.lam)
 
 
 def fd_derivative(qp: ConeQP, direction: PerturbationDirection, s: float) -> float:

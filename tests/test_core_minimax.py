@@ -161,15 +161,35 @@ def test_warm_start_matches_cold_solve(seed, n, data):
         cold, warm = sd.solve_saddle_point(qp_s), sd.solve_saddle_point(qp_s, start=base)
         e_cold, e_warm = sd.objective_value(qp_s, cold.u), sd.objective_value(qp_s, warm.u)
         assert abs(e_warm - e_cold) <= 1e-12 * (1.0 + abs(e_cold))
-        assert sd.optimal_value(qp, direction, s, start=base) == e_warm
+        assert sd.optimal_value(qp, direction, s, start=base) == sd.lagrangian_value(qp_s, warm.u, warm.lam)
         assert warm.kkt_residual <= 1e-10 * (1.0 + np.linalg.norm(qp_s.f))
+
+
+def test_central_slope_clears_the_roundoff_floor():
+    # The quotient's error at s = 1e-3 is only 2.6e-9 on this planted
+    # instance (a 35-digit solve of the terminal KKT system), so roundoff of
+    # 1e-12 in E(+-s) shows in the fitted slope.  The objective at the
+    # computed u carries lam_W'(B_W u), about 1e-12 here: its slope read
+    # 1.976 cold and 2.174 warm.  The Lagrangian's error is about 3e-14 and
+    # both slopes read 2.001.
+    qp, direction, _ = _strictly_complementary_instance(np.random.default_rng([111, 3, 5]), 120, 80, 70)
+    sp = sd.solve_saddle_point(qp)
+    l1 = sd.shape_derivative(qp, direction, sp)
+    for start in (None, sp.active_set):
+        table = fd_table(lambda s: sd.optimal_value(qp, direction, s, start=start), l1,
+                         sd.objective_value(qp, sp.u), [1e-2, 3e-3, 1e-3])
+        assert table.slope == pytest.approx(2.0, abs=0.01)
 
 
 def test_bad_start_raises():
     qp = ConeQP(A=np.eye(2), B=np.eye(2), f=np.ones(2))
-    for start in ({2}, {-1}, {0.0}):
+    for start in ({2}, {-1}, {0.0}, {True}):
         with pytest.raises(sd.DimensionMismatch, match="^start must be"):
             sd.solve_saddle_point(qp, start=start)
+    # An iterator is read once: it warm-starts rather than being used up by
+    # the check and leaving an empty start.
+    warm = sd.solve_saddle_point(qp, start={0, 1}).iterations
+    assert sd.solve_saddle_point(qp, start=iter([0, 1])).iterations == warm != sd.solve_saddle_point(qp).iterations
     equality = ConeQP(A=np.eye(2), B=np.eye(2), f=np.ones(2), cone=ConeKind.EQUALITY)
     with pytest.raises(sd.DimensionMismatch, match="^start must be"):
         sd.solve_saddle_point(equality, start=frozenset())
