@@ -124,7 +124,7 @@ class ConeQP:
         if B.shape[1] != n or f.shape[0] != n:
             raise DimensionMismatch("B and f must match the dimension of A")
         _check_symmetric(A, "A")
-        _cholesky_or_raise(A)
+        cholesky = _cholesky_or_raise(A)
         sigma = np.linalg.svd(B, compute_uv=False)
         m = B.shape[0]
         if m > n or sigma.size == 0 or sigma[-1] <= _RANK_RTOL * max(1.0, sigma[0]):
@@ -132,6 +132,7 @@ class ConeQP:
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "B", B)
         object.__setattr__(self, "f", f)
+        object.__setattr__(self, "_cholesky", cholesky)  # not a field: every solve reuses it
 
     @property
     def n(self) -> int:
@@ -206,12 +207,13 @@ def _kkt_residual(qp: ConeQP, u: np.ndarray, lam: np.ndarray) -> float:
 
 
 def _whitened_constraints(qp: ConeQP) -> tuple[np.ndarray, np.ndarray]:
-    """Cholesky factor L of A = LL' and G = L^{-1}B'.
+    """Cholesky factor L of A = LL' (ConeQP's, made when it was checked)
+    and G = L^{-1}B'.
 
     G'G = B A^{-1} B' is the Schur complement of the saddle system; its
     columns are the constraints in the energy inner product.
     """
-    L = _cholesky_or_raise(qp.A)
+    L = qp._cholesky
     return L, scipy.linalg.solve_triangular(L, qp.B.T, lower=True)
 
 
@@ -231,11 +233,12 @@ def _working_multiplier(R: np.ndarray, qh: np.ndarray) -> np.ndarray:
 def solve_saddle_point(qp: ConeQP, max_iter: int = 200, start: Iterable[int] | None = None) -> SaddlePoint:
     """Solve the primal-dual saddle point of the cone QP by a range-space method.
 
-    A = LL' is factored once, and G = L^{-1}B', h = L^{-1}f, Z = A^{-1}B'
-    and u0 = A^{-1}f are formed once.  For a working set W the KKT system
-    A u - B_W' lam_W = f, B_W u = 0 reduces, with G_W = Q R, to
-    lam_W = -R^{-1} Q'h and u = u0 + Z_W lam_W; G_W'G_W = B_W A^{-1} B_W'
-    is never formed, so its conditioning is not squared.
+    A = LL' is factored once, when the QP is built, and G = L^{-1}B',
+    h = L^{-1}f, Z = A^{-1}B' and u0 = A^{-1}f once per solve.  For a
+    working set W the KKT system A u - B_W' lam_W = f, B_W u = 0 reduces,
+    with G_W = Q R, to lam_W = -R^{-1} Q'h and u = u0 + Z_W lam_W;
+    G_W'G_W = B_W A^{-1} B_W' is never formed, so its conditioning is not
+    squared.
 
     Equality cone: one economic QR of G.  Inequality cone: primal
     active-set iteration from the origin, where every constraint holds

@@ -22,6 +22,13 @@ left out of the formula because div u = 0 at the saddle point.  The
 assembled matrices survive as an independent oracle in the tests.
 ``fd_verify`` checks the whole formula against central differences of
 the energy on transported meshes.
+
+Only G, its kernels, f1 and the contractions depend on Lambda; a sweep
+over directions computes the rest once.  The residual check, grad(u_h)
+and lambda_h at the quadrature points and the energy are memoized on the
+system per solution (a bitwise copy of u and lambda is the key), and the
+force values and gradients at the quadrature points on the function
+space per force object, so a force must not change after its first use.
 """
 
 from __future__ import annotations
@@ -81,14 +88,21 @@ def assemble_perturbation(
     elimination, so it pairs directly with its solution vectors."""
     coef = space.quad_coef
     div = field.divergence(space.quad_points)  # (nt, nq)
-    f_vals = f_field.evaluate(space.quad_points)
-    f_grad = f_field.gradient(space.quad_points)  # (nt, nq, 2, 2), [i, j] = d f_i / d x_j
+    memo = getattr(space, "_force_at_quad", None)  # one entry, stored in one assignment
+    if memo is None or memo[0] is not f_field:
+        memo = f_field, f_field.evaluate(space.quad_points), f_field.gradient(space.quad_points)
+        space._force_at_quad = memo
+    _, f_vals, f_grad = memo  # f_grad (nt, nq, 2, 2), [i, j] = d f_i / d x_j
     vel = field.evaluate(space.quad_points)
     f1_vals = div[..., None] * f_vals + np.einsum("tqij,tqj->tqi", f_grad, vel)
     return space.load_vector(np.einsum("tq,qa,tqc->tac", coef, _P2_VALS, f1_vals))
 
 
-def _check_solved(system: StokesSystem, solution: StokesSolution, f1: np.ndarray) -> None:
+def _solved_state(system: StokesSystem, solution: StokesSolution, f1: np.ndarray) -> tuple:
+    """A copy of the solution once it passes the residual check, grad(u_h)
+    and lambda_h at the quadrature points, and the energy.  Memoized on the
+    system, as its factors are, for as long as the given solution's vectors
+    are bitwise equal to the copy; the shapes are checked on every call."""
     sizes = {
         "velocity": (solution.u.shape, system.space.num_velocity),
         "pressure": (solution.lam.shape, system.B.shape[0]),
@@ -97,11 +111,19 @@ def _check_solved(system: StokesSystem, solution: StokesSolution, f1: np.ndarray
     for name, (shape, n) in sizes.items():
         if shape != (n,):
             raise DimensionMismatch(f"{name} vector has shape {shape}, the system expects ({n},)")
-    r_mom, r_div, scale = _residuals(system, solution.u, solution.lam)
+    state = system.__dict__.get("_solved_state")
+    if state is not None and np.array_equal(state[0].u, solution.u) and np.array_equal(state[0].lam, solution.lam):
+        return state
+    solved = replace(solution, u=solution.u.copy(), lam=solution.lam.copy())
+    r_mom, r_div, scale = _residuals(system, solved.u, solved.lam)
     if not (r_mom <= 1e-8 * scale and r_div <= 1e-8 * scale):
         raise UnsolvedSolution(
             f"solution does not satisfy this system (momentum {r_mom:.3e}, divergence {r_div:.3e})"
         )
+    grad_u, lam_q = system.space.element_velocity_gradients(solved.u), system.space.pressure_at_quad(solved.lam)
+    state = solved, grad_u, lam_q, energy(system, solved)
+    system.__dict__["_solved_state"] = state  # one assignment: concurrent callers at worst build it twice
+    return state
 
 
 def stokes_shape_derivative(
@@ -118,23 +140,22 @@ def stokes_shape_derivative(
     is evaluated once, and the divergence is its trace.  L1 = E1 +
     dual_term by construction.  A solution or f1 of the wrong size raises
     ``DimensionMismatch``; one that does not solve ``system`` raises
-    ``UnsolvedSolution``.
+    ``UnsolvedSolution``.  Calls on the same system and solution share
+    one residual check, grad(u_h), lambda_h and energy.
     """
-    _check_solved(system, solution, f1)
-    space, u = system.space, solution.u
+    solved, grad_u, lam_q, solved_energy = _solved_state(system, solution, f1)  # grad_u [c, j] = d u_c / d x_j
+    space, u = system.space, solved.u
     grad = field.jacobian(space.quad_points)  # (nt, nq, 2, 2), [i, j] = d Lambda_i / d x_j
     div = grad[..., 0, 0] + grad[..., 1, 1]
     kernel = div[..., None, None] * np.eye(2) - grad - np.swapaxes(grad, -1, -2)
-    grad_u = space.element_velocity_gradients(u)  # [c, j] = d u_c / d x_j
     coef = space.quad_coef
     e1 = float(0.5 * np.einsum("tq,tqci,tqij,tqcj->", coef, grad_u, kernel, grad_u, optimize=_E1_PATH) - f1 @ u)
-    lam_q = space.pressure_at_quad(solution.lam)
     dual = float(np.einsum("tq,tq,tqji,tqij->", coef, lam_q, grad, grad_u))
     return DerivativeReport(
         L1=e1 + dual,
         E1=e1,
         dual_term=dual,
-        energy=energy(system, solution),
+        energy=solved_energy,
     )
 
 

@@ -14,7 +14,7 @@ along a contraction path, so that it costs what its arithmetic costs; the
 direct einsum forms are kept as test oracles.  Element blocks become
 global arrays, summed in a fixed order, in five places: matrices through
 one ``_scatter`` (``FunctionSpace.stiffness_matrix``, ``.pairing_matrix``
-and ``pressure_mass_matrix``), vectors by ``np.add.at``
+and ``pressure_mass_matrix``), vectors by ``np.bincount``
 (``FunctionSpace.load_vector``, ``.pressure_integral_weights``); velocity
 dofs on the Dirichlet boundary are dropped.  The state system and its
 perturbation share these, so they pair dof for dof, and assemblies are
@@ -203,9 +203,8 @@ class FunctionSpace:
 
     def pressure_integral_weights(self) -> np.ndarray:
         """Vector a with a.lam = integral of the P1 pressure (exact)."""
-        a = np.zeros(self.num_pressure)
-        np.add.at(a, self.mesh.triangles, (self.det / 6.0)[:, None])
-        return a
+        weights = np.repeat(self.det / 6.0, 3)
+        return np.bincount(self.mesh.triangles.ravel(), weights, minlength=self.num_pressure)
 
     def stiffness_matrix(self, ke: np.ndarray) -> sparse.csr_matrix:
         """Scalar matrix on the free nodes from P2 blocks (nt, 6, 6); the
@@ -224,9 +223,8 @@ class FunctionSpace:
     def load_vector(self, blocks: np.ndarray, nodes: np.ndarray | None = None) -> np.ndarray:
         """Load vector on the free dofs: blocks (..., 2) summed in order into
         the velocity dofs of ``nodes``, by default the triangles' (nt, 6)."""
-        full = np.zeros(2 * self.num_nodes)
-        np.add.at(full, 2 * (self.tri_nodes if nodes is None else nodes)[..., None] + np.arange(2), blocks)
-        return full[self.free_dofs]
+        index = 2 * (self.tri_nodes if nodes is None else nodes)[..., None] + np.arange(2)
+        return np.bincount(index.ravel(), blocks.ravel(), minlength=2 * self.num_nodes)[self.free_dofs]
 
 
 @dataclass(frozen=True)

@@ -6,8 +6,10 @@ derivative) with contraction paths and batched matrix products, and the
 quadratic field in closed form; these oracles keep the direct forms (one
 einsum string per kernel, with no path, and a stack of monomials times
 the coefficients), so the fast kernels can be checked against them to
-roundoff.  Each oracle also returns the same contraction over absolute
-values, the scale that roundoff is relative to.
+roundoff.  Each kernel oracle also returns the same contraction over
+absolute values, the scale that roundoff is relative to.  The package sums
+load vectors with ``np.bincount``; the ``np.add.at`` sums kept here add in
+the same order, so those must agree bit for bit.
 """
 
 from dataclasses import dataclass
@@ -86,6 +88,21 @@ def e1(space, field, u_free, f1):
     value = 0.5 * np.einsum("tq,tqci,tqij,tqcj->", coef, gu, kernel, gu) - f1 @ u_free
     scale = 0.5 * np.einsum("tq,tqci,tqij,tqcj->", coef, abs(gu), abs(kernel), abs(gu)) + abs(f1) @ abs(u_free)
     return float(value), float(scale)
+
+
+def load_vector(space, blocks, nodes=None):
+    """``FunctionSpace.load_vector`` summed by ``np.add.at``, which adds
+    in the order of the index array, as ``np.bincount`` does."""
+    full = np.zeros(2 * space.num_nodes)
+    np.add.at(full, 2 * (space.tri_nodes if nodes is None else nodes)[..., None] + np.arange(2), blocks)
+    return full[space.free_dofs]
+
+
+def pressure_integral_weights(space):
+    """``FunctionSpace.pressure_integral_weights`` summed by ``np.add.at``."""
+    weights = np.zeros(space.num_pressure)
+    np.add.at(weights, space.mesh.triangles, (space.det / 6.0)[:, None])
+    return weights
 
 
 def _monomials(p):

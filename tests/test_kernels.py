@@ -105,6 +105,35 @@ def test_kernels_match_plain_einsum_on_drawn_meshes(jitter, u, coeffs):
     _assert_pairs_close(_kernel_pairs(mesh, u, tuple(map(tuple, coeffs))))
 
 
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    jitter=arrays(float, (4, 2), elements=st.floats(-0.05, 0.05, **_finite)),
+    sides=st.sets(st.sampled_from(["left", "right", "bottom", "top"]), max_size=3),
+    data=st.data(),
+)
+def test_load_vectors_sum_in_the_oracles_order(jitter, sides, data):
+    # Block magnitudes spread over e^-20..e^20, so that the order of the
+    # additions shows in the last bits; both sums must agree exactly.
+    base = sd.unit_square_mesh(3, sides)
+    vertices = base.vertices.copy()
+    interior = np.all((vertices > 0.0) & (vertices < 1.0), axis=1)
+    vertices[interior] += jitter
+    space = sd.FunctionSpace(sd.TriMesh(vertices, base.triangles, base.boundary_edges, base.boundary_tags))
+
+    def blocks(shape):
+        mantissa = data.draw(arrays(float, shape, elements=st.floats(-1.0, 1.0, **_finite)))
+        return mantissa * np.exp(data.draw(arrays(float, shape, elements=st.floats(-20.0, 20.0, **_finite))))
+
+    triangle_blocks = blocks((base.num_triangles, 6, 2))
+    np.testing.assert_array_equal(space.load_vector(triangle_blocks), oracle.load_vector(space, triangle_blocks))
+    edges = space.neumann_edges
+    edge_blocks = blocks((len(edges), 3, 2))
+    np.testing.assert_array_equal(
+        space.load_vector(edge_blocks, edges), oracle.load_vector(space, edge_blocks, edges)
+    )
+    np.testing.assert_array_equal(space.pressure_integral_weights(), oracle.pressure_integral_weights(space))
+
+
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(
     coeffs=arrays(float, (2, 6), elements=st.floats(-1e3, 1e3, **_finite)),

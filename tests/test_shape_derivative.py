@@ -1,13 +1,16 @@
 """First-order energy sensitivity vs central differences on moved meshes."""
 
 import importlib
+import sys
+import threading
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 import shapederiv as sd
-from shapederiv.fields import ConstantForce, RotationalForce, TrigForce
+from shapederiv.fields import ConstantForce, ForceField, RotationalForce, TrigForce
 from shapederiv.flow import CutoffWindow
 from shapederiv.shape_derivative import (
     assemble_perturbation,
@@ -138,6 +141,114 @@ def test_rejects_mismatched_solution_or_load():
     other_f1 = assemble_perturbation(other_system.space, AFFINE, TrigForce())
     with pytest.raises(sd.DimensionMismatch, match="f1"):
         stokes_shape_derivative(system, sol, other_f1, AFFINE)
+
+
+# --- one solved state, many directions -----------------------------------------
+# The residual check, grad(u_h), lambda_h and the energy are memoized per
+# (system, solution), the force at the quadrature points per (space, force).
+
+SWEEP_FIELDS = [
+    AFFINE,
+    sd.RotationField(0.7),
+    sd.QuadraticField(coeffs=((0.0, 0.1, -0.05, 0.08, 0.02, -0.04), (0.05, -0.02, 0.1, 0.01, -0.06, 0.03))),
+]
+
+
+def _sweep(system, solution, force, fields):
+    return [stokes_shape_derivative(system, solution, assemble_perturbation(system.space, f, force), f) for f in fields]
+
+
+def test_state_memo_rechecks_another_solution_on_the_same_system():
+    _, system, sol = solved_square()
+    f1 = assemble_perturbation(system.space, AFFINE, TrigForce())
+    stokes_shape_derivative(system, sol, f1, AFFINE)
+    fake = sd.StokesSolution(u=sol.u + 1.0, lam=sol.lam, residual_momentum=0.0, residual_divergence=0.0)
+    with pytest.raises(sd.UnsolvedSolution):
+        stokes_shape_derivative(system, fake, f1, AFFINE)
+    stokes_shape_derivative(system, sol, f1, AFFINE)  # the true solution passes again
+
+
+def test_state_memo_rechecks_a_solution_changed_in_place():
+    _, system, sol = solved_square()
+    f1 = assemble_perturbation(system.space, AFFINE, TrigForce())
+    stokes_shape_derivative(system, sol, f1, AFFINE)
+    u0 = sol.u[0]
+    sol.u[0] += 1.0
+    with pytest.raises(sd.UnsolvedSolution):
+        stokes_shape_derivative(system, sol, f1, AFFINE)
+    sol.u[0] = u0
+    stokes_shape_derivative(system, sol, f1, AFFINE)
+    sol.lam[0] = np.nan  # a NaN never matches the memo's copy
+    with pytest.raises(sd.UnsolvedSolution):
+        stokes_shape_derivative(system, sol, f1, AFFINE)
+
+
+def test_force_memo_follows_the_force_object():
+    _, system, _ = solved_square()
+    space = system.space
+    for force in (TrigForce(), TrigForce(c=1.3), ConstantForce(value=(0.7, -0.3)), TrigForce()):
+        f1 = assemble_perturbation(space, AFFINE, force)
+        np.testing.assert_array_equal(f1, assemble_perturbation_matrices(space, AFFINE, force).f1)
+
+
+class _CountingForce(ForceField):
+    def __init__(self, inner):
+        self.inner, self.calls = inner, {"evaluate": 0, "gradient": 0}
+
+    def evaluate(self, points):
+        self.calls["evaluate"] += 1
+        return self.inner.evaluate(points)
+
+    def gradient(self, points):
+        self.calls["gradient"] += 1
+        return self.inner.gradient(points)
+
+
+def test_a_sweep_evaluates_the_force_and_checks_the_state_once(monkeypatch):
+    module = importlib.import_module("shapederiv.shape_derivative")
+    checks = []
+    residuals = module._residuals
+
+    def counted(*args):
+        checks.append(1)
+        return residuals(*args)
+
+    monkeypatch.setattr(module, "_residuals", counted)
+    _, system, sol = solved_square()
+    force = _CountingForce(TrigForce())
+    reports = _sweep(system, sol, force, SWEEP_FIELDS)
+    assert force.calls == {"evaluate": 1, "gradient": 1}
+    assert len(checks) == 1
+    # the memos change no digit: a fresh system and force per direction
+    for field, report in zip(SWEEP_FIELDS, reports):
+        _, fresh_system, fresh_sol = solved_square()
+        assert report == _sweep(fresh_system, fresh_sol, TrigForce(), [field])[0]
+
+
+def test_concurrent_sweeps_of_one_state_match_a_sequential_sweep():
+    # Four threads (more than the suite's two CPUs) and a short switch
+    # interval, all starting on an empty memo: a torn or lost memo entry
+    # would move some report.
+    fields, workers = SWEEP_FIELDS * 4, 4
+    _, system, sol = solved_square(n=6)
+    sequential = _sweep(system, sol, TrigForce(), fields)
+    _, system, sol = solved_square(n=6)
+    force, barrier = TrigForce(), threading.Barrier(workers)
+
+    def sweep(k):
+        barrier.wait(timeout=60)
+        return _sweep(system, sol, force, fields[k:] + fields[:k])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(workers) as pool:
+            futures = [pool.submit(sweep, k) for k in range(workers)]
+            results = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for k, reports in enumerate(results):
+        assert reports == sequential[k:] + sequential[:k]
 
 
 def solved_pinned_disk():
