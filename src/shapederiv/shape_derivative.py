@@ -176,8 +176,8 @@ def fd_verify(
     are released before they start, so each thread holds at most one
     factored system.  Only the homogeneous Neumann condition is meaningful
     under transport, so no traction data enters here.  Without a Neumann
-    edge the pressure is fixed only up to a constant, so every solve pins
-    it.
+    edge the pressure is fixed only up to a constant: every solve says so
+    with ``pin_pressure`` and returns the zero-mean pressure.
     """
     base_system = assemble(mesh, f_field)
     pin_pressure = not len(base_system.space.neumann_edges)
@@ -204,9 +204,9 @@ def corollary3_check(
 
     Rotation velocities are divergence-free, so every (div Lambda) term in
     the first-order kernels vanishes identically and the transported
-    meshes preserve element areas exactly.  The pressure is pinned and
-    re-centered to zero mean, which leaves both the energy and the
-    multiplier term unchanged.
+    meshes preserve element areas exactly.  The pressure, fixed only up
+    to a constant, is solved for with zero mean; another constant would
+    leave both the energy and the multiplier term unchanged.
     """
     if any(tag != DIRICHLET for tag in mesh.boundary_tags):
         raise ValueError("rotation check expects a pure-Dirichlet mesh")

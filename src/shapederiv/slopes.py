@@ -34,14 +34,15 @@ class FdTable:
 def loglog_slope(s_values, errors) -> float:
     """Fit log(errors) = slope * log(s_values) + c and return the slope.
 
-    Both arrays must be strictly positive and of equal length >= 2.
+    Both arrays must be strictly positive, the errors finite, and of equal
+    length >= 2.
     """
     s = np.asarray(s_values, dtype=float)
     e = np.asarray(errors, dtype=float)
     if s.shape != e.shape or s.ndim != 1 or s.size < 2:
         raise ValueError("need two or more (s, error) pairs")
-    if np.any(s <= 0.0) or np.any(e <= 0.0):
-        raise ValueError("slope fit requires positive values")
+    if np.any(s <= 0.0) or not np.all((e > 0.0) & np.isfinite(e)):
+        raise ValueError("slope fit requires positive values and finite errors")
     return float(np.polyfit(np.log(s), np.log(e), 1)[0])
 
 
@@ -105,8 +106,9 @@ def fd_table(
     factorizations.  The table depends only on the values: it equals the
     one built from the same values in sequence, and a failing step raises
     the error of the first failing step in that order.  The table is exact
-    when every error is at most 1e-12 (1 + |E(0)| + |L1|); otherwise a
-    slope is fitted over two or more steps whose errors are all positive.
+    when every error is at most 1e-12 (1 + |E(0)| + |L1|), so never with a
+    NaN; otherwise a slope is fitted over two or more steps whose errors
+    are all positive and finite.
     """
     s_values = [float(s) for s in s_values]
     if not s_values or any(not (s > 0.0 and math.isfinite(s)) for s in s_values):
@@ -122,11 +124,12 @@ def fd_table(
         one_sided_err.append(abs((e_plus - e0) / s - l1))
 
     errs = [e.abs_err for e in entries]
-    exact = max(errs + one_sided_err) <= 1e-12 * (1.0 + abs(e0) + abs(l1))
+    bound = 1e-12 * (1.0 + abs(e0) + abs(l1))
+    exact = all(err <= bound for err in errs + one_sided_err)
     slope = one_sided = None
     if not exact and len(s_values) >= 2:
-        if min(errs) > 0.0:
+        if all(0.0 < err < math.inf for err in errs):
             slope = loglog_slope(s_values, errs)
-        if min(one_sided_err) > 0.0:
+        if all(0.0 < err < math.inf for err in one_sided_err):
             one_sided = loglog_slope(s_values, one_sided_err)
     return FdTable(entries=tuple(entries), slope=slope, one_sided_slope=one_sided, exact=exact)

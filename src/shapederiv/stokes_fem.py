@@ -12,13 +12,12 @@ and three-point Gauss edges.  Every element kernel is a sum over the
 quadrature points, evaluated as a batched matrix product or as an einsum
 along a contraction path, so that it costs what its arithmetic costs; the
 direct einsum forms are kept as test oracles.  Element blocks become
-global arrays, summed in a fixed order, in five places: matrices through
+global arrays, summed in a fixed order, in four places: matrices through
 one ``_scatter`` (``FunctionSpace.stiffness_matrix``, ``.pairing_matrix``
 and ``pressure_mass_matrix``), vectors by ``np.bincount``
-(``FunctionSpace.load_vector``, ``.pressure_integral_weights``); velocity
-dofs on the Dirichlet boundary are dropped.  The state system and its
-perturbation share these, so they pair dof for dof, and assemblies are
-bit-identical.
+(``FunctionSpace.load_vector``); velocity dofs on the Dirichlet boundary
+are dropped.  The state system and its perturbation share these, so they
+pair dof for dof, and assemblies are bit-identical.
 
 Both velocity components vanish on the same Dirichlet nodes, so the
 stiffness is A = kron(L, I_2), L the scalar P2 Laplacian on the free
@@ -29,6 +28,8 @@ preconditioned by the P1 pressure mass matrix (Elman, Silvester & Wathen,
 "Finite Elements and Fast Iterative Solvers", OUP 2014), whose iteration
 count inf-sup stability keeps bounded under refinement.  Each system
 factors once, on first use, for ``solve_stokes`` and ``inf_sup_constant``.
+With no Neumann edge B'1 = 0 and S is singular; CG then returns the
+zero-mean pressure.
 """
 
 from __future__ import annotations
@@ -201,11 +202,6 @@ class FunctionSpace:
         """P1 pressure values at every quadrature point: (nt, nq)."""
         return lam[self.mesh.triangles] @ _P1_VALS.T
 
-    def pressure_integral_weights(self) -> np.ndarray:
-        """Vector a with a.lam = integral of the P1 pressure (exact)."""
-        weights = np.repeat(self.det / 6.0, 3)
-        return np.bincount(self.mesh.triangles.ravel(), weights, minlength=self.num_pressure)
-
     def stiffness_matrix(self, ke: np.ndarray) -> sparse.csr_matrix:
         """Scalar matrix on the free nodes from P2 blocks (nt, 6, 6); the
         velocity matrix is its Kronecker product with I_2."""
@@ -323,18 +319,17 @@ class _SchurComplement:
     A = kron(L, I_2), so A^-1 is one LU of the scalar stiffness L applied
     to the two velocity components as columns.  The P1 pressure mass
     matrix M is factored as the preconditioner.  A mesh with no Neumann
-    edge fixes the pressure only up to a constant, so there the first
-    pressure dof is dropped from B and M (the pressure is pinned).
+    edge has B'1 = 0, so the constants are the kernel of S and ``cg``
+    keeps its residuals mean-free, in the range of S.
     """
 
     def __init__(self, system: StokesSystem):
-        pinned = not len(system.space.neumann_edges)
-        self.B = system.B[1:] if pinned else system.B
+        self.mean_free = not len(system.space.neumann_edges)
+        self.B = system.B
         self.Bt = self.B.T.tocsr()  # B' applied on every CG step and in the back-solve
-        mass = pressure_mass_matrix(system.space)
-        self.M = mass[1:, 1:] if pinned else mass
+        self.M = pressure_mass_matrix(system.space)
         row_norms = np.sqrt(np.asarray(self.B.multiply(self.B).sum(axis=1)).ravel())
-        if self.B.shape[0] > self.B.shape[1] or not np.all(row_norms > 0.0):
+        if self.B.shape[0] - self.mean_free > self.B.shape[1] or not np.all(row_norms > 0.0):
             raise SingularSystem("divergence pairing is rank deficient: the pressure is not unique")
         try:
             self._velocity = spla.splu(system.L.tocsc(), permc_spec="MMD_AT_PLUS_A")
@@ -357,10 +352,13 @@ class _SchurComplement:
 
         Returns x, the iteration count, and the search directions p with
         their products S p, one array per iteration.  The directions are
-        S-conjugate and span the Krylov space of M^-1 S from M^-1 b.
+        S-conjugate and span the Krylov space of M^-1 S from M^-1 b.  With
+        ``mean_free`` every residual is projected onto range(S) = 1-perp
+        (Kaasschieter, J. Comput. Appl. Math. 24, 1988); as 1'M M^-1 r =
+        1'r = 0, every direction, and x, has zero pressure integral.
         """
         x = np.zeros_like(b)
-        r = b.copy()
+        r = b - b.mean() if self.mean_free else b.copy()
         stop = _CG_RTOL * float(np.linalg.norm(b))
         if not np.isfinite(stop):
             raise SingularSystem("Schur-complement right-hand side is not finite")
@@ -385,6 +383,8 @@ class _SchurComplement:
             alpha = rz / psp
             x += alpha * p
             r -= alpha * sp
+            if self.mean_free:
+                r -= r.mean()
             z = self.precondition(r)
             rz_next = float(r @ z)
             if not np.isfinite(rz_next):
@@ -412,16 +412,15 @@ def solve_stokes(
     the scalar P2 Laplacian shared by both velocity components.
 
     With an empty Neumann boundary the pressure is only determined up to a
-    constant; callers must then opt into ``pin_pressure``: one pressure
-    dof is fixed to zero for the solve and the result is shifted to zero
-    mean afterwards; with a Neumann edge pinning is a ``SingularSystem``.
+    constant; callers must then acknowledge that with ``pin_pressure``,
+    which fixes no pressure value: the solve returns the zero-mean
+    pressure.  With a Neumann edge ``pin_pressure`` is a ``SingularSystem``.
     The factors are the system's, made once.  ``residual_tol`` scales with
     1 + |f + g| and bounds the accepted defects.  A non-finite load, a
     rank-deficient B, a failed factorization, a CG breakdown or a CG run
     past its iteration cap raises ``SingularSystem``.
     """
-    space = system.space
-    if pin_pressure == bool(len(space.neumann_edges)):
+    if pin_pressure == bool(len(system.space.neumann_edges)):
         raise SingularSystem(
             "Neumann edges fix the pressure; solve with pin_pressure=False" if pin_pressure else
             "no Neumann edges: the pressure is defined up to a constant; solve with pin_pressure=True"
@@ -432,10 +431,6 @@ def solve_stokes(
     schur = system._schur()
     lam, iterations, _, _ = schur.cg(-(schur.B @ schur.solve_velocity(rhs_u)))
     u = schur.solve_velocity(rhs_u + schur.Bt @ lam)
-    if pin_pressure:
-        lam = np.concatenate([[0.0], lam])
-        weights = space.pressure_integral_weights()
-        lam = lam - (weights @ lam) / weights.sum()
 
     r_mom, r_div, scale = _residuals(system, u, lam)
     if not (r_mom <= residual_tol * scale and r_div <= residual_tol * scale):

@@ -8,8 +8,10 @@ einsum string per kernel, with no path, and a stack of monomials times
 the coefficients), so the fast kernels can be checked against them to
 roundoff.  Each kernel oracle also returns the same contraction over
 absolute values, the scale that roundoff is relative to.  The package sums
-load vectors with ``np.bincount``; the ``np.add.at`` sums kept here add in
-the same order, so those must agree bit for bit.
+load vectors with ``np.bincount``; the ``np.add.at`` sum kept here adds in
+the same order, so the two must agree bit for bit.  The pressure integral
+weights have no package counterpart: the solver returns the zero-mean
+pressure, and the tests measure its mean with them.
 """
 
 from dataclasses import dataclass
@@ -99,7 +101,8 @@ def load_vector(space, blocks, nodes=None):
 
 
 def pressure_integral_weights(space):
-    """``FunctionSpace.pressure_integral_weights`` summed by ``np.add.at``."""
+    """Vector a with a.lam = integral of the P1 pressure lam (exact), summed
+    by ``np.add.at``."""
     weights = np.zeros(space.num_pressure)
     np.add.at(weights, space.mesh.triangles, (space.det / 6.0)[:, None])
     return weights
