@@ -1,9 +1,9 @@
 """Derivative of the flow energy under domain deformation.
 
 Deforms the unit square (free right edge) along an affine velocity field,
-assembles the first-order kernels, and verifies the predicted energy
-derivative against central differences of full re-solves on transported
-meshes.
+contracts the nodal shape gradient with the field at the vertices, and
+verifies the predicted energy derivative against central differences of
+full re-solves on transported meshes.
 """
 
 import shapederiv as sd

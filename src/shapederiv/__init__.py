@@ -6,9 +6,9 @@ whose data (A, B, f) moves along a perturbation direction, with the
 derivative of the optimal value checked against central differences.
 ``mesh``/``flow``/``stokes_fem``/``shape_derivative`` instantiate the same
 structure for viscous incompressible flow: the domain moves along the
-flow of a velocity field, and the derivative of the optimal energy is
-assembled from first-order kernels and verified against re-solves on
-transported meshes.
+flow of a velocity field, and the derivative of the optimal energy is a
+nodal shape gradient contracted with the velocity at the mesh vertices,
+verified against re-solves on transported meshes.
 """
 
 from .errors import (

@@ -8,9 +8,8 @@ diffeomorphism.  Every velocity is one ``QuadraticField``, a polynomial
 of degree at most 2 per component, optionally times a cutoff window;
 ``ZeroField``, ``ConstantField``, ``AffineField`` and ``RotationField``
 only choose its coefficients, and ``negated()`` flips them.  Jacobians
-and divergences are exact: the shape derivative's first-order kernels
-consume grad(Lambda) and div(Lambda) directly, and finite-difference
-noise in them would stall the second-order decay ``fd_verify`` checks.
+and divergences are exact; the shape derivative reads only the values at
+the mesh vertices.
 
 Every field evaluates on batches: points of shape (..., 2) produce values
 of shape (..., 2), Jacobians (..., 2, 2) and divergences (...,).

@@ -1,34 +1,25 @@
 """First-order sensitivity of the viscous energy to domain deformation.
 
-Deforming the domain through the flow of a velocity field Lambda changes
-the optimal energy; pulled back to the reference mesh, the change shows
-up as first-order perturbations of the stiffness, the divergence pairing
-and the load, with G = grad(Lambda):
+``transport_mesh`` moves only the vertices, along the flow of a velocity
+field Lambda, so to first order a mesh moves by the P1 interpolant of
+Lambda.  The discrete problem is the equality-cone QP of ``core_minimax``
+with A(s), B(s), f(s) assembled on the moved mesh, and by the paper's
+theorem its optimal energy has the derivative L1 = 1/2 u'A1 u - f1'u -
+lambda'B1 u, with A1, B1, f1 the derivatives of the assembled arrays.
+Pulled back with the assembly's quadrature, L1 is linear in Lambda at the
+vertices: it is a nodal shape gradient g contracted with them (its volume
+form: Hiptmair, Paganini & Sargheini, BIT 55, 2015; Berggren 2010),
 
-    A1 kernel:  K = (div Lambda) I - G - G'
-    B1 kernel:  (div Lambda)(div u) - sum_ij G_ji du_i/dx_j
-    f1 kernel:  (div Lambda) f + grad(f) Lambda
+    g_v = sum_{t containing v} T_t grad(phi_v) + sum_q coef phi_v(x_q) w_q,
+    T_E = (1/2 |grad u|^2 - f.u) I - (grad u)' grad u,   w = -(grad f)' u,
+    T_lam = -lambda (div u) I + lambda (grad u)',
 
-The derivative of the Lagrangian at the saddle point is
-
-    L1 = 1/2 u'A1 u - f1'u + int( lambda * sum_ij G_ji du_i/dx_j ).
-
-Only f1 is assembled (it is the one part that needs the body force).
-A1 and B1 are never built: 1/2 u'A1 u = 1/2 int( sum_c grad(u_c).K grad(u_c) )
-and the multiplier term are integrated directly at the quadrature points
-from grad(u_h), lambda_h and G, with G evaluated once per call and
-div Lambda taken as its trace.  The (div Lambda)(div u) part of B1 is
-left out of the formula because div u = 0 at the saddle point.  The
-assembled matrices survive as an independent oracle in the tests.
-``fd_verify`` checks the whole formula against central differences of
-the energy on transported meshes.
-
-Only G, its kernels, f1 and the contractions depend on Lambda; a sweep
-over directions computes the rest once.  The residual check, grad(u_h)
-and lambda_h at the quadrature points and the energy are memoized on the
-system per solution (a bitwise copy of u and lambda is the key), and the
-force values and gradients at the quadrature points on the function
-space per force object, so a force must not change after its first use.
+with T_t = sum_q coef T over the quadrature points of element t.  Its
+parts g_E (T_E and w) and g_lam give E1 and dual_term.  The residual
+check, the energy and g are memoized on the system while the solution's
+vectors are bitwise equal to a copy and the force is the same object
+(which must not change after its first use), so a direction costs one
+evaluation of Lambda at the vertices and two dot products.
 """
 
 from __future__ import annotations
@@ -44,6 +35,7 @@ from .flow import RotationField, VelocityField
 from .mesh import DIRICHLET, TriMesh, transport_mesh
 from .slopes import FdTable, fd_table
 from .stokes_fem import (
+    _P1_VALS,
     _P2_VALS,
     FunctionSpace,
     StokesSolution,
@@ -56,16 +48,12 @@ from .stokes_fem import (
 
 __all__ = [
     "DerivativeReport",
+    "Perturbation",
     "assemble_perturbation",
     "stokes_shape_derivative",
     "fd_verify",
     "corollary3_check",
 ]
-
-
-# Contraction order of the E1 integrand: grad_u with the kernel, then with
-# grad_u again, then the quadrature weights; no (nt, nq, 2, 2, 2) product.
-_E1_PATH = ["einsum_path", (1, 2), (1, 2), (0, 1)]
 
 
 @dataclass(frozen=True)
@@ -80,83 +68,96 @@ class DerivativeReport:
     fd: FdTable | None = None
 
 
-def assemble_perturbation(
-    space: FunctionSpace, field: VelocityField, f_field: ForceField
-) -> np.ndarray:
-    """First-order load f1 on the free dofs for a deformation velocity and
-    a body force, with the parent system's quadrature and Dirichlet
-    elimination, so it pairs directly with its solution vectors."""
-    coef = space.quad_coef
-    div = field.divergence(space.quad_points)  # (nt, nq)
-    memo = getattr(space, "_force_at_quad", None)  # one entry, stored in one assignment
-    if memo is None or memo[0] is not f_field:
-        memo = f_field, f_field.evaluate(space.quad_points), f_field.gradient(space.quad_points)
-        space._force_at_quad = memo
-    _, f_vals, f_grad = memo  # f_grad (nt, nq, 2, 2), [i, j] = d f_i / d x_j
-    vel = field.evaluate(space.quad_points)
-    f1_vals = div[..., None] * f_vals + np.einsum("tqij,tqj->tqi", f_grad, vel)
-    return space.load_vector(np.einsum("tq,qa,tqc->tac", coef, _P2_VALS, f1_vals))
+@dataclass(frozen=True)
+class Perturbation:
+    """A velocity field, its values at the mesh vertices and the body force."""
+
+    field: VelocityField
+    force: ForceField
+    motion: np.ndarray  # (num_vertices, 2)
 
 
-def _solved_state(system: StokesSystem, solution: StokesSolution, f1: np.ndarray) -> tuple:
-    """A copy of the solution once it passes the residual check, grad(u_h)
-    and lambda_h at the quadrature points, and the energy.  Memoized on the
-    system, as its factors are, for as long as the given solution's vectors
-    are bitwise equal to the copy; the shapes are checked on every call."""
+def assemble_perturbation(space: FunctionSpace, field: VelocityField, f_field: ForceField) -> Perturbation:
+    """``field`` at the vertices of ``space``'s mesh, with the body force;
+    a motion that is not finite at every vertex raises ``DimensionMismatch``."""
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
+        motion = field.evaluate(space.mesh.vertices)
+    if not np.all(np.isfinite(motion)):
+        raise DimensionMismatch("velocity field is not finite at every mesh vertex")
+    return Perturbation(field, f_field, motion)
+
+
+def _solved_state(system: StokesSystem, solution: StokesSolution, perturbation: Perturbation) -> tuple:
+    """A copy of the solution once it passes the residual check, the force,
+    the energy and the shape gradient, memoized on the system as its factors
+    are, while the force is the same object and the solution's vectors are
+    bitwise equal to the copy.  The shapes are checked on every call."""
     sizes = {
-        "velocity": (solution.u.shape, system.space.num_velocity),
-        "pressure": (solution.lam.shape, system.B.shape[0]),
-        "f1": (np.shape(f1), system.space.num_velocity),
+        "velocity vector": (solution.u.shape, (system.space.num_velocity,)),
+        "pressure vector": (solution.lam.shape, (system.B.shape[0],)),
+        "vertex motion": (perturbation.motion.shape, (system.space.num_pressure, 2)),
     }
-    for name, (shape, n) in sizes.items():
-        if shape != (n,):
-            raise DimensionMismatch(f"{name} vector has shape {shape}, the system expects ({n},)")
-    state = system.__dict__.get("_solved_state")
-    if state is not None and np.array_equal(state[0].u, solution.u) and np.array_equal(state[0].lam, solution.lam):
-        return state
+    for name, (shape, expected) in sizes.items():
+        if shape != expected:
+            raise DimensionMismatch(f"{name} has shape {shape}, the system expects {expected}")
+    state, force = system.__dict__.get("_solved_state"), perturbation.force
+    if state is not None and state[1] is force:
+        if np.array_equal(state[0].u, solution.u) and np.array_equal(state[0].lam, solution.lam):
+            return state
     solved = replace(solution, u=solution.u.copy(), lam=solution.lam.copy())
     r_mom, r_div, scale = _residuals(system, solved.u, solved.lam)
     if not (r_mom <= 1e-8 * scale and r_div <= 1e-8 * scale):
         raise UnsolvedSolution(
             f"solution does not satisfy this system (momentum {r_mom:.3e}, divergence {r_div:.3e})"
         )
-    grad_u, lam_q = system.space.element_velocity_gradients(solved.u), system.space.pressure_at_quad(solved.lam)
-    state = solved, grad_u, lam_q, energy(system, solved)
+    state = solved, force, energy(system, solved), _shape_gradient(system.space, solved, force)
     system.__dict__["_solved_state"] = state  # one assignment: concurrent callers at worst build it twice
     return state
 
 
+def _shape_gradient(space: FunctionSpace, solved: StokesSolution, force: ForceField) -> np.ndarray:
+    """The nodal shape gradient of a solved state for the body force it was
+    assembled with: rows g_E and g_lam, each over the vertices' (x, y)."""
+    coef, tri, nv = space.quad_coef, space.mesh.triangles, space.num_pressure
+    nt, nq = coef.shape
+    u_q = _P2_VALS @ space.expand_velocity(solved.u).reshape(-1, 2)[space.tri_nodes]  # (nt, nq, 2)
+    grad_u = space.element_velocity_gradients(solved.u)  # [c, j] = d u_c / d x_j
+    f_vals, f_grad = force.evaluate(space.quad_points), force.gradient(space.quad_points)  # [i, j] = d f_i / d x_j
+
+    # Per element, sum_q coef of (grad u)'grad u, of f.u and of lambda grad u; then T_E' and T_lam'.
+    gram = np.swapaxes((coef[..., None, None] * grad_u).reshape(nt, 2 * nq, 2), 1, 2) @ grad_u.reshape(nt, 2 * nq, 2)
+    work = np.vecdot(coef[..., None] * f_vals, u_q).sum(axis=1)
+    lam_grad = ((coef * space.pressure_at_quad(solved.lam))[:, None] @ grad_u.reshape(nt, nq, 4)).reshape(nt, 2, 2)
+    traces = np.stack([0.5 * np.trace(gram, axis1=1, axis2=2) - work, -np.trace(lam_grad, axis1=1, axis2=2)])
+    tensors = traces[..., None, None] * np.eye(2) + np.stack([-gram, lam_grad])  # (2, nt, 2, 2)
+
+    xy = space.mesh.vertices[tri]
+    edge = np.roll(xy, -2, axis=1) - np.roll(xy, -1, axis=1)  # grad(phi_k) = rot(x_{k+2} - x_{k+1}) / det
+    hat_grads = np.stack([-edge[..., 1], edge[..., 0]], axis=-1) / space.det[:, None, None]  # (nt, 3, 2)
+    blocks = hat_grads @ tensors  # T_t grad(phi_k), (2, nt, 3, 2)
+    blocks[0] -= _P1_VALS.T @ (coef[..., None] * np.einsum("tqij,tqi->tqj", f_grad, u_q))
+    index = 2 * tri[..., None] + np.arange(2) + 2 * nv * np.arange(2)[:, None, None, None]
+    return np.bincount(index.ravel(), blocks.ravel(), minlength=4 * nv).reshape(2, -1)
+
+
 def stokes_shape_derivative(
-    system: StokesSystem,
-    solution: StokesSolution,
-    f1: np.ndarray,
-    field: VelocityField,
+    system: StokesSystem, solution: StokesSolution, perturbation: Perturbation, field: VelocityField
 ) -> DerivativeReport:
     """Evaluate the shape derivative at a solved state.
 
-    ``f1`` is :func:`assemble_perturbation`'s load for the same ``field``.
-    E1 = 1/2 u'A1 u - f1'u, with the quadratic form and the multiplier
-    term both integrated directly at quadrature points; ``field.jacobian``
-    is evaluated once, and the divergence is its trace.  L1 = E1 +
-    dual_term by construction.  A solution or f1 of the wrong size raises
-    ``DimensionMismatch``; one that does not solve ``system`` raises
-    ``UnsolvedSolution``.  Calls on the same system and solution share
-    one residual check, grad(u_h), lambda_h and energy.
+    ``perturbation`` is :func:`assemble_perturbation`'s direction for
+    ``field`` (another field raises ``ValueError``), with the force the
+    system was assembled with.  E1 and dual_term are g_E and g_lam
+    contracted with the motion; L1 = E1 + dual_term.  A solution or motion
+    of the wrong size raises ``DimensionMismatch``; one that does not
+    solve ``system`` raises ``UnsolvedSolution``.  Calls with the same
+    solution and force object share one residual check, energy and g.
     """
-    solved, grad_u, lam_q, solved_energy = _solved_state(system, solution, f1)  # grad_u [c, j] = d u_c / d x_j
-    space, u = system.space, solved.u
-    grad = field.jacobian(space.quad_points)  # (nt, nq, 2, 2), [i, j] = d Lambda_i / d x_j
-    div = grad[..., 0, 0] + grad[..., 1, 1]
-    kernel = div[..., None, None] * np.eye(2) - grad - np.swapaxes(grad, -1, -2)
-    coef = space.quad_coef
-    e1 = float(0.5 * np.einsum("tq,tqci,tqij,tqcj->", coef, grad_u, kernel, grad_u, optimize=_E1_PATH) - f1 @ u)
-    dual = float(np.einsum("tq,tq,tqji,tqij->", coef, lam_q, grad, grad_u))
-    return DerivativeReport(
-        L1=e1 + dual,
-        E1=e1,
-        dual_term=dual,
-        energy=solved_energy,
-    )
+    if perturbation.field is not field:
+        raise ValueError("the perturbation was assembled for another velocity field")
+    _, _, solved_energy, gradient = _solved_state(system, solution, perturbation)
+    e1, dual = map(float, gradient @ perturbation.motion.ravel())
+    return DerivativeReport(L1=e1 + dual, E1=e1, dual_term=dual, energy=solved_energy)
 
 
 def fd_verify(
@@ -182,9 +183,9 @@ def fd_verify(
     base_system = assemble(mesh, f_field)
     pin_pressure = not len(base_system.space.neumann_edges)
     base_solution = solve_stokes(base_system, pin_pressure=pin_pressure)
-    f1 = assemble_perturbation(base_system.space, field, f_field)
-    head = stokes_shape_derivative(base_system, base_solution, f1, field)
-    del base_system, base_solution, f1
+    direction = assemble_perturbation(base_system.space, field, f_field)
+    head = stokes_shape_derivative(base_system, base_solution, direction, field)
+    del base_system, base_solution, direction
 
     def energy_at(s: float) -> float:
         system = assemble(transport_mesh(mesh, field, s, steps=steps), f_field)
@@ -202,11 +203,10 @@ def corollary3_check(
 ) -> DerivativeReport:
     """Shape derivative under a rigid rotation of a pure-Dirichlet domain.
 
-    Rotation velocities are divergence-free, so every (div Lambda) term in
-    the first-order kernels vanishes identically and the transported
-    meshes preserve element areas exactly.  The pressure, fixed only up
-    to a constant, is solved for with zero mean; another constant would
-    leave both the energy and the multiplier term unchanged.
+    Rotation velocities are divergence-free, so the transported meshes
+    preserve element areas exactly.  The pressure, fixed only up to a
+    constant, is solved for with zero mean; another constant would leave
+    both the energy and the multiplier term unchanged.
     """
     if any(tag != DIRICHLET for tag in mesh.boundary_tags):
         raise ValueError("rotation check expects a pure-Dirichlet mesh")

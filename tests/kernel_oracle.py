@@ -1,13 +1,13 @@
 """Plain-einsum element kernels and the monomial-stack quadratic field,
 used only as test oracles.
 
-The package evaluates these kernels (and the E1 integrand of the shape
-derivative) with contraction paths and batched matrix products, and the
-quadratic field in closed form; these oracles keep the direct forms (one
-einsum string per kernel, with no path, and a stack of monomials times
-the coefficients), so the fast kernels can be checked against them to
-roundoff.  Each kernel oracle also returns the same contraction over
-absolute values, the scale that roundoff is relative to.  The package sums
+The package evaluates these kernels with contraction paths and batched
+matrix products, the E1 part of the shape derivative as a nodal vector,
+and the quadratic field in closed form; these oracles keep the direct
+forms (one einsum string per kernel, with no path, and a stack of
+monomials times the coefficients), so the fast kernels can be checked
+against them to roundoff.  Each kernel oracle also returns the same
+contraction over absolute values, the scale that roundoff is relative to.  The package sums
 load vectors with ``np.bincount``; the ``np.add.at`` sum kept here adds in
 the same order, so the two must agree bit for bit.  The pressure integral
 weights have no package counterpart: the solver returns the zero-mean

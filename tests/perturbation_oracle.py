@@ -1,9 +1,12 @@
 """Assembled first-order Stokes matrices, used only as test oracles.
 
-The package evaluates 1/2 u'A1 u and the multiplier term directly at the
-quadrature points and assembles only the load f1; these oracles build the
-sparse matrices A1, B1 and the transport pairing T element by element,
-so L1 = 1/2 u'A1 u - f1'u + lam'Tu can be checked against them.
+The package contracts a nodal shape gradient with the vertex motion; these
+oracles build the sparse matrices A1, B1, the load f1 and the transport
+pairing T element by element from the kernels of the pulled-back
+problem, so L1 = 1/2 u'A1 u - f1'u - lam'B1 u can be checked against
+them.  Given the P1 interpolant of a velocity field (the motion
+``transport_mesh`` performs to first order), they are the derivatives of
+the assembled arrays.
 """
 
 from dataclasses import dataclass
@@ -11,7 +14,35 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sparse
 
-from shapederiv.stokes_fem import _P1_VALS, _P2_VALS
+from shapederiv.stokes_fem import _GRAD_BARY, _P1_VALS, _P2_VALS
+
+
+class P1Interpolant:
+    """The P1 interpolant of a velocity field on a function space's mesh,
+    evaluated at that space's quadrature points only."""
+
+    def __init__(self, space, field):
+        self.space = space
+        mesh = space.mesh
+        self.nodal = field.evaluate(mesh.vertices)[mesh.triangles]  # (nt, 3, 2)
+        xy = mesh.vertices[mesh.triangles]
+        jac = np.stack([xy[:, 1] - xy[:, 0], xy[:, 2] - xy[:, 0]], axis=-1)
+        hat = np.linalg.solve(np.swapaxes(jac, 1, 2), np.broadcast_to(_GRAD_BARY.T, jac.shape[:1] + (2, 3)))
+        self.gradient = np.einsum("tki,tjk->tij", self.nodal, hat)  # (nt, 2, 2), constant per element
+
+    def _check(self, points):
+        assert points is self.space.quad_points, "the interpolant is evaluated at its quadrature points only"
+
+    def evaluate(self, points):
+        self._check(points)
+        return _P1_VALS @ self.nodal
+
+    def jacobian(self, points):
+        self._check(points)
+        return np.repeat(self.gradient[:, None], points.shape[1], axis=1)
+
+    def divergence(self, points):
+        return np.trace(self.jacobian(points), axis1=-2, axis2=-1)
 
 
 @dataclass(frozen=True)
@@ -61,10 +92,3 @@ def transport_pairing_matrix(space, field) -> sparse.csr_matrix:
     te = np.einsum("tq,qp,tqjc,tqaj->tpac", space.quad_coef, _P1_VALS, grad, space.phys_grads)
     return space.pairing_matrix(te)
 
-
-def dual_term_quadrature(space, field, u_free, lam) -> float:
-    """Direct quadrature of int( lambda sum_ij G_ji du_i/dx_j )."""
-    grad, _ = _field_kernels(space, field)
-    grad_u = space.element_velocity_gradients(u_free)
-    lam_q = space.pressure_at_quad(lam)
-    return float(np.einsum("tq,tq,tqji,tqij->", space.quad_coef, lam_q, grad, grad_u))

@@ -583,6 +583,17 @@ def test_exit_codes(tmp_path, capsys):
     assert not any((tmp_path / "o2").iterdir())  # made before the run, left empty by its failure
 
 
+@pytest.mark.parametrize("command", ["shape-derivative", "fd-verify"])
+def test_a_velocity_that_overflows_at_a_vertex_exits_1(tmp_path, capsys, command):
+    cfg = write(
+        tmp_path / "run.cfg",
+        "[mesh]\nkind = unit_square\nn = 4\nneumann_sides = right\n\n[force]\nname = trig\n\n"
+        "[velocity]\nkind = quadratic\ncoeffs = 0 0 0 1e308 1e308 1e308 0 0 0 1e308 1e308 1e308\n",
+    )
+    assert main([command, "--config", cfg, "--output", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == "error: DimensionMismatch: velocity field is not finite at every mesh vertex\n"
+
+
 def test_first_failing_fd_step_is_reported(tmp_path, capsys):
     # Transport by +0.8 flips a triangle; the later steps run on other
     # threads, but the error is that of the first failing step in order.

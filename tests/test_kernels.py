@@ -20,6 +20,7 @@ from shapederiv.fields import TrigForce
 from shapederiv.flow import VelocityField
 
 import kernel_oracle as oracle
+from perturbation_oracle import P1Interpolant, assemble_perturbation_matrices
 
 RTOL = 1e-15
 
@@ -79,9 +80,11 @@ def test_e1_matches_plain_einsum(mesh_name):
     mesh, force, fld = MESHES[mesh_name](), TrigForce(), sd.QuadraticField(coeffs=COEFFS)
     system = sd.assemble(mesh, force)
     solution = sd.solve_stokes(system, pin_pressure=not len(system.space.neumann_edges))
-    f1 = sd.assemble_perturbation(system.space, fld, force)
-    e1, scale = oracle.e1(system.space, fld, solution.u, f1)
-    assert abs(sd.stokes_shape_derivative(system, solution, f1, fld).E1 - e1) <= RTOL * scale
+    interpolant = P1Interpolant(system.space, fld)  # the motion of the mesh
+    f1 = assemble_perturbation_matrices(system.space, interpolant, force).f1
+    e1, scale = oracle.e1(system.space, interpolant, solution.u, f1)
+    report = sd.stokes_shape_derivative(system, solution, sd.assemble_perturbation(system.space, fld, force), fld)
+    assert abs(report.E1 - e1) <= RTOL * scale
 
 
 _finite = dict(allow_nan=False, allow_infinity=False)
@@ -153,13 +156,15 @@ def test_quadratic_field_matches_monomial_stack(coeffs, points):
 
 @dataclass(frozen=True, kw_only=True)
 class _CountingField(VelocityField):
-    """Delegates to ``inner`` and counts the Jacobian evaluations; the
-    inherited ``divergence`` goes through ``jacobian`` and counts too."""
+    """Delegates to ``inner`` and records the points of every evaluation
+    and the number of Jacobian evaluations; the inherited ``divergence``
+    goes through ``jacobian`` and counts too."""
 
     inner: VelocityField
-    calls: dict = field(default_factory=lambda: {"jacobian": 0})
+    calls: dict = field(default_factory=lambda: {"evaluate": [], "jacobian": 0})
 
     def evaluate(self, points):
+        self.calls["evaluate"].append(points)
         return self.inner.evaluate(points)
 
     def jacobian(self, points):
@@ -167,13 +172,16 @@ class _CountingField(VelocityField):
         return self.inner.jacobian(points)
 
 
-def test_shape_derivative_evaluates_the_jacobian_once():
+def test_shape_derivative_evaluates_the_field_once_at_the_vertices():
     mesh = sd.unit_square_mesh(4, {"right"})
     force, inner = TrigForce(), sd.QuadraticField(coeffs=COEFFS)
     system = sd.assemble(mesh, force)
     solution = sd.solve_stokes(system)
-    f1 = sd.assemble_perturbation(system.space, inner, force)
     counting = _CountingField(inner=inner)
-    report = sd.stokes_shape_derivative(system, solution, f1, counting)
-    assert counting.calls["jacobian"] == 1
-    assert report.L1 == sd.stokes_shape_derivative(system, solution, f1, inner).L1
+    report = sd.stokes_shape_derivative(
+        system, solution, sd.assemble_perturbation(system.space, counting, force), counting
+    )
+    assert [points is mesh.vertices for points in counting.calls["evaluate"]] == [True]
+    assert counting.calls["jacobian"] == 0
+    plain = sd.stokes_shape_derivative(system, solution, sd.assemble_perturbation(system.space, inner, force), inner)
+    assert report.L1 == plain.L1

@@ -11,16 +11,17 @@ import pytest
 
 import shapederiv as sd
 from shapederiv.fields import ConstantForce, ForceField, RotationalForce, TrigForce
-from shapederiv.flow import CutoffWindow
+from shapederiv.flow import CutoffWindow, VelocityField
 from shapederiv.shape_derivative import (
     assemble_perturbation,
     fd_verify,
     stokes_shape_derivative,
 )
 
+import complex_step_oracle
 from perturbation_oracle import (
+    P1Interpolant,
     assemble_perturbation_matrices,
-    dual_term_quadrature,
     transport_pairing_matrix,
 )
 
@@ -81,7 +82,7 @@ def test_decomposition_identity():
 def test_dual_term_two_quadrature_paths_agree():
     _, system, sol = solved_square(n=6)
     forms = assemble_perturbation_matrices(system.space, AFFINE, TrigForce())
-    report = stokes_shape_derivative(system, sol, forms.f1, AFFINE)
+    report = stokes_shape_derivative(system, sol, assemble_perturbation(system.space, AFFINE, TrigForce()), AFFINE)
     pairing = transport_pairing_matrix(system.space, AFFINE)
     via_matrix = float(sol.lam @ (pairing @ sol.u))
     assert abs(report.dual_term - via_matrix) <= 1e-10
@@ -139,13 +140,28 @@ def test_rejects_mismatched_solution_or_load():
     with pytest.raises(sd.DimensionMismatch, match="pressure"):
         stokes_shape_derivative(system, wrong_lam, f1, AFFINE)
     other_f1 = assemble_perturbation(other_system.space, AFFINE, TrigForce())
-    with pytest.raises(sd.DimensionMismatch, match="f1"):
+    with pytest.raises(sd.DimensionMismatch, match="vertex motion"):
         stokes_shape_derivative(system, sol, other_f1, AFFINE)
+    with pytest.raises(ValueError, match="another velocity field"):
+        stokes_shape_derivative(system, sol, f1, sd.RotationField(1.0))
+
+
+class _NanAtOneVertex(VelocityField):
+    def evaluate(self, points):
+        values = np.zeros(np.shape(points))
+        values[..., 3, 1] = np.nan
+        return values
+
+
+def test_rejects_a_motion_that_is_not_finite():
+    _, system, _ = solved_square()
+    with pytest.raises(sd.DimensionMismatch, match="not finite"):
+        assemble_perturbation(system.space, _NanAtOneVertex(), TrigForce())
 
 
 # --- one solved state, many directions -----------------------------------------
-# The residual check, grad(u_h), lambda_h and the energy are memoized per
-# (system, solution), the force at the quadrature points per (space, force).
+# The residual check and the energy are memoized per (system, solution),
+# the shape gradient per (system, solution, force).
 
 SWEEP_FIELDS = [
     AFFINE,
@@ -184,11 +200,15 @@ def test_state_memo_rechecks_a_solution_changed_in_place():
 
 
 def test_force_memo_follows_the_force_object():
-    _, system, _ = solved_square()
+    # The shape gradient is memoized per force object; each force must give
+    # the oracle's L1 with its own f1, even on one solved state.
+    _, system, sol = solved_square()
     space = system.space
     for force in (TrigForce(), TrigForce(c=1.3), ConstantForce(value=(0.7, -0.3)), TrigForce()):
-        f1 = assemble_perturbation(space, AFFINE, force)
-        np.testing.assert_array_equal(f1, assemble_perturbation_matrices(space, AFFINE, force).f1)
+        report = stokes_shape_derivative(system, sol, assemble_perturbation(space, AFFINE, force), AFFINE)
+        oracle = assemble_perturbation_matrices(space, AFFINE, force)
+        l1 = float(0.5 * sol.u @ (oracle.A1 @ sol.u) - oracle.f1 @ sol.u - sol.lam @ (oracle.B1 @ sol.u))
+        assert abs(report.L1 - l1) <= 1e-13 * (1.0 + abs(l1))
 
 
 class _CountingForce(ForceField):
@@ -251,8 +271,8 @@ def test_concurrent_sweeps_of_one_state_match_a_sequential_sweep():
         assert reports == sequential[k:] + sequential[:k]
 
 
-def solved_pinned_disk():
-    mesh = sd.disk_mesh(4)
+def solved_pinned_disk(rings=4):
+    mesh = sd.disk_mesh(rings)
     system = sd.assemble(mesh, TrigForce())
     return mesh, system, sd.solve_stokes(system, pin_pressure=True)
 
@@ -276,13 +296,32 @@ def test_quadrature_matches_assembled_oracle(solved, field_name):
     _, system, sol = solved()
     field = ORACLE_FIELDS[field_name]
     force = TrigForce()
-    f1 = assemble_perturbation(system.space, field, force)
-    oracle = assemble_perturbation_matrices(system.space, field, force)
-    np.testing.assert_array_equal(f1, oracle.f1)
-    report = stokes_shape_derivative(system, sol, f1, field)
-    assert report.dual_term == dual_term_quadrature(system.space, field, sol.u, sol.lam)
+    # the mesh moves by the interpolant of the field
+    oracle = assemble_perturbation_matrices(system.space, P1Interpolant(system.space, field), force)
+    report = stokes_shape_derivative(system, sol, assemble_perturbation(system.space, field, force), field)
     e1 = float(0.5 * sol.u @ (oracle.A1 @ sol.u) - oracle.f1 @ sol.u)
     assert abs(report.E1 - e1) <= 1e-13 * (1.0 + abs(e1))
+    dual = -float(sol.lam @ (oracle.B1 @ sol.u))
+    assert abs(report.dual_term - dual) <= 1e-13 * (1.0 + abs(dual))
+
+
+COMPLEX_STEP_FIELDS = ("affine", "quadratic", "rotation", "windowed")
+
+
+@pytest.mark.parametrize("field_name", COMPLEX_STEP_FIELDS)
+@pytest.mark.parametrize(
+    "solved", [lambda: solved_square(n=16), lambda: solved_pinned_disk(rings=8)], ids=["square", "disk"]
+)
+def test_complex_step_oracle_matches_the_shape_gradient(solved, field_name):
+    # The complex step differentiates the assembled arrays along the vertex
+    # motion with no hand-derived kernel.  Roundoff is relative to the sum
+    # of the absolute terms: 40 to 3 000 times |L1| here, and 5e4 to 1e6
+    # times for the disk's rotation and windowed L1, near-cancellations.
+    _, system, sol = solved()
+    field, force = ORACLE_FIELDS[field_name], TrigForce()
+    report = stokes_shape_derivative(system, sol, assemble_perturbation(system.space, field, force), field)
+    l1, scale = complex_step_oracle.shape_derivative(system.space, field, force, sol.u, sol.lam)
+    assert abs(report.L1 - l1) <= 1e-15 * scale
 
 
 # --- central-difference verification ------------------------------------------
@@ -328,6 +367,14 @@ def test_fd_quadratic_field_relaxed_slope():
     mesh = sd.unit_square_mesh(8, {"right"})
     report = fd_verify(mesh, TrigForce(), field, [2e-1, 1e-1, 5e-2])
     assert report.fd.slope >= 1.5
+
+
+def test_fd_quadratic_field_slope_2():
+    # L1 is the derivative of the discrete energy under the vertex motion,
+    # so a non-affine field converges at second order down to small steps.
+    mesh = sd.unit_square_mesh(16, {"right"})
+    report = fd_verify(mesh, TrigForce(), ORACLE_FIELDS["quadratic"], [1e-2, 1e-3, 1e-4])
+    assert abs(report.fd.slope - 2.0) <= 0.1
 
 
 def test_fd_releases_the_base_system_before_the_re_solves(monkeypatch):
