@@ -38,7 +38,6 @@ from .flow import (
     FlowSample,
     QuadraticField,
     RotationField,
-    VelocityField,
     ZeroField,
     integrate_flow,
 )

@@ -19,15 +19,7 @@ from typing import Callable, NamedTuple
 
 from ..errors import ConfigError
 from ..fields import ConstantForce, LeftEdgeTraction, RotationalForce, TrigForce, trig_manufactured
-from ..flow import (
-    AffineField,
-    ConstantField,
-    CutoffWindow,
-    QuadraticField,
-    RotationField,
-    VelocityField,
-    ZeroField,
-)
+from ..flow import AffineField, ConstantField, CutoffWindow, QuadraticField, RotationField, ZeroField
 from ..mesh import _SIDES, NEUMANN, TriMesh, disk_mesh, read_mesh, unit_square_mesh
 
 def _number(text: str, name: str, cast=float, minimum=None):
@@ -307,7 +299,7 @@ class RunConfig:
             raise ConfigError(f"{where}: corollary3 needs a pure-Dirichlet mesh, but the mesh has Neumann edges")
         return mesh
 
-    def build_velocity(self) -> VelocityField:
+    def build_velocity(self) -> QuadraticField:
         window = self.value("velocity", "window")
         try:
             if window is not None:  # rows (xlo, xhi), (ylo, yhi) -> lo, hi

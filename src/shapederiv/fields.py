@@ -7,8 +7,8 @@ energy kernels consume grad(f) directly.  Batch convention matches
 ``gradient(p)[..., i, j] = d f_i / d x_j``.
 
 The constant and rotational forces are polynomials, so ``ConstantForce``
-and ``RotationalForce`` return a ``flow.QuadraticField``, whose
-``gradient`` is its Jacobian.
+and ``RotationalForce`` return a ``flow.QuadraticField``: every field,
+velocity or force, answers the same ``evaluate`` and ``gradient``.
 
 ``trig_manufactured`` is a full manufactured Stokes problem (velocity,
 pressure, force, traction) written out in closed form with exact
@@ -37,8 +37,8 @@ __all__ = [
 
 
 class ForceField:
-    """Interface: ``evaluate(points)`` and, for forces, ``gradient(points)``.
-    ``flow.QuadraticField`` has both without deriving from it."""
+    """Interface: ``evaluate(points)`` and, for forces, ``gradient(points)``,
+    the calls a ``flow.QuadraticField`` answers without deriving from it."""
 
     def evaluate(self, points) -> np.ndarray:
         raise NotImplementedError

@@ -7,12 +7,13 @@ Jacobian, whose determinant must stay positive for the map to remain a
 diffeomorphism.  Every velocity is one ``QuadraticField``, a polynomial
 of degree at most 2 per component, optionally times a cutoff window;
 ``ZeroField``, ``ConstantField``, ``AffineField`` and ``RotationField``
-only choose its coefficients, and ``negated()`` flips them.  Jacobians
-and divergences are exact; the shape derivative reads only the values at
-the mesh vertices.
+only choose its coefficients, and ``negated()`` flips them.  Its
+``gradient`` is exact; the shape derivative reads only the values at the
+mesh vertices.
 
 Every field evaluates on batches: points of shape (..., 2) produce values
-of shape (..., 2), Jacobians (..., 2, 2) and divergences (...,).
+of shape (..., 2) and gradients (..., 2, 2), with
+``gradient(p)[..., i, j] = d Lambda_i / d x_j``.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from .errors import NonPositiveJacobian
 
 __all__ = [
     "CutoffWindow",
-    "VelocityField",
     "ZeroField",
     "ConstantField",
     "AffineField",
@@ -68,6 +68,8 @@ class CutoffWindow:
     def __post_init__(self):
         if not (0.0 < self.ramp <= 0.5):
             raise ValueError("ramp fraction must lie in (0, 0.5]")
+        if not np.all(np.isfinite((self.lo, self.hi))):
+            raise ValueError("window bounds must be finite")
         if self.lo[0] >= self.hi[0] or self.lo[1] >= self.hi[1]:
             raise ValueError("window box must have positive side lengths")
 
@@ -94,53 +96,19 @@ class CutoffWindow:
 
 
 @dataclass(frozen=True, kw_only=True)
-class VelocityField:
-    """Base class: closed-form velocity with exact Jacobian and divergence.
-
-    Subclasses implement the bare field; the base class applies the
-    optional cutoff window by the product rule, so windowed fields keep
-    exact derivatives.
-    """
-
-    window: CutoffWindow | None = None
-
-    def _evaluate(self, p: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def _jacobian(self, p: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def evaluate(self, points) -> np.ndarray:
-        p = np.asarray(points, dtype=float)
-        v = self._evaluate(p)
-        if self.window is not None:
-            v = v * self.window.value(p)[..., None]
-        return v
-
-    def jacobian(self, points) -> np.ndarray:
-        p = np.asarray(points, dtype=float)
-        jac = self._jacobian(p)
-        if self.window is not None:
-            chi = self.window.value(p)
-            grad_chi = self.window.gradient(p)
-            jac = chi[..., None, None] * jac + self._evaluate(p)[..., :, None] * grad_chi[..., None, :]
-        return jac
-
-    def divergence(self, points) -> np.ndarray:
-        jac = self.jacobian(points)
-        return jac[..., 0, 0] + jac[..., 1, 1]
-
-
-@dataclass(frozen=True, kw_only=True)
-class QuadraticField(VelocityField):
-    """Per-component polynomial of degree at most 2.
+class QuadraticField:
+    """Per-component polynomial of degree at most 2, optionally times a
+    cutoff window.
 
     ``coeffs[i]`` holds the six coefficients of component i against the
     monomials (1, x1, x2, x1^2, x1*x2, x2^2).  Without degree-2 terms the
-    field is affine, Lambda(x) = M x + b, and is evaluated as such.
+    field is affine, Lambda(x) = M x + b, and is evaluated as such.  The
+    window multiplies the polynomial, and ``gradient`` applies the product
+    rule, so windowed fields keep exact derivatives.
     """
 
     coeffs: tuple[tuple[float, ...], tuple[float, ...]]
+    window: CutoffWindow | None = None
 
     def __post_init__(self):
         if self._c.shape != (2, 6):
@@ -182,9 +150,21 @@ class QuadraticField(VelocityField):
             jac[..., i, 1] = c2 + c4 * x + 2.0 * c5 * y
         return jac
 
+    def evaluate(self, points) -> np.ndarray:
+        p = np.asarray(points, dtype=float)
+        v = self._evaluate(p)
+        if self.window is not None:
+            v = v * self.window.value(p)[..., None]
+        return v
+
     def gradient(self, points) -> np.ndarray:
-        """The Jacobian, under the name a force field gives it."""
-        return self.jacobian(points)
+        p = np.asarray(points, dtype=float)
+        jac = self._jacobian(p)
+        if self.window is not None:
+            chi = self.window.value(p)
+            grad_chi = self.window.gradient(p)
+            jac = chi[..., None, None] * jac + self._evaluate(p)[..., :, None] * grad_chi[..., None, :]
+        return jac
 
     def negated(self) -> "QuadraticField":
         """Field with the opposite sign, generating the inverse flow."""
@@ -248,19 +228,20 @@ def _rk4(rhs, state: tuple, s: float, steps: int, valid) -> tuple:
     return state
 
 
-def flow_points(field: VelocityField, x, s: float, steps: int = 64) -> np.ndarray:
+def flow_points(field: QuadraticField, x, s: float, steps: int = 64) -> np.ndarray:
     """``integrate_flow(field, x, s, steps).point`` without the Jacobian;
     raises NonPositiveJacobian when a trajectory blows up."""
     state = (np.array(x, dtype=float),)
     return _rk4(lambda p: (field.evaluate(p),), state, s, steps, lambda p: np.all(np.isfinite(p)))[0]
 
 
-def integrate_flow(field: VelocityField, x, s: float, steps: int = 64) -> FlowSample:
+def integrate_flow(field: QuadraticField, x, s: float, steps: int = 64) -> FlowSample:
     """Integrate the flow and its Jacobian with classical fixed-step RK4.
 
     Point and Jacobian advance jointly: the Jacobian obeys the variational
-    equation dJ/ds = grad(Lambda)(phi) J with J(0) = I.  The inverse map is
-    the flow of ``field.negated()`` started from the image point.  Raises
+    equation dJ/ds = grad(Lambda)(phi) J with J(0) = I, where grad(Lambda)
+    is ``field.gradient``.  The inverse map is the flow of
+    ``field.negated()`` started from the image point.  Raises
     NonPositiveJacobian when the determinant stops being positive (or the
     trajectory blows up), i.e. when s left the diffeomorphism range.
     """
@@ -271,5 +252,5 @@ def integrate_flow(field: VelocityField, x, s: float, steps: int = 64) -> FlowSa
         det = _det2(j)
         return np.all((det > 0.0) & (det < np.inf))
 
-    phi, jac = _rk4(lambda p, j: (field.evaluate(p), field.jacobian(p) @ j), (phi, jac), s, steps, positive)
+    phi, jac = _rk4(lambda p, j: (field.evaluate(p), field.gradient(p) @ j), (phi, jac), s, steps, positive)
     return FlowSample(point=phi, jacobian=jac, det=_det2(jac))

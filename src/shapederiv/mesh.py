@@ -15,7 +15,7 @@ import numpy as np
 
 from ._textio import block_rows, block_sizes, float_block, numbered_lines
 from .errors import InvertedElement
-from .flow import VelocityField, flow_points
+from .flow import QuadraticField, flow_points
 
 __all__ = [
     "DIRICHLET",
@@ -198,7 +198,7 @@ def disk_mesh(rings: int) -> TriMesh:
     return mesh
 
 
-def transport_mesh(mesh: TriMesh, field: VelocityField, s: float, steps: int = 64) -> TriMesh:
+def transport_mesh(mesh: TriMesh, field: QuadraticField, s: float, steps: int = 64) -> TriMesh:
     """Move every vertex along the flow of ``field`` for parameter s.
 
     Connectivity and boundary tags are preserved.  Raises InvertedElement

@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, UnsolvedSolution
 from .fields import ForceField
-from .flow import RotationField, VelocityField
+from .flow import QuadraticField, RotationField
 from .mesh import DIRICHLET, TriMesh, transport_mesh
 from .slopes import FdTable, fd_table
 from .stokes_fem import (
@@ -72,12 +72,12 @@ class DerivativeReport:
 class Perturbation:
     """A velocity field, its values at the mesh vertices and the body force."""
 
-    field: VelocityField
+    field: QuadraticField
     force: ForceField
     motion: np.ndarray  # (num_vertices, 2)
 
 
-def assemble_perturbation(space: FunctionSpace, field: VelocityField, f_field: ForceField) -> Perturbation:
+def assemble_perturbation(space: FunctionSpace, field: QuadraticField, f_field: ForceField) -> Perturbation:
     """``field`` at the vertices of ``space``'s mesh, with the body force;
     a motion that is not finite at every vertex raises ``DimensionMismatch``."""
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
@@ -141,7 +141,7 @@ def _shape_gradient(space: FunctionSpace, solved: StokesSolution, force: ForceFi
 
 
 def stokes_shape_derivative(
-    system: StokesSystem, solution: StokesSolution, perturbation: Perturbation, field: VelocityField
+    system: StokesSystem, solution: StokesSolution, perturbation: Perturbation, field: QuadraticField
 ) -> DerivativeReport:
     """Evaluate the shape derivative at a solved state.
 
@@ -163,7 +163,7 @@ def stokes_shape_derivative(
 def fd_verify(
     mesh: TriMesh,
     f_field: ForceField,
-    field: VelocityField,
+    field: QuadraticField,
     s_values: Sequence[float],
     steps: int = 64,
 ) -> DerivativeReport:

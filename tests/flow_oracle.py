@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from shapederiv.flow import VelocityField, integrate_flow
+from shapederiv.flow import QuadraticField, integrate_flow
 from shapederiv.slopes import loglog_slope
 
 
@@ -41,11 +41,11 @@ class ExpansionReport:
     exact: bool
 
 
-def expansion_check(field: VelocityField, x, s_values: Sequence[float], steps: int = 64) -> ExpansionReport:
+def expansion_check(field: QuadraticField, x, s_values: Sequence[float], steps: int = 64) -> ExpansionReport:
     """Measure how fast the first-order expansion residuals vanish with s."""
     x = np.asarray(x, dtype=float)
-    grad = field.jacobian(x)
-    div = field.divergence(x)
+    grad = field.gradient(x)
+    div = np.trace(grad, axis1=-2, axis2=-1)
     r1n, r2n = [], []
     for s in s_values:
         sample = integrate_flow(field, x, float(s), steps=steps)

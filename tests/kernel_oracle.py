@@ -82,8 +82,8 @@ def velocity_gradients(space, u_free):
 def e1(space, field, u_free, f1):
     """E1 = 1/2 u'A1 u - f1'u by one einsum at the quadrature points, and
     its scale."""
-    grad = field.jacobian(space.quad_points)
-    div = field.divergence(space.quad_points)
+    grad = field.gradient(space.quad_points)
+    div = np.trace(grad, axis1=-2, axis2=-1)
     kernel = div[..., None, None] * np.eye(2) - grad - np.swapaxes(grad, -1, -2)
     gu = space.element_velocity_gradients(u_free)
     coef = space.quad_coef

@@ -28,7 +28,7 @@ class P1Interpolant:
         xy = mesh.vertices[mesh.triangles]
         jac = np.stack([xy[:, 1] - xy[:, 0], xy[:, 2] - xy[:, 0]], axis=-1)
         hat = np.linalg.solve(np.swapaxes(jac, 1, 2), np.broadcast_to(_GRAD_BARY.T, jac.shape[:1] + (2, 3)))
-        self.gradient = np.einsum("tki,tjk->tij", self.nodal, hat)  # (nt, 2, 2), constant per element
+        self.element_gradient = np.einsum("tki,tjk->tij", self.nodal, hat)  # (nt, 2, 2), constant per element
 
     def _check(self, points):
         assert points is self.space.quad_points, "the interpolant is evaluated at its quadrature points only"
@@ -37,12 +37,9 @@ class P1Interpolant:
         self._check(points)
         return _P1_VALS @ self.nodal
 
-    def jacobian(self, points):
+    def gradient(self, points):
         self._check(points)
-        return np.repeat(self.gradient[:, None], points.shape[1], axis=1)
-
-    def divergence(self, points):
-        return np.trace(self.jacobian(points), axis1=-2, axis2=-1)
+        return np.repeat(self.element_gradient[:, None], points.shape[1], axis=1)
 
 
 @dataclass(frozen=True)
@@ -55,8 +52,8 @@ class PerturbationMatrices:
 
 
 def _field_kernels(space, field):
-    grad = field.jacobian(space.quad_points)  # (nt, nq, 2, 2)
-    div = field.divergence(space.quad_points)  # (nt, nq)
+    grad = field.gradient(space.quad_points)  # (nt, nq, 2, 2)
+    div = np.trace(grad, axis1=-2, axis2=-1)  # (nt, nq)
     return grad, div
 
 

@@ -7,8 +7,6 @@ plain einsum strings and the monomial stack.  Every comparison allows
 contraction taken over absolute values.
 """
 
-from dataclasses import dataclass, field
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,7 +15,6 @@ from hypothesis.extra.numpy import arrays
 
 import shapederiv as sd
 from shapederiv.fields import TrigForce
-from shapederiv.flow import VelocityField
 
 import kernel_oracle as oracle
 from perturbation_oracle import P1Interpolant, assemble_perturbation_matrices
@@ -52,7 +49,7 @@ def _kernel_pairs(mesh, u_values, coeffs):
         "velocity_gradients": (space.element_velocity_gradients(u), *oracle.velocity_gradients(space, u)),
         "pressure_values": (space.pressure_at_quad(lam), *oracle.pressure_values(space, lam)),
         "quadratic_value": (fast.evaluate(space.quad_points), stacked.evaluate(space.quad_points), value_scale),
-        "quadratic_jacobian": (fast.jacobian(space.quad_points), stacked.jacobian(space.quad_points), jacobian_scale),
+        "quadratic_gradient": (fast.gradient(space.quad_points), stacked.gradient(space.quad_points), jacobian_scale),
     }
 
 
@@ -147,29 +144,27 @@ def test_quadratic_field_matches_monomial_stack(coeffs, points):
     value_scale, jacobian_scale = stacked.scales(points)
     for new, old, scale in (
         (fast.evaluate(points), stacked.evaluate(points), value_scale),
-        (fast.jacobian(points), stacked.jacobian(points), jacobian_scale),
-        (fast.divergence(points), stacked.divergence(points), np.trace(jacobian_scale, axis1=-2, axis2=-1)),
+        (fast.gradient(points), stacked.gradient(points), jacobian_scale),
     ):
         assert new.shape == old.shape
         assert _max_abs(new - old) <= RTOL * _max_abs(scale)
 
 
-@dataclass(frozen=True, kw_only=True)
-class _CountingField(VelocityField):
+class _CountingField:
     """Delegates to ``inner`` and records the points of every evaluation
-    and the number of Jacobian evaluations; the inherited ``divergence``
-    goes through ``jacobian`` and counts too."""
+    and the number of gradient evaluations."""
 
-    inner: VelocityField
-    calls: dict = field(default_factory=lambda: {"evaluate": [], "jacobian": 0})
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = {"evaluate": [], "gradient": 0}
 
     def evaluate(self, points):
         self.calls["evaluate"].append(points)
         return self.inner.evaluate(points)
 
-    def jacobian(self, points):
-        self.calls["jacobian"] += 1
-        return self.inner.jacobian(points)
+    def gradient(self, points):
+        self.calls["gradient"] += 1
+        return self.inner.gradient(points)
 
 
 def test_shape_derivative_evaluates_the_field_once_at_the_vertices():
@@ -182,6 +177,6 @@ def test_shape_derivative_evaluates_the_field_once_at_the_vertices():
         system, solution, sd.assemble_perturbation(system.space, counting, force), counting
     )
     assert [points is mesh.vertices for points in counting.calls["evaluate"]] == [True]
-    assert counting.calls["jacobian"] == 0
+    assert counting.calls["gradient"] == 0
     plain = sd.stokes_shape_derivative(system, solution, sd.assemble_perturbation(system.space, inner, force), inner)
     assert report.L1 == plain.L1
