@@ -80,6 +80,7 @@ from .core_minimax import (
     PerturbationDirection,
     SaddlePoint,
     check_lbb,
+    crash_start,
     fd_derivative,
     lagrangian_value,
     load_qp,

@@ -1,7 +1,9 @@
 """Line-numbered parsing shared by the QP-instance and mesh text formats.
 
 Every error is a ValueError that names the file, the block and the line,
-so a caller can turn a malformed file into one categorized error.
+so a caller can turn a malformed file into one categorized error.  Float
+blocks are parsed in C by ``np.loadtxt``; the row-by-row parse runs only
+on a block that it does not read cleanly, and is the one that raises.
 """
 
 from __future__ import annotations
@@ -60,7 +62,29 @@ def block_rows(lines, pos: int, path, block: str, rows: int, width: int, parse) 
 
 
 def float_block(lines, pos: int, path, block: str, rows: int, width: int) -> np.ndarray:
-    """A ``rows`` x ``width`` array of finite floats from ``lines[pos:pos + rows]``."""
+    """A ``rows`` x ``width`` array of finite floats from ``lines[pos:pos + rows]``.
+
+    The block is parsed in C by ``np.loadtxt``, which reads a token as
+    ``float()`` does (both call ``PyOS_string_to_double``) but accepts fewer
+    spellings: no ``_`` separators and no non-ASCII digits.  A block that it
+    rejects, reads to another shape or to a value that is not finite is
+    parsed again row by row, which alone raises, so the errors name the line
+    as before.
+    """
+    texts = [text for _, text in lines[pos:pos + rows]]
+    if texts and len(texts) == rows:  # loadtxt warns on empty input
+        try:
+            a = np.loadtxt(texts, dtype=float, ndmin=2, comments=None)
+        except ValueError:
+            pass
+        else:
+            if a.shape == (rows, width) and np.isfinite(a).all():
+                return a
+    return _float_rows(lines, pos, path, block, rows, width)
+
+
+def _float_rows(lines, pos: int, path, block: str, rows: int, width: int) -> np.ndarray:
+    """``float_block`` row by row, with ``float()`` on each token."""
     a = np.array(
         block_rows(lines, pos, path, block, rows, width, lambda tokens: [float(t) for t in tokens]),
         dtype=float,

@@ -17,7 +17,7 @@ from importlib import resources
 import numpy as np
 
 from .. import core_minimax as cm
-from ..errors import ConfigError, ShapeDerivError
+from ..errors import ConfigError, MaxIterations, RankDeficientB, ShapeDerivError
 from ..shape_derivative import corollary3_check, fd_verify, stokes_shape_derivative, assemble_perturbation
 from ..slopes import FdTable, fd_table
 from ..stokes_fem import assemble, convergence_study, energy, inf_sup_constant, solve_stokes
@@ -37,7 +37,16 @@ def _qp_demo(cfg: RunConfig, rep: ReportWriter) -> None:
     if direction is None:  # no re-solves
         cfg.skip("run", "s_list", "the qp file has no perturbation block")
     max_iter = cfg.value("tolerances", "max_iter")
-    sp = cm.solve_saddle_point(qp, max_iter=max_iter)
+    start = cm.crash_start(qp)  # None for the equality cone
+    try:
+        sp = cm.solve_saddle_point(qp, max_iter=max_iter, start=start)
+    except (MaxIterations, RankDeficientB):
+        if start is None:
+            raise
+        # The crash set can be dependent to roundoff where the cold path's
+        # sets are not, or cost more than max_iter steps where the cold path
+        # is short; then the base solve is the cold one, as it always was.
+        sp = cm.solve_saddle_point(qp, max_iter=max_iter)
     obj = cm.objective_value(qp, sp.u)
     lag = cm.lagrangian_value(qp, sp.u, sp.lam)
     rep.add_kv("result.n", qp.n)

@@ -17,7 +17,9 @@ constraint enters or leaves the working set (Goldfarb & Idnani 1983;
 Nocedal & Wright, Numerical Optimization, 2nd ed., sections 16.3 and
 16.5).  The iteration may start from a given working set, such as the
 terminal set of a nearby problem (the parametric warm start of Nocedal &
-Wright, section 16.5, and of qpOASES, Ferreau, Bock & Diehl 2008).
+Wright, section 16.5, and of qpOASES, Ferreau, Bock & Diehl 2008), or the
+constraints that the unconstrained minimizer violates (crash_start, the
+point Goldfarb & Idnani start their dual method from).
 check_lbb reads the inf-sup constant off the same G.  The module also
 provides the optimal value of a perturbed problem and its
 central-difference quotient, the independent check of that derivative.
@@ -49,6 +51,7 @@ __all__ = [
     "PerturbationDirection",
     "SaddlePoint",
     "solve_saddle_point",
+    "crash_start",
     "objective_value",
     "lagrangian_value",
     "shape_derivative",
@@ -244,16 +247,16 @@ def solve_saddle_point(qp: ConeQP, max_iter: int = 200, start: Iterable[int] | N
     active-set iteration from the origin, where every constraint holds
     with equality, so any working set is feasible: it starts from the
     empty set or from ``start`` (constraint indices in range(m), say the
-    terminal set of a nearby QP; one full QR of G_start), which saves
-    steps only near the terminal set, as each row in one set and not the
-    other costs a step.  Blocking constraints enter by lowest index and
-    constraints leave by most negative multiplier (lowest index on ties),
-    with ``max_iter`` working-set solves from the start as the cycling
-    guard.  Q and R are updated by one Givens sweep per entering or
-    leaving constraint.  A working set whose R has a diagonal entry that
-    is zero to roundoff or non-finite raises RankDeficientB, the start
-    set included; a bad ``start``, or any on the equality cone, raises
-    DimensionMismatch.
+    terminal set of a nearby QP or crash_start(qp); one full QR of
+    G_start), which saves steps only near the terminal set, as each row in
+    one set and not the other costs a step.  Blocking constraints enter by
+    lowest index and constraints leave by most negative multiplier (lowest
+    index on ties), with ``max_iter`` working-set solves from the start as
+    the cycling guard.  Q and R are updated by one Givens sweep per
+    entering or leaving constraint.  A working set whose R has a diagonal
+    entry that is zero to roundoff or non-finite raises RankDeficientB,
+    the start set included; a bad ``start``, or any on the equality cone,
+    raises DimensionMismatch.
     """
     start = None if start is None else list(start)  # an iterator is read once
     if start is not None and (qp.cone is ConeKind.EQUALITY or not all(
@@ -323,6 +326,23 @@ def solve_saddle_point(qp: ConeQP, max_iter: int = 200, start: Iterable[int] | N
             working.append(block)
             in_working[block] = True
     raise MaxIterations(f"active-set iteration did not settle in {max_iter} steps")
+
+
+def crash_start(qp: ConeQP) -> frozenset[int] | None:
+    """The rows that the unconstrained minimizer violates, {i : (B A^{-1} f)_i < 0}.
+
+    A guess of the terminal set, to pass as solve_saddle_point's ``start``;
+    A^{-1}f is the solver's own u0, from the QP's Cholesky factor.  Each row
+    it gets wrong costs at least one step, so where the cold path is short
+    it can cost more steps than the empty start.  None for the equality
+    cone, which takes no start.
+    """
+    if qp.cone is ConeKind.EQUALITY:
+        return None
+    L = qp._cholesky
+    h = scipy.linalg.solve_triangular(L, qp.f, lower=True)
+    u0 = scipy.linalg.solve_triangular(L, h, lower=True, trans="T")
+    return frozenset(np.flatnonzero(qp.B @ u0 < 0.0).tolist())
 
 
 def shape_derivative(qp: ConeQP, direction: PerturbationDirection, sp: SaddlePoint) -> float:
@@ -422,8 +442,10 @@ def save_qp(path, qp: ConeQP, direction: PerturbationDirection | None = None) ->
 def load_qp(path) -> tuple[ConeQP, PerturbationDirection | None]:
     """Read an instance file written by :func:`save_qp` (or by hand).
 
-    A malformed file, a repeated block or one whose shape disagrees with
-    the n x n block A included, raises ValueError naming the block and the line.
+    Each float block is parsed in C (``_textio.float_block``) and read to
+    the same bits as ``float()`` reads each token.  A malformed file, a
+    repeated block or one whose shape disagrees with the n x n block A
+    included, raises ValueError naming the block and the line.
     """
     lines = numbered_lines(path, comment="#")
     if not lines or lines[0][1] != _HEADER:

@@ -732,14 +732,45 @@ def test_qp_demo_custom_instance(tmp_path, capsys):
         "error: ConfigError: the qp file has no perturbation block, "
         "so command 'qp-demo' does not read key 'run.s_list'\n"
     )
-    # u >= 0 with f = (1, -2): constraint 1 enters, a full step, then the stop test
+    # u >= 0 with f = (1, -2): the base solve starts from the crash set {1},
+    # which A^{-1}f = f violates, so a full step, then the stop test
     qp = sd.ConeQP(A=np.eye(2), B=np.eye(2), f=np.array([1.0, -2.0]))
     sd.save_qp(path, qp)
     assert main(["qp-demo", "--config", cfg, "--output", str(out)]) == 0
     kv = read_kv(out / "report.kv")
     assert kv["result.u"].split() == ["1", "0"]
-    assert kv["result.active_set_steps"] == "3"
-    assert "3 active-set steps" in (out / "summary.txt").read_text()
+    assert kv["result.active_set_steps"] == "2"
+    assert "2 active-set steps" in (out / "summary.txt").read_text()
+
+
+@pytest.mark.parametrize(
+    "A, B, f, max_iter, error, steps",
+    [
+        # The crash set {0, 1} is dependent to roundoff in the energy inner
+        # product (tests/test_core_minimax.py::
+        # test_ill_conditioned_crash_set_raises_where_cold_does_not); the
+        # cold path never holds both rows and ends on {0} after 2 steps.
+        ([[1.0, 0.0], [0.0, 1e34]], [[1.0, 0.0], [1.0, 1.0]], [-1.0, 1.0], 200, sd.RankDeficientB, 2),
+        # From the crash set {0, 1} row 1 must leave: 4 steps to the
+        # terminal set {0}, which the cold path reaches in 3.
+        ([[2.0, -1.0, 0.0], [-1.0, 7.0, -3.0], [0.0, -3.0, 3.0]], [[1.0, -1.0, 1.0], [0.0, 1.0, 1.0]],
+         [-2.0, 0.0, 0.0], 3, sd.MaxIterations, 3),
+    ],
+    ids=["dependent", "max_iter"],
+)
+def test_qp_demo_falls_back_to_the_cold_start(tmp_path, A, B, f, max_iter, error, steps):
+    qp = sd.ConeQP(A=A, B=B, f=f)
+    with pytest.raises(error):
+        sd.solve_saddle_point(qp, max_iter, start=sd.crash_start(qp))
+    path = tmp_path / "inst.txt"
+    sd.save_qp(path, qp)
+    cfg = write(tmp_path / "run.cfg", f"[qp]\npath = {path}\n\n[tolerances]\nmax_iter = {max_iter}\n")
+    out = tmp_path / "out"
+    assert main(["qp-demo", "--config", cfg, "--output", str(out)]) == 0
+    kv = read_kv(out / "report.kv")
+    cold = sd.solve_saddle_point(qp)
+    assert kv["result.active_set_steps"] == str(steps) == str(cold.iterations)
+    assert [float(v) for v in kv["result.lambda"].split()] == cold.lam.tolist()
 
 
 def test_qp_demo_max_iter_bounds_the_fd_re_solves(tmp_path, capsys):

@@ -165,6 +165,39 @@ def test_warm_start_matches_cold_solve(seed, n, data):
         assert warm.kkt_residual <= 1e-10 * (1.0 + np.linalg.norm(qp_s.f))
 
 
+def test_crash_start_is_the_set_the_unconstrained_minimizer_violates():
+    qp = ConeQP(A=np.diag([1.0, 2.0, 4.0]), B=np.eye(3), f=np.array([1.0, -2.0, -4.0]))
+    assert sd.crash_start(qp) == {1, 2}
+    assert sd.crash_start(ConeQP(A=qp.A, B=qp.B, f=qp.f, cone=ConeKind.EQUALITY)) is None
+
+
+@pytest.mark.parametrize("active", [70, 40, 10])
+@pytest.mark.parametrize("seed", range(4))
+def test_crash_start_ends_on_the_cold_set(seed, active):
+    # Over seeds 0-99 the crash set misses 7-20 rows of the terminal set at
+    # 70 of 80 rows active, 10-30 at 40 and 14-35 at 10.  The stop test is
+    # the cold one, so the crash-started solve ends on the same set.
+    qp, _, act = _strictly_complementary_instance(np.random.default_rng(seed), 120, 80, active)
+    cold = sd.solve_saddle_point(qp)
+    crash = sd.solve_saddle_point(qp, start=sd.crash_start(qp))
+    assert crash.active_set == cold.active_set == act
+    assert crash.iterations <= cold.iterations
+    e_cold = sd.lagrangian_value(qp, cold.u, cold.lam)
+    assert abs(sd.lagrangian_value(qp, crash.u, crash.lam) - e_cold) <= 1e-12 * (1.0 + abs(e_cold))
+
+
+def test_crash_start_can_take_more_steps_than_cold():
+    # Each row the crash set gets wrong costs a step, and at 10 of 80 rows
+    # active the cold path can be short.  There 6 of seeds 0-99 take more
+    # steps from the crash set than cold; seed 95 loses the most.
+    qp, _, act = _strictly_complementary_instance(np.random.default_rng(95), 120, 80, 10)
+    assert len(sd.crash_start(qp) ^ act) == 23
+    cold = sd.solve_saddle_point(qp)
+    crash = sd.solve_saddle_point(qp, start=sd.crash_start(qp))
+    assert (cold.iterations, crash.iterations) == (36, 66)
+    assert crash.active_set == cold.active_set == act
+
+
 def test_central_slope_clears_the_roundoff_floor():
     # The quotient's error at s = 1e-3 is only 2.6e-9 on this planted
     # instance (a 35-digit solve of the terminal KKT system), so roundoff of
@@ -213,6 +246,21 @@ def test_ill_conditioned_constraints(seed):
     qp = ConeQP(A=random_spd(rng, n) + 0.2 * np.eye(n), B=b, f=rng.standard_normal(n))
     sp = sd.solve_saddle_point(qp)
     assert sp.kkt_residual <= 1e-8 * (1.0 + np.linalg.norm(qp.f))
+
+
+def test_ill_conditioned_crash_set_raises_where_cold_does_not():
+    # B is well conditioned, but A = diag(1, 1e34) makes its rows parallel
+    # to 1e-17 in the energy inner product: G = L^{-1}B' = [[1, 1], [0, 1e-17]],
+    # so R of G_W0 is singular to roundoff.  A^{-1}f = (-1, 1e-34) violates
+    # both rows; the cold path adds row 0, after which the step satisfies
+    # row 1.  qp-demo falls back to the cold start here (tests/test_cli.py).
+    qp = ConeQP(A=np.diag([1.0, 1e34]), B=np.array([[1.0, 0.0], [1.0, 1.0]]), f=np.array([-1.0, 1.0]))
+    assert sd.crash_start(qp) == {0, 1}
+    with pytest.raises(sd.RankDeficientB):
+        sd.solve_saddle_point(qp, start=sd.crash_start(qp))
+    sp = sd.solve_saddle_point(qp)
+    assert (sp.iterations, sp.active_set) == (2, {0})
+    assert sp.kkt_residual <= 1e-14
 
 
 def test_dependent_working_constraints_raise():
