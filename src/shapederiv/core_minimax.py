@@ -9,10 +9,11 @@ primal-dual saddle point of the Lagrangian L(u, lam) = 1/2 u'Au - f'u -
 lam'Bu gives the multiplier lam needed to differentiate the optimal value
 along a one-parameter family (A + s*A1, B + s*B1, f + s*f1).
 
-The saddle point is found by a range-space method: A = LL' is factored
-once per problem, and the multiplier of a set of active constraints solves
-the Schur-complement system B_W A^{-1} B_W' lam_W = -B_W A^{-1} f through a
-QR factorization of G_W = L^{-1} B_W', updated by one Givens sweep when a
+The saddle point is found by a range-space method: a ConeQP factors
+A = LL' once, when it is built, and whitens its data with L: G = L^{-1}B',
+h = L^{-1}f, Z = A^{-1}B' and u0 = A^{-1}f.  The multiplier of a set of
+active constraints solves B_W A^{-1} B_W' lam_W = -B_W A^{-1} f through a
+QR factorization of G_W, updated by one Givens sweep when a
 constraint enters or leaves the working set (Goldfarb & Idnani 1983;
 Nocedal & Wright, Numerical Optimization, 2nd ed., sections 16.3 and
 16.5).  The iteration may start from a given working set, such as the
@@ -109,7 +110,9 @@ class ConeQP:
 
     A must be symmetric positive definite (its smallest eigenvalue is the
     strong-monotony constant) and B must have full row rank m <= n (its
-    smallest singular value controls uniqueness of the multiplier).
+    smallest singular value controls uniqueness of the multiplier).  Its
+    Cholesky factor L of A = LL' makes G = L^{-1}B', h = L^{-1}f, Z = L^{-T}G
+    and u0 = L^{-T}h, once, for every QP routine to read.
     """
 
     A: np.ndarray
@@ -127,7 +130,7 @@ class ConeQP:
         if B.shape[1] != n or f.shape[0] != n:
             raise DimensionMismatch("B and f must match the dimension of A")
         _check_symmetric(A, "A")
-        cholesky = _cholesky_or_raise(A)
+        L = _cholesky_or_raise(A)
         sigma = np.linalg.svd(B, compute_uv=False)
         m = B.shape[0]
         if m > n or sigma.size == 0 or sigma[-1] <= _RANK_RTOL * max(1.0, sigma[0]):
@@ -135,7 +138,13 @@ class ConeQP:
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "B", B)
         object.__setattr__(self, "f", f)
-        object.__setattr__(self, "_cholesky", cholesky)  # not a field: every solve reuses it
+        # Not fields: the whitened operator that every QP routine reads.
+        G = scipy.linalg.solve_triangular(L, B.T, lower=True)
+        h = scipy.linalg.solve_triangular(L, f, lower=True)
+        object.__setattr__(self, "_G", G)
+        object.__setattr__(self, "_h", h)
+        object.__setattr__(self, "_Z", scipy.linalg.solve_triangular(L, G, lower=True, trans="T"))
+        object.__setattr__(self, "_u0", scipy.linalg.solve_triangular(L, h, lower=True, trans="T"))
 
     @property
     def n(self) -> int:
@@ -209,17 +218,6 @@ def _kkt_residual(qp: ConeQP, u: np.ndarray, lam: np.ndarray) -> float:
     return max(r_mom, r_feas, r_dual, r_comp)
 
 
-def _whitened_constraints(qp: ConeQP) -> tuple[np.ndarray, np.ndarray]:
-    """Cholesky factor L of A = LL' (ConeQP's, made when it was checked)
-    and G = L^{-1}B'.
-
-    G'G = B A^{-1} B' is the Schur complement of the saddle system; its
-    columns are the constraints in the energy inner product.
-    """
-    L = qp._cholesky
-    return L, scipy.linalg.solve_triangular(L, qp.B.T, lower=True)
-
-
 def _working_multiplier(R: np.ndarray, qh: np.ndarray) -> np.ndarray:
     """lam_W = -R^{-1}(Q'h) for the QR factor R of G_W (k x k, upper).
 
@@ -236,8 +234,8 @@ def _working_multiplier(R: np.ndarray, qh: np.ndarray) -> np.ndarray:
 def solve_saddle_point(qp: ConeQP, max_iter: int = 200, start: Iterable[int] | None = None) -> SaddlePoint:
     """Solve the primal-dual saddle point of the cone QP by a range-space method.
 
-    A = LL' is factored once, when the QP is built, and G = L^{-1}B',
-    h = L^{-1}f, Z = A^{-1}B' and u0 = A^{-1}f once per solve.  For a
+    A = LL' is factored, and G = L^{-1}B', h = L^{-1}f, Z = A^{-1}B' and
+    u0 = A^{-1}f are made, once, when the QP is built.  For a
     working set W the KKT system A u - B_W' lam_W = f, B_W u = 0 reduces,
     with G_W = Q R, to lam_W = -R^{-1} Q'h and u = u0 + Z_W lam_W;
     G_W'G_W = B_W A^{-1} B_W' is never formed, so its conditioning is not
@@ -262,10 +260,7 @@ def solve_saddle_point(qp: ConeQP, max_iter: int = 200, start: Iterable[int] | N
     if start is not None and (qp.cone is ConeKind.EQUALITY or not all(
             isinstance(i, (int, np.integer)) and not isinstance(i, bool) and 0 <= i < qp.m for i in start)):
         raise DimensionMismatch(f"start must be a set of constraint indices in range({qp.m}) of an inequality-cone QP")
-    L, G = _whitened_constraints(qp)
-    h = scipy.linalg.solve_triangular(L, qp.f, lower=True)
-    Z = scipy.linalg.solve_triangular(L, G, lower=True, trans="T")
-    u0 = scipy.linalg.solve_triangular(L, h, lower=True, trans="T")
+    G, h, Z, u0 = qp._G, qp._h, qp._Z, qp._u0
     if qp.cone is ConeKind.EQUALITY:
         Q, R = scipy.linalg.qr(G, mode="economic")
         lam = _working_multiplier(R, Q.T @ h)
@@ -332,17 +327,14 @@ def crash_start(qp: ConeQP) -> frozenset[int] | None:
     """The rows that the unconstrained minimizer violates, {i : (B A^{-1} f)_i < 0}.
 
     A guess of the terminal set, to pass as solve_saddle_point's ``start``;
-    A^{-1}f is the solver's own u0, from the QP's Cholesky factor.  Each row
+    A^{-1}f is the solver's own u0, made when the QP was built.  Each row
     it gets wrong costs at least one step, so where the cold path is short
     it can cost more steps than the empty start.  None for the equality
     cone, which takes no start.
     """
     if qp.cone is ConeKind.EQUALITY:
         return None
-    L = qp._cholesky
-    h = scipy.linalg.solve_triangular(L, qp.f, lower=True)
-    u0 = scipy.linalg.solve_triangular(L, h, lower=True, trans="T")
-    return frozenset(np.flatnonzero(qp.B @ u0 < 0.0).tolist())
+    return frozenset(np.flatnonzero(qp.B @ qp._u0 < 0.0).tolist())
 
 
 def shape_derivative(qp: ConeQP, direction: PerturbationDirection, sp: SaddlePoint) -> float:
@@ -399,8 +391,7 @@ def check_lbb(qp: ConeQP) -> float:
     Positive exactly when the multiplier is unique.
     """
     # B L^{-T} is the transpose of the solver's G = L^{-1} B'.
-    _, G = _whitened_constraints(qp)
-    return float(np.linalg.svd(G, compute_uv=False)[-1])
+    return float(np.linalg.svd(qp._G, compute_uv=False)[-1])
 
 
 # ---------------------------------------------------------------------------

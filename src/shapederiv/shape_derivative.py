@@ -15,10 +15,10 @@ form: Hiptmair, Paganini & Sargheini, BIT 55, 2015; Berggren 2010),
     T_lam = -lambda (div u) I + lambda (grad u)',
 
 with T_t = sum_q coef T over the quadrature points of element t.  Its
-parts g_E (T_E and w) and g_lam give E1 and dual_term.  The residual
-check, the energy and g are memoized on the system while the solution's
-vectors are bitwise equal to a copy and the force is the same object
-(which must not change after its first use), so a direction costs one
+parts g_E (T_E and w) and g_lam give E1 and dual_term, for the force the
+system was assembled with; a perturbation with another force is refused.
+The residual check, the energy and g are memoized on the system while the
+solution's vectors are bitwise equal to a copy, so a direction costs one
 evaluation of Lambda at the vertices and two dot products.
 """
 
@@ -88,10 +88,10 @@ def assemble_perturbation(space: FunctionSpace, field: QuadraticField, f_field: 
 
 
 def _solved_state(system: StokesSystem, solution: StokesSolution, perturbation: Perturbation) -> tuple:
-    """A copy of the solution once it passes the residual check, the force,
-    the energy and the shape gradient, memoized on the system as its factors
-    are, while the force is the same object and the solution's vectors are
-    bitwise equal to the copy.  The shapes are checked on every call."""
+    """A copy of the solution once it passes the residual check, the energy
+    and the shape gradient, memoized on the system as its factors are,
+    while the solution's vectors are bitwise equal to the copy.  The shapes
+    are checked on every call."""
     sizes = {
         "velocity vector": (solution.u.shape, (system.space.num_velocity,)),
         "pressure vector": (solution.lam.shape, (system.B.shape[0],)),
@@ -100,24 +100,24 @@ def _solved_state(system: StokesSystem, solution: StokesSolution, perturbation: 
     for name, (shape, expected) in sizes.items():
         if shape != expected:
             raise DimensionMismatch(f"{name} has shape {shape}, the system expects {expected}")
-    state, force = system.__dict__.get("_solved_state"), perturbation.force
-    if state is not None and state[1] is force:
-        if np.array_equal(state[0].u, solution.u) and np.array_equal(state[0].lam, solution.lam):
-            return state
+    state = system.__dict__.get("_solved_state")
+    if state is not None and np.array_equal(state[0].u, solution.u) and np.array_equal(state[0].lam, solution.lam):
+        return state
     solved = replace(solution, u=solution.u.copy(), lam=solution.lam.copy())
     r_mom, r_div, scale = _residuals(system, solved.u, solved.lam)
     if not (r_mom <= 1e-8 * scale and r_div <= 1e-8 * scale):
         raise UnsolvedSolution(
             f"solution does not satisfy this system (momentum {r_mom:.3e}, divergence {r_div:.3e})"
         )
-    state = solved, force, energy(system, solved), _shape_gradient(system.space, solved, force)
+    state = solved, energy(system, solved), _shape_gradient(system, solved)
     system.__dict__["_solved_state"] = state  # one assignment: concurrent callers at worst build it twice
     return state
 
 
-def _shape_gradient(space: FunctionSpace, solved: StokesSolution, force: ForceField) -> np.ndarray:
-    """The nodal shape gradient of a solved state for the body force it was
-    assembled with: rows g_E and g_lam, each over the vertices' (x, y)."""
+def _shape_gradient(system: StokesSystem, solved: StokesSolution) -> np.ndarray:
+    """The nodal shape gradient of a solved state of ``system``: rows g_E
+    and g_lam, each over the vertices' (x, y)."""
+    space, force = system.space, system.force
     coef, tri, nv = space.quad_coef, space.mesh.triangles, space.num_pressure
     nt, nq = coef.shape
     u_q = _P2_VALS @ space.expand_velocity(solved.u).reshape(-1, 2)[space.tri_nodes]  # (nt, nq, 2)
@@ -146,16 +146,18 @@ def stokes_shape_derivative(
     """Evaluate the shape derivative at a solved state.
 
     ``perturbation`` is :func:`assemble_perturbation`'s direction for
-    ``field`` (another field raises ``ValueError``), with the force the
-    system was assembled with.  E1 and dual_term are g_E and g_lam
-    contracted with the motion; L1 = E1 + dual_term.  A solution or motion
-    of the wrong size raises ``DimensionMismatch``; one that does not
-    solve ``system`` raises ``UnsolvedSolution``.  Calls with the same
-    solution and force object share one residual check, energy and g.
+    ``field`` with the force the system was assembled with, or one equal
+    to it (another field or force raises ``ValueError``).  E1 and dual_term
+    are g_E and g_lam contracted with the motion; L1 = E1 + dual_term.  A
+    solution or motion of the wrong size raises ``DimensionMismatch``; one
+    that does not solve ``system`` raises ``UnsolvedSolution``.  Calls with
+    the same solution share one residual check, energy and g.
     """
     if perturbation.field is not field:
         raise ValueError("the perturbation was assembled for another velocity field")
-    _, _, solved_energy, gradient = _solved_state(system, solution, perturbation)
+    if not (perturbation.force is system.force or perturbation.force == system.force):
+        raise ValueError("the perturbation was assembled with another body force than the system's")
+    _, solved_energy, gradient = _solved_state(system, solution, perturbation)
     e1, dual = map(float, gradient @ perturbation.motion.ravel())
     return DerivativeReport(L1=e1 + dual, E1=e1, dual_term=dual, energy=solved_energy)
 

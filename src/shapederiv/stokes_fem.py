@@ -227,12 +227,14 @@ class FunctionSpace:
 class StokesSystem:
     """Assembled saddle system: scalar stiffness L on the free nodes (the
     velocity stiffness is A = kron(L, I_2)), divergence pairing B, loads f,
-    g, and the factored Schur operator once a solve has built it."""
+    g, the body force that f integrates, and the factored Schur operator
+    once a solve has built it."""
 
     space: FunctionSpace
     L: sparse.csr_matrix
     B: sparse.csr_matrix
     f: np.ndarray
+    force: ForceField
     g: np.ndarray | None = None
 
     @property
@@ -296,7 +298,7 @@ def assemble(mesh: TriMesh, f_field: ForceField, g_field: ForceField | None = No
         xq = start[:, None, :] + _EDGE_T[None, :, None] * tangent[:, None, :]
         ge = length[:, None, None] * np.einsum("q,qa,eqc->eac", _EDGE_W, _EDGE_P2, g_field.evaluate(xq))
         g = space.load_vector(ge, space.neumann_edges)
-    return StokesSystem(space=space, L=L, B=B, f=f, g=g)
+    return StokesSystem(space=space, L=L, B=B, f=f, force=f_field, g=g)
 
 
 # Schur-complement CG stops once the recursively updated residual falls

@@ -4,6 +4,7 @@ import re
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -214,6 +215,13 @@ def test_central_slope_clears_the_roundoff_floor():
         assert table.slope == pytest.approx(2.0, abs=0.01)
 
 
+def _parallel_in_energy(cone):
+    # B is well conditioned, so ConeQP accepts it, but G = L^{-1}B' =
+    # [[1, 1], [0, 1e-17]]: the rows of B are parallel to roundoff in the
+    # energy inner product of A = diag(1, 1e34).
+    return ConeQP(A=np.diag([1.0, 1e34]), B=np.array([[1.0, 0.0], [1.0, 1.0]]), f=np.array([-1.0, 1.0]), cone=cone)
+
+
 def test_bad_start_raises():
     qp = ConeQP(A=np.eye(2), B=np.eye(2), f=np.ones(2))
     for start in ({2}, {-1}, {0.0}, {True}):
@@ -226,11 +234,9 @@ def test_bad_start_raises():
     equality = ConeQP(A=np.eye(2), B=np.eye(2), f=np.ones(2), cone=ConeKind.EQUALITY)
     with pytest.raises(sd.DimensionMismatch, match="^start must be"):
         sd.solve_saddle_point(equality, start=frozenset())
-    # Dependent start rows raise as a cold solve that reaches them does
-    # (set past the constructor, which rejects such a B).
-    object.__setattr__(qp, "B", np.array([[1.0, 2.0], [2.0, 4.0]]))
+    # Start rows dependent to roundoff raise as a cold solve that reaches them does.
     with pytest.raises(sd.RankDeficientB):
-        sd.solve_saddle_point(qp, start={0, 1})
+        sd.solve_saddle_point(_parallel_in_energy(ConeKind.INEQUALITY), start={0, 1})
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -249,12 +255,10 @@ def test_ill_conditioned_constraints(seed):
 
 
 def test_ill_conditioned_crash_set_raises_where_cold_does_not():
-    # B is well conditioned, but A = diag(1, 1e34) makes its rows parallel
-    # to 1e-17 in the energy inner product: G = L^{-1}B' = [[1, 1], [0, 1e-17]],
-    # so R of G_W0 is singular to roundoff.  A^{-1}f = (-1, 1e-34) violates
+    # R of G_W0 is singular to roundoff.  A^{-1}f = (-1, 1e-34) violates
     # both rows; the cold path adds row 0, after which the step satisfies
     # row 1.  qp-demo falls back to the cold start here (tests/test_cli.py).
-    qp = ConeQP(A=np.diag([1.0, 1e34]), B=np.array([[1.0, 0.0], [1.0, 1.0]]), f=np.array([-1.0, 1.0]))
+    qp = _parallel_in_energy(ConeKind.INEQUALITY)
     assert sd.crash_start(qp) == {0, 1}
     with pytest.raises(sd.RankDeficientB):
         sd.solve_saddle_point(qp, start=sd.crash_start(qp))
@@ -264,13 +268,10 @@ def test_ill_conditioned_crash_set_raises_where_cold_does_not():
 
 
 def test_dependent_working_constraints_raise():
-    # ConeQP rejects such a B, so the solver's own guard is reached only
-    # through roundoff; set B past the constructor to exercise it.
-    qp = ConeQP(A=np.diag([2.0, 1.0, 3.0]), B=np.eye(3)[:2], f=np.ones(3), cone=ConeKind.EQUALITY)
-    for b in ([[1.0, 2.0, 0.0], [1.0, 2.0, 0.0]], [[1.0, 2.0, 0.0], [2.0, 4.0, 0.0]]):
-        object.__setattr__(qp, "B", np.array(b))
-        with pytest.raises(sd.RankDeficientB):
-            sd.solve_saddle_point(qp)
+    # ConeQP rejects a rank-deficient B, so the solver's own guard is
+    # reached only through roundoff.
+    with pytest.raises(sd.RankDeficientB):
+        sd.solve_saddle_point(_parallel_in_energy(ConeKind.EQUALITY))
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -599,6 +600,54 @@ def test_check_lbb_examples():
     assert sd.check_lbb(ConeQP(A=np.eye(2), B=np.array([[1.0, 0.0]]), f=f2)) == pytest.approx(1.0)
     qp = ConeQP(A=np.diag([4.0, 1.0]), B=np.array([[1.0, 0.0]]), f=f2)
     assert sd.check_lbb(qp) == pytest.approx(0.5)
+
+
+# --- the whitened operator ------------------------------------------------------
+
+
+def test_qp_routines_whiten_only_when_the_qp_is_built(monkeypatch):
+    # ConeQP makes G, h, Z and u0 with four triangular solves by L; the
+    # routines read them.  The solver's own R^{-1} solves are upper.
+    calls = []
+    solve_triangular = scipy.linalg.solve_triangular
+
+    def counting(*args, lower=False, **kwargs):
+        calls.append(lower)
+        return solve_triangular(*args, lower=lower, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "solve_triangular", counting)
+    rng = np.random.default_rng(4)
+    equality = random_instance(rng, 8, 4, ConeKind.EQUALITY)
+    qp, _, _ = _strictly_complementary_instance(rng, 30, 20, 12)
+    assert calls.count(True) == 8
+    routines = [
+        lambda: sd.solve_saddle_point(equality),
+        lambda: sd.solve_saddle_point(qp),
+        lambda: sd.solve_saddle_point(qp, start=sd.crash_start(qp)),
+        lambda: sd.crash_start(qp),
+        lambda: sd.check_lbb(qp),
+    ]
+    for routine in routines:
+        calls.clear()
+        routine()
+        assert calls.count(True) == 0
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 10), data=st.data())
+def test_whitened_operator_matches_dense_algebra(seed, n, data):
+    # check_lbb is sqrt(lambda_min(B A^{-1} B')) and crash_start the signs
+    # of B A^{-1} f, each from dense solves with A.
+    rng = np.random.default_rng(seed)
+    qp = random_instance(rng, n, data.draw(st.integers(1, n)), ConeKind.INEQUALITY)
+    z = np.linalg.solve(qp.A, qp.B.T)
+    lbb = np.sqrt(np.linalg.eigvalsh(qp.B @ z)[0])
+    assert abs(sd.check_lbb(qp) - lbb) <= 1e-10 * lbb
+    bu0 = qp.B @ np.linalg.solve(qp.A, qp.f)
+    clear = np.abs(bu0) > 1e-10 * np.linalg.norm(qp.B, axis=1) * np.linalg.norm(qp.f)
+    crash = np.zeros(qp.m, dtype=bool)
+    crash[sorted(sd.crash_start(qp))] = True
+    np.testing.assert_array_equal(crash[clear], (bu0 < 0.0)[clear])
 
 
 # --- instance files -----------------------------------------------------------

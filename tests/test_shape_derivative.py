@@ -160,8 +160,8 @@ def test_rejects_a_motion_that_is_not_finite():
 
 
 # --- one solved state, many directions -----------------------------------------
-# The residual check and the energy are memoized per (system, solution),
-# the shape gradient per (system, solution, force).
+# The residual check, the energy and the shape gradient are memoized per
+# (system, solution); the gradient is for the system's own force.
 
 SWEEP_FIELDS = [
     AFFINE,
@@ -199,18 +199,6 @@ def test_state_memo_rechecks_a_solution_changed_in_place():
         stokes_shape_derivative(system, sol, f1, AFFINE)
 
 
-def test_force_memo_follows_the_force_object():
-    # The shape gradient is memoized per force object; each force must give
-    # the oracle's L1 with its own f1, even on one solved state.
-    _, system, sol = solved_square()
-    space = system.space
-    for force in (TrigForce(), TrigForce(c=1.3), ConstantForce(value=(0.7, -0.3)), TrigForce()):
-        report = stokes_shape_derivative(system, sol, assemble_perturbation(space, AFFINE, force), AFFINE)
-        oracle = assemble_perturbation_matrices(space, AFFINE, force)
-        l1 = float(0.5 * sol.u @ (oracle.A1 @ sol.u) - oracle.f1 @ sol.u - sol.lam @ (oracle.B1 @ sol.u))
-        assert abs(report.L1 - l1) <= 1e-13 * (1.0 + abs(l1))
-
-
 class _CountingForce(ForceField):
     def __init__(self, inner):
         self.inner, self.calls = inner, {"evaluate": 0, "gradient": 0}
@@ -224,6 +212,33 @@ class _CountingForce(ForceField):
         return self.inner.gradient(points)
 
 
+def test_shape_gradient_follows_the_system_force():
+    # Each system's force gives the oracle's L1 with its own f1; the
+    # perturbation may carry a fresh force equal to the system's.
+    for make in (TrigForce, lambda: TrigForce(c=1.3), lambda: ConstantForce(value=(0.7, -0.3))):
+        _, system, sol = solved_square(force=make())
+        space, force = system.space, make()
+        report = stokes_shape_derivative(system, sol, assemble_perturbation(space, AFFINE, force), AFFINE)
+        oracle = assemble_perturbation_matrices(space, AFFINE, force)
+        l1 = float(0.5 * sol.u @ (oracle.A1 @ sol.u) - oracle.f1 @ sol.u - sol.lam @ (oracle.B1 @ sol.u))
+        assert abs(report.L1 - l1) <= 1e-13 * (1.0 + abs(l1))
+
+
+def test_rejects_a_perturbation_with_another_force():
+    # Unchecked, TrigForce(c=2) against the system's TrigForce() gave
+    # L1 = -1.058e-3 here with no error, against -4.045e-4.
+    _, system, sol = solved_square(n=8)
+    for force in (TrigForce(c=2.0), ConstantForce(value=(0.7, -0.3)), _CountingForce(TrigForce())):
+        with pytest.raises(ValueError, match="another body force"):
+            stokes_shape_derivative(system, sol, assemble_perturbation(system.space, AFFINE, force), AFFINE)
+    own, fresh = (
+        stokes_shape_derivative(system, sol, assemble_perturbation(system.space, AFFINE, force), AFFINE)
+        for force in (system.force, TrigForce())
+    )
+    assert own == fresh
+    assert own.L1 == pytest.approx(-4.045e-4, rel=1e-3)
+
+
 def test_a_sweep_evaluates_the_force_and_checks_the_state_once(monkeypatch):
     module = importlib.import_module("shapederiv.shape_derivative")
     checks = []
@@ -234,8 +249,9 @@ def test_a_sweep_evaluates_the_force_and_checks_the_state_once(monkeypatch):
         return residuals(*args)
 
     monkeypatch.setattr(module, "_residuals", counted)
-    _, system, sol = solved_square()
-    force = _CountingForce(TrigForce())
+    _, system, sol = solved_square(force=_CountingForce(TrigForce()))
+    force = system.force
+    force.calls.update(evaluate=0, gradient=0)  # the assembly's evaluation
     reports = _sweep(system, sol, force, SWEEP_FIELDS)
     assert force.calls == {"evaluate": 1, "gradient": 1}
     assert len(checks) == 1
