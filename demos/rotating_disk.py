@@ -15,12 +15,12 @@ disk = sd.disk_mesh(4)
 print(f"polygonal disk: {disk.num_vertices} vertices, {disk.num_triangles} triangles, "
       f"area {disk.triangle_areas().sum():.6f}")
 
-symmetric = sd.corollary3_check(disk, RotationalForce(c=1.0), 1.0, [1e-2, 1e-3])
+symmetric = sd.fd_verify(disk, RotationalForce(c=1.0), sd.RotationField(1.0), [1e-2, 1e-3])
 print(f"\nequivariant forcing f = (-x2, x1):")
 print(f"  energy {symmetric.energy:+.6e}, L1 = {symmetric.L1:+.2e} "
       f"(zero by symmetry), quotients at machine zero: {symmetric.fd.exact}")
 
-generic = sd.corollary3_check(disk, TrigForce(), 1.0, [1e-2, 3e-3, 1e-3])
+generic = sd.fd_verify(disk, TrigForce(), sd.RotationField(1.0), [1e-2, 3e-3, 1e-3])
 print(f"\ngeneric trigonometric forcing:")
 print(f"  L1 = {generic.L1:+.10e}")
 for entry in generic.fd.entries:

@@ -54,8 +54,8 @@ from .mesh import (
 from .shape_derivative import (
     DerivativeReport,
     assemble_perturbation,
-    corollary3_check,
     fd_verify,
+    mesh_shape_derivative,
     stokes_shape_derivative,
 )
 from .slopes import FdEntry, FdTable

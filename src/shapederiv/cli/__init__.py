@@ -18,7 +18,8 @@ import numpy as np
 
 from .. import core_minimax as cm
 from ..errors import ConfigError, MaxIterations, RankDeficientB, ShapeDerivError
-from ..shape_derivative import corollary3_check, fd_verify, stokes_shape_derivative, assemble_perturbation
+from ..flow import RotationField
+from ..shape_derivative import fd_verify, mesh_shape_derivative
 from ..slopes import FdTable, fd_table
 from ..stokes_fem import assemble, convergence_study, energy, inf_sup_constant, solve_stokes
 from ..fields import trig_manufactured
@@ -134,20 +135,6 @@ def _stokes_solve(cfg: RunConfig, rep: ReportWriter) -> None:
     )
 
 
-def _derivative_common(cfg: RunConfig, rep: ReportWriter, with_fd: bool) -> None:
-    mesh = cfg.build_mesh()
-    force = cfg.build("force")
-    field = cfg.build_velocity()
-    if with_fd:
-        report = fd_verify(mesh, force, field, cfg.value("run", "s_list"), steps=cfg.value("run", "steps"))
-    else:
-        system = assemble(mesh, force)
-        solution = solve_stokes(system, pin_pressure=not len(system.space.neumann_edges))
-        f1 = assemble_perturbation(system.space, field, force)
-        report = stokes_shape_derivative(system, solution, f1, field)
-    _emit_derivative(report, rep)
-
-
 def _emit_derivative(report, rep: ReportWriter) -> None:
     rep.add_kv("result.L1", report.L1)
     rep.add_kv("result.E1", report.E1)
@@ -173,14 +160,6 @@ def _emit_fd_table(rep: ReportWriter, table: FdTable, l1: float) -> None:
         rep.add_summary(f"one-sided slope {fmt6(table.one_sided_slope)}")
 
 
-def _corollary3(cfg: RunConfig, rep: ReportWriter) -> None:
-    mesh = cfg.build_mesh()
-    report = corollary3_check(
-        mesh, cfg.build("force"), cfg.value("run", "omega"), cfg.value("run", "s_list"), steps=cfg.value("run", "steps")
-    )
-    _emit_derivative(report, rep)
-
-
 def _convergence(cfg: RunConfig, rep: ReportWriter) -> None:
     rows = convergence_study(trig_manufactured(), cfg.value("run", "n_list"))
     csv_rows = []
@@ -200,9 +179,18 @@ def _convergence(cfg: RunConfig, rep: ReportWriter) -> None:
 _PIPELINES = {
     "qp-demo": _qp_demo,
     "stokes-solve": _stokes_solve,
-    "shape-derivative": lambda cfg, rep: _derivative_common(cfg, rep, with_fd=False),
-    "fd-verify": lambda cfg, rep: _derivative_common(cfg, rep, with_fd=True),
-    "corollary3": _corollary3,
+    "shape-derivative": lambda cfg, rep: _emit_derivative(
+        mesh_shape_derivative(cfg.build_mesh(), cfg.build("force"), cfg.build_velocity()), rep
+    ),
+    "fd-verify": lambda cfg, rep: _emit_derivative(
+        fd_verify(cfg.build_mesh(), cfg.build("force"), cfg.build_velocity(), cfg.value("run", "s_list"),
+                  steps=cfg.value("run", "steps")), rep
+    ),
+    # Corollary 3: fd-verify with a rotation of a clamped domain.
+    "corollary3": lambda cfg, rep: _emit_derivative(
+        fd_verify(cfg.build_mesh(), cfg.build("force"), RotationField(cfg.value("run", "omega")),
+                  cfg.value("run", "s_list"), steps=cfg.value("run", "steps")), rep
+    ),
     "convergence": _convergence,
 }
 

@@ -38,6 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
+from ._norms import norm2
 from ._textio import block_sizes, float_block, numbered_lines
 from .errors import (
     DimensionMismatch,
@@ -133,7 +134,7 @@ class ConeQP:
         L = _cholesky_or_raise(A)
         sigma = np.linalg.svd(B, compute_uv=False)
         m = B.shape[0]
-        if m > n or sigma.size == 0 or sigma[-1] <= _RANK_RTOL * max(1.0, sigma[0]):
+        if m > n or sigma.size == 0 or sigma[-1] <= _RANK_RTOL * sigma[0]:
             raise RankDeficientB("B must have full row rank m <= n")
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "B", B)
@@ -141,10 +142,14 @@ class ConeQP:
         # Not fields: the whitened operator that every QP routine reads.
         G = scipy.linalg.solve_triangular(L, B.T, lower=True)
         h = scipy.linalg.solve_triangular(L, f, lower=True)
+        Z = scipy.linalg.solve_triangular(L, G, lower=True, trans="T")
+        u0 = scipy.linalg.solve_triangular(L, h, lower=True, trans="T")
+        if not all(np.isfinite(x).all() for x in (G, h, Z, u0)):
+            raise NotPositiveDefinite("matrix A is singular to working precision: A^{-1}B' or A^{-1}f is not finite")
         object.__setattr__(self, "_G", G)
         object.__setattr__(self, "_h", h)
-        object.__setattr__(self, "_Z", scipy.linalg.solve_triangular(L, G, lower=True, trans="T"))
-        object.__setattr__(self, "_u0", scipy.linalg.solve_triangular(L, h, lower=True, trans="T"))
+        object.__setattr__(self, "_Z", Z)
+        object.__setattr__(self, "_u0", u0)
 
     @property
     def n(self) -> int:
@@ -208,10 +213,10 @@ def lagrangian_value(qp: ConeQP, u, lam) -> float:
 
 
 def _kkt_residual(qp: ConeQP, u: np.ndarray, lam: np.ndarray) -> float:
-    r_mom = float(np.linalg.norm(qp.A @ u - qp.f - qp.B.T @ lam))
+    r_mom = norm2(qp.A @ u - qp.f - qp.B.T @ lam)
     bu = qp.B @ u
     if qp.cone is ConeKind.EQUALITY:
-        return max(r_mom, float(np.linalg.norm(bu)))
+        return max(r_mom, norm2(bu))
     r_feas = float(max(0.0, -bu.min(initial=0.0)))
     r_dual = float(max(0.0, -lam.min(initial=0.0)))
     r_comp = float(abs(lam @ bu))
@@ -269,10 +274,13 @@ def solve_saddle_point(qp: ConeQP, max_iter: int = 200, start: Iterable[int] | N
         return SaddlePoint(u=u, lam=lam, active_set=None, kkt_residual=res)
 
     n, m = qp.n, qp.m
-    f_scale = 1.0 + float(np.linalg.norm(qp.f))
-    step_tol = 1e-12 * f_scale
-    mult_tol = 1e-11 * f_scale
-    block_tol = -1e-14 * f_scale
+    # Each tolerance is in the units of what it bounds, so that scaling
+    # (A, f) or f, or a row of B, leaves every decision as it was: the step
+    # p against u0 = A^{-1}f and u, B_i p against |B_i| |p|, and the force
+    # lam_i |B_i| of a multiplier against f (max-norms, which cannot overflow).
+    row_size = np.abs(qp.B).max(axis=1)
+    u0_size = np.linalg.norm(u0, np.inf)
+    mult_tol = 1e-11 * np.linalg.norm(qp.f, np.inf)
     u = np.zeros(n)
     # constraint of each column of G_W: the start set in order, then in insertion order
     working = sorted({int(i) for i in start or ()})
@@ -285,8 +293,9 @@ def solve_saddle_point(qp: ConeQP, max_iter: int = 200, start: Iterable[int] | N
         lam_w = _working_multiplier(R[:k], Q[:, :k].T @ h)
         u_star = u0 + Z[:, working] @ lam_w
         p = u_star - u
-        if np.linalg.norm(p, np.inf) <= step_tol * (1.0 + np.linalg.norm(u, np.inf)):
-            if k == 0 or lam_w.min() >= -mult_tol:
+        p_max = np.linalg.norm(p, np.inf)
+        if p_max <= 1e-12 * (u0_size + np.linalg.norm(u, np.inf)):
+            if k == 0 or (lam_w * row_size[working]).min() >= -mult_tol:
                 lam = np.zeros(m)
                 lam[working] = lam_w
                 res = _kkt_residual(qp, u_star, lam)
@@ -307,7 +316,7 @@ def solve_saddle_point(qp: ConeQP, max_iter: int = 200, start: Iterable[int] | N
         # blocking constraint (lowest index wins on equal ratios).
         bu = qp.B @ u
         bp = qp.B @ p
-        cand = np.flatnonzero(~in_working & (bp < block_tol))
+        cand = np.flatnonzero(~in_working & (bp < -1e-13 * p_max * row_size))
         alpha = 1.0
         block = None
         for i, bu_i, bp_i in zip(cand.tolist(), bu[cand].tolist(), bp[cand].tolist()):

@@ -20,6 +20,11 @@ system was assembled with; a perturbation with another force is refused.
 The residual check, the energy and g are memoized on the system while the
 solution's vectors are bitwise equal to a copy, so a direction costs one
 evaluation of Lambda at the vertices and two dot products.
+
+``mesh_shape_derivative`` is that computation on a mesh (assemble, solve,
+contract) and ``fd_verify`` adds central differences of re-solves on
+transported meshes.  The paper's Corollary 3 is ``fd_verify`` with a
+divergence-free ``RotationField`` on a mesh with no Neumann edge.
 """
 
 from __future__ import annotations
@@ -31,8 +36,8 @@ import numpy as np
 
 from .errors import DimensionMismatch, UnsolvedSolution
 from .fields import ForceField
-from .flow import QuadraticField, RotationField
-from .mesh import DIRICHLET, TriMesh, transport_mesh
+from .flow import QuadraticField
+from .mesh import TriMesh, transport_mesh
 from .slopes import FdTable, fd_table
 from .stokes_fem import (
     _P1_VALS,
@@ -51,8 +56,8 @@ __all__ = [
     "Perturbation",
     "assemble_perturbation",
     "stokes_shape_derivative",
+    "mesh_shape_derivative",
     "fd_verify",
-    "corollary3_check",
 ]
 
 
@@ -162,6 +167,19 @@ def stokes_shape_derivative(
     return DerivativeReport(L1=e1 + dual, E1=e1, dual_term=dual, energy=solved_energy)
 
 
+def _solve(mesh: TriMesh, f_field: ForceField) -> tuple[StokesSystem, StokesSolution]:
+    """Assemble and solve; a mesh with no Neumann edge gets the zero-mean pressure."""
+    system = assemble(mesh, f_field)
+    return system, solve_stokes(system, pin_pressure=not len(system.space.neumann_edges))
+
+
+def mesh_shape_derivative(mesh: TriMesh, f_field: ForceField, field: QuadraticField) -> DerivativeReport:
+    """The shape derivative of the energy on ``mesh`` along ``field``: one
+    assembly and solve, then :func:`stokes_shape_derivative`."""
+    system, solution = _solve(mesh, f_field)
+    return stokes_shape_derivative(system, solution, assemble_perturbation(system.space, field, f_field), field)
+
+
 def fd_verify(
     mesh: TriMesh,
     f_field: ForceField,
@@ -178,38 +196,11 @@ def fd_verify(
     steps run concurrently; the base system, its factors and its solution
     are released before they start, so each thread holds at most one
     factored system.  Only the homogeneous Neumann condition is meaningful
-    under transport, so no traction data enters here.  Without a Neumann
-    edge the pressure is fixed only up to a constant: every solve says so
-    with ``pin_pressure`` and returns the zero-mean pressure.
+    under transport, so no traction data enters here.
     """
-    base_system = assemble(mesh, f_field)
-    pin_pressure = not len(base_system.space.neumann_edges)
-    base_solution = solve_stokes(base_system, pin_pressure=pin_pressure)
-    direction = assemble_perturbation(base_system.space, field, f_field)
-    head = stokes_shape_derivative(base_system, base_solution, direction, field)
-    del base_system, base_solution, direction
+    head = mesh_shape_derivative(mesh, f_field, field)
 
     def energy_at(s: float) -> float:
-        system = assemble(transport_mesh(mesh, field, s, steps=steps), f_field)
-        return energy(system, solve_stokes(system, pin_pressure=pin_pressure))
+        return energy(*_solve(transport_mesh(mesh, field, s, steps=steps), f_field))
 
     return replace(head, fd=fd_table(energy_at, head.L1, head.energy, s_values, concurrent=True))
-
-
-def corollary3_check(
-    mesh: TriMesh,
-    f_field: ForceField,
-    omega: float,
-    s_values: Sequence[float],
-    steps: int = 64,
-) -> DerivativeReport:
-    """Shape derivative under a rigid rotation of a pure-Dirichlet domain.
-
-    Rotation velocities are divergence-free, so the transported meshes
-    preserve element areas exactly.  The pressure, fixed only up to a
-    constant, is solved for with zero mean; another constant would leave
-    both the energy and the multiplier term unchanged.
-    """
-    if any(tag != DIRICHLET for tag in mesh.boundary_tags):
-        raise ValueError("rotation check expects a pure-Dirichlet mesh")
-    return fd_verify(mesh, f_field, RotationField(omega), s_values, steps=steps)

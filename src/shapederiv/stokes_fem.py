@@ -41,6 +41,7 @@ import scipy.linalg
 import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
 
+from ._norms import norm2
 from .errors import DimensionMismatch, EmptyDirichletBoundary, SingularSystem
 from .fields import ForceField, ManufacturedStokes
 from .mesh import DIRICHLET, TriMesh, _edge_keys, _edge_table, unit_square_mesh
@@ -358,19 +359,27 @@ class _SchurComplement:
         ``mean_free`` every residual is projected onto range(S) = 1-perp
         (Kaasschieter, J. Comput. Appl. Math. 24, 1988); as 1'M M^-1 r =
         1'r = 0, every direction, and x, has zero pressure integral.
+
+        The iteration runs on b / 2^e, e the binary exponent of b's largest
+        entry, and returns 2^e times its x.  Scaling by a power of two is
+        exact, so the bits are those of an unscaled run wherever that run
+        neither under- nor overflows, while norms and r'z stay far from both
+        for any finite load.  The directions are those of the scaled run.
         """
+        if not np.all(np.isfinite(b)):
+            raise SingularSystem("Schur-complement right-hand side is not finite")
+        exp = int(np.frexp(np.abs(b).max(initial=0.0))[1])
+        b = np.ldexp(b, -exp)
         x = np.zeros_like(b)
         r = b - b.mean() if self.mean_free else b.copy()
         stop = _CG_RTOL * float(np.linalg.norm(b))
-        if not np.isfinite(stop):
-            raise SingularSystem("Schur-complement right-hand side is not finite")
         z = self.precondition(r)
         p = z.copy()
         rz = float(r @ z)
         directions, products = [], []
         for iteration in range(_CG_MAX_ITER + 1):
             if np.linalg.norm(r) <= stop:
-                return x, iteration, directions, products
+                return np.ldexp(x, exp), iteration, directions, products
             if iteration == _CG_MAX_ITER:
                 break
             sp = self.apply(p)
@@ -398,9 +407,8 @@ class _SchurComplement:
 
 def _residuals(system: StokesSystem, u: np.ndarray, lam: np.ndarray) -> tuple[float, float, float]:
     """Momentum and divergence defects of (u, lam) and the load scale 1 + |f + g|."""
-    r_mom = float(np.linalg.norm((system.L @ u.reshape(-1, 2)).ravel() - system.rhs - system.B.T @ lam))
-    r_div = float(np.linalg.norm(system.B @ u))
-    return r_mom, r_div, 1.0 + float(np.linalg.norm(system.rhs))
+    r_mom = norm2((system.L @ u.reshape(-1, 2)).ravel() - system.rhs - system.B.T @ lam)
+    return r_mom, norm2(system.B @ u), 1.0 + norm2(system.rhs)
 
 
 def solve_stokes(
@@ -445,11 +453,16 @@ def solve_stokes(
 
 
 def energy(system: StokesSystem, solution: StokesSolution) -> float:
-    """Discrete energy 1/2 u'Au - (f+g)'u of a velocity vector."""
+    """Discrete energy 1/2 u'Au - (f+g)'u of a velocity vector; an energy
+    past the largest double raises ``SingularSystem``."""
     u = solution.u
     if u.shape != (system.space.num_velocity,):
         raise DimensionMismatch("velocity vector does not match the system")
-    return float(0.5 * u @ (system.L @ u.reshape(-1, 2)).ravel() - system.rhs @ u)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
+        value = float(0.5 * u @ (system.L @ u.reshape(-1, 2)).ravel() - system.rhs @ u)
+    if not np.isfinite(value):
+        raise SingularSystem("the energy overflows: the load is too large for double precision")
+    return value
 
 
 def pressure_mass_matrix(space: FunctionSpace) -> sparse.csr_matrix:

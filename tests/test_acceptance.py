@@ -141,9 +141,9 @@ def test_criterion_5_stokes_derivative_vs_central_differences():
 
 def test_criterion_6_rotation_of_clamped_disk():
     disk = sd.disk_mesh(4)
-    report = sd.corollary3_check(disk, TrigForce(), 1.0, [1e-2, 3e-3, 1e-3])
+    report = sd.fd_verify(disk, TrigForce(), sd.RotationField(1.0), [1e-2, 3e-3, 1e-3])
     ok = (not report.fd.exact) and report.fd.slope >= 1.8
-    equivariant = sd.corollary3_check(disk, RotationalForce(c=1.0), 1.0, [1e-2, 1e-3])
+    equivariant = sd.fd_verify(disk, RotationalForce(c=1.0), sd.RotationField(1.0), [1e-2, 1e-3])
     scale = 1.0 + abs(equivariant.energy)
     ok &= abs(equivariant.L1) <= 1e-8 * scale
     ok &= all(abs(e.fd) <= 1e-8 * scale for e in equivariant.fd.entries)

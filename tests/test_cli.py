@@ -583,6 +583,26 @@ def test_exit_codes(tmp_path, capsys):
     assert not any((tmp_path / "o2").iterdir())  # made before the run, left empty by its failure
 
 
+def test_stokes_solve_at_the_ends_of_the_double_range(tmp_path, capsys):
+    # A load of 1e-160 solves as the unit load does, scaled; at 1e160 the
+    # solve succeeds but the energy passes the largest double: one error
+    # line and no warning (warnings are errors under the test settings).
+    text = "[mesh]\nkind = unit_square\nn = 4\nneumann_sides = right\n\n[force]\nname = trig\nscale = {}\n"
+    kv = {}
+    for scale in ("1", "1e-160"):
+        out = tmp_path / scale
+        assert main(["stokes-solve", "--config", write(tmp_path / f"{scale}.cfg", text.format(scale)), "--output", str(out)]) == 0
+        kv[scale] = read_kv(out / "report.kv")
+    assert kv["1e-160"]["result.solver_iterations"] == kv["1"]["result.solver_iterations"]
+    assert float(kv["1e-160"]["result.u_max"]) == pytest.approx(1e-160 * float(kv["1"]["result.u_max"]), rel=1e-12)
+    capsys.readouterr()
+    big = write(tmp_path / "big.cfg", text.format("1e160"))
+    assert main(["stokes-solve", "--config", big, "--output", str(tmp_path / "big")]) == 1
+    assert capsys.readouterr().err == (
+        "error: SingularSystem: the energy overflows: the load is too large for double precision\n"
+    )
+
+
 @pytest.mark.parametrize("command", ["shape-derivative", "fd-verify"])
 def test_a_velocity_that_overflows_at_a_vertex_exits_1(tmp_path, capsys, command):
     cfg = write(
@@ -641,24 +661,28 @@ def test_one_cpu_reports_equal_the_threaded_ones(tmp_path, monkeypatch, run):
 
 def test_pure_dirichlet_mesh_pins_the_pressure(tmp_path):
     # Without a Neumann edge the pressure is fixed only up to a constant:
-    # fd-verify and shape-derivative pin it, as stokes-solve and corollary3 do.
+    # fd-verify and shape-derivative pin it, as stokes-solve does.  corollary3
+    # is fd-verify with a rotation velocity, and reports every result alike.
     # each command is given only the sections and keys it reads
-    mesh_force = "[mesh]\nkind = disk\nrings = 2\n\n[force]\nname = trig\n"
-    velocity = "\n[velocity]\nkind = rotation\nomega = 1.0\n"
-    texts = {
-        "fd-verify": "[run]\ns_list = 1e-2 1e-3\n\n" + mesh_force + velocity,
-        "shape-derivative": mesh_force + velocity,
-        "corollary3": "[run]\nomega = 1.0\ns_list = 1e-2 1e-3\n\n" + mesh_force,
-    }
-    kv = {}
-    for command, text in texts.items():
-        out = tmp_path / command
-        cfg = write(tmp_path / f"{command}.cfg", text)
-        assert main([command, "--config", cfg, "--output", str(out)]) == 0
-        kv[command] = read_kv(out / "report.kv")
-    assert kv["fd-verify"]["result.L1"] == kv["corollary3"]["result.L1"]
-    assert kv["shape-derivative"]["result.L1"] == kv["fd-verify"]["result.L1"]
-    assert (tmp_path / "fd-verify" / "fd_table.csv").read_bytes() == (tmp_path / "corollary3" / "fd_table.csv").read_bytes()
+    for kind, size in (("disk", "rings = 2"), ("unit_square", "n = 4")):
+        mesh_force = f"[mesh]\nkind = {kind}\n{size}\n\n[force]\nname = trig\n"
+        velocity = "\n[velocity]\nkind = rotation\nomega = 1.0\n"
+        texts = {
+            "fd-verify": "[run]\ns_list = 1e-2 1e-3\n\n" + mesh_force + velocity,
+            "shape-derivative": mesh_force + velocity,
+            "corollary3": "[run]\nomega = 1.0\ns_list = 1e-2 1e-3\n\n" + mesh_force,
+        }
+        results = {}
+        for command, text in texts.items():
+            out = tmp_path / kind / command
+            cfg = write(tmp_path / f"{kind}-{command}.cfg", text)
+            assert main([command, "--config", cfg, "--output", str(out)]) == 0
+            results[command] = {k: v for k, v in read_kv(out / "report.kv").items() if k.startswith("result.")}
+        assert {"result.L1", "result.E1", "result.dual_term", "result.energy", "result.slope"} <= results["corollary3"].keys()
+        assert results["corollary3"] == results["fd-verify"]
+        assert results["shape-derivative"] == {k: results["fd-verify"][k] for k in results["shape-derivative"]}
+        fd_tables = [(tmp_path / kind / command / "fd_table.csv").read_bytes() for command in ("fd-verify", "corollary3")]
+        assert fd_tables[0] == fd_tables[1]
 
 
 # --- pipelines ------------------------------------------------------------------
@@ -741,6 +765,16 @@ def test_qp_demo_custom_instance(tmp_path, capsys):
     assert kv["result.u"].split() == ["1", "0"]
     assert kv["result.active_set_steps"] == "2"
     assert "2 active-set steps" in (out / "summary.txt").read_text()
+
+
+def test_qp_demo_refuses_an_a_whose_inverse_overflows(tmp_path, capsys):
+    # Cholesky accepts A = [[1e-320]], but A^{-1}B' is not finite.
+    path = write(tmp_path / "inst.txt", "cone-qp v1\ncone inequality\nA 1 1\n1e-320\nB 1 1\n1\nf 1\n1\n")
+    cfg = write(tmp_path / "run.cfg", f"[qp]\npath = {path}\n")
+    assert main(["qp-demo", "--config", cfg, "--output", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == (
+        "error: NotPositiveDefinite: matrix A is singular to working precision: A^{-1}B' or A^{-1}f is not finite\n"
+    )
 
 
 @pytest.mark.parametrize(

@@ -166,6 +166,58 @@ def test_warm_start_matches_cold_solve(seed, n, data):
         assert warm.kkt_residual <= 1e-10 * (1.0 + np.linalg.norm(qp_s.f))
 
 
+def _assert_scaled_solve(qp, base, u_factor, lam_factor):
+    """Cold and crash-started solves of ``qp`` end on the base active set,
+    with u = u_factor * base.u and lam = lam_factor * base.lam to roundoff."""
+    for start in (None, sd.crash_start(qp)):
+        sp = sd.solve_saddle_point(qp, start=start)
+        assert sp.active_set == base.active_set
+        assert np.abs(sp.u / u_factor - base.u).max() <= 1e-10 * np.abs(base.u).max()
+        assert np.abs(sp.lam / lam_factor - base.lam).max() <= 1e-10 * np.abs(base.lam).max()
+        assert np.isfinite(sp.kkt_residual)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 24), data=st.data())
+def test_solver_decisions_do_not_depend_on_the_data_scale(seed, n, data):
+    # (A, f) -> (cA, cf) leaves u and scales lam by c; f -> cf scales both
+    # by c; a row of B times d > 0 divides its multiplier by d.  Every
+    # tolerance moves with what it bounds, so the solver takes the same
+    # decisions and ends on the same set.
+    m = data.draw(st.integers(1, n - 1))
+    rng = np.random.default_rng(seed)
+    qp, _, act = _strictly_complementary_instance(rng, n, m, data.draw(st.integers(1, m)))
+    base = sd.solve_saddle_point(qp)
+    assert base.active_set == act
+    c = data.draw(st.floats(1.0, 10.0)) * 10.0 ** data.draw(st.integers(-8, 13))
+    _assert_scaled_solve(ConeQP(A=c * qp.A, B=qp.B, f=c * qp.f), base, 1.0, c)
+    _assert_scaled_solve(ConeQP(A=qp.A, B=qp.B, f=c * qp.f), base, c, c)
+    d = 10.0 ** rng.uniform(-3.0, 3.0, m)
+    _assert_scaled_solve(ConeQP(A=qp.A, B=d[:, None] * qp.B, f=qp.f), base, 1.0, 1.0 / d)
+
+
+def test_benchmark_instance_keeps_its_active_set_at_any_scale():
+    qp, _, act = _strictly_complementary_instance(np.random.default_rng([3, 3, 0]), 120, 80, 70)
+    base = sd.solve_saddle_point(qp)
+    assert base.active_set == act
+    for c in (1e-8, 1e10, 1e11, 1e14):
+        _assert_scaled_solve(ConeQP(A=c * qp.A, B=qp.B, f=c * qp.f), base, 1.0, c)
+
+
+@pytest.mark.parametrize("c", [1.0, 1e12, 1e100, 1e300])
+def test_two_constraint_instance_at_any_scale(c):
+    # u0 = (-1, 0.5) violates both rows; the optimum u = (0, 0.5) holds row 0
+    # with lam_0 = c.  At c = 1e300 |f| overflows, and the crash set {0, 1}
+    # has lam_1 = -5e299, which must leave.
+    qp = ConeQP(A=c * np.eye(2), B=np.array([[1.0, 0.0], [1.0, 1.0]]), f=c * np.array([-1.0, 0.5]))
+    for start in (None, sd.crash_start(qp)):
+        sp = sd.solve_saddle_point(qp, start=start)
+        assert sp.active_set == {0}
+        np.testing.assert_allclose(sp.u, [0.0, 0.5], atol=1e-15)
+        np.testing.assert_allclose(sp.lam / c, [1.0, 0.0], atol=1e-15)
+        assert sp.kkt_residual <= 1e-15 * c
+
+
 def test_crash_start_is_the_set_the_unconstrained_minimizer_violates():
     qp = ConeQP(A=np.diag([1.0, 2.0, 4.0]), B=np.eye(3), f=np.array([1.0, -2.0, -4.0]))
     assert sd.crash_start(qp) == {1, 2}
@@ -311,6 +363,18 @@ def test_not_positive_definite():
 def test_rank_deficient_b():
     with pytest.raises(sd.RankDeficientB):
         ConeQP(A=np.eye(3), B=np.array([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0]]), f=np.zeros(3))
+
+
+def test_a_whose_inverse_overflows_is_refused():
+    # A = [[1e-320]] passes Cholesky (L = 1e-160), but A^{-1}B' = 1e320.
+    with pytest.raises(sd.NotPositiveDefinite, match="not finite"):
+        ConeQP(A=np.array([[1e-320]]), B=np.array([[1.0]]), f=np.array([1.0]))
+
+
+def test_rank_test_is_relative():
+    # Full row rank does not depend on the size of B.
+    qp = ConeQP(A=np.eye(2), B=1e-10 * np.array([[1.0, 0.0], [1.0, 1.0]]), f=np.array([-1.0, 0.5]))
+    np.testing.assert_allclose(sd.solve_saddle_point(qp).u, [0.0, 0.5], atol=1e-15)
 
 
 def test_dimension_mismatch():

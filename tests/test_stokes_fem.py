@@ -380,6 +380,37 @@ def test_clamped_schur_cg_runs_on_the_mean_free_pressures():
     assert abs(weights @ sol.lam) <= 2.0 * np.finfo(float).eps * (abs(weights) @ abs(sol.lam))
 
 
+@pytest.mark.parametrize("pinned", [False, True], ids=["neumann", "clamped"])
+def test_solve_is_linear_in_the_load_down_to_1e_300(pinned):
+    # CG runs on the right-hand side scaled by a power of two, so its
+    # stopping rule neither underflows (a tiny load once stopped after 0
+    # steps, with lambda = 0) nor loses digits to subnormal inner products.
+    mesh = sd.unit_square_mesh(4, set() if pinned else {"right"})
+    unit = sd.solve_stokes(sd.assemble(mesh, sd.TrigForce()), pin_pressure=pinned)
+    for c in (1e-100, 1e-155, 1e-160, 1e-300):
+        sol = sd.solve_stokes(sd.assemble(mesh, sd.TrigForce(c=c)), pin_pressure=pinned)
+        assert sol.iterations == unit.iterations
+        assert np.abs(sol.u / c - unit.u).max() <= 1e-12 * np.abs(unit.u).max()
+        assert np.abs(sol.lam / c - unit.lam).max() <= 1e-12 * np.abs(unit.lam).max()
+
+
+def test_large_loads_solve_and_an_energy_past_the_double_range_raises():
+    # Under the default "error" warnings filter: no overflow warning on the way.
+    mesh = sd.unit_square_mesh(4, {"right"})
+    unit_system = sd.assemble(mesh, sd.TrigForce())
+    unit = sd.solve_stokes(unit_system)
+    for c in (1e100, 1e160, 1e300):
+        system = sd.assemble(mesh, sd.TrigForce(c=c))
+        sol = sd.solve_stokes(system)
+        assert sol.iterations == unit.iterations
+        assert np.abs(sol.u / c - unit.u).max() <= 1e-12 * np.abs(unit.u).max()
+        if c == 1e100:
+            assert sd.energy(system, sol) / c**2 == pytest.approx(sd.energy(unit_system, unit), rel=1e-12)
+        else:
+            with pytest.raises(sd.SingularSystem, match="energy overflows"):
+                sd.energy(system, sol)
+
+
 def _square_system(n=4):
     return sd.assemble(sd.unit_square_mesh(n, {"right"}), sd.TrigForce())
 
