@@ -24,7 +24,7 @@ from ..slopes import FdTable, fd_table
 from ..stokes_fem import assemble, convergence_study, energy, inf_sup_constant, solve_stokes
 from ..fields import trig_manufactured
 from .config import COMMANDS, RunConfig, parse_config
-from .report import ReportWriter, fmt6, fmt17, vec17
+from .report import ReportWriter, fmt6, fmt17, rows17, vec17
 
 __all__ = ["main", "console_main", "run"]
 
@@ -105,25 +105,9 @@ def _stokes_solve(cfg: RunConfig, rep: ReportWriter) -> None:
     rep.add_kv("result.residual_momentum", solution.residual_momentum)
     rep.add_kv("result.residual_divergence", solution.residual_divergence)
     rep.add_kv("result.solver_iterations", solution.iterations)
-    if len(space.neumann_edges):
-        rep.add_kv("result.inf_sup", inf_sup_constant(system))
-    vel = u_full.reshape(-1, 2)
-    rep.add_table(
-        "velocity.csv",
-        "node,x,y,ux,uy",
-        [
-            f"{k},{fmt17(x)},{fmt17(y)},{fmt17(vx)},{fmt17(vy)}"
-            for k, ((x, y), (vx, vy)) in enumerate(zip(space.node_coords, vel))
-        ],
-    )
-    rep.add_table(
-        "pressure.csv",
-        "vertex,x,y,lambda",
-        [
-            f"{k},{fmt17(x)},{fmt17(y)},{fmt17(p)}"
-            for k, ((x, y), p) in enumerate(zip(mesh.vertices, solution.lam))
-        ],
-    )
+    rep.add_kv("result.inf_sup", inf_sup_constant(system))
+    rep.add_table("velocity.csv", "node,x,y,ux,uy", rows17(np.hstack([space.node_coords, u_full.reshape(-1, 2)])))
+    rep.add_table("pressure.csv", "vertex,x,y,lambda", rows17(np.column_stack([mesh.vertices, solution.lam])))
     rep.add_summary(
         f"solved: {space.num_velocity} velocity dofs, {space.num_pressure} pressure dofs"
     )

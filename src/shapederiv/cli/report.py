@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import os
 
+import numpy as np
+
 from ..errors import ConfigError
 
 
@@ -22,6 +24,14 @@ def fmt6(x: float) -> str:
 
 def vec17(values) -> str:
     return " ".join(fmt17(v) for v in values)
+
+
+def rows17(values: np.ndarray) -> list[str]:
+    """CSV rows "k,v_1,...,v_m" of a 2-d array, k the row index, each v as
+    fmt17 writes it (``%.17g`` is the same conversion), made by one % call."""
+    n, m = values.shape
+    flat = tuple(v for k, row in enumerate(values.tolist()) for v in (k, *row))
+    return ((f"%d{',%.17g' * m}\n" * n) % flat).splitlines()
 
 
 class ReportWriter:

@@ -74,22 +74,13 @@ class ConeKind(enum.Enum):
     EQUALITY = "equality"      # feasible set {u : Bu = 0}
 
 
-def _as_matrix(x, name: str) -> np.ndarray:
+def _as_array(x, name: str, ndim: int) -> np.ndarray:
     a = np.asarray(x, dtype=float)
-    if a.ndim != 2:
-        raise DimensionMismatch(f"{name} must be a 2-d array, got shape {a.shape}")
+    if a.ndim != ndim:
+        raise DimensionMismatch(f"{name} must be a {ndim}-d array, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise DimensionMismatch(f"{name} must be finite")
     return a
-
-
-def _as_vector(x, name: str) -> np.ndarray:
-    v = np.asarray(x, dtype=float)
-    if v.ndim != 1:
-        raise DimensionMismatch(f"{name} must be a 1-d array, got shape {v.shape}")
-    if not np.isfinite(v).all():
-        raise DimensionMismatch(f"{name} must be finite")
-    return v
 
 
 def _check_symmetric(a: np.ndarray, name: str) -> None:
@@ -122,9 +113,9 @@ class ConeQP:
     cone: ConeKind = ConeKind.INEQUALITY
 
     def __post_init__(self):
-        A = _as_matrix(self.A, "A")
-        B = _as_matrix(self.B, "B")
-        f = _as_vector(self.f, "f")
+        A = _as_array(self.A, "A", 2)
+        B = _as_array(self.B, "B", 2)
+        f = _as_array(self.f, "f", 1)
         n = A.shape[0]
         if A.shape != (n, n):
             raise DimensionMismatch("A must be square")
@@ -169,9 +160,9 @@ class PerturbationDirection:
     f1: np.ndarray
 
     def __post_init__(self):
-        A1 = _as_matrix(self.A1, "A1")
-        B1 = _as_matrix(self.B1, "B1")
-        f1 = _as_vector(self.f1, "f1")
+        A1 = _as_array(self.A1, "A1", 2)
+        B1 = _as_array(self.B1, "B1", 2)
+        f1 = _as_array(self.f1, "f1", 1)
         _check_symmetric(A1, "A1")
         object.__setattr__(self, "A1", A1)
         object.__setattr__(self, "B1", B1)
@@ -197,7 +188,7 @@ class SaddlePoint:
 
 def objective_value(qp: ConeQP, u) -> float:
     """Quadratic objective 1/2 u'Au - f'u."""
-    u = _as_vector(u, "u")
+    u = _as_array(u, "u", 1)
     if u.shape[0] != qp.n:
         raise DimensionMismatch("u does not match the QP dimension")
     return float(0.5 * u @ qp.A @ u - qp.f @ u)
@@ -205,8 +196,8 @@ def objective_value(qp: ConeQP, u) -> float:
 
 def lagrangian_value(qp: ConeQP, u, lam) -> float:
     """Lagrangian 1/2 u'Au - f'u - lam'Bu; equals the objective at a saddle point."""
-    u = _as_vector(u, "u")
-    lam = _as_vector(lam, "lam")
+    u = _as_array(u, "u", 1)
+    lam = _as_array(lam, "lam", 1)
     if lam.shape[0] != qp.m:
         raise DimensionMismatch("lam does not match the number of constraints")
     return objective_value(qp, u) - float(lam @ (qp.B @ u))

@@ -5,7 +5,8 @@ over velocities vanishing on the Dirichlet part of the boundary, subject
 to the pointwise divergence-free constraint; the pressure is the
 multiplier of that constraint.  The quadratic/linear element pair is
 inf-sup stable, which keeps the discrete multiplier unique whenever the
-Neumann part of the boundary is nonempty.
+Neumann part of the boundary is nonempty, and unique among the pressures
+of zero integral when it is empty.
 
 Assembly uses a fixed six-point triangle rule (exact through degree 4)
 and three-point Gauss edges.  Every element kernel is a sum over the
@@ -28,8 +29,9 @@ preconditioned by the P1 pressure mass matrix (Elman, Silvester & Wathen,
 "Finite Elements and Fast Iterative Solvers", OUP 2014), whose iteration
 count inf-sup stability keeps bounded under refinement.  Each system
 factors once, on first use, for ``solve_stokes`` and ``inf_sup_constant``.
-With no Neumann edge B'1 = 0 and S is singular; CG then returns the
-zero-mean pressure.
+With no Neumann edge B'1 = 0 and S is singular; one projection onto its
+range, 1-perp, serves both: CG returns the zero-mean pressure, and the
+inf-sup constant is the one over the zero-integral pressures.
 """
 
 from __future__ import annotations
@@ -322,8 +324,8 @@ class _SchurComplement:
     A = kron(L, I_2), so A^-1 is one LU of the scalar stiffness L applied
     to the two velocity components as columns.  The P1 pressure mass
     matrix M is factored as the preconditioner.  A mesh with no Neumann
-    edge has B'1 = 0, so the constants are the kernel of S and ``cg``
-    keeps its residuals mean-free, in the range of S.
+    edge has B'1 = 0, so the constants are the kernel of S, and ``project``
+    maps a residual onto range(S) = 1-perp for ``cg`` and the inf-sup loop.
     """
 
     def __init__(self, system: StokesSystem):
@@ -350,6 +352,10 @@ class _SchurComplement:
     def precondition(self, r: np.ndarray) -> np.ndarray:
         return self._mass.solve(r)
 
+    def project(self, r: np.ndarray) -> np.ndarray:
+        """r - mean(r) with ``mean_free``; otherwise r itself."""
+        return r - r.mean() if self.mean_free else r
+
     def cg(self, b: np.ndarray) -> tuple[np.ndarray, int, list, list]:
         """Mass-preconditioned CG on S x = b.
 
@@ -371,7 +377,7 @@ class _SchurComplement:
         exp = int(np.frexp(np.abs(b).max(initial=0.0))[1])
         b = np.ldexp(b, -exp)
         x = np.zeros_like(b)
-        r = b - b.mean() if self.mean_free else b.copy()
+        r = self.project(b)
         stop = _CG_RTOL * float(np.linalg.norm(b))
         z = self.precondition(r)
         p = z.copy()
@@ -393,9 +399,7 @@ class _SchurComplement:
                 )
             alpha = rz / psp
             x += alpha * p
-            r -= alpha * sp
-            if self.mean_free:
-                r -= r.mean()
+            r = self.project(r - alpha * sp)
             z = self.precondition(r)
             rz_next = float(r @ z)
             if not np.isfinite(rz_next):
@@ -406,9 +410,15 @@ class _SchurComplement:
 
 
 def _residuals(system: StokesSystem, u: np.ndarray, lam: np.ndarray) -> tuple[float, float, float]:
-    """Momentum and divergence defects of (u, lam) and the load scale 1 + |f + g|."""
+    """Momentum and divergence defects of (u, lam) and the scale of the
+    system's terms at (u, lam), |L||u| + |B||lam| + |f + g|: matrix norms
+    the largest absolute row sums (those of A and L agree), vector norms
+    Euclidean.  A defect over the scale is a normwise backward error; the
+    scale has no floor, so it judges a state at every load scale."""
     r_mom = norm2((system.L @ u.reshape(-1, 2)).ravel() - system.rhs - system.B.T @ lam)
-    return r_mom, norm2(system.B @ u), 1.0 + norm2(system.rhs)
+    norm_L, norm_B = (float(spla.norm(m, np.inf)) for m in (system.L, system.B))  # floats: no overflow warning
+    scale = norm_L * norm2(u) + norm_B * norm2(lam) + norm2(system.rhs)
+    return r_mom, norm2(system.B @ u), scale
 
 
 def solve_stokes(
@@ -425,10 +435,10 @@ def solve_stokes(
     constant; callers must then acknowledge that with ``pin_pressure``,
     which fixes no pressure value: the solve returns the zero-mean
     pressure.  With a Neumann edge ``pin_pressure`` is a ``SingularSystem``.
-    The factors are the system's, made once.  ``residual_tol`` scales with
-    1 + |f + g| and bounds the accepted defects.  A non-finite load, a
-    rank-deficient B, a failed factorization, a CG breakdown or a CG run
-    past its iteration cap raises ``SingularSystem``.
+    The factors are the system's, made once.  ``residual_tol`` bounds the
+    accepted backward errors: both defects over |L||u| + |B||lam| + |f + g|.
+    A non-finite load, a rank-deficient B, a failed factorization, a CG
+    breakdown or a CG run past its iteration cap raises ``SingularSystem``.
     """
     if pin_pressure == bool(len(system.space.neumann_edges)):
         raise SingularSystem(
@@ -487,16 +497,13 @@ def inf_sup_constant(system: StokesSystem) -> float:
     until |S x - mu M x| for x normalized in M, S x applied afresh, is
     below a fixed bound.
 
-    A mesh with no Neumann edge raises ``SingularSystem`` before any
-    factorization: constant pressures then lie in the kernel of B', so
-    the constant is 0.  A rank-deficient B, a failed factorization, a CG
-    failure, a degenerate trial space or an unconverged eigenpair raises it.
+    On a mesh with no Neumann edge the constants are the kernel of B', and
+    the constant is taken over the zero-integral pressures, where the
+    multiplier lives: CG keeps its directions there, and each residual is
+    projected onto range(S) before it is preconditioned, as in ``cg``.  A
+    rank-deficient B, a failed factorization, a CG failure, a degenerate
+    trial space or an unconverged eigenpair raises ``SingularSystem``.
     """
-    if not len(system.space.neumann_edges):
-        raise SingularSystem(
-            "no Neumann edges: constant pressures lie in the kernel of B', "
-            "so the inf-sup constant is 0"
-        )
     schur = system._schur()
     M = schur.M
     # P1 mass eigenvalues are at least half the smallest diagonal entry, so
@@ -528,7 +535,7 @@ def inf_sup_constant(system: StokesSystem) -> float:
             residual = float(np.linalg.norm(Sx - mu * Mx))
             if residual <= tol:
                 return float(np.sqrt(max(mu, 0.0)))
-        w = schur.precondition(Sx - mu * Mx)
+        w = schur.precondition(schur.project(Sx - mu * Mx))
         trial, products = [x, w], [Sx, schur.apply(w)]
         if step:  # p, the step from the previous Ritz vector
             trial.append(V[:, 1:] @ y[1:])

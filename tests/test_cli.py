@@ -10,7 +10,7 @@ import shapederiv as sd
 from shapederiv import cli, stokes_fem
 from shapederiv.cli import main
 from shapederiv.cli.config import _KINDS, RunConfig, parse_config
-from shapederiv.cli.report import ReportWriter, read_kv
+from shapederiv.cli.report import ReportWriter, fmt17, read_kv, rows17
 from shapederiv.errors import ConfigError
 
 
@@ -531,7 +531,8 @@ def test_each_run_reads_exactly_its_declared_keys(tmp_path, monkeypatch, run):
 
 
 def test_stokes_solve_factors_once(tmp_path, monkeypatch):
-    # solve_stokes and inf_sup_constant share the system's Schur operator
+    # solve_stokes and inf_sup_constant share the system's Schur operator,
+    # with a Neumann side and on a clamped disk alike
     built = []
     schur = stokes_fem._SchurComplement
 
@@ -540,10 +541,12 @@ def test_stokes_solve_factors_once(tmp_path, monkeypatch):
         return schur(*args, **kwargs)
 
     monkeypatch.setattr(stokes_fem, "_SchurComplement", counted)
-    cfg = write(tmp_path / "run.cfg", "[mesh]\nkind = unit_square\nn = 4\nneumann_sides = right\n\n[force]\nname = trig\n")
-    assert main(["stokes-solve", "--config", cfg, "--output", str(tmp_path / "o")]) == 0
-    assert "result.inf_sup" in read_kv(tmp_path / "o" / "report.kv")
-    assert len(built) == 1
+    for name, mesh in (("square", "kind = unit_square\nn = 4\nneumann_sides = right"), ("disk", "kind = disk\nrings = 3")):
+        built.clear()
+        cfg = write(tmp_path / f"{name}.cfg", f"[mesh]\n{mesh}\n\n[force]\nname = trig\n")
+        assert main(["stokes-solve", "--config", cfg, "--output", str(tmp_path / name)]) == 0
+        assert float(read_kv(tmp_path / name / "report.kv")["result.inf_sup"]) > 0.0
+        assert len(built) == 1
 
 
 def test_qp_comment_in_utf8_is_read(tmp_path):
@@ -937,6 +940,16 @@ def test_non_ascii_input_path_is_recorded(tmp_path, command):
     out = tmp_path / "out"
     assert main([command, "--config", str(cfg), "--output", str(out)]) == 0
     assert read_kv(out / "report.kv")[key] == str(path)
+
+
+def test_table_rows_format_each_value_as_fmt17():
+    # velocity.csv and pressure.csv format a whole table with one %.17g call;
+    # oracle: fmt17 per value, over special values and random bit patterns
+    special = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308, 0.1, -1 / 3]
+    drawn = np.random.default_rng(7).integers(0, 2**64, 390, dtype=np.uint64).view(np.float64)
+    values = np.concatenate([special, drawn]).reshape(-1, 4)
+    assert rows17(values) == [",".join([str(k), *map(fmt17, row)]) for k, row in enumerate(values)]
+    assert rows17(np.empty((0, 3))) == []
 
 
 def test_reports_are_byte_identical(tmp_path):

@@ -3,12 +3,15 @@
 import dataclasses
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import shapederiv as sd
 from shapederiv import stokes_fem
@@ -411,6 +414,24 @@ def test_large_loads_solve_and_an_energy_past_the_double_range_raises():
                 sd.energy(system, sol)
 
 
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(exponent=st.floats(-300.0, 150.0), clamped=st.booleans())
+def test_backward_error_accepts_the_solve_and_refuses_defects_at_every_load_scale(exponent, clamped):
+    # Both defects are judged against |L||u| + |B||lam| + |f + g|, which has
+    # no floor: the solved state reads about 1e-16 at every load, the zero
+    # state exactly 1, and a CG stopped early is refused.
+    mesh = sd.unit_square_mesh(4, set() if clamped else {"right"})
+    system = sd.assemble(mesh, sd.TrigForce(c=10.0**exponent))
+    sol = sd.solve_stokes(system, pin_pressure=clamped)
+    r_mom, r_div, scale = stokes_fem._residuals(system, sol.u, sol.lam)
+    assert max(r_mom, r_div) <= 1e-14 * scale
+    r_mom, r_div, scale = stokes_fem._residuals(system, 0.0 * sol.u, 0.0 * sol.lam)
+    assert r_mom == scale > 0.0 and r_div == 0.0
+    with mock.patch.object(stokes_fem, "_CG_RTOL", 1e-4):
+        with pytest.raises(sd.SingularSystem, match="residuals too large"):
+            sd.solve_stokes(sd.assemble(mesh, sd.TrigForce(c=10.0**exponent)), pin_pressure=clamped)
+
+
 def _square_system(n=4):
     return sd.assemble(sd.unit_square_mesh(n, {"right"}), sd.TrigForce())
 
@@ -473,10 +494,15 @@ def test_cg_iteration_cap_raises(monkeypatch):
 
 
 def dense_inf_sup(system):
-    """Oracle: dense Schur complement of the full stiffness, dense generalized eigh."""
+    """Oracle: dense Schur complement of the full stiffness, dense generalized
+    eigh; with no Neumann edge, restricted to the zero-integral pressures
+    (an orthonormal basis of the null space of 1'M)."""
     bt = system.B.toarray().T
     schur = bt.T @ spla.splu(system.A.tocsc()).solve(bt)
     m = pressure_mass_matrix(system.space).toarray()
+    if not len(system.space.neumann_edges):
+        q = scipy.linalg.null_space(m.sum(axis=0)[None, :])
+        schur, m = q.T @ schur @ q, q.T @ m @ q
     eigvals = scipy.linalg.eigh(schur, m, eigvals_only=True)
     return float(np.sqrt(max(eigvals[0], 0.0)))
 
@@ -516,14 +542,21 @@ def test_inf_sup_matches_dense_where_warm_start_is_weakest(make_mesh, tmp_path):
     assert sd.inf_sup_constant(system) == pytest.approx(dense_inf_sup(system), rel=1e-12)
 
 
-@pytest.mark.parametrize("mesh", [sd.disk_mesh(4), sd.unit_square_mesh(6, set())],
-                         ids=["disk", "square"])
-def test_inf_sup_pure_dirichlet_raises_before_factoring(mesh, monkeypatch):
-    # Constant pressures lie in the kernel of B', so the constant is 0.
+@pytest.mark.parametrize(
+    "mesh",
+    [sd.unit_square_mesh(4, set()), sd.unit_square_mesh(8, set()), sd.disk_mesh(3), sd.disk_mesh(4), sd.disk_mesh(8)],
+    ids=["square4", "square8", "disk3", "disk4", "disk8"],
+)
+def test_clamped_inf_sup_is_taken_over_the_zero_integral_pressures(mesh):
+    # Constant pressures lie in the kernel of B'; the multiplier lives on the
+    # zero-integral pressures, and the constant is the one over them.  Without
+    # the projection of the refinement residual onto range(S) the loop drifts
+    # into the constants: disk4 returns 1.5e-10, and the Rayleigh-Ritz Gram
+    # matrix of disk3 and disk8 loses positive definiteness.
     system = sd.assemble(mesh, ConstantForce())
-    monkeypatch.setattr(stokes_fem, "_SchurComplement", _no_factorization)
-    with pytest.raises(sd.SingularSystem, match="no Neumann edges"):
-        sd.inf_sup_constant(system)
+    value = sd.inf_sup_constant(system)
+    assert value > 0.0
+    assert value == pytest.approx(dense_inf_sup(system), rel=1e-10)
 
 
 def test_inf_sup_does_not_depend_on_the_load():
