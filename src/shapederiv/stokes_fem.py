@@ -31,7 +31,10 @@ count inf-sup stability keeps bounded under refinement.  Each system
 factors once, on first use, for ``solve_stokes`` and ``inf_sup_constant``.
 With no Neumann edge B'1 = 0 and S is singular; one projection onto its
 range, 1-perp, serves both: CG returns the zero-mean pressure, and the
-inf-sup constant is the one over the zero-integral pressures.
+inf-sup constant is the one over the zero-integral pressures.  A re-solve
+near a known pressure starts CG there and stops it on the estimate of its
+energy error; ``energy`` is the Lagrangian, which at u = A^-1 (f + g +
+B' lam) is the dual value, so its error is quadratic in that of lam.
 """
 
 from __future__ import annotations
@@ -311,6 +314,12 @@ def assemble(mesh: TriMesh, f_field: ForceField, g_field: ForceField | None = No
 _CG_RTOL = 1e-14
 _CG_MAX_ITER = 500
 
+# A CG from a start (a warm re-solve) also stops once the sum of the dual
+# value's increases over _CG_DELAY steps, which estimates the energy error of
+# the iterate that many steps back, is at most _CG_ETOL times its dual value.
+_CG_DELAY = 4
+_CG_ETOL = 1e-15
+
 # Rayleigh-Ritz loop for the inf-sup constant: bound on the residual of the
 # smallest generalized eigenpair in the M^-1 norm (the eigenvalue error is
 # of its square) and cap on the refinement steps after the Krylov space.
@@ -356,7 +365,16 @@ class _SchurComplement:
         """r - mean(r) with ``mean_free``; otherwise r itself."""
         return r - r.mean() if self.mean_free else r
 
-    def cg(self, b: np.ndarray) -> tuple[np.ndarray, int, list, list]:
+    def zero_integral(self, x: np.ndarray) -> np.ndarray:
+        """With ``mean_free``, a new array: the pressure x less the constant
+        of its mean value, so that its integral 1'M x is zero; otherwise x
+        itself."""
+        if not self.mean_free:
+            return x
+        weights = np.asarray(self.M.sum(axis=0)).ravel()  # the integrals of the P1 hat functions
+        return x - (weights @ x) / weights.sum()
+
+    def cg(self, b: np.ndarray, start: tuple | None = None) -> tuple[np.ndarray, int, list, list]:
         """Mass-preconditioned CG on S x = b.
 
         Returns x, the iteration count, and the search directions p with
@@ -366,11 +384,25 @@ class _SchurComplement:
         (Kaasschieter, J. Comput. Appl. Math. 24, 1988); as 1'M M^-1 r =
         1'r = 0, every direction, and x, has zero pressure integral.
 
+        ``start = (x0, q, w)`` starts the iteration from the pressure x0,
+        with q = f + g + B'x0 and w = A^-1 q: b is then the residual -B w
+        of x0, x is ``zero_integral(x0)`` plus the correction that CG finds
+        from b, and -1/2 q'w is the dual value at x0.  At a CG iterate the
+        dual value falls short of its maximum by 1/2 |x* - x_k|_S^2, and
+        step j raises it by 1/2 alpha_j r_j'z_j (Hestenes and Stiefel 1952),
+        so the sum over _CG_DELAY steps from x_k is a lower estimate of that
+        error (Strakos and Tichy, ETNA 13, 2002).  With ``start`` CG stops,
+        with the current iterate, once that estimate is at most _CG_ETOL
+        times the dual value at x_k, or on the residual rule, whichever
+        comes first.
+
         The iteration runs on b / 2^e, e the binary exponent of b's largest
         entry, and returns 2^e times its x.  Scaling by a power of two is
         exact, so the bits are those of an unscaled run wherever that run
         neither under- nor overflows, while norms and r'z stay far from both
         for any finite load.  The directions are those of the scaled run.
+        The dual values are taken in the same units, 4^-e times their own,
+        so the energy rule compares as an unscaled run would.
         """
         if not np.all(np.isfinite(b)):
             raise SingularSystem("Schur-complement right-hand side is not finite")
@@ -382,10 +414,17 @@ class _SchurComplement:
         z = self.precondition(r)
         p = z.copy()
         rz = float(r @ z)
-        directions, products = [], []
+        if start is not None:
+            x0, q, w = start
+            dual0 = -0.5 * float(np.ldexp(q, -exp) @ np.ldexp(w, -exp))
+        directions, products, gains = [], [], []  # gains[j] = 1/2 alpha_j r_j'z_j
         for iteration in range(_CG_MAX_ITER + 1):
-            if np.linalg.norm(r) <= stop:
-                return np.ldexp(x, exp), iteration, directions, products
+            lag = iteration - _CG_DELAY  # gains[lag:] estimates the energy error of x_lag
+            if np.linalg.norm(r) <= stop or (
+                start is not None and lag >= 0 and sum(gains[lag:]) <= _CG_ETOL * abs(dual0 + sum(gains[:lag]))
+            ):
+                x = np.ldexp(x, exp)
+                return (x if start is None else self.zero_integral(x0) + x), iteration, directions, products
             if iteration == _CG_MAX_ITER:
                 break
             sp = self.apply(p)
@@ -398,6 +437,7 @@ class _SchurComplement:
                     f"Schur-complement CG broke down (p'Sp = {psp:.3e}, r'M^-1r = {rz:.3e})"
                 )
             alpha = rz / psp
+            gains.append(0.5 * alpha * rz)
             x += alpha * p
             r = self.project(r - alpha * sp)
             z = self.precondition(r)
@@ -410,19 +450,33 @@ class _SchurComplement:
 
 
 def _residuals(system: StokesSystem, u: np.ndarray, lam: np.ndarray) -> tuple[float, float, float]:
-    """Momentum and divergence defects of (u, lam) and the scale of the
-    system's terms at (u, lam), |L||u| + |B||lam| + |f + g|: matrix norms
-    the largest absolute row sums (those of A and L agree), vector norms
-    Euclidean.  A defect over the scale is a normwise backward error; the
-    scale has no floor, so it judges a state at every load scale."""
-    r_mom = norm2((system.L @ u.reshape(-1, 2)).ravel() - system.rhs - system.B.T @ lam)
+    """Momentum and divergence defects of (u, lam) and its normwise backward
+    error: the larger defect over the scale of the system's terms at (u,
+    lam), |L||u| + |B||lam| + |f + g|, matrix norms the largest absolute
+    row sums (those of A and L agree), vector norms Euclidean.  The scale
+    has no floor, so the error judges a state at every load scale.  It is
+    taken on u, lam and f + g divided by one power of two, 2^e with e the
+    largest binary exponent of their entries, as in ``cg``: exact, so the
+    defects are those of the unscaled vectors, while neither they nor the
+    scale can overflow.  A defect past the largest double reads inf."""
+    rhs = system.rhs
+    exp = max(int(np.frexp(np.abs(v).max(initial=0.0))[1]) for v in (u, lam, rhs))
+    u, lam, rhs = (np.ldexp(v, -exp) for v in (u, lam, rhs))
+    r_mom = norm2((system.L @ u.reshape(-1, 2)).ravel() - rhs - system.B.T @ lam)
+    r_div = norm2(system.B @ u)
     norm_L, norm_B = (float(spla.norm(m, np.inf)) for m in (system.L, system.B))  # floats: no overflow warning
-    scale = norm_L * norm2(u) + norm_B * norm2(lam) + norm2(system.rhs)
-    return r_mom, norm2(system.B @ u), scale
+    scale = norm_L * norm2(u) + norm_B * norm2(lam) + norm2(rhs)
+    error = max(r_mom, r_div) / scale if scale else 0.0  # a zero scale is the zero state of a zero load
+    with np.errstate(over="ignore"):
+        return float(np.ldexp(r_mom, exp)), float(np.ldexp(r_div, exp)), error
 
 
 def solve_stokes(
-    system: StokesSystem, pin_pressure: bool = False, residual_tol: float = 1e-9
+    system: StokesSystem,
+    pin_pressure: bool = False,
+    residual_tol: float = 1e-9,
+    *,
+    start: np.ndarray | None = None,
 ) -> StokesSolution:
     """Solve the saddle system [[A, -B'], [-B, 0]] (u, lam) = (f + g, 0).
 
@@ -431,14 +485,24 @@ def solve_stokes(
     velocity is then u = A^-1 (f + g + B' lam).  A^-1 is one sparse LU of
     the scalar P2 Laplacian shared by both velocity components.
 
+    ``start``, a pressure on the same vertices, starts CG there, for a
+    re-solve near a known state: its residual -B A^-1 (f + g + B' start)
+    takes the velocity solve that the right-hand side takes without it.
+    CG then also stops on its energy estimate (see ``_SchurComplement.cg``),
+    which leaves the Lagrangian ``energy`` of the state within about
+    1e-15 of its own size, while the residual rule would take more steps.
+    ``start`` is only read; with no Neumann edge it is first moved to zero
+    integral.  A ``start`` of another size raises ``DimensionMismatch``.
+
     With an empty Neumann boundary the pressure is only determined up to a
     constant; callers must then acknowledge that with ``pin_pressure``,
     which fixes no pressure value: the solve returns the zero-mean
     pressure.  With a Neumann edge ``pin_pressure`` is a ``SingularSystem``.
     The factors are the system's, made once.  ``residual_tol`` bounds the
-    accepted backward errors: both defects over |L||u| + |B||lam| + |f + g|.
-    A non-finite load, a rank-deficient B, a failed factorization, a CG
-    breakdown or a CG run past its iteration cap raises ``SingularSystem``.
+    accepted backward error, with or without ``start``: both defects over
+    |L||u| + |B||lam| + |f + g|.  A non-finite load or start, a
+    rank-deficient B, a failed factorization, a CG breakdown or a CG run
+    past its iteration cap raises ``SingularSystem``.
     """
     if pin_pressure == bool(len(system.space.neumann_edges)):
         raise SingularSystem(
@@ -448,12 +512,19 @@ def solve_stokes(
     rhs_u = system.rhs
     if not np.all(np.isfinite(rhs_u)):
         raise SingularSystem("load vector has non-finite entries")
+    if start is not None and np.shape(start) != system.B.shape[:1]:
+        raise DimensionMismatch(f"start pressure has shape {np.shape(start)}, the system expects {system.B.shape[:1]}")
     schur = system._schur()
-    lam, iterations, _, _ = schur.cg(-(schur.B @ schur.solve_velocity(rhs_u)))
+    if start is None:
+        lam, iterations, _, _ = schur.cg(-(schur.B @ schur.solve_velocity(rhs_u)))
+    else:
+        load = rhs_u + schur.Bt @ start
+        velocity = schur.solve_velocity(load)
+        lam, iterations, _, _ = schur.cg(-(schur.B @ velocity), start=(start, load, velocity))
     u = schur.solve_velocity(rhs_u + schur.Bt @ lam)
 
-    r_mom, r_div, scale = _residuals(system, u, lam)
-    if not (r_mom <= residual_tol * scale and r_div <= residual_tol * scale):
+    r_mom, r_div, error = _residuals(system, u, lam)
+    if not error <= residual_tol:
         raise SingularSystem(
             f"solution residuals too large (momentum {r_mom:.3e}, divergence {r_div:.3e})"
         )
@@ -463,13 +534,19 @@ def solve_stokes(
 
 
 def energy(system: StokesSystem, solution: StokesSolution) -> float:
-    """Discrete energy 1/2 u'Au - (f+g)'u of a velocity vector; an energy
-    past the largest double raises ``SingularSystem``."""
-    u = solution.u
+    """The Lagrangian 1/2 u'Au - (f+g)'u - lam'Bu of a solution.  At a
+    solved state it is the discrete energy 1/2 u'Au - (f+g)'u, as Bu = 0
+    there, and it equals the dual value -1/2 u'Au at u = A^-1 (f + g +
+    B'lam) for any lam, so its error is quadratic in the error of lam.  A
+    vector of the wrong size raises ``DimensionMismatch``; an energy past
+    the largest double raises ``SingularSystem``."""
+    u, lam = solution.u, solution.lam
     if u.shape != (system.space.num_velocity,):
         raise DimensionMismatch("velocity vector does not match the system")
+    if lam.shape != (system.B.shape[0],):
+        raise DimensionMismatch("pressure vector does not match the system")
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
-        value = float(0.5 * u @ (system.L @ u.reshape(-1, 2)).ravel() - system.rhs @ u)
+        value = float(0.5 * u @ (system.L @ u.reshape(-1, 2)).ravel() - system.rhs @ u - lam @ (system.B @ u))
     if not np.isfinite(value):
         raise SingularSystem("the energy overflows: the load is too large for double precision")
     return value

@@ -11,8 +11,10 @@ import numpy as np
 import pytest
 
 import shapederiv as sd
+from shapederiv import stokes_fem
 from shapederiv.fields import ConstantForce, ForceField, RotationalForce, TrigForce
 from shapederiv.flow import CutoffWindow
+from shapederiv.mesh import transport_mesh
 from shapederiv.shape_derivative import (
     assemble_perturbation,
     fd_verify,
@@ -20,6 +22,7 @@ from shapederiv.shape_derivative import (
 )
 
 import complex_step_oracle
+from kernel_oracle import pressure_integral_weights
 from perturbation_oracle import (
     P1Interpolant,
     assemble_perturbation_matrices,
@@ -196,6 +199,16 @@ def test_zero_state_does_not_solve_a_loaded_system(c):
                              residual_momentum=0.0, residual_divergence=0.0)
     with pytest.raises(sd.UnsolvedSolution):
         stokes_shape_derivative(system, zero, assemble_perturbation(system.space, AFFINE, system.force), AFFINE)
+
+
+def test_a_wrong_state_is_refused_at_the_top_of_the_double_range():
+    # At c = 1e308 the scale |L||u| + |B||lam| + |f + g| passes the largest
+    # double; taken unscaled it read inf and accepted any finite defect.
+    system = sd.assemble(sd.unit_square_mesh(4, {"right"}), TrigForce(c=1e308))
+    sol = sd.solve_stokes(system)
+    wrong = replace(sol, u=1.001 * sol.u)
+    with pytest.raises(sd.UnsolvedSolution):
+        stokes_shape_derivative(system, wrong, assemble_perturbation(system.space, AFFINE, system.force), AFFINE)
 
 
 def test_state_memo_rechecks_a_solution_changed_in_place():
@@ -443,6 +456,76 @@ def test_fd_releases_the_base_system_before_the_re_solves(monkeypatch):
     monkeypatch.setattr(module, "solve_stokes", watched)
     fd_verify(sd.unit_square_mesh(4, {"right"}), TrigForce(), AFFINE, [1e-2, 1e-3])
     assert alive == [False] * 4
+
+
+FD_STEPS = (1e-2, -1e-2, 3e-3, -3e-3, 1e-3, -1e-3)
+
+
+@pytest.mark.parametrize("n", [16, 32])
+def test_warm_re_solve_energies_match_the_residual_rule(n):
+    # A re-solve from the base pressure stops on its energy estimate; its
+    # Lagrangian is the dual value, whose error is quadratic in lambda's.
+    mesh = sd.unit_square_mesh(n, {"right"})
+    base = sd.solve_stokes(sd.assemble(mesh, TrigForce()))
+    start = base.lam.tobytes()
+    for s in FD_STEPS:
+        system = sd.assemble(transport_mesh(mesh, AFFINE, s, steps=64), TrigForce())
+        cold = sd.solve_stokes(system)
+        warm = sd.solve_stokes(system, start=base.lam)
+        e_cold, e_warm = sd.energy(system, cold), sd.energy(system, warm)
+        assert abs(e_warm - e_cold) <= 1e-13 * abs(e_cold)
+        if n == 32:
+            assert warm.iterations <= 26 < cold.iterations == 36
+    assert base.lam.tobytes() == start  # the re-solves of fd_verify share it across threads
+
+
+def test_a_capped_warm_re_solve_is_refused(monkeypatch):
+    # A re-solve cut short by the iteration cap raises; it never returns a
+    # truncated state for its energy.
+    mesh = sd.unit_square_mesh(16, {"right"})
+    base = sd.solve_stokes(sd.assemble(mesh, TrigForce()))
+    system = sd.assemble(transport_mesh(mesh, AFFINE, 1e-2, steps=64), TrigForce())
+    needed = sd.solve_stokes(system, start=base.lam).iterations
+    for cap in (0, needed // 2, needed - 1):
+        monkeypatch.setattr(stokes_fem, "_CG_MAX_ITER", cap)
+        with pytest.raises(sd.SingularSystem, match="did not converge"):
+            sd.solve_stokes(system, start=base.lam)
+    monkeypatch.setattr(stokes_fem, "_CG_MAX_ITER", needed)
+    assert sd.solve_stokes(system, start=base.lam).iterations == needed
+
+
+def test_a_start_of_another_size_or_not_finite_is_refused():
+    _, system, sol = solved_square()
+    for start in (sol.lam[:-1], np.append(sol.lam, 0.0), sol.lam[:, None]):
+        with pytest.raises(sd.DimensionMismatch, match="start pressure"):
+            sd.solve_stokes(system, start=start)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(sd.SingularSystem, match="not finite"):
+            sd.solve_stokes(system, start=np.where(np.arange(sol.lam.size) == 3, bad, sol.lam))
+
+
+@pytest.mark.parametrize("name", ["rotation", "quadratic"])
+def test_clamped_re_solves_keep_zero_integral_pressures(monkeypatch, name):
+    # The base pressure has zero integral on the base disk, and still has on
+    # a rotated or affinely moved one, but not on a disk whose areas a
+    # quadratic field changes unevenly: the start is moved to zero integral
+    # on the re-solve's own mesh, within the bound of a cold solve.
+    module = importlib.import_module("shapederiv.shape_derivative")
+    solve, re_solves = module.solve_stokes, []
+
+    def watched(system, **kwargs):
+        solution = solve(system, **kwargs)
+        if kwargs.get("start") is not None:
+            re_solves.append((system, solution))
+        return solution
+
+    monkeypatch.setattr(module, "solve_stokes", watched)
+    report = fd_verify(sd.disk_mesh(8), TrigForce(), ORACLE_FIELDS[name], [1e-2, 3e-3, 1e-3])
+    assert len(re_solves) == 6
+    assert report.fd.slope >= 1.8
+    for system, solution in re_solves:
+        weights = pressure_integral_weights(system.space)
+        assert abs(weights @ solution.lam) <= 2.0 * np.finfo(float).eps * (abs(weights) @ abs(solution.lam))
 
 
 def test_fd_rejects_nonpositive_steps():
