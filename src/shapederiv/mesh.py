@@ -1,10 +1,11 @@
 """Triangulated 2-d domains with tagged Dirichlet/Neumann boundaries.
 
-Meshes are immutable values: generators build them, ``transport_mesh``
-maps the vertices through a velocity flow and returns a new mesh with the
-same connectivity and tags.  The text format (``tri-mesh v1``) stores
-coordinates with 17 significant digits so write/read round-trips are
-bit-exact.
+Meshes are immutable values, their arrays read-only: generators build
+them, ``transport_mesh`` maps the vertices through a velocity flow and
+returns a new mesh with the same connectivity and tags, and hands it the
+assembly topology that ``stokes_fem`` memoizes on a mesh.  The text
+format (``tri-mesh v1``) stores coordinates with 17 significant digits so
+write/read round-trips are bit-exact.
 """
 
 from __future__ import annotations
@@ -66,6 +67,11 @@ class TriMesh:
     counterclockwise (domain on the left), and ``boundary_tags[k]`` is
     ``"D"`` or ``"N"``.  The outward normal of an edge is the unit tangent
     rotated clockwise by 90 degrees.
+
+    The arrays are read-only views of the ones passed in (converted where
+    their dtype differs), so that what is memoized on the mesh's
+    connectivity cannot go stale through them; the caller's arrays stay
+    writable.
     """
 
     vertices: np.ndarray
@@ -74,9 +80,10 @@ class TriMesh:
     boundary_tags: tuple[str, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "vertices", np.asarray(self.vertices, dtype=float))
-        object.__setattr__(self, "triangles", np.asarray(self.triangles, dtype=int))
-        object.__setattr__(self, "boundary_edges", np.asarray(self.boundary_edges, dtype=int))
+        for name, dtype in (("vertices", float), ("triangles", int), ("boundary_edges", int)):
+            array = np.asarray(getattr(self, name), dtype=dtype).view()
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
         object.__setattr__(self, "boundary_tags", tuple(self.boundary_tags))
 
     @property
@@ -201,13 +208,17 @@ def disk_mesh(rings: int) -> TriMesh:
 def transport_mesh(mesh: TriMesh, field: QuadraticField, s: float, steps: int = 64) -> TriMesh:
     """Move every vertex along the flow of ``field`` for parameter s.
 
-    Connectivity and boundary tags are preserved.  Raises InvertedElement
+    Connectivity and boundary tags are preserved, so the moved mesh is
+    handed the assembly topology memoized on ``mesh``, when there is one,
+    and its assembly does not build it again.  Raises InvertedElement
     when a transported triangle flips, i.e. s is too large for this mesh.
     """
     points = flow_points(field, mesh.vertices, s, steps=steps)
     moved = TriMesh(points, mesh.triangles, mesh.boundary_edges, mesh.boundary_tags)
     if np.any(moved.triangle_areas() <= 0.0):
         raise InvertedElement(f"transport by s={s} flipped a triangle")
+    if "_topology" in mesh.__dict__:
+        moved.__dict__["_topology"] = mesh.__dict__["_topology"]
     return moved
 
 

@@ -13,11 +13,16 @@ and three-point Gauss edges.  Every element kernel is a sum over the
 quadrature points, evaluated as a batched matrix product or as an einsum
 along a contraction path, so that it costs what its arithmetic costs; the
 direct einsum forms are kept as test oracles.  Element blocks become
-global arrays, summed in a fixed order, in four places: matrices through
-one ``_scatter`` (``FunctionSpace.stiffness_matrix``, ``.pairing_matrix``
-and ``pressure_mass_matrix``), vectors by ``np.bincount``
-(``FunctionSpace.load_vector``); velocity dofs on the Dirichlet boundary
-are dropped.  The state system and its perturbation share these, so they
+global arrays by one ``np.bincount``, which adds in input order: vectors
+into the velocity dofs (``FunctionSpace.load_vector``), matrices into the
+data slots of a fixed CSR pattern (``FunctionSpace.stiffness_matrix``,
+``.pairing_matrix`` and ``pressure_mass_matrix``), whose position map
+sends entries on a Dirichlet row or column to a discarded slot.  The
+patterns, the node numbering and the free dofs depend on the connectivity
+alone: a mesh's ``_Topology`` holds them, built once per connectivity by
+one sort of the entries' keys and shared by every mesh that
+``transport_mesh`` moves from it; only the element geometry is computed
+per mesh.  The state system and its perturbation share these, so they
 pair dof for dof, and assemblies are bit-identical.
 
 Both velocity components vanish on the same Dirichlet nodes, so the
@@ -126,25 +131,89 @@ def _edge_p2_values(t: np.ndarray) -> np.ndarray:
 _EDGE_P2 = _edge_p2_values(_EDGE_T)  # (3 quad, 3 nodes: start, end, mid)
 
 
-def _scatter(rows: np.ndarray, cols: np.ndarray, blocks: np.ndarray, shape) -> sparse.csr_matrix:
-    """Sum element blocks into a sparse matrix: ``blocks[k]`` lands at
-    (``rows[k]``, ``cols[k]``), with the indices broadcast to the blocks."""
-    rows, cols = (np.broadcast_to(i, blocks.shape).ravel() for i in (rows, cols))
-    return sparse.coo_matrix((blocks.ravel(), (rows, cols)), shape=shape).tocsr()
+@dataclass(frozen=True)
+class _Pattern:
+    """A fixed CSR sparsity pattern: ``indptr`` and sorted, duplicate-free
+    ``indices``, and for every entry of the element blocks, in their order,
+    the data slot it is summed into.  Entries left out of the matrix go to
+    slots from nnz on, which are discarded."""
+
+    shape: tuple[int, int]
+    indptr: np.ndarray
+    indices: np.ndarray
+    slots: np.ndarray  # int32, one per block entry
+
+    def __post_init__(self):
+        for array in (self.indptr, self.indices, self.slots):
+            array.flags.writeable = False
+
+    def matrix(self, blocks: np.ndarray) -> sparse.csr_matrix:
+        """The blocks summed into their slots in input order, as in
+        ``FunctionSpace.load_vector``."""
+        nnz = self.indices.size
+        data = np.bincount(self.slots, blocks.ravel(), minlength=nnz)[:nnz]
+        return sparse.csr_matrix((data, self.indices, self.indptr), shape=self.shape)
 
 
-class FunctionSpace:
-    """Taylor-Hood space on a mesh: P2 vector velocity, P1 scalar pressure.
+def _stable_order(keys: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.argsort(keys, kind="stable")`` of int64 keys in [0, bound), and
+    the sorted keys.  Where key * 2^b + position fits in int64, b the bits
+    of a position, it is a value sort of those numbers, about twice as
+    fast as the argsort.  The keys are overwritten."""
+    bits = max(keys.size - 1, 1).bit_length()
+    if bound > 1 << (63 - bits):
+        order = np.argsort(keys, kind="stable")
+        return order, keys[order]
+    keys <<= bits
+    keys |= np.arange(keys.size)
+    keys.sort()
+    order = keys & ((1 << bits) - 1)
+    keys >>= bits
+    return order, keys
 
-    Velocity nodes are vertices plus edge midpoints; both velocity
-    components are constrained to zero at every node on the closure of
-    the Dirichlet edges.  Pressure nodes are the vertices, unconstrained.
-    Precomputes the per-element geometry used by every assembly loop.
-    """
+
+def _pattern(rows: np.ndarray, cols: np.ndarray, shape: tuple[int, int]) -> _Pattern:
+    """The pattern of element-block entries at (``rows``, ``cols``),
+    broadcast against each other; an entry with a negative row or column
+    index is left out.  One sort of the keys row * 2^c + column, c the bits
+    of a column index, on which the left out entries come last."""
+    n_rows, n_cols = shape
+    bits = max(n_cols, 1).bit_length()
+    out = n_rows << bits  # above every kept key
+    keys = (np.where(rows < 0, out, rows.astype(np.int64) << bits) + np.where(cols < 0, out, cols)).ravel()
+    order, keys = _stable_order(keys, 3 * out)
+    kept = keys[: np.searchsorted(keys, out)]
+    first = np.empty(kept.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(kept[1:], kept[:-1], out=first[1:])
+    unique = np.compress(first, kept)
+    slots = np.empty(keys.size, dtype=np.int32)
+    slots[order[: kept.size]] = np.cumsum(first, dtype=np.int32) - 1
+    slots[order[kept.size :]] = unique.size
+    indptr = np.searchsorted(unique, np.arange(n_rows + 1) << bits).astype(np.int32)
+    return _Pattern(shape, indptr, (unique & ((1 << bits) - 1)).astype(np.int32), slots)
+
+
+def _component_columns(nodes: _Pattern, blocks_shape: tuple[int, ...]) -> _Pattern:
+    """The pattern with every column split into two adjacent ones, the
+    velocity components at a node; the blocks gain a last axis of 2."""
+    pair = np.arange(2, dtype=np.int32)
+    slots = 2 * nodes.slots.reshape(blocks_shape)[..., None] + pair
+    indices = (2 * nodes.indices[:, None] + pair).ravel()
+    return _Pattern((nodes.shape[0], 2 * nodes.shape[1]), 2 * nodes.indptr, indices, slots.ravel())
+
+
+class _Topology:
+    """What assembly takes from a mesh's connectivity and boundary tags
+    alone: the P2 node numbering, the end vertices of each edge midpoint,
+    the Neumann edges, the Dirichlet and free nodes and dofs, and the
+    patterns of the scalar stiffness L (free x free nodes), the pairing B
+    (vertices x free dofs) and the pressure mass matrix M.  Its arrays are
+    read-only, as the mesh's are, since meshes of one connectivity share it
+    (see ``_topology``)."""
 
     def __init__(self, mesh: TriMesh):
-        self.mesh = mesh
-        v, t = mesh.vertices, mesh.triangles
+        t = mesh.triangles
         nv, nt = mesh.num_vertices, mesh.num_triangles
 
         # Edge midpoints are numbered nv, nv + 1, ... in order of first
@@ -154,10 +223,8 @@ class FunctionSpace:
         mid_node = np.empty_like(order)
         mid_node[order] = nv + np.arange(order.size)
         self.tri_nodes = np.hstack([t, mid_node[inverse].reshape(nt, 3)])
-        a, b = local[first[order]].T
-        self.node_coords = np.vstack([v, 0.5 * (v[a] + v[b])])
-        self.num_nodes = self.node_coords.shape[0]
-        self.num_pressure = nv
+        self.midpoint_ends = local[first[order]].T  # (2, number of edges)
+        self.num_nodes = nv + order.size
 
         ends = mesh.boundary_edges.reshape(-1, 2)
         boundary_keys = _edge_keys(ends, nv)
@@ -167,10 +234,62 @@ class FunctionSpace:
         edges = np.column_stack([ends, mid_node[pos]])
         on_dirichlet = np.array([tag == DIRICHLET for tag in mesh.boundary_tags], dtype=bool)
         self.neumann_edges = edges[~on_dirichlet]  # (k, 3): start, end and midpoint node
-        self.dirichlet_nodes = np.unique(edges[on_dirichlet])
-
-        self.free_nodes = np.setdiff1d(np.arange(self.num_nodes), self.dirichlet_nodes)
+        dirichlet = np.zeros(self.num_nodes, dtype=bool)
+        dirichlet[edges[on_dirichlet]] = True
+        self.dirichlet_nodes = np.flatnonzero(dirichlet)
+        self.free_nodes = np.flatnonzero(~dirichlet)
         self.free_dofs = (2 * self.free_nodes[:, None] + np.arange(2)).ravel()
+
+        nf = self.free_nodes.size
+        free = np.full(self.num_nodes, -1)
+        free[self.free_nodes] = np.arange(nf)
+        free = free[self.tri_nodes]  # (nt, 6): free index of each element node, -1 on the Dirichlet ones
+        self.stiffness = _pattern(free[:, :, None], free[:, None, :], (nf, nf))
+        self.pairing = _component_columns(_pattern(t[:, :, None], free[:, None, :], (nv, nf)), (nt, 3, 6))
+        self.mass = _pattern(t[:, :, None], t[:, None, :], (nv, nv))
+        for array in (self.tri_nodes, self.midpoint_ends, self.neumann_edges, self.dirichlet_nodes,
+                      self.free_nodes, self.free_dofs):
+            array.flags.writeable = False
+
+
+def _topology(mesh: TriMesh) -> _Topology:
+    """The mesh's topology, built on first use and memoized in its
+    ``__dict__``, as a system memoizes its factors; ``transport_mesh`` hands
+    it to the moved mesh, which has the same connectivity and tags."""
+    topology = mesh.__dict__.get("_topology")
+    if topology is None:
+        topology = _Topology(mesh)
+        mesh.__dict__["_topology"] = topology  # one assignment: concurrent callers at worst build it twice
+    return topology
+
+
+class FunctionSpace:
+    """Taylor-Hood space on a mesh: P2 vector velocity, P1 scalar pressure.
+
+    Velocity nodes are vertices plus edge midpoints; both velocity
+    components are constrained to zero at every node on the closure of
+    the Dirichlet edges.  Pressure nodes are the vertices, unconstrained.
+    What depends on the connectivity alone, the numbering, the free dofs
+    and the matrix patterns, is the mesh's topology: built once per
+    connectivity and shared with every mesh ``transport_mesh`` moves from
+    it.  The per-element geometry used by every assembly loop is computed
+    here, per mesh.
+    """
+
+    def __init__(self, mesh: TriMesh):
+        self.mesh = mesh
+        v, t = mesh.vertices, mesh.triangles
+        nt = mesh.num_triangles
+        topology = self._topology = _topology(mesh)
+        self.tri_nodes = topology.tri_nodes
+        a, b = topology.midpoint_ends
+        self.node_coords = np.vstack([v, 0.5 * (v[a] + v[b])])
+        self.num_nodes = topology.num_nodes
+        self.num_pressure = mesh.num_vertices
+        self.neumann_edges = topology.neumann_edges
+        self.dirichlet_nodes = topology.dirichlet_nodes
+        self.free_nodes = topology.free_nodes
+        self.free_dofs = topology.free_dofs
         self.num_velocity = self.free_dofs.size
 
         # Element geometry: affine maps, physical basis gradients, quadrature.
@@ -211,16 +330,12 @@ class FunctionSpace:
     def stiffness_matrix(self, ke: np.ndarray) -> sparse.csr_matrix:
         """Scalar matrix on the free nodes from P2 blocks (nt, 6, 6); the
         velocity matrix is its Kronecker product with I_2."""
-        nodes = self.tri_nodes
-        full = _scatter(nodes[:, :, None], nodes[:, None, :], ke, (self.num_nodes, self.num_nodes))
-        return full[self.free_nodes][:, self.free_nodes].tocsr()
+        return self._topology.stiffness.matrix(ke)
 
     def pairing_matrix(self, be: np.ndarray) -> sparse.csr_matrix:
         """Pressure-by-velocity matrix on the free dofs from P1 x P2 blocks
         (nt, 3, 6, 2): vertex pressure, velocity node, component."""
-        rows = self.mesh.triangles[:, :, None, None]
-        cols = 2 * self.tri_nodes[:, None, :, None] + np.arange(2)
-        return _scatter(rows, cols, be, (self.num_pressure, 2 * self.num_nodes))[:, self.free_dofs].tocsr()
+        return self._topology.pairing.matrix(be)
 
     def load_vector(self, blocks: np.ndarray, nodes: np.ndarray | None = None) -> np.ndarray:
         """Load vector on the free dofs: blocks (..., 2) summed in order into
@@ -553,9 +668,7 @@ def energy(system: StokesSystem, solution: StokesSolution) -> float:
 
 
 def pressure_mass_matrix(space: FunctionSpace) -> sparse.csr_matrix:
-    me = np.einsum("tq,qp,qr->tpr", space.quad_coef, _P1_VALS, _P1_VALS, optimize=True)
-    tri = space.mesh.triangles
-    return _scatter(tri[:, :, None], tri[:, None, :], me, (space.num_pressure, space.num_pressure))
+    return space._topology.mass.matrix(np.einsum("tq,qp,qr->tpr", space.quad_coef, _P1_VALS, _P1_VALS, optimize=True))
 
 
 def inf_sup_constant(system: StokesSystem) -> float:

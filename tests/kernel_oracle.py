@@ -8,8 +8,10 @@ forms (one einsum string per kernel, with no path, and a stack of
 monomials times the coefficients), so the fast kernels can be checked
 against them to roundoff.  Each kernel oracle also returns the same
 contraction over absolute values, the scale that roundoff is relative to.  The package sums
-load vectors with ``np.bincount``; the ``np.add.at`` sum kept here adds in
-the same order, so the two must agree bit for bit.  The pressure integral
+load vectors, and matrices through their fixed patterns, with
+``np.bincount``; the dense ``np.add.at`` sums kept here, over the full
+dofs and then sliced to the free ones, add in the same order, so the two
+must agree bit for bit.  The pressure integral
 weights have no package counterpart: the solver returns the zero-mean
 pressure, and the tests measure its mean with them.
 """
@@ -98,6 +100,36 @@ def load_vector(space, blocks, nodes=None):
     full = np.zeros(2 * space.num_nodes)
     np.add.at(full, 2 * (space.tri_nodes if nodes is None else nodes)[..., None] + np.arange(2), blocks)
     return full[space.free_dofs]
+
+
+def _dense_sum(rows, cols, blocks, shape):
+    """``blocks`` summed by ``np.add.at`` into a dense array at (rows, cols),
+    broadcast to the blocks, in their order."""
+    full = np.zeros(shape)
+    np.add.at(full, (np.broadcast_to(rows, blocks.shape), np.broadcast_to(cols, blocks.shape)), blocks)
+    return full
+
+
+def stiffness_matrix(space, blocks):
+    """``FunctionSpace.stiffness_matrix`` as a dense array: P2 blocks (nt, 6,
+    6) over all nodes, then the free rows and columns."""
+    nodes = space.tri_nodes
+    full = _dense_sum(nodes[:, :, None], nodes[:, None, :], blocks, (space.num_nodes, space.num_nodes))
+    return full[np.ix_(space.free_nodes, space.free_nodes)]
+
+
+def pairing_matrix(space, blocks):
+    """``FunctionSpace.pairing_matrix`` as a dense array: blocks (nt, 3, 6, 2)
+    over all velocity dofs, then the free columns."""
+    rows = space.mesh.triangles[:, :, None, None]
+    cols = 2 * space.tri_nodes[:, None, :, None] + np.arange(2)
+    return _dense_sum(rows, cols, blocks, (space.num_pressure, 2 * space.num_nodes))[:, space.free_dofs]
+
+
+def mass_matrix(space, blocks):
+    """The pressure mass matrix as a dense array from P1 blocks (nt, 3, 3)."""
+    tri = space.mesh.triangles
+    return _dense_sum(tri[:, :, None], tri[:, None, :], blocks, (space.num_pressure, space.num_pressure))
 
 
 def pressure_integral_weights(space):

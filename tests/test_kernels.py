@@ -15,6 +15,7 @@ from hypothesis.extra.numpy import arrays
 
 import shapederiv as sd
 from shapederiv.fields import TrigForce
+from shapederiv.stokes_fem import _P1_VALS, pressure_mass_matrix
 
 import kernel_oracle as oracle
 from perturbation_oracle import P1Interpolant, assemble_perturbation_matrices
@@ -131,6 +132,44 @@ def test_load_vectors_sum_in_the_oracles_order(jitter, sides, data):
     np.testing.assert_array_equal(
         space.load_vector(edge_blocks, edges), oracle.load_vector(space, edge_blocks, edges)
     )
+
+
+def _assert_canonical(matrix):
+    """Sorted, duplicate-free column indices in every row."""
+    for start, end in zip(matrix.indptr[:-1], matrix.indptr[1:]):
+        assert np.all(np.diff(matrix.indices[start:end]) > 0)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    jitter=arrays(float, (4, 2), elements=st.floats(-0.05, 0.05, **_finite)),
+    sides=st.sets(st.sampled_from(["left", "right", "bottom", "top"]), max_size=3),
+    data=st.data(),
+)
+def test_matrices_sum_in_the_oracles_order(jitter, sides, data):
+    # As for the load vectors: the fixed patterns sum each entry's element
+    # contributions in element order, as the dense np.add.at oracle does.
+    base = sd.unit_square_mesh(3, sides)
+    vertices = base.vertices.copy()
+    interior = np.all((vertices > 0.0) & (vertices < 1.0), axis=1)
+    vertices[interior] += jitter
+    space = sd.FunctionSpace(sd.TriMesh(vertices, base.triangles, base.boundary_edges, base.boundary_tags))
+
+    def blocks(shape):
+        mantissa = data.draw(arrays(float, shape, elements=st.floats(-1.0, 1.0, **_finite)))
+        return mantissa * np.exp(data.draw(arrays(float, shape, elements=st.floats(-20.0, 20.0, **_finite))))
+
+    nt = base.num_triangles
+    stiffness, pairing, mass = blocks((nt, 6, 6)), blocks((nt, 3, 6, 2)), blocks((nt, 3, 3))
+    own_mass = np.einsum("tq,qp,qr->tpr", space.quad_coef, _P1_VALS, _P1_VALS, optimize=True)  # the package's kernel
+    for matrix, expected in (
+        (space.stiffness_matrix(stiffness), oracle.stiffness_matrix(space, stiffness)),
+        (space.pairing_matrix(pairing), oracle.pairing_matrix(space, pairing)),
+        (space._topology.mass.matrix(mass), oracle.mass_matrix(space, mass)),
+        (pressure_mass_matrix(space), oracle.mass_matrix(space, own_mass)),
+    ):
+        _assert_canonical(matrix)
+        np.testing.assert_array_equal(matrix.toarray(), expected)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)

@@ -74,6 +74,28 @@ def test_disk_area_against_polygon_formula():
     assert abs(mesh.triangle_areas().sum() - math.pi) / math.pi < 0.02
 
 
+def test_mesh_arrays_are_read_only_views():
+    base = sd.unit_square_mesh(2, {"right"})
+    vertices, triangles, edges = base.vertices.copy(), base.triangles.copy(), base.boundary_edges.copy()
+    mesh = sd.TriMesh(vertices, triangles, edges, base.boundary_tags)
+    for name in ("vertices", "triangles", "boundary_edges"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(mesh, name)[0] = 0
+    assert triangles.flags.writeable and vertices.flags.writeable and edges.flags.writeable
+    triangles[0, 0] = triangles[0, 0]  # the caller's arrays stay writable
+    assert np.shares_memory(mesh.triangles, triangles)
+
+
+def test_transport_hands_on_the_topology():
+    mesh = sd.unit_square_mesh(3, {"right"})
+    moved = sd.transport_mesh(mesh, sd.ConstantField(b=(0.1, 0.0)), 0.5)
+    assert "_topology" not in moved.__dict__  # none memoized on mesh yet
+    topology = sd.FunctionSpace(mesh)._topology
+    moved = sd.transport_mesh(mesh, sd.ConstantField(b=(0.1, 0.0)), 0.5)
+    assert moved.__dict__["_topology"] is topology
+    assert sd.FunctionSpace(moved)._topology is topology
+
+
 def test_transport_zero_field_is_identity():
     mesh = sd.unit_square_mesh(3, {"left"})
     moved = sd.transport_mesh(mesh, sd.ZeroField(), 0.5)

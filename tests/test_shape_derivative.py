@@ -458,6 +458,31 @@ def test_fd_releases_the_base_system_before_the_re_solves(monkeypatch):
     assert alive == [False] * 4
 
 
+def test_fd_builds_one_topology_for_its_solves(monkeypatch):
+    # The transported meshes keep the base mesh's connectivity and tags, so
+    # the seven assemblies share the one topology built for the base mesh.
+    built, spaces = [], []
+
+    class Counted(stokes_fem._Topology):
+        def __init__(self, mesh):
+            built.append(mesh)
+            super().__init__(mesh)
+
+    init = stokes_fem.FunctionSpace.__init__
+
+    def counted_init(self, mesh):
+        spaces.append(mesh)
+        init(self, mesh)
+
+    monkeypatch.setattr(stokes_fem, "_Topology", Counted)
+    monkeypatch.setattr(stokes_fem.FunctionSpace, "__init__", counted_init)
+    mesh = sd.unit_square_mesh(8, {"right"})
+    report = fd_verify(mesh, TrigForce(), AFFINE, [1e-2, 3e-3, 1e-3])
+    assert len(spaces) == 7 and len({id(m) for m in spaces}) == 7
+    assert built == [mesh]
+    assert abs(report.fd.slope - 2.0) <= 0.1
+
+
 FD_STEPS = (1e-2, -1e-2, 3e-3, -3e-3, 1e-3, -1e-3)
 
 
