@@ -11,6 +11,7 @@ write/read round-trips are bit-exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, TypeVar
 
 import numpy as np
 
@@ -68,10 +69,11 @@ class TriMesh:
     ``"D"`` or ``"N"``.  The outward normal of an edge is the unit tangent
     rotated clockwise by 90 degrees.
 
-    The arrays are read-only views of the ones passed in (converted where
-    their dtype differs), so that what is memoized on the mesh's
-    connectivity cannot go stale through them; the caller's arrays stay
-    writable.
+    The arrays are read-only.  ``triangles`` and ``boundary_edges`` are
+    copies of the ones passed in, so that what is memoized on the mesh's
+    connectivity cannot go stale; ``vertices`` is a view of the array
+    passed in (converted where its dtype differs), and the caller's
+    arrays stay writable.
     """
 
     vertices: np.ndarray
@@ -80,8 +82,10 @@ class TriMesh:
     boundary_tags: tuple[str, ...]
 
     def __post_init__(self):
-        for name, dtype in (("vertices", float), ("triangles", int), ("boundary_edges", int)):
-            array = np.asarray(getattr(self, name), dtype=dtype).view()
+        arrays = {"vertices": np.asarray(self.vertices, dtype=float).view(),
+                  "triangles": np.array(self.triangles, dtype=int),
+                  "boundary_edges": np.array(self.boundary_edges, dtype=int)}
+        for name, array in arrays.items():
             array.flags.writeable = False
             object.__setattr__(self, name, array)
         object.__setattr__(self, "boundary_tags", tuple(self.boundary_tags))
@@ -205,6 +209,22 @@ def disk_mesh(rings: int) -> TriMesh:
     return mesh
 
 
+_MEMO = "_connectivity_memo"  # its slot in a mesh's __dict__
+_T = TypeVar("_T")
+
+
+def _connectivity_memo(mesh: TriMesh, build: Callable[[TriMesh], _T]) -> _T:
+    """``build(mesh)``, built on first use and memoized on the mesh; it must
+    depend on the connectivity and boundary tags alone, which
+    ``transport_mesh`` keeps, so the moved mesh is handed it.  A mesh
+    holds one such memo: the assembly topology of ``stokes_fem``."""
+    memo = mesh.__dict__.get(_MEMO)
+    if memo is None:
+        memo = build(mesh)
+        mesh.__dict__[_MEMO] = memo  # one assignment: concurrent callers at worst build it twice
+    return memo
+
+
 def transport_mesh(mesh: TriMesh, field: QuadraticField, s: float, steps: int = 64) -> TriMesh:
     """Move every vertex along the flow of ``field`` for parameter s.
 
@@ -217,8 +237,8 @@ def transport_mesh(mesh: TriMesh, field: QuadraticField, s: float, steps: int = 
     moved = TriMesh(points, mesh.triangles, mesh.boundary_edges, mesh.boundary_tags)
     if np.any(moved.triangle_areas() <= 0.0):
         raise InvertedElement(f"transport by s={s} flipped a triangle")
-    if "_topology" in mesh.__dict__:
-        moved.__dict__["_topology"] = mesh.__dict__["_topology"]
+    if _MEMO in mesh.__dict__:
+        moved.__dict__[_MEMO] = mesh.__dict__[_MEMO]
     return moved
 
 

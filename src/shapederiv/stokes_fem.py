@@ -20,7 +20,7 @@ data slots of a fixed CSR pattern (``FunctionSpace.stiffness_matrix``,
 sends entries on a Dirichlet row or column to a discarded slot.  The
 patterns, the node numbering and the free dofs depend on the connectivity
 alone: a mesh's ``_Topology`` holds them, built once per connectivity by
-one sort of the entries' keys and shared by every mesh that
+one argsort of the entries' keys and shared by every mesh that
 ``transport_mesh`` moves from it; only the element geometry is computed
 per mesh.  The state system and its perturbation share these, so they
 pair dof for dof, and assemblies are bit-identical.
@@ -54,7 +54,7 @@ import scipy.sparse.linalg as spla
 from ._norms import norm2
 from .errors import DimensionMismatch, EmptyDirichletBoundary, SingularSystem
 from .fields import ForceField, ManufacturedStokes
-from .mesh import DIRICHLET, TriMesh, _edge_keys, _edge_table, unit_square_mesh
+from .mesh import DIRICHLET, TriMesh, _connectivity_memo, _edge_keys, _edge_table, unit_square_mesh
 
 __all__ = [
     "FunctionSpace",
@@ -155,33 +155,18 @@ class _Pattern:
         return sparse.csr_matrix((data, self.indices, self.indptr), shape=self.shape)
 
 
-def _stable_order(keys: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:
-    """``np.argsort(keys, kind="stable")`` of int64 keys in [0, bound), and
-    the sorted keys.  Where key * 2^b + position fits in int64, b the bits
-    of a position, it is a value sort of those numbers, about twice as
-    fast as the argsort.  The keys are overwritten."""
-    bits = max(keys.size - 1, 1).bit_length()
-    if bound > 1 << (63 - bits):
-        order = np.argsort(keys, kind="stable")
-        return order, keys[order]
-    keys <<= bits
-    keys |= np.arange(keys.size)
-    keys.sort()
-    order = keys & ((1 << bits) - 1)
-    keys >>= bits
-    return order, keys
-
-
 def _pattern(rows: np.ndarray, cols: np.ndarray, shape: tuple[int, int]) -> _Pattern:
     """The pattern of element-block entries at (``rows``, ``cols``),
     broadcast against each other; an entry with a negative row or column
-    index is left out.  One sort of the keys row * 2^c + column, c the bits
-    of a column index, on which the left out entries come last."""
+    index is left out.  One argsort of the keys row * 2^c + column, c the
+    bits of a column index, on which the left out entries come last; an
+    entry's slot is the rank of its key."""
     n_rows, n_cols = shape
     bits = max(n_cols, 1).bit_length()
     out = n_rows << bits  # above every kept key
     keys = (np.where(rows < 0, out, rows.astype(np.int64) << bits) + np.where(cols < 0, out, cols)).ravel()
-    order, keys = _stable_order(keys, 3 * out)
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
     kept = keys[: np.searchsorted(keys, out)]
     first = np.empty(kept.size, dtype=bool)
     first[:1] = True
@@ -210,7 +195,7 @@ class _Topology:
     patterns of the scalar stiffness L (free x free nodes), the pairing B
     (vertices x free dofs) and the pressure mass matrix M.  Its arrays are
     read-only, as the mesh's are, since meshes of one connectivity share it
-    (see ``_topology``)."""
+    (see ``mesh._connectivity_memo``)."""
 
     def __init__(self, mesh: TriMesh):
         t = mesh.triangles
@@ -252,17 +237,6 @@ class _Topology:
             array.flags.writeable = False
 
 
-def _topology(mesh: TriMesh) -> _Topology:
-    """The mesh's topology, built on first use and memoized in its
-    ``__dict__``, as a system memoizes its factors; ``transport_mesh`` hands
-    it to the moved mesh, which has the same connectivity and tags."""
-    topology = mesh.__dict__.get("_topology")
-    if topology is None:
-        topology = _Topology(mesh)
-        mesh.__dict__["_topology"] = topology  # one assignment: concurrent callers at worst build it twice
-    return topology
-
-
 class FunctionSpace:
     """Taylor-Hood space on a mesh: P2 vector velocity, P1 scalar pressure.
 
@@ -280,7 +254,7 @@ class FunctionSpace:
         self.mesh = mesh
         v, t = mesh.vertices, mesh.triangles
         nt = mesh.num_triangles
-        topology = self._topology = _topology(mesh)
+        topology = self._topology = _connectivity_memo(mesh, _Topology)
         self.tri_nodes = topology.tri_nodes
         a, b = topology.midpoint_ends
         self.node_coords = np.vstack([v, 0.5 * (v[a] + v[b])])

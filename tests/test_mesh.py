@@ -74,7 +74,7 @@ def test_disk_area_against_polygon_formula():
     assert abs(mesh.triangle_areas().sum() - math.pi) / math.pi < 0.02
 
 
-def test_mesh_arrays_are_read_only_views():
+def test_mesh_arrays_are_read_only():
     base = sd.unit_square_mesh(2, {"right"})
     vertices, triangles, edges = base.vertices.copy(), base.triangles.copy(), base.boundary_edges.copy()
     mesh = sd.TriMesh(vertices, triangles, edges, base.boundary_tags)
@@ -82,18 +82,12 @@ def test_mesh_arrays_are_read_only_views():
         with pytest.raises(ValueError, match="read-only"):
             getattr(mesh, name)[0] = 0
     assert triangles.flags.writeable and vertices.flags.writeable and edges.flags.writeable
-    triangles[0, 0] = triangles[0, 0]  # the caller's arrays stay writable
-    assert np.shares_memory(mesh.triangles, triangles)
-
-
-def test_transport_hands_on_the_topology():
-    mesh = sd.unit_square_mesh(3, {"right"})
-    moved = sd.transport_mesh(mesh, sd.ConstantField(b=(0.1, 0.0)), 0.5)
-    assert "_topology" not in moved.__dict__  # none memoized on mesh yet
-    topology = sd.FunctionSpace(mesh)._topology
-    moved = sd.transport_mesh(mesh, sd.ConstantField(b=(0.1, 0.0)), 0.5)
-    assert moved.__dict__["_topology"] is topology
-    assert sd.FunctionSpace(moved)._topology is topology
+    # The connectivity is the mesh's own: an edit of the caller's arrays
+    # does not reach what is memoized on it.
+    triangles[0, 0], edges[0, 0] = triangles[0, 1], edges[0, 1]
+    assert np.array_equal(mesh.triangles, base.triangles)
+    assert np.array_equal(mesh.boundary_edges, base.boundary_edges)
+    assert np.shares_memory(mesh.vertices, vertices)
 
 
 def test_transport_zero_field_is_identity():
