@@ -88,11 +88,7 @@ def _stokes_solve(cfg: RunConfig, rep: ReportWriter) -> None:
         raise ConfigError(
             f"traction '{traction}' applies no load on this mesh: it is zero on every Neumann edge"
         )
-    solution = solve_stokes(
-        system,
-        pin_pressure=not len(system.space.neumann_edges),
-        residual_tol=cfg.value("tolerances", "residual_tol"),
-    )
+    solution = solve_stokes(system, residual_tol=cfg.value("tolerances", "residual_tol"))
     space = system.space
     e = energy(system, solution)
     u_full = space.expand_velocity(solution.u)

@@ -7,9 +7,8 @@ Jacobian, whose determinant must stay positive for the map to remain a
 diffeomorphism.  Every velocity is one ``QuadraticField``, a polynomial
 of degree at most 2 per component, optionally times a cutoff window;
 ``ZeroField``, ``ConstantField``, ``AffineField`` and ``RotationField``
-only choose its coefficients, and ``negated()`` flips them.  Its
-``gradient`` is exact; the shape derivative reads only the values at the
-mesh vertices.
+only choose its coefficients.  Its ``gradient`` is exact; the shape
+derivative reads only the values at the mesh vertices.
 
 Every field evaluates on batches: points of shape (..., 2) produce values
 of shape (..., 2) and gradients (..., 2, 2), with
@@ -18,7 +17,7 @@ of shape (..., 2) and gradients (..., 2, 2), with
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
@@ -122,11 +121,6 @@ class QuadraticField:
     def _affine(self) -> bool:
         return not self._c[:, 3:].any()
 
-    @property
-    def b(self) -> tuple[float, float]:
-        """The constant terms."""
-        return tuple(self._c[:, 0].tolist())
-
     def matrix(self) -> np.ndarray:
         """The linear terms M: ``matrix()[i, j]`` multiplies x_j in component i."""
         return self._c[:, 1:3].copy()
@@ -165,10 +159,6 @@ class QuadraticField:
             grad_chi = self.window.gradient(p)
             jac = chi[..., None, None] * jac + self._evaluate(p)[..., :, None] * grad_chi[..., None, :]
         return jac
-
-    def negated(self) -> "QuadraticField":
-        """Field with the opposite sign, generating the inverse flow."""
-        return replace(self, coeffs=tuple(map(tuple, (-self._c).tolist())))
 
 
 def AffineField(
@@ -240,10 +230,10 @@ def integrate_flow(field: QuadraticField, x, s: float, steps: int = 64) -> FlowS
 
     Point and Jacobian advance jointly: the Jacobian obeys the variational
     equation dJ/ds = grad(Lambda)(phi) J with J(0) = I, where grad(Lambda)
-    is ``field.gradient``.  The inverse map is the flow of
-    ``field.negated()`` started from the image point.  Raises
-    NonPositiveJacobian when the determinant stops being positive (or the
-    trajectory blows up), i.e. when s left the diffeomorphism range.
+    is ``field.gradient``.  The inverse map is the flow of the negated
+    field started from the image point.  Raises NonPositiveJacobian when
+    the determinant stops being positive (or the trajectory blows up),
+    i.e. when s left the diffeomorphism range.
     """
     phi = np.array(x, dtype=float)
     jac = np.broadcast_to(np.eye(2), phi.shape[:-1] + (2, 2)).copy()

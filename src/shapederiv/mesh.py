@@ -36,13 +36,6 @@ NEUMANN = "N"
 _SIDES = ("left", "right", "bottom", "top")
 
 
-def _signed_areas(vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:
-    a = vertices[triangles[:, 0]]
-    b = vertices[triangles[:, 1]]
-    c = vertices[triangles[:, 2]]
-    return 0.5 * ((b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1]) - (b[:, 1] - a[:, 1]) * (c[:, 0] - a[:, 0]))
-
-
 def _edge_keys(pairs: np.ndarray, num_vertices: int) -> np.ndarray:
     """One integer per undirected edge of the vertex pairs (k, 2)."""
     return pairs.min(axis=1) * num_vertices + pairs.max(axis=1)
@@ -60,6 +53,18 @@ def _edge_table(triangles: np.ndarray, num_vertices: int) -> tuple[np.ndarray, .
     return local, keys, first, inverse, counts, boundary[np.lexsort(boundary.T[::-1])]
 
 
+def _index_array(name: str, ids, width: int) -> np.ndarray:
+    """A copy of the (n, ``width``) array ``ids`` as integers; a value that is not one raises ValueError."""
+    raw = np.asarray(ids)
+    if raw.ndim != 2 or raw.shape[1] != width:
+        raise ValueError(f"{name} must have shape (n, {width}), not {raw.shape}")
+    with np.errstate(invalid="ignore"):  # NaN and out-of-range floats fail the comparison below
+        copy = raw.astype(int) if raw.dtype.kind in "biuf" else None
+    if copy is None or not np.array_equal(copy, raw):
+        raise ValueError(f"{name} must hold integer vertex indices")
+    return copy
+
+
 @dataclass(frozen=True)
 class TriMesh:
     """Conforming triangulation with CCW triangles and tagged boundary edges.
@@ -73,7 +78,9 @@ class TriMesh:
     copies of the ones passed in, so that what is memoized on the mesh's
     connectivity cannot go stale; ``vertices`` is a view of the array
     passed in (converted where its dtype differs), and the caller's
-    arrays stay writable.
+    arrays stay writable.  Arrays of the wrong shape, coordinates that are
+    not finite and indices that are not integers raise ValueError here;
+    ``validate`` checks the rest.
     """
 
     vertices: np.ndarray
@@ -82,9 +89,14 @@ class TriMesh:
     boundary_tags: tuple[str, ...]
 
     def __post_init__(self):
-        arrays = {"vertices": np.asarray(self.vertices, dtype=float).view(),
-                  "triangles": np.array(self.triangles, dtype=int),
-                  "boundary_edges": np.array(self.boundary_edges, dtype=int)}
+        vertices = np.asarray(self.vertices, dtype=float).view()
+        if vertices.ndim != 2 or vertices.shape[1] != 2:
+            raise ValueError(f"vertices must have shape (n, 2), not {vertices.shape}")
+        if not np.isfinite(vertices).all():
+            raise ValueError("vertex coordinates must be finite")
+        arrays = {"vertices": vertices,
+                  "triangles": _index_array("triangles", self.triangles, 3),
+                  "boundary_edges": _index_array("boundary_edges", self.boundary_edges, 2)}
         for name, array in arrays.items():
             array.flags.writeable = False
             object.__setattr__(self, name, array)
@@ -99,7 +111,8 @@ class TriMesh:
         return self.triangles.shape[0]
 
     def triangle_areas(self) -> np.ndarray:
-        return _signed_areas(self.vertices, self.triangles)
+        a, b, c = (self.vertices[self.triangles[:, k]] for k in range(3))
+        return 0.5 * ((b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1]) - (b[:, 1] - a[:, 1]) * (c[:, 0] - a[:, 0]))
 
     def validate(self) -> None:
         """Check vertex indices, orientation, conformity and the boundary tagging."""
@@ -119,7 +132,7 @@ class TriMesh:
         if np.any(overlap):
             i, j = local[first[overlap][0]]
             raise ValueError(f"edge {i} -> {j} appears twice in the same direction: triangles overlap")
-        got = self.boundary_edges.reshape(-1, 2)
+        got = self.boundary_edges
         if not np.array_equal(boundary, got[np.lexsort(got.T[::-1])]):
             raise ValueError("boundary edges do not cover the topological boundary")
         if len(self.boundary_tags) != len(self.boundary_edges):
@@ -152,9 +165,7 @@ def unit_square_mesh(n: int, neumann_sides: set[str] | frozenset[str] = frozense
     mx, my = (0.5 * (vertices[edges[:, 0]] + vertices[edges[:, 1]])).T
     side = np.select([my == 0.0, my == 1.0, mx == 0.0], ["bottom", "top", "left"], "right")
     tags = np.where(np.isin(side, sorted(neumann_sides)), NEUMANN, DIRICHLET).tolist()
-    mesh = TriMesh(vertices, triangles, edges, tags)
-    mesh.validate()
-    return mesh
+    return TriMesh(vertices, triangles, edges, tags)
 
 
 def disk_mesh(rings: int) -> TriMesh:
@@ -177,6 +188,7 @@ def disk_mesh(rings: int) -> TriMesh:
             verts.append((r * np.cos(theta), r * np.sin(theta)))
     vertices = np.array(verts)
 
+    # Counterclockwise by construction: a triangle's two vertices on one ring run up in angle iff the third is inside it.
     tris: list[tuple[int, int, int]] = []
     # Center fan to ring 1.
     base1 = ring_start[1]
@@ -198,15 +210,8 @@ def disk_mesh(rings: int) -> TriMesh:
                 tris.append((bo + ao % mo, bi + (ai + 1) % mi, bi + ai % mi))
                 ai += 1
     triangles = np.array(tris, dtype=int)
-    # Normalize orientation.
-    areas = _signed_areas(vertices, triangles)
-    flip = areas < 0.0
-    triangles[flip] = triangles[flip][:, [0, 2, 1]]
-
     *_, edges = _edge_table(triangles, len(vertices))
-    mesh = TriMesh(vertices, triangles, edges, (DIRICHLET,) * len(edges))
-    mesh.validate()
-    return mesh
+    return TriMesh(vertices, triangles, edges, (DIRICHLET,) * len(edges))
 
 
 _MEMO = "_connectivity_memo"  # its slot in a mesh's __dict__

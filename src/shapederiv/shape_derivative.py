@@ -169,10 +169,9 @@ def stokes_shape_derivative(
 
 
 def _solve(mesh: TriMesh, f_field: ForceField, start: np.ndarray | None = None) -> tuple[StokesSystem, StokesSolution]:
-    """Assemble and solve, from ``start`` when given; a mesh with no Neumann
-    edge gets the zero-mean pressure."""
+    """Assemble and solve, from ``start`` when given."""
     system = assemble(mesh, f_field)
-    return system, solve_stokes(system, pin_pressure=not len(system.space.neumann_edges), start=start)
+    return system, solve_stokes(system, start=start)
 
 
 def _head(mesh: TriMesh, f_field: ForceField, field: QuadraticField) -> tuple[DerivativeReport, np.ndarray]:

@@ -179,15 +179,6 @@ def _pattern(rows: np.ndarray, cols: np.ndarray, shape: tuple[int, int]) -> _Pat
     return _Pattern(shape, indptr, (unique & ((1 << bits) - 1)).astype(np.int32), slots)
 
 
-def _component_columns(nodes: _Pattern, blocks_shape: tuple[int, ...]) -> _Pattern:
-    """The pattern with every column split into two adjacent ones, the
-    velocity components at a node; the blocks gain a last axis of 2."""
-    pair = np.arange(2, dtype=np.int32)
-    slots = 2 * nodes.slots.reshape(blocks_shape)[..., None] + pair
-    indices = (2 * nodes.indices[:, None] + pair).ravel()
-    return _Pattern((nodes.shape[0], 2 * nodes.shape[1]), 2 * nodes.indptr, indices, slots.ravel())
-
-
 class _Topology:
     """What assembly takes from a mesh's connectivity and boundary tags
     alone: the P2 node numbering, the end vertices of each edge midpoint,
@@ -211,7 +202,7 @@ class _Topology:
         self.midpoint_ends = local[first[order]].T  # (2, number of edges)
         self.num_nodes = nv + order.size
 
-        ends = mesh.boundary_edges.reshape(-1, 2)
+        ends = mesh.boundary_edges
         boundary_keys = _edge_keys(ends, nv)
         pos = np.minimum(np.searchsorted(keys, boundary_keys), keys.size - 1)
         if not np.array_equal(keys[pos], boundary_keys):
@@ -229,8 +220,10 @@ class _Topology:
         free = np.full(self.num_nodes, -1)
         free[self.free_nodes] = np.arange(nf)
         free = free[self.tri_nodes]  # (nt, 6): free index of each element node, -1 on the Dirichlet ones
+        dofs = 2 * free[..., None] + np.arange(2)  # (nt, 6, 2): free dof of each node component
+        dofs[free < 0] = -1
         self.stiffness = _pattern(free[:, :, None], free[:, None, :], (nf, nf))
-        self.pairing = _component_columns(_pattern(t[:, :, None], free[:, None, :], (nv, nf)), (nt, 3, 6))
+        self.pairing = _pattern(t[:, :, None, None], dofs[:, None], (nv, 2 * nf))
         self.mass = _pattern(t[:, :, None], t[:, None, :], (nv, nv))
         for array in (self.tri_nodes, self.midpoint_ends, self.neumann_edges, self.dirichlet_nodes,
                       self.free_nodes, self.free_dofs):
@@ -562,7 +555,7 @@ def _residuals(system: StokesSystem, u: np.ndarray, lam: np.ndarray) -> tuple[fl
 
 def solve_stokes(
     system: StokesSystem,
-    pin_pressure: bool = False,
+    pin_pressure: bool | None = None,
     residual_tol: float = 1e-9,
     *,
     start: np.ndarray | None = None,
@@ -584,16 +577,17 @@ def solve_stokes(
     integral.  A ``start`` of another size raises ``DimensionMismatch``.
 
     With an empty Neumann boundary the pressure is only determined up to a
-    constant; callers must then acknowledge that with ``pin_pressure``,
-    which fixes no pressure value: the solve returns the zero-mean
-    pressure.  With a Neumann edge ``pin_pressure`` is a ``SingularSystem``.
+    constant, and the solve returns the zero-mean pressure; a Neumann edge
+    fixes it.  The mesh decides this gauge: ``pin_pressure`` fixes no
+    pressure value, and when given it must agree, True exactly when the
+    mesh has no Neumann edge, or it raises ``SingularSystem``.
     The factors are the system's, made once.  ``residual_tol`` bounds the
     accepted backward error, with or without ``start``: both defects over
     |L||u| + |B||lam| + |f + g|.  A non-finite load or start, a
     rank-deficient B, a failed factorization, a CG breakdown or a CG run
     past its iteration cap raises ``SingularSystem``.
     """
-    if pin_pressure == bool(len(system.space.neumann_edges)):
+    if pin_pressure is not None and pin_pressure == bool(len(system.space.neumann_edges)):
         raise SingularSystem(
             "Neumann edges fix the pressure; solve with pin_pressure=False" if pin_pressure else
             "no Neumann edges: the pressure is defined up to a constant; solve with pin_pressure=True"

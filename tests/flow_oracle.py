@@ -8,18 +8,24 @@ For the flow phi_s of a velocity Lambda,
 ``expansion_check`` integrates the flow Jacobian with
 ``shapederiv.flow.integrate_flow`` and fits the decay slope of both
 remainders, an oracle for the expansions the shape-derivative kernels
-are built on.  No command of the package runs it.
+are built on.  No command of the package runs it.  ``negated`` gives the
+field whose flow is the inverse map.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
 from shapederiv.flow import QuadraticField, integrate_flow
 from shapederiv.slopes import loglog_slope
+
+
+def negated(field: QuadraticField) -> QuadraticField:
+    """The field with the opposite sign, generating the inverse flow."""
+    return replace(field, coeffs=tuple(tuple(-c for c in row) for row in field.coeffs))
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import mesh_oracle
 import shapederiv as sd
+from flow_oracle import negated
 from shapederiv.flow import CutoffWindow
 from shapederiv.mesh import DIRICHLET, NEUMANN, _edge_table
 
@@ -90,6 +91,72 @@ def test_mesh_arrays_are_read_only():
     assert np.shares_memory(mesh.vertices, vertices)
 
 
+def _one_entry(array, value):
+    """A float copy of ``array`` with its first entry set to ``value``."""
+    array = array.astype(float)
+    array[0, 0] = value
+    return array
+
+
+def _extra_column(array):
+    return np.column_stack([array, array[:, 0]])
+
+
+# case -> (the array replaced, its replacement, the message)
+MALFORMED = {
+    "nan-vertex": ("vertices", lambda m: _one_entry(m.vertices, np.nan), "vertex coordinates must be finite"),
+    "inf-vertex": ("vertices", lambda m: _one_entry(m.vertices, np.inf), "vertex coordinates must be finite"),
+    "3-column-vertices": ("vertices", lambda m: _extra_column(m.vertices),
+                          re.escape("vertices must have shape (n, 2), not (9, 3)")),
+    "4-column-triangles": ("triangles", lambda m: _extra_column(m.triangles),
+                           re.escape("triangles must have shape (n, 3), not (8, 4)")),
+    "3-column-edges": ("boundary_edges", lambda m: _extra_column(m.boundary_edges),
+                       re.escape("boundary_edges must have shape (n, 2), not (8, 3)")),
+    "fractional-triangle-index": ("triangles", lambda m: _one_entry(m.triangles, m.triangles[0, 0] + 0.3),
+                                  "triangles must hold integer vertex indices"),
+    "fractional-edge-index": ("boundary_edges", lambda m: _one_entry(m.boundary_edges, m.boundary_edges[0, 0] + 0.3),
+                              "boundary_edges must hold integer vertex indices"),
+    "nan-index": ("triangles", lambda m: _one_entry(m.triangles, np.nan), "triangles must hold integer vertex indices"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_malformed_arrays_raise_on_construction(case):
+    name, replacement, message = MALFORMED[case]
+    mesh = sd.unit_square_mesh(2)
+    arrays = {"vertices": mesh.vertices, "triangles": mesh.triangles, "boundary_edges": mesh.boundary_edges}
+    arrays[name] = replacement(mesh)
+    with pytest.raises(ValueError, match=message):
+        sd.TriMesh(**arrays, boundary_tags=mesh.boundary_tags)
+
+
+def test_integer_valued_float_indices_are_accepted():
+    mesh = sd.unit_square_mesh(2)
+    again = sd.TriMesh(mesh.vertices, mesh.triangles.astype(float), mesh.boundary_edges.astype(float),
+                       mesh.boundary_tags)
+    again.validate()
+    assert again.triangles.dtype == mesh.triangles.dtype
+    assert np.array_equal(again.triangles, mesh.triangles)
+
+
+# The generators do not validate their output: these sweeps check that it
+# is valid by construction.
+@pytest.mark.parametrize("n", range(1, 25))
+def test_unit_square_meshes_are_valid(n):
+    for k in range(len(sd.mesh._SIDES) + 1):
+        for sides in itertools.combinations(sd.mesh._SIDES, k):
+            mesh = sd.unit_square_mesh(n, set(sides))
+            assert np.all(mesh.triangle_areas() > 0.0)
+            mesh.validate()
+
+
+def test_disk_meshes_are_valid():
+    for rings in range(1, 41):
+        mesh = sd.disk_mesh(rings)
+        assert np.all(mesh.triangle_areas() > 0.0)
+        mesh.validate()
+
+
 def test_transport_zero_field_is_identity():
     mesh = sd.unit_square_mesh(3, {"left"})
     moved = sd.transport_mesh(mesh, sd.ZeroField(), 0.5)
@@ -121,7 +188,7 @@ def test_transport_preserves_structure_and_reverses():
     assert moved.num_triangles == mesh.num_triangles
     assert moved.boundary_tags == mesh.boundary_tags
     assert np.all(moved.triangle_areas() > 0)
-    back = sd.transport_mesh(moved, field.negated(), 0.2)
+    back = sd.transport_mesh(moved, negated(field), 0.2)
     assert np.abs(back.vertices - mesh.vertices).max() <= 1e-8
 
 

@@ -312,12 +312,22 @@ def test_residual_invariants():
 def test_pure_dirichlet_needs_pinning():
     mesh = sd.disk_mesh(2)
     system = sd.assemble(mesh, ConstantForce(value=(0.0, 1.0)))
-    with pytest.raises(sd.SingularSystem):
-        sd.solve_stokes(system)
+    with pytest.raises(sd.SingularSystem, match="pin_pressure=True"):
+        sd.solve_stokes(system, pin_pressure=False)
     sol = sd.solve_stokes(system, pin_pressure=True)
     weights = pressure_integral_weights(system.space)
     assert abs(weights @ sol.lam) <= 1e-12  # zero-mean representative
     assert sol.residual_divergence <= 1e-9
+
+
+@pytest.mark.parametrize("clamped", [True, False], ids=["disk", "right-neumann"])
+def test_the_default_gauge_is_the_mesh_s(clamped):
+    mesh = sd.disk_mesh(3) if clamped else sd.unit_square_mesh(8, {"right"})
+    system = sd.assemble(mesh, sd.TrigForce())
+    default, explicit = sd.solve_stokes(system), sd.solve_stokes(system, pin_pressure=clamped)
+    assert default.u.tobytes() == explicit.u.tobytes()
+    assert default.lam.tobytes() == explicit.lam.tobytes()
+    assert default.iterations == explicit.iterations
 
 
 def test_pure_dirichlet_gradient_force_zero_velocity():
