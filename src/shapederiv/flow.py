@@ -135,8 +135,6 @@ class QuadraticField:
         return v
 
     def _jacobian(self, p):
-        if self._affine:
-            return np.broadcast_to(self.matrix(), p.shape[:-1] + (2, 2)).copy()
         x, y = p[..., 0], p[..., 1]
         jac = np.empty(p.shape[:-1] + (2, 2))
         for i, (_, c1, c2, c3, c4, c5) in enumerate(self._c):

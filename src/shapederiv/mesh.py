@@ -79,8 +79,9 @@ class TriMesh:
     connectivity cannot go stale; ``vertices`` is a view of the array
     passed in (converted where its dtype differs), and the caller's
     arrays stay writable.  Arrays of the wrong shape, coordinates that are
-    not finite and indices that are not integers raise ValueError here;
-    ``validate`` checks the rest.
+    not finite, indices that are not integers, and boundary tags that are
+    not one ``"D"`` or ``"N"`` per edge raise ValueError here, at
+    construction; ``validate`` checks the rest.
     """
 
     vertices: np.ndarray
@@ -100,7 +101,13 @@ class TriMesh:
         for name, array in arrays.items():
             array.flags.writeable = False
             object.__setattr__(self, name, array)
-        object.__setattr__(self, "boundary_tags", tuple(self.boundary_tags))
+        tags = tuple(self.boundary_tags)
+        if len(tags) != len(arrays["boundary_edges"]):
+            raise ValueError("each boundary edge needs exactly one tag")
+        bad = set(tags) - {DIRICHLET, NEUMANN}
+        if bad:
+            raise ValueError(f"unknown boundary tags {bad!r}")
+        object.__setattr__(self, "boundary_tags", tags)
 
     @property
     def num_vertices(self) -> int:
@@ -115,7 +122,7 @@ class TriMesh:
         return 0.5 * ((b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1]) - (b[:, 1] - a[:, 1]) * (c[:, 0] - a[:, 0]))
 
     def validate(self) -> None:
-        """Check vertex indices, orientation, conformity and the boundary tagging."""
+        """Check vertex indices, orientation, conformity and the boundary edges."""
         nv = self.num_vertices
         for name, ids in (("triangle", self.triangles), ("boundary edge", self.boundary_edges)):
             if ids.size and (ids.min() < 0 or ids.max() >= nv):
@@ -135,11 +142,6 @@ class TriMesh:
         got = self.boundary_edges
         if not np.array_equal(boundary, got[np.lexsort(got.T[::-1])]):
             raise ValueError("boundary edges do not cover the topological boundary")
-        if len(self.boundary_tags) != len(self.boundary_edges):
-            raise ValueError("each boundary edge needs exactly one tag")
-        bad = set(self.boundary_tags) - {DIRICHLET, NEUMANN}
-        if bad:
-            raise ValueError(f"unknown boundary tags {bad!r}")
 
 
 def unit_square_mesh(n: int, neumann_sides: set[str] | frozenset[str] = frozenset()) -> TriMesh:
@@ -214,19 +216,21 @@ def disk_mesh(rings: int) -> TriMesh:
     return TriMesh(vertices, triangles, edges, (DIRICHLET,) * len(edges))
 
 
-_MEMO = "_connectivity_memo"  # its slot in a mesh's __dict__
 _T = TypeVar("_T")
+_TOPOLOGY = "_topology"  # a mesh's slot for the assembly topology, which ``transport_mesh`` hands on
 
 
-def _connectivity_memo(mesh: TriMesh, build: Callable[[TriMesh], _T]) -> _T:
-    """``build(mesh)``, built on first use and memoized on the mesh; it must
-    depend on the connectivity and boundary tags alone, which
-    ``transport_mesh`` keeps, so the moved mesh is handed it.  A mesh
-    holds one such memo: the assembly topology of ``stokes_fem``."""
-    memo = mesh.__dict__.get(_MEMO)
+def _memo(owner, slot: str, build: Callable[..., _T]) -> _T:
+    """``build(owner)``, built on first use and memoized in ``owner``'s
+    ``__dict__`` under ``slot``, which works on frozen dataclasses too.
+    The memo is one assignment, without a lock, so concurrent callers at
+    worst build it twice.  ``functools.cached_property`` is not used: before
+    Python 3.12 it holds one lock per class, which would serialize the
+    builds of different owners, such as the factorizations of the systems
+    that ``fd_verify`` solves concurrently."""
+    memo = owner.__dict__.get(slot)
     if memo is None:
-        memo = build(mesh)
-        mesh.__dict__[_MEMO] = memo  # one assignment: concurrent callers at worst build it twice
+        memo = owner.__dict__[slot] = build(owner)
     return memo
 
 
@@ -242,8 +246,8 @@ def transport_mesh(mesh: TriMesh, field: QuadraticField, s: float, steps: int = 
     moved = TriMesh(points, mesh.triangles, mesh.boundary_edges, mesh.boundary_tags)
     if np.any(moved.triangle_areas() <= 0.0):
         raise InvertedElement(f"transport by s={s} flipped a triangle")
-    if _MEMO in mesh.__dict__:
-        moved.__dict__[_MEMO] = mesh.__dict__[_MEMO]
+    if _TOPOLOGY in mesh.__dict__:
+        moved.__dict__[_TOPOLOGY] = mesh.__dict__[_TOPOLOGY]
     return moved
 
 

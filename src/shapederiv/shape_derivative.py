@@ -133,7 +133,7 @@ def _shape_gradient(system: StokesSystem, solved: StokesSolution) -> np.ndarray:
     # Per element, sum_q coef of (grad u)'grad u, of f.u and of lambda grad u; then T_E' and T_lam'.
     gram = np.swapaxes((coef[..., None, None] * grad_u).reshape(nt, 2 * nq, 2), 1, 2) @ grad_u.reshape(nt, 2 * nq, 2)
     work = np.vecdot(coef[..., None] * f_vals, u_q).sum(axis=1)
-    lam_grad = ((coef * space.pressure_at_quad(solved.lam))[:, None] @ grad_u.reshape(nt, nq, 4)).reshape(nt, 2, 2)
+    lam_grad = ((coef * (solved.lam[tri] @ _P1_VALS.T))[:, None] @ grad_u.reshape(nt, nq, 4)).reshape(nt, 2, 2)
     traces = np.stack([0.5 * np.trace(gram, axis1=1, axis2=2) - work, -np.trace(lam_grad, axis1=1, axis2=2)])
     tensors = traces[..., None, None] * np.eye(2) + np.stack([-gram, lam_grad])  # (2, nt, 2, 2)
 

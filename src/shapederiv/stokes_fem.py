@@ -15,9 +15,9 @@ along a contraction path, so that it costs what its arithmetic costs; the
 direct einsum forms are kept as test oracles.  Element blocks become
 global arrays by one ``np.bincount``, which adds in input order: vectors
 into the velocity dofs (``FunctionSpace.load_vector``), matrices into the
-data slots of a fixed CSR pattern (``FunctionSpace.stiffness_matrix``,
-``.pairing_matrix`` and ``pressure_mass_matrix``), whose position map
-sends entries on a Dirichlet row or column to a discarded slot.  The
+data slots of a fixed CSR pattern (``_Pattern.matrix``, for L and B in
+``assemble`` and for ``pressure_mass_matrix``), whose position map sends
+entries on a Dirichlet row or column to a discarded slot.  The
 patterns, the node numbering and the free dofs depend on the connectivity
 alone: a mesh's ``_Topology`` holds them, built once per connectivity by
 one argsort of the entries' keys and shared by every mesh that
@@ -54,7 +54,7 @@ import scipy.sparse.linalg as spla
 from ._norms import norm2
 from .errors import DimensionMismatch, EmptyDirichletBoundary, SingularSystem
 from .fields import ForceField, ManufacturedStokes
-from .mesh import DIRICHLET, TriMesh, _connectivity_memo, _edge_keys, _edge_table, unit_square_mesh
+from .mesh import _TOPOLOGY, DIRICHLET, TriMesh, _edge_keys, _edge_table, _memo, unit_square_mesh
 
 __all__ = [
     "FunctionSpace",
@@ -182,11 +182,11 @@ def _pattern(rows: np.ndarray, cols: np.ndarray, shape: tuple[int, int]) -> _Pat
 class _Topology:
     """What assembly takes from a mesh's connectivity and boundary tags
     alone: the P2 node numbering, the end vertices of each edge midpoint,
-    the Neumann edges, the Dirichlet and free nodes and dofs, and the
-    patterns of the scalar stiffness L (free x free nodes), the pairing B
-    (vertices x free dofs) and the pressure mass matrix M.  Its arrays are
-    read-only, as the mesh's are, since meshes of one connectivity share it
-    (see ``mesh._connectivity_memo``)."""
+    the Neumann edges, the free nodes and dofs, and the patterns of the
+    scalar stiffness L (free x free nodes), the pairing B (vertices x free
+    dofs) and the pressure mass matrix M.  Its arrays are read-only, as the
+    mesh's are, since meshes of one connectivity share it (see
+    ``FunctionSpace`` and ``mesh.transport_mesh``)."""
 
     def __init__(self, mesh: TriMesh):
         t = mesh.triangles
@@ -212,7 +212,6 @@ class _Topology:
         self.neumann_edges = edges[~on_dirichlet]  # (k, 3): start, end and midpoint node
         dirichlet = np.zeros(self.num_nodes, dtype=bool)
         dirichlet[edges[on_dirichlet]] = True
-        self.dirichlet_nodes = np.flatnonzero(dirichlet)
         self.free_nodes = np.flatnonzero(~dirichlet)
         self.free_dofs = (2 * self.free_nodes[:, None] + np.arange(2)).ravel()
 
@@ -225,8 +224,7 @@ class _Topology:
         self.stiffness = _pattern(free[:, :, None], free[:, None, :], (nf, nf))
         self.pairing = _pattern(t[:, :, None, None], dofs[:, None], (nv, 2 * nf))
         self.mass = _pattern(t[:, :, None], t[:, None, :], (nv, nv))
-        for array in (self.tri_nodes, self.midpoint_ends, self.neumann_edges, self.dirichlet_nodes,
-                      self.free_nodes, self.free_dofs):
+        for array in (self.tri_nodes, self.midpoint_ends, self.neumann_edges, self.free_nodes, self.free_dofs):
             array.flags.writeable = False
 
 
@@ -247,15 +245,13 @@ class FunctionSpace:
         self.mesh = mesh
         v, t = mesh.vertices, mesh.triangles
         nt = mesh.num_triangles
-        topology = self._topology = _connectivity_memo(mesh, _Topology)
+        topology = self._topology = _memo(mesh, _TOPOLOGY, _Topology)
         self.tri_nodes = topology.tri_nodes
         a, b = topology.midpoint_ends
         self.node_coords = np.vstack([v, 0.5 * (v[a] + v[b])])
         self.num_nodes = topology.num_nodes
         self.num_pressure = mesh.num_vertices
         self.neumann_edges = topology.neumann_edges
-        self.dirichlet_nodes = topology.dirichlet_nodes
-        self.free_nodes = topology.free_nodes
         self.free_dofs = topology.free_dofs
         self.num_velocity = self.free_dofs.size
 
@@ -290,20 +286,6 @@ class FunctionSpace:
         coeffs = full.reshape(-1, 2)[self.tri_nodes]  # (nt, 6, 2)
         return np.einsum("tai,tqaj->tqij", coeffs, self.phys_grads, optimize=True)
 
-    def pressure_at_quad(self, lam: np.ndarray) -> np.ndarray:
-        """P1 pressure values at every quadrature point: (nt, nq)."""
-        return lam[self.mesh.triangles] @ _P1_VALS.T
-
-    def stiffness_matrix(self, ke: np.ndarray) -> sparse.csr_matrix:
-        """Scalar matrix on the free nodes from P2 blocks (nt, 6, 6); the
-        velocity matrix is its Kronecker product with I_2."""
-        return self._topology.stiffness.matrix(ke)
-
-    def pairing_matrix(self, be: np.ndarray) -> sparse.csr_matrix:
-        """Pressure-by-velocity matrix on the free dofs from P1 x P2 blocks
-        (nt, 3, 6, 2): vertex pressure, velocity node, component."""
-        return self._topology.pairing.matrix(be)
-
     def load_vector(self, blocks: np.ndarray, nodes: np.ndarray | None = None) -> np.ndarray:
         """Load vector on the free dofs: blocks (..., 2) summed in order into
         the velocity dofs of ``nodes``, by default the triangles' (nt, 6)."""
@@ -336,12 +318,7 @@ class StokesSystem:
         return sparse.kron(self.L, sparse.identity(2), format="csr")
 
     def _schur(self) -> "_SchurComplement":
-        # Memoized by hand: before Python 3.12 functools' cached property
-        # takes one lock per class, which would serialize the
-        # factorizations of different systems.
-        if "_schur_complement" not in self.__dict__:
-            self.__dict__["_schur_complement"] = _SchurComplement(self)
-        return self.__dict__["_schur_complement"]
+        return _memo(self, "_schur_complement", _SchurComplement)
 
 
 @dataclass(frozen=True)
@@ -372,8 +349,9 @@ def assemble(mesh: TriMesh, f_field: ForceField, g_field: ForceField | None = No
     # sum_q coef grad(phi_a).grad(phi_b), one 6x6 product per component;
     # sum_q coef psi_p grad(phi_a); and sum_q coef phi_a f.
     weighted = pg * coef[:, :, None, None]
-    L = space.stiffness_matrix(sum(np.swapaxes(weighted[..., i], 1, 2) @ pg[..., i] for i in range(2)))
-    B = space.pairing_matrix(((coef[:, None, :] * _P1_VALS.T) @ pg.reshape(nt, -1, 12)).reshape(nt, 3, 6, 2))
+    topology = space._topology
+    L = topology.stiffness.matrix(sum(np.swapaxes(weighted[..., i], 1, 2) @ pg[..., i] for i in range(2)))
+    B = topology.pairing.matrix(((coef[:, None, :] * _P1_VALS.T) @ pg.reshape(nt, -1, 12)).reshape(nt, 3, 6, 2))
     f_vals = f_field.evaluate(space.quad_points)  # (nt, nq, 2)
     f = space.load_vector(_P2_VALS.T @ (coef[:, :, None] * f_vals))
 
@@ -456,7 +434,7 @@ class _SchurComplement:
         weights = np.asarray(self.M.sum(axis=0)).ravel()  # the integrals of the P1 hat functions
         return x - (weights @ x) / weights.sum()
 
-    def cg(self, b: np.ndarray, start: tuple | None = None) -> tuple[np.ndarray, int, list, list]:
+    def cg(self, b: np.ndarray, energy: tuple | None = None) -> tuple[np.ndarray, int, list, list]:
         """Mass-preconditioned CG on S x = b.
 
         Returns x, the iteration count, and the search directions p with
@@ -466,17 +444,16 @@ class _SchurComplement:
         (Kaasschieter, J. Comput. Appl. Math. 24, 1988); as 1'M M^-1 r =
         1'r = 0, every direction, and x, has zero pressure integral.
 
-        ``start = (x0, q, w)`` starts the iteration from the pressure x0,
-        with q = f + g + B'x0 and w = A^-1 q: b is then the residual -B w
-        of x0, x is ``zero_integral(x0)`` plus the correction that CG finds
-        from b, and -1/2 q'w is the dual value at x0.  At a CG iterate the
-        dual value falls short of its maximum by 1/2 |x* - x_k|_S^2, and
-        step j raises it by 1/2 alpha_j r_j'z_j (Hestenes and Stiefel 1952),
-        so the sum over _CG_DELAY steps from x_k is a lower estimate of that
-        error (Strakos and Tichy, ETNA 13, 2002).  With ``start`` CG stops,
-        with the current iterate, once that estimate is at most _CG_ETOL
-        times the dual value at x_k, or on the residual rule, whichever
-        comes first.
+        ``energy = (q, w)`` is for a b that is the residual -B w of a
+        start pressure x0, with q = f + g + B'x0 and w = A^-1 q; x is then
+        the correction to x0, and -1/2 q'w is the dual value at x0.  At a CG
+        iterate the dual value falls short of its maximum by 1/2 |x* -
+        x_k|_S^2, and step j raises it by 1/2 alpha_j r_j'z_j (Hestenes and
+        Stiefel 1952), so the sum over _CG_DELAY steps from x_k is a lower
+        estimate of that error (Strakos and Tichy, ETNA 13, 2002).  With
+        ``energy`` CG stops, with the current iterate, once that estimate is
+        at most _CG_ETOL times the dual value at x_k, or on the residual
+        rule, whichever comes first.
 
         The iteration runs on b / 2^e, e the binary exponent of b's largest
         entry, and returns 2^e times its x.  Scaling by a power of two is
@@ -496,17 +473,14 @@ class _SchurComplement:
         z = self.precondition(r)
         p = z.copy()
         rz = float(r @ z)
-        if start is not None:
-            x0, q, w = start
-            dual0 = -0.5 * float(np.ldexp(q, -exp) @ np.ldexp(w, -exp))
+        dual0 = None if energy is None else -0.5 * float(np.ldexp(energy[0], -exp) @ np.ldexp(energy[1], -exp))
         directions, products, gains = [], [], []  # gains[j] = 1/2 alpha_j r_j'z_j
         for iteration in range(_CG_MAX_ITER + 1):
             lag = iteration - _CG_DELAY  # gains[lag:] estimates the energy error of x_lag
             if np.linalg.norm(r) <= stop or (
-                start is not None and lag >= 0 and sum(gains[lag:]) <= _CG_ETOL * abs(dual0 + sum(gains[:lag]))
+                dual0 is not None and lag >= 0 and sum(gains[lag:]) <= _CG_ETOL * abs(dual0 + sum(gains[:lag]))
             ):
-                x = np.ldexp(x, exp)
-                return (x if start is None else self.zero_integral(x0) + x), iteration, directions, products
+                return np.ldexp(x, exp), iteration, directions, products
             if iteration == _CG_MAX_ITER:
                 break
             sp = self.apply(p)
@@ -598,12 +572,11 @@ def solve_stokes(
     if start is not None and np.shape(start) != system.B.shape[:1]:
         raise DimensionMismatch(f"start pressure has shape {np.shape(start)}, the system expects {system.B.shape[:1]}")
     schur = system._schur()
-    if start is None:
-        lam, iterations, _, _ = schur.cg(-(schur.B @ schur.solve_velocity(rhs_u)))
-    else:
-        load = rhs_u + schur.Bt @ start
-        velocity = schur.solve_velocity(load)
-        lam, iterations, _, _ = schur.cg(-(schur.B @ velocity), start=(start, load, velocity))
+    load = rhs_u if start is None else rhs_u + schur.Bt @ start
+    velocity = schur.solve_velocity(load)
+    lam, iterations, _, _ = schur.cg(-(schur.B @ velocity), None if start is None else (load, velocity))
+    if start is not None:
+        lam = schur.zero_integral(start) + lam
     u = schur.solve_velocity(rhs_u + schur.Bt @ lam)
 
     r_mom, r_div, error = _residuals(system, u, lam)

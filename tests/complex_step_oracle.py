@@ -54,8 +54,8 @@ def shape_derivative(space, field, force, u, lam, step=STEP):
     """L1 = 1/2 u'A1 u - f1'u - lam'B1 u by the complex step, and its
     roundoff scale, the same sum over absolute values."""
     stiffness, pairing, load = perturbation_blocks(space, field, force, step)
-    A1 = space.stiffness_matrix(stiffness)
-    B1, f1 = space.pairing_matrix(pairing), space.load_vector(load)
+    A1 = space._topology.stiffness.matrix(stiffness)
+    B1, f1 = space._topology.pairing.matrix(pairing), space.load_vector(load)
     grid, abs_grid = u.reshape(-1, 2), abs(u).reshape(-1, 2)
     value = 0.5 * np.vdot(grid, A1 @ grid) - f1 @ u - lam @ (B1 @ u)
     scale = 0.5 * np.vdot(abs_grid, abs(A1) @ abs_grid) + abs(f1) @ abs(u) + abs(lam) @ (abs(B1) @ abs(u))

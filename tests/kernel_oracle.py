@@ -111,16 +111,16 @@ def _dense_sum(rows, cols, blocks, shape):
 
 
 def stiffness_matrix(space, blocks):
-    """``FunctionSpace.stiffness_matrix`` as a dense array: P2 blocks (nt, 6,
-    6) over all nodes, then the free rows and columns."""
+    """The stiffness pattern's ``matrix`` as a dense array: P2 blocks (nt,
+    6, 6) over all nodes, then the free rows and columns."""
     nodes = space.tri_nodes
     full = _dense_sum(nodes[:, :, None], nodes[:, None, :], blocks, (space.num_nodes, space.num_nodes))
-    return full[np.ix_(space.free_nodes, space.free_nodes)]
+    return full[np.ix_(space._topology.free_nodes, space._topology.free_nodes)]
 
 
 def pairing_matrix(space, blocks):
-    """``FunctionSpace.pairing_matrix`` as a dense array: blocks (nt, 3, 6, 2)
-    over all velocity dofs, then the free columns."""
+    """The pairing pattern's ``matrix`` as a dense array: blocks (nt, 3, 6,
+    2) over all velocity dofs, then the free columns."""
     rows = space.mesh.triangles[:, :, None, None]
     cols = 2 * space.tri_nodes[:, None, :, None] + np.arange(2)
     return _dense_sum(rows, cols, blocks, (space.num_pressure, 2 * space.num_nodes))[:, space.free_dofs]

@@ -76,8 +76,8 @@ def assemble_perturbation_matrices(space, field, f_field) -> PerturbationMatrice
     f1_vals = div[..., None] * f_vals + np.einsum("tqij,tqj->tqi", f_grad, vel)
     f1e = np.einsum("tq,qa,tqc->tac", coef, _P2_VALS, f1_vals)
     return PerturbationMatrices(
-        A1=sparse.kron(space.stiffness_matrix(a1e), sparse.identity(2), format="csr"),
-        B1=space.pairing_matrix(b1e),
+        A1=sparse.kron(space._topology.stiffness.matrix(a1e), sparse.identity(2), format="csr"),
+        B1=space._topology.pairing.matrix(b1e),
         f1=space.load_vector(f1e),
     )
 
@@ -87,5 +87,5 @@ def transport_pairing_matrix(space, field) -> sparse.csr_matrix:
     transport part of the B1 kernel, assembled on its own."""
     grad, _ = _field_kernels(space, field)
     te = np.einsum("tq,qp,tqjc,tqaj->tpac", space.quad_coef, _P1_VALS, grad, space.phys_grads)
-    return space.pairing_matrix(te)
+    return space._topology.pairing.matrix(te)
 

@@ -36,8 +36,8 @@ def _kernel_pairs(mesh, u_values, coeffs):
     u = np.resize(u_values, space.num_velocity)
     f_vals = force.evaluate(space.quad_points)
     lam = np.sin(np.arange(space.num_pressure))
-    stiffness = [space.stiffness_matrix(b) for b in oracle.stiffness_blocks(space)]
-    pairing = [space.pairing_matrix(b) for b in oracle.pairing_blocks(space)]
+    stiffness = [space._topology.stiffness.matrix(b) for b in oracle.stiffness_blocks(space)]
+    pairing = [space._topology.pairing.matrix(b) for b in oracle.pairing_blocks(space)]
     load = [space.load_vector(b) for b in oracle.load_blocks(space, f_vals)]
     fast = sd.QuadraticField(coeffs=coeffs)
     stacked = oracle.StackedQuadraticField(coeffs=coeffs)
@@ -48,7 +48,7 @@ def _kernel_pairs(mesh, u_values, coeffs):
         "pairing": (system.B, *pairing),
         "load": (system.f, *load),
         "velocity_gradients": (space.element_velocity_gradients(u), *oracle.velocity_gradients(space, u)),
-        "pressure_values": (space.pressure_at_quad(lam), *oracle.pressure_values(space, lam)),
+        "pressure_values": (lam[mesh.triangles] @ _P1_VALS.T, *oracle.pressure_values(space, lam)),
         "quadratic_value": (fast.evaluate(space.quad_points), stacked.evaluate(space.quad_points), value_scale),
         "quadratic_gradient": (fast.gradient(space.quad_points), stacked.gradient(space.quad_points), jacobian_scale),
     }
@@ -163,8 +163,8 @@ def test_matrices_sum_in_the_oracles_order(jitter, sides, data):
     stiffness, pairing, mass = blocks((nt, 6, 6)), blocks((nt, 3, 6, 2)), blocks((nt, 3, 3))
     own_mass = np.einsum("tq,qp,qr->tpr", space.quad_coef, _P1_VALS, _P1_VALS, optimize=True)  # the package's kernel
     for matrix, expected in (
-        (space.stiffness_matrix(stiffness), oracle.stiffness_matrix(space, stiffness)),
-        (space.pairing_matrix(pairing), oracle.pairing_matrix(space, pairing)),
+        (space._topology.stiffness.matrix(stiffness), oracle.stiffness_matrix(space, stiffness)),
+        (space._topology.pairing.matrix(pairing), oracle.pairing_matrix(space, pairing)),
         (space._topology.mass.matrix(mass), oracle.mass_matrix(space, mass)),
         (pressure_mass_matrix(space), oracle.mass_matrix(space, own_mass)),
     ):

@@ -102,7 +102,9 @@ def _extra_column(array):
     return np.column_stack([array, array[:, 0]])
 
 
-# case -> (the array replaced, its replacement, the message)
+# case -> (the argument replaced, its replacement, the message).  The tags
+# are checked here too: unchecked, a tuple one short fails in the assembly's
+# topology build with an IndexError, and an unknown tag assembles as Neumann.
 MALFORMED = {
     "nan-vertex": ("vertices", lambda m: _one_entry(m.vertices, np.nan), "vertex coordinates must be finite"),
     "inf-vertex": ("vertices", lambda m: _one_entry(m.vertices, np.inf), "vertex coordinates must be finite"),
@@ -117,6 +119,8 @@ MALFORMED = {
     "fractional-edge-index": ("boundary_edges", lambda m: _one_entry(m.boundary_edges, m.boundary_edges[0, 0] + 0.3),
                               "boundary_edges must hold integer vertex indices"),
     "nan-index": ("triangles", lambda m: _one_entry(m.triangles, np.nan), "triangles must hold integer vertex indices"),
+    "tag-missing": ("boundary_tags", lambda m: m.boundary_tags[:-1], "each boundary edge needs exactly one tag"),
+    "unknown-tag": ("boundary_tags", lambda m: ("X",) + m.boundary_tags[1:], re.escape("unknown boundary tags {'X'}")),
 }
 
 
@@ -124,10 +128,11 @@ MALFORMED = {
 def test_malformed_arrays_raise_on_construction(case):
     name, replacement, message = MALFORMED[case]
     mesh = sd.unit_square_mesh(2)
-    arrays = {"vertices": mesh.vertices, "triangles": mesh.triangles, "boundary_edges": mesh.boundary_edges}
+    arrays = {"vertices": mesh.vertices, "triangles": mesh.triangles, "boundary_edges": mesh.boundary_edges,
+              "boundary_tags": mesh.boundary_tags}
     arrays[name] = replacement(mesh)
     with pytest.raises(ValueError, match=message):
-        sd.TriMesh(**arrays, boundary_tags=mesh.boundary_tags)
+        sd.TriMesh(**arrays)
 
 
 def test_integer_valued_float_indices_are_accepted():

@@ -50,7 +50,7 @@ def test_space_dof_counts_unit_square():
         k for k, (x, y) in enumerate(space.node_coords)
         if (x == 0.0 or y == 0.0 or y == 1.0)
     ]
-    assert set(space.dirichlet_nodes) == set(on_dirichlet)
+    assert set(range(space.num_nodes)) - set(space._topology.free_nodes) == set(on_dirichlet)
     assert space.num_velocity == 2 * (space.num_nodes - len(on_dirichlet))
 
 
@@ -122,7 +122,7 @@ def test_dof_numbering_matches_first_appearance(mesh):
     assert np.array_equal(space.tri_nodes, tri_nodes)
     assert np.array_equal(space.node_coords, node_coords)
     assert np.array_equal(space.neumann_edges, neumann)
-    assert np.array_equal(space.dirichlet_nodes, dirichlet)
+    assert np.array_equal(np.setdiff1d(np.arange(space.num_nodes), space._topology.free_nodes), dirichlet)
 
 
 def test_boundary_edge_outside_triangulation_rejected():
