@@ -122,7 +122,8 @@ class TriMesh:
         return 0.5 * ((b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1]) - (b[:, 1] - a[:, 1]) * (c[:, 0] - a[:, 0]))
 
     def validate(self) -> None:
-        """Check vertex indices, orientation, conformity and the boundary edges."""
+        """Check vertex indices, orientation, conformity, the boundary edges
+        and that every vertex belongs to a triangle."""
         nv = self.num_vertices
         for name, ids in (("triangle", self.triangles), ("boundary edge", self.boundary_edges)):
             if ids.size and (ids.min() < 0 or ids.max() >= nv):
@@ -142,6 +143,9 @@ class TriMesh:
         got = self.boundary_edges
         if not np.array_equal(boundary, got[np.lexsort(got.T[::-1])]):
             raise ValueError("boundary edges do not cover the topological boundary")
+        unused = np.flatnonzero(np.bincount(self.triangles.ravel(), minlength=nv) == 0)
+        if unused.size:
+            raise ValueError(f"vertex {unused[0]} belongs to no triangle")
 
 
 def unit_square_mesh(n: int, neumann_sides: set[str] | frozenset[str] = frozenset()) -> TriMesh:

@@ -13,17 +13,17 @@ and three-point Gauss edges.  Every element kernel is a sum over the
 quadrature points, evaluated as a batched matrix product or as an einsum
 along a contraction path, so that it costs what its arithmetic costs; the
 direct einsum forms are kept as test oracles.  Element blocks become
-global arrays by one ``np.bincount``, which adds in input order: vectors
+global arrays by ``np.bincount``, which adds in input order: vectors
 into the velocity dofs (``FunctionSpace.load_vector``), matrices into the
 data slots of a fixed CSR pattern (``_Pattern.matrix``, for L and B in
-``assemble`` and for ``pressure_mass_matrix``), whose position map sends
-entries on a Dirichlet row or column to a discarded slot.  The
-patterns, the node numbering and the free dofs depend on the connectivity
-alone: a mesh's ``_Topology`` holds them, built once per connectivity by
-one argsort of the entries' keys and shared by every mesh that
-``transport_mesh`` moves from it; only the element geometry is computed
-per mesh.  The state system and its perturbation share these, so they
-pair dof for dof, and assemblies are bit-identical.
+``assemble`` and for ``pressure_mass_matrix``): parts of one pattern of
+node pairs, whose slot maps discard entries on a Dirichlet row or
+column.  The patterns, the node numbering and the free dofs depend on
+the connectivity alone: a mesh's ``_Topology`` holds them, built once
+per connectivity by one argsort of the node pairs' keys and shared by
+every mesh that ``transport_mesh`` moves from it; only the element
+geometry is computed per mesh.  The state system and its perturbation
+share these, so they pair dof for dof, and assemblies are bit-identical.
 
 Both velocity components vanish on the same Dirichlet nodes, so the
 stiffness is A = kron(L, I_2), L the scalar P2 Laplacian on the free
@@ -135,13 +135,13 @@ _EDGE_P2 = _edge_p2_values(_EDGE_T)  # (3 quad, 3 nodes: start, end, mid)
 class _Pattern:
     """A fixed CSR sparsity pattern: ``indptr`` and sorted, duplicate-free
     ``indices``, and for every entry of the element blocks, in their order,
-    the data slot it is summed into.  Entries left out of the matrix go to
-    slots from nnz on, which are discarded."""
+    the data slot s it is summed into, or component i of c into data entry
+    c s + i; slots from nnz / c on are discarded."""
 
     shape: tuple[int, int]
     indptr: np.ndarray
     indices: np.ndarray
-    slots: np.ndarray  # int32, one per block entry
+    slots: np.ndarray  # int32, one per block entry, in the blocks' shape
 
     def __post_init__(self):
         for array in (self.indptr, self.indices, self.slots):
@@ -149,44 +149,49 @@ class _Pattern:
 
     def matrix(self, blocks: np.ndarray) -> sparse.csr_matrix:
         """The blocks summed into their slots in input order, as in
-        ``FunctionSpace.load_vector``."""
-        nnz = self.indices.size
-        data = np.bincount(self.slots, blocks.ravel(), minlength=nnz)[:nnz]
-        return sparse.csr_matrix((data, self.indices, self.indptr), shape=self.shape)
+        ``FunctionSpace.load_vector``, one component at a time."""
+        blocks = blocks.reshape(self.slots.size, -1)  # a column per component
+        nnz = self.indices.size // blocks.shape[1]
+        data = np.column_stack([np.bincount(self.slots.ravel(), c, minlength=nnz)[:nnz] for c in blocks.T])
+        return sparse.csr_matrix((data.ravel(), self.indices, self.indptr), shape=self.shape)
+
+    def restrict(self, rows: np.ndarray, cols: np.ndarray, slots: np.ndarray, width: int = 1) -> _Pattern:
+        """The part on the increasing index arrays ``rows`` and ``cols``,
+        renumbered from 0, with ``width`` columns per column, for entries of
+        these ``slots`` here; each keeps its order, so its slot is its rank."""
+        row, col = np.full(self.shape[0], -1, np.int32), np.full(self.shape[1], -1, np.int32)
+        row[rows], col[cols] = np.arange(rows.size), np.arange(cols.size)
+        row, col = row[np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))], col[self.indices]
+        kept = (row >= 0) & (col >= 0)
+        rank = np.where(kept, np.cumsum(kept, dtype=np.int32) - 1, kept.sum(dtype=np.int32))
+        indptr = width * np.searchsorted(row[kept], np.arange(rows.size + 1)).astype(np.int32)
+        indices = (width * col[kept, None] + np.arange(width, dtype=np.int32)).ravel()
+        return _Pattern((rows.size, width * cols.size), indptr, indices, rank[slots])
 
 
-def _pattern(rows: np.ndarray, cols: np.ndarray, shape: tuple[int, int]) -> _Pattern:
-    """The pattern of element-block entries at (``rows``, ``cols``),
-    broadcast against each other; an entry with a negative row or column
-    index is left out.  One argsort of the keys row * 2^c + column, c the
-    bits of a column index, on which the left out entries come last; an
-    entry's slot is the rank of its key."""
-    n_rows, n_cols = shape
-    bits = max(n_cols, 1).bit_length()
-    out = n_rows << bits  # above every kept key
-    keys = (np.where(rows < 0, out, rows.astype(np.int64) << bits) + np.where(cols < 0, out, cols)).ravel()
+def _pattern(nodes: np.ndarray, n: int) -> _Pattern:
+    """The n x n pattern of the node pairs (nodes[t, a], nodes[t, b]), with
+    slots in the shape (t, a, b): one argsort of the keys row * n + column;
+    an entry's slot is the rank of its key."""
+    keys = (nodes[:, :, None].astype(np.int64) * n + nodes[:, None, :]).ravel()
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
-    kept = keys[: np.searchsorted(keys, out)]
-    first = np.empty(kept.size, dtype=bool)
-    first[:1] = True
-    np.not_equal(kept[1:], kept[:-1], out=first[1:])
-    unique = np.compress(first, kept)
+    first = np.diff(keys, prepend=-1) != 0  # the keys are >= 0
     slots = np.empty(keys.size, dtype=np.int32)
-    slots[order[: kept.size]] = np.cumsum(first, dtype=np.int32) - 1
-    slots[order[kept.size :]] = unique.size
-    indptr = np.searchsorted(unique, np.arange(n_rows + 1) << bits).astype(np.int32)
-    return _Pattern(shape, indptr, (unique & ((1 << bits) - 1)).astype(np.int32), slots)
+    slots[order] = np.cumsum(first, dtype=np.int32) - 1
+    unique = keys[first]
+    indptr = np.searchsorted(unique, np.arange(n + 1) * n).astype(np.int32)
+    return _Pattern((n, n), indptr, (unique % n).astype(np.int32), slots.reshape(nodes.shape + nodes.shape[-1:]))
 
 
 class _Topology:
     """What assembly takes from a mesh's connectivity and boundary tags
     alone: the P2 node numbering, the end vertices of each edge midpoint,
     the Neumann edges, the free nodes and dofs, and the patterns of the
-    scalar stiffness L (free x free nodes), the pairing B (vertices x free
-    dofs) and the pressure mass matrix M.  Its arrays are read-only, as the
-    mesh's are, since meshes of one connectivity share it (see
-    ``FunctionSpace`` and ``mesh.transport_mesh``)."""
+    scalar stiffness L, the pairing B and the pressure mass matrix M, parts
+    of one node x node pattern whose first nodes are the vertices.  Its
+    arrays are read-only, as the mesh's are, since meshes of one
+    connectivity share it (see ``FunctionSpace`` and ``mesh.transport_mesh``)."""
 
     def __init__(self, mesh: TriMesh):
         t = mesh.triangles
@@ -215,15 +220,10 @@ class _Topology:
         self.free_nodes = np.flatnonzero(~dirichlet)
         self.free_dofs = (2 * self.free_nodes[:, None] + np.arange(2)).ravel()
 
-        nf = self.free_nodes.size
-        free = np.full(self.num_nodes, -1)
-        free[self.free_nodes] = np.arange(nf)
-        free = free[self.tri_nodes]  # (nt, 6): free index of each element node, -1 on the Dirichlet ones
-        dofs = 2 * free[..., None] + np.arange(2)  # (nt, 6, 2): free dof of each node component
-        dofs[free < 0] = -1
-        self.stiffness = _pattern(free[:, :, None], free[:, None, :], (nf, nf))
-        self.pairing = _pattern(t[:, :, None, None], dofs[:, None], (nv, 2 * nf))
-        self.mass = _pattern(t[:, :, None], t[:, None, :], (nv, nv))
+        nodes, vertices = _pattern(self.tri_nodes, self.num_nodes), np.arange(nv)
+        self.stiffness = nodes.restrict(self.free_nodes, self.free_nodes, nodes.slots)
+        self.pairing = nodes.restrict(vertices, self.free_nodes, nodes.slots[:, :3], width=2)
+        self.mass = nodes.restrict(vertices, vertices, nodes.slots[:, :3, :3])
         for array in (self.tri_nodes, self.midpoint_ends, self.neumann_edges, self.free_nodes, self.free_dofs):
             array.flags.writeable = False
 

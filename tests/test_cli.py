@@ -319,6 +319,16 @@ def _mesh_overlapping_triangles(tmp_path):
     return "stokes-solve", text, "edge 0 -> 1 appears twice in the same direction"
 
 
+def _mesh_vertex_in_no_triangle(tmp_path):
+    # used to pass validation and exit 1 as a rank-deficient pairing
+    mesh = sd.unit_square_mesh(4, {"right"})
+    path = tmp_path / "mesh.txt"
+    vertices = np.vstack([mesh.vertices, [0.5, 0.55]])
+    sd.write_mesh(path, sd.TriMesh(vertices, mesh.triangles, mesh.boundary_edges, mesh.boundary_tags))
+    text = f"[mesh]\nkind = file\npath = {path}\n\n[force]\nname = trig\n"
+    return "stokes-solve", text, f"vertex {mesh.num_vertices} belongs to no triangle"
+
+
 def _mesh_byte_not_utf8(tmp_path):
     path = tmp_path / "mesh.txt"
     sd.write_mesh(path, sd.unit_square_mesh(2, {"right"}))
@@ -363,6 +373,7 @@ def _traction_constant_left_without_left_neumann_edge(tmp_path):
         _qp_size_not_a_decimal_digit,
         _mesh_cut_in_half,
         _mesh_overlapping_triangles,
+        _mesh_vertex_in_no_triangle,
         _mesh_byte_not_utf8,
         _corollary3_mesh_file_with_neumann_edge,
         _traction_constant_left_without_left_neumann_edge,

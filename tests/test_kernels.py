@@ -140,20 +140,36 @@ def _assert_canonical(matrix):
         assert np.all(np.diff(matrix.indices[start:end]) > 0)
 
 
+def _renumbered(mesh, labels, order, turns):
+    """The mesh with vertex v relabelled labels[v], the triangles taken in
+    ``order`` and each triangle's vertices rotated by its ``turns``, which
+    keeps its orientation."""
+    vertices = np.empty_like(mesh.vertices)
+    vertices[labels] = mesh.vertices
+    triangles = labels[mesh.triangles[order]]
+    triangles = np.take_along_axis(triangles, (np.arange(3) + turns[:, None]) % 3, axis=1)
+    return sd.TriMesh(vertices, triangles, labels[mesh.boundary_edges], mesh.boundary_tags)
+
+
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(
     jitter=arrays(float, (4, 2), elements=st.floats(-0.05, 0.05, **_finite)),
     sides=st.sets(st.sampled_from(["left", "right", "bottom", "top"]), max_size=3),
+    labels=st.permutations(range(16)),
+    order=st.permutations(range(18)),
+    turns=arrays(int, 18, elements=st.integers(0, 2)),
     data=st.data(),
 )
-def test_matrices_sum_in_the_oracles_order(jitter, sides, data):
+def test_matrices_sum_in_the_oracles_order(jitter, sides, labels, order, turns, data):
     # As for the load vectors: the fixed patterns sum each entry's element
-    # contributions in element order, as the dense np.add.at oracle does.
+    # contributions in element order, as the dense np.add.at oracle does,
+    # also on vertex and triangle numberings that no generator produces.
     base = sd.unit_square_mesh(3, sides)
     vertices = base.vertices.copy()
     interior = np.all((vertices > 0.0) & (vertices < 1.0), axis=1)
     vertices[interior] += jitter
-    space = sd.FunctionSpace(sd.TriMesh(vertices, base.triangles, base.boundary_edges, base.boundary_tags))
+    moved = sd.TriMesh(vertices, base.triangles, base.boundary_edges, base.boundary_tags)
+    space = sd.FunctionSpace(_renumbered(moved, np.array(labels), np.array(order), turns))
 
     def blocks(shape):
         mantissa = data.draw(arrays(float, shape, elements=st.floats(-1.0, 1.0, **_finite)))

@@ -313,6 +313,17 @@ def test_validate_checks_vertex_index_range():
             bad.validate()
 
 
+def test_validate_rejects_a_vertex_in_no_triangle():
+    # A vertex outside every triangle carries a pressure dof that nothing
+    # pairs with: such a mesh used to pass and fail in the solve as a
+    # rank-deficient pairing.  The check comes last, after the edge rules.
+    mesh = sd.unit_square_mesh(4, {"right"})
+    vertices = np.vstack([mesh.vertices, [0.5, 0.55]])
+    stray = sd.TriMesh(vertices, mesh.triangles, mesh.boundary_edges, mesh.boundary_tags)
+    with pytest.raises(ValueError, match=re.escape(f"vertex {mesh.num_vertices} belongs to no triangle")):
+        stray.validate()
+
+
 # --- the edge table against the loop oracles (tests/mesh_oracle.py) ---------
 
 

@@ -391,6 +391,13 @@ def test_interior_field_derivative_vanishes_at_the_p2_energy_rate():
     assert rate >= 3.5
     boundary = sd.mesh_shape_derivative(sd.unit_square_mesh(64, {"right"}), TrigForce(), AFFINE).L1
     assert abs(l1[-1]) <= 1e-7 * abs(boundary)
+    # The clamped disk, where the pressure has zero integral and L1 is read
+    # off the Lagrangian.  Measured: 1.0e-6, 1.1e-8, 8.2e-11 (rates 6.5,
+    # 7.1); at 32 rings E1 and the dual term are each about 3.8e-8 and cancel.
+    rotation = sd.RotationField(1.0, window=CutoffWindow((-0.5, -0.5), (0.5, 0.5)))
+    rings = np.array([8, 16, 32])
+    l1 = [sd.mesh_shape_derivative(sd.disk_mesh(n), TrigForce(), rotation).L1 for n in rings]
+    assert -np.polyfit(np.log(rings), np.log(np.abs(l1)), 1)[0] >= 3.5
 
 
 # --- central-difference verification ------------------------------------------

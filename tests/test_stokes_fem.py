@@ -149,6 +149,11 @@ def test_transported_assembly_equals_a_fresh_one_bitwise(mesh):
     shared, rebuilt = (sd.assemble(m, force, traction) for m in (moved, fresh))
     assert shared.space._topology is topology
     assert rebuilt.space._topology is not topology and sd.FunctionSpace(early)._topology is not topology
+    # One int32 slot per block entry: (nt, 6, 6) for L, (nt, 3, 6) for B,
+    # whose two components share a slot, and (nt, 3, 3) for M.
+    nt = mesh.num_triangles
+    for pattern, size in ((topology.stiffness, 36 * nt), (topology.pairing, 18 * nt), (topology.mass, 9 * nt)):
+        assert pattern.slots.size == size and pattern.slots.dtype == np.int32
     pairs = [(shared.L, rebuilt.L), (shared.B, rebuilt.B)]
     pairs.append((pressure_mass_matrix(shared.space), pressure_mass_matrix(rebuilt.space)))
     for a, b in pairs:
