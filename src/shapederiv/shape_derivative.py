@@ -23,9 +23,10 @@ evaluation of Lambda at the vertices and two dot products.
 
 ``mesh_shape_derivative`` is that computation on a mesh (assemble, solve,
 contract) and ``fd_verify`` adds central differences of re-solves on
-transported meshes, each started from the base pressure and stopped on
-its energy estimate.  The paper's Corollary 3 is ``fd_verify`` with a
-divergence-free ``RotationField`` on a mesh with no Neumann edge.
+transported meshes, each started from the base pressure on the base
+velocity factor and stopped on its energy estimate.  The paper's
+Corollary 3 is ``fd_verify`` with a divergence-free ``RotationField`` on a
+mesh with no Neumann edge.
 """
 
 from __future__ import annotations
@@ -168,18 +169,18 @@ def stokes_shape_derivative(
     return DerivativeReport(L1=e1 + dual, E1=e1, dual_term=dual, energy=solved_energy)
 
 
-def _solve(mesh: TriMesh, f_field: ForceField, start: np.ndarray | None = None) -> tuple[StokesSystem, StokesSolution]:
-    """Assemble and solve, from ``start`` when given."""
+def _solve(mesh: TriMesh, f_field: ForceField, **kwargs) -> tuple[StokesSystem, StokesSolution]:
+    """Assemble and solve, with ``solve_stokes``'s keyword arguments."""
     system = assemble(mesh, f_field)
-    return system, solve_stokes(system, start=start)
+    return system, solve_stokes(system, **kwargs)
 
 
-def _head(mesh: TriMesh, f_field: ForceField, field: QuadraticField) -> tuple[DerivativeReport, np.ndarray]:
-    """The shape derivative on ``mesh`` and the solved pressure; the system
-    and its factors are released on return."""
+def _head(mesh: TriMesh, f_field: ForceField, field: QuadraticField) -> tuple[DerivativeReport, np.ndarray, tuple]:
+    """The shape derivative on ``mesh``, the solved pressure and the
+    velocity factor; the rest of the system is released on return."""
     system, solution = _solve(mesh, f_field)
     perturbation = assemble_perturbation(system.space, field, f_field)
-    return stokes_shape_derivative(system, solution, perturbation, field), solution.lam
+    return stokes_shape_derivative(system, solution, perturbation, field), solution.lam, system._schur().factor
 
 
 def mesh_shape_derivative(mesh: TriMesh, f_field: ForceField, field: QuadraticField) -> DerivativeReport:
@@ -201,19 +202,22 @@ def fd_verify(
     re-assembled with the same body force evaluated at the new coordinates
     and re-solved, and :func:`slopes.fd_table` compares the difference
     quotients of the energy with L1 (the result's ``fd``).  Each re-solve
-    starts from the base pressure, which has the same vertices, and stops
-    on its energy estimate (``solve_stokes``'s ``start``): its Lagrangian
-    ``energy`` has a relative error of about 1e-15, in fewer CG steps than
-    the base solve, and the state still passes the backward-error check.  The
-    signed steps run concurrently and share the base pressure, which they
-    only read; the base system, its factors and its solution are released
-    before they start, so each thread holds at most one factored system.
+    starts from the base pressure, which has the same vertices, and runs on
+    the LU of the base stiffness, since the meshes share one topology: it
+    corrects its state in sweeps until its energy estimate is met
+    (``solve_stokes``'s ``start`` and ``factor``), so its Lagrangian
+    ``energy`` has a relative error of about 1e-15 and no re-solve factors
+    its own stiffness unless its mesh has moved too far for the sweeps to
+    contract.  The state still passes the backward-error check.  The signed
+    steps run concurrently and share the base pressure and factor, which
+    they only read; the rest of the base system and its solution is
+    released before they start.
     Only the homogeneous Neumann condition is meaningful under transport,
     so no traction data enters here.
     """
-    head, lam = _head(mesh, f_field, field)
+    head, lam, factor = _head(mesh, f_field, field)
 
     def energy_at(s: float) -> float:
-        return energy(*_solve(transport_mesh(mesh, field, s, steps=steps), f_field, start=lam))
+        return energy(*_solve(transport_mesh(mesh, field, s, steps=steps), f_field, start=lam, factor=factor))
 
     return replace(head, fd=fd_table(energy_at, head.L1, head.energy, s_values, concurrent=True))

@@ -39,7 +39,10 @@ range, 1-perp, serves both: CG returns the zero-mean pressure, and the
 inf-sup constant is the one over the zero-integral pressures.  A re-solve
 near a known pressure starts CG there and stops it on the estimate of its
 energy error; ``energy`` is the Lagrangian, which at u = A^-1 (f + g +
-B' lam) is the dual value, so its error is quadratic in that of lam.
+B' lam) is the dual value, so its error is quadratic in that of lam.  On a
+moved mesh of one topology, L is within a fraction of a percent of the
+base L, so a re-solve can borrow the base factor and correct its state in
+sweeps (``_sweeps``) instead of factoring its own.
 """
 
 from __future__ import annotations
@@ -136,7 +139,8 @@ class _Pattern:
     """A fixed CSR sparsity pattern: ``indptr`` and sorted, duplicate-free
     ``indices``, and for every entry of the element blocks, in their order,
     the data slot s it is summed into, or component i of c into data entry
-    c s + i; slots from nnz / c on are discarded."""
+    c s + i, the components on a leading axis; slots from nnz / c on are
+    discarded."""
 
     shape: tuple[int, int]
     indptr: np.ndarray
@@ -148,11 +152,14 @@ class _Pattern:
             array.flags.writeable = False
 
     def matrix(self, blocks: np.ndarray) -> sparse.csr_matrix:
-        """The blocks summed into their slots in input order, as in
-        ``FunctionSpace.load_vector``, one component at a time."""
-        blocks = blocks.reshape(self.slots.size, -1)  # a column per component
-        nnz = self.indices.size // blocks.shape[1]
-        data = np.column_stack([np.bincount(self.slots.ravel(), c, minlength=nnz)[:nnz] for c in blocks.T])
+        """The blocks, of the slots' shape after any component axis, summed
+        into their slots in input order, as in ``FunctionSpace.load_vector``,
+        one contiguous component at a time."""
+        if blocks.shape[blocks.ndim - self.slots.ndim:] != self.slots.shape:
+            raise ValueError(f"blocks of shape {blocks.shape} for slots of shape {self.slots.shape}")
+        blocks = blocks.reshape(-1, self.slots.size)  # a row per component
+        nnz = self.indices.size // blocks.shape[0]
+        data = np.column_stack([np.bincount(self.slots.ravel(), c, minlength=nnz)[:nnz] for c in blocks])
         return sparse.csr_matrix((data.ravel(), self.indices, self.indptr), shape=self.shape)
 
     def restrict(self, rows: np.ndarray, cols: np.ndarray, slots: np.ndarray, width: int = 1) -> _Pattern:
@@ -344,14 +351,13 @@ def assemble(mesh: TriMesh, f_field: ForceField, g_field: ForceField | None = No
         raise EmptyDirichletBoundary("no Dirichlet edges: velocity stiffness would be singular")
     space = FunctionSpace(mesh)
     pg, coef = space.phys_grads, space.quad_coef
-    nt = pg.shape[0]
     # Each kernel is a batched matrix product over the quadrature points:
     # sum_q coef grad(phi_a).grad(phi_b), one 6x6 product per component;
-    # sum_q coef psi_p grad(phi_a); and sum_q coef phi_a f.
+    # sum_q coef psi_p grad(phi_a), component first; and sum_q coef phi_a f.
     weighted = pg * coef[:, :, None, None]
     topology = space._topology
     L = topology.stiffness.matrix(sum(np.swapaxes(weighted[..., i], 1, 2) @ pg[..., i] for i in range(2)))
-    B = topology.pairing.matrix(((coef[:, None, :] * _P1_VALS.T) @ pg.reshape(nt, -1, 12)).reshape(nt, 3, 6, 2))
+    B = topology.pairing.matrix((coef[:, None, :] * _P1_VALS.T) @ np.moveaxis(pg, 3, 0))
     f_vals = f_field.evaluate(space.quad_points)  # (nt, nq, 2)
     f = space.load_vector(_P2_VALS.T @ (coef[:, :, None] * f_vals))
 
@@ -372,6 +378,7 @@ def assemble(mesh: TriMesh, f_field: ForceField, g_field: ForceField | None = No
 # after the true one reaches roundoff, so the rule always terminates; the
 # accepted solution is still judged by its true residuals.
 _CG_RTOL = 1e-14
+_CG_SWEEP_RTOL = 1e-3  # the same fraction for each sweep of ``_sweeps``
 _CG_MAX_ITER = 500
 
 # A CG from a start (a warm re-solve) also stops once the sum of the dual
@@ -395,9 +402,17 @@ class _SchurComplement:
     matrix M is factored as the preconditioner.  A mesh with no Neumann
     edge has B'1 = 0, so the constants are the kernel of S, and ``project``
     maps a residual onto range(S) = 1-perp for ``cg`` and the inf-sup loop.
+
+    ``factor`` is the pair (topology, LU of L): made here, or borrowed from
+    a system on the same topology, whose L then stands in for this one's
+    (see ``_sweeps``).  B, B', M and M's factor are always this system's.
+    A factor of another topology raises ``DimensionMismatch`` first.
     """
 
-    def __init__(self, system: StokesSystem):
+    def __init__(self, system: StokesSystem, factor: tuple | None = None):
+        topology = system.space._topology
+        if factor is not None and factor[0] is not topology:
+            raise DimensionMismatch("the velocity factor was made on another mesh topology")
         self.mean_free = not len(system.space.neumann_edges)
         self.B = system.B
         self.Bt = self.B.T.tocsr()  # B' applied on every CG step and in the back-solve
@@ -406,14 +421,14 @@ class _SchurComplement:
         if self.B.shape[0] - self.mean_free > self.B.shape[1] or not np.all(row_norms > 0.0):
             raise SingularSystem("divergence pairing is rank deficient: the pressure is not unique")
         try:
-            self._velocity = spla.splu(system.L.tocsc(), permc_spec="MMD_AT_PLUS_A")
+            self.factor = factor or (topology, spla.splu(system.L.tocsc(), permc_spec="MMD_AT_PLUS_A"))
             self._mass = spla.splu(self.M.tocsc(), permc_spec="MMD_AT_PLUS_A")
         except RuntimeError as exc:
             raise SingularSystem(f"factorization failed: {exc}") from None
 
     def solve_velocity(self, rhs: np.ndarray) -> np.ndarray:
         """A^-1 rhs for a vector or a block of columns over the velocity dofs."""
-        return self._velocity.solve(rhs.reshape(rhs.shape[0] // 2, -1)).reshape(rhs.shape)
+        return self.factor[1].solve(rhs.reshape(rhs.shape[0] // 2, -1)).reshape(rhs.shape)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         return self.B @ self.solve_velocity(self.Bt @ x)
@@ -434,7 +449,9 @@ class _SchurComplement:
         weights = np.asarray(self.M.sum(axis=0)).ravel()  # the integrals of the P1 hat functions
         return x - (weights @ x) / weights.sum()
 
-    def cg(self, b: np.ndarray, energy: tuple | None = None) -> tuple[np.ndarray, int, list, list]:
+    def cg(
+        self, b: np.ndarray, energy: tuple | None = None, rtol: float | None = None, spent: int = 0
+    ) -> tuple[np.ndarray, int, list, list]:
         """Mass-preconditioned CG on S x = b.
 
         Returns x, the iteration count, and the search directions p with
@@ -453,7 +470,9 @@ class _SchurComplement:
         estimate of that error (Strakos and Tichy, ETNA 13, 2002).  With
         ``energy`` CG stops, with the current iterate, once that estimate is
         at most _CG_ETOL times the dual value at x_k, or on the residual
-        rule, whichever comes first.
+        rule, whichever comes first.  ``_sweeps`` passes a pair whose
+        -1/2 q'w is the Lagrangian of its state, as the reference value, and
+        ``rtol`` for _CG_RTOL; ``spent`` steps count against _CG_MAX_ITER.
 
         The iteration runs on b / 2^e, e the binary exponent of b's largest
         entry, and returns 2^e times its x.  Scaling by a power of two is
@@ -469,19 +488,19 @@ class _SchurComplement:
         b = np.ldexp(b, -exp)
         x = np.zeros_like(b)
         r = self.project(b)
-        stop = _CG_RTOL * float(np.linalg.norm(b))
+        stop = (_CG_RTOL if rtol is None else rtol) * float(np.linalg.norm(b))
         z = self.precondition(r)
         p = z.copy()
         rz = float(r @ z)
         dual0 = None if energy is None else -0.5 * float(np.ldexp(energy[0], -exp) @ np.ldexp(energy[1], -exp))
         directions, products, gains = [], [], []  # gains[j] = 1/2 alpha_j r_j'z_j
-        for iteration in range(_CG_MAX_ITER + 1):
+        for iteration in range(_CG_MAX_ITER - spent + 1):
             lag = iteration - _CG_DELAY  # gains[lag:] estimates the energy error of x_lag
             if np.linalg.norm(r) <= stop or (
                 dual0 is not None and lag >= 0 and sum(gains[lag:]) <= _CG_ETOL * abs(dual0 + sum(gains[:lag]))
             ):
                 return np.ldexp(x, exp), iteration, directions, products
-            if iteration == _CG_MAX_ITER:
+            if iteration == _CG_MAX_ITER - spent:
                 break
             sp = self.apply(p)
             directions.append(p)
@@ -527,12 +546,55 @@ def _residuals(system: StokesSystem, u: np.ndarray, lam: np.ndarray) -> tuple[fl
         return float(np.ldexp(r_mom, exp)), float(np.ldexp(r_div, exp)), error
 
 
+def _sweeps(system: StokesSystem, schur: _SchurComplement, start: np.ndarray | None) -> tuple[np.ndarray, np.ndarray, int]:
+    """Defect correction (Stetter, Numer. Math. 29, 1978) from the pressure
+    ``start`` moved to zero integral (or zero), on ``schur``'s velocity
+    factor, which may be another system's; returns u, lam and the CG steps,
+    all of which count against _CG_MAX_ITER.
+
+    The first velocity is u = A~^-1 (f + g + B'lam), A~ the factored matrix.
+    A sweep takes the true residuals r_u = f + g + B'lam - A u and r_p = B u,
+    solves for the correction (du, dlam) with A~ in place of A, by the Schur
+    CG stopped at _CG_SWEEP_RTOL or on its energy rule, and adds it.  Were
+    A~ = A and the correction exact, the Lagrangian before the sweep would
+    be off by 1/2 |r_u'du + r_p'dlam|, an estimate free of cancellation; the
+    loop stops once it is at most _CG_ETOL times the Lagrangian -1/2 (f + g
+    + B'lam + r_u)'u.  A sweep whose estimate is
+    above 1/100 of the previous one switches to the system's own factor, or
+    on that factor, where a sweep gains about 1e-6, marks roundoff and ends
+    the loop.  The sweeps run on the load and lam divided by 2^e, as in
+    ``cg``, and return 2^e times their state.
+    """
+    rhs, lam = system.rhs, np.zeros(system.B.shape[0]) if start is None else schur.zero_integral(start)
+    exp = max(int(np.frexp(np.abs(v).max(initial=0.0))[1]) for v in (rhs, lam))
+    rhs, lam = np.ldexp(rhs, -exp), np.ldexp(lam, -exp)
+    load = rhs + schur.Bt @ lam
+    u, iterations, last, borrowed = schur.solve_velocity(load), 0, np.inf, True
+    for _ in range(_CG_MAX_ITER):
+        r_u, r_p = load - (system.L @ u.reshape(-1, 2)).ravel(), schur.B @ u
+        b = -(r_p + schur.B @ schur.solve_velocity(r_u))
+        d_lam, steps, _, _ = schur.cg(b, (load + r_u, u), _CG_SWEEP_RTOL, iterations)
+        iterations += steps
+        d_u = schur.solve_velocity(r_u + schur.Bt @ d_lam)
+        estimate, dual = abs(r_u @ d_u + r_p @ d_lam), abs((load + r_u) @ u)  # both twice their value
+        u, lam = u + d_u, lam + d_lam
+        load = rhs + schur.Bt @ lam
+        contracted = estimate <= 1e-2 * last
+        if estimate <= _CG_ETOL * dual or not (contracted or borrowed):
+            return np.ldexp(u, exp), np.ldexp(lam, exp), iterations
+        if not contracted:
+            schur, borrowed, estimate = system._schur(), False, np.inf
+        last = estimate
+    raise SingularSystem(f"Schur-complement CG did not converge in {_CG_MAX_ITER} iterations")
+
+
 def solve_stokes(
     system: StokesSystem,
     pin_pressure: bool | None = None,
     residual_tol: float = 1e-9,
     *,
     start: np.ndarray | None = None,
+    factor: tuple | None = None,
 ) -> StokesSolution:
     """Solve the saddle system [[A, -B'], [-B, 0]] (u, lam) = (f + g, 0).
 
@@ -550,13 +612,20 @@ def solve_stokes(
     ``start`` is only read; with no Neumann edge it is first moved to zero
     integral.  A ``start`` of another size raises ``DimensionMismatch``.
 
+    ``factor``, the velocity factor ``system._schur().factor`` of a system
+    on the same topology (a mesh ``transport_mesh`` moved from the same
+    base), replaces the LU of this system's L: the solve runs ``_sweeps``
+    from ``start`` (or zero) on it and factors L itself only when the sweeps
+    stop contracting.  The factor is only read, so threads may share it.  A
+    factor of another topology raises ``DimensionMismatch``.
+
     With an empty Neumann boundary the pressure is only determined up to a
     constant, and the solve returns the zero-mean pressure; a Neumann edge
     fixes it.  The mesh decides this gauge: ``pin_pressure`` fixes no
     pressure value, and when given it must agree, True exactly when the
     mesh has no Neumann edge, or it raises ``SingularSystem``.
     The factors are the system's, made once.  ``residual_tol`` bounds the
-    accepted backward error, with or without ``start``: both defects over
+    accepted backward error, with or without ``start`` or ``factor``: both defects over
     |L||u| + |B||lam| + |f + g|.  A non-finite load or start, a
     rank-deficient B, a failed factorization, a CG breakdown or a CG run
     past its iteration cap raises ``SingularSystem``.
@@ -571,13 +640,16 @@ def solve_stokes(
         raise SingularSystem("load vector has non-finite entries")
     if start is not None and np.shape(start) != system.B.shape[:1]:
         raise DimensionMismatch(f"start pressure has shape {np.shape(start)}, the system expects {system.B.shape[:1]}")
-    schur = system._schur()
-    load = rhs_u if start is None else rhs_u + schur.Bt @ start
-    velocity = schur.solve_velocity(load)
-    lam, iterations, _, _ = schur.cg(-(schur.B @ velocity), None if start is None else (load, velocity))
-    if start is not None:
-        lam = schur.zero_integral(start) + lam
-    u = schur.solve_velocity(rhs_u + schur.Bt @ lam)
+    if factor is not None:
+        u, lam, iterations = _sweeps(system, _SchurComplement(system, factor), start)
+    else:
+        schur = system._schur()
+        load = rhs_u if start is None else rhs_u + schur.Bt @ start
+        velocity = schur.solve_velocity(load)
+        lam, iterations, _, _ = schur.cg(-(schur.B @ velocity), None if start is None else (load, velocity))
+        if start is not None:
+            lam = schur.zero_integral(start) + lam
+        u = schur.solve_velocity(rhs_u + schur.Bt @ lam)
 
     r_mom, r_div, error = _residuals(system, u, lam)
     if not error <= residual_tol:

@@ -55,7 +55,7 @@ def shape_derivative(space, field, force, u, lam, step=STEP):
     roundoff scale, the same sum over absolute values."""
     stiffness, pairing, load = perturbation_blocks(space, field, force, step)
     A1 = space._topology.stiffness.matrix(stiffness)
-    B1, f1 = space._topology.pairing.matrix(pairing), space.load_vector(load)
+    B1, f1 = space._topology.pairing.matrix(np.moveaxis(pairing, -1, 0)), space.load_vector(load)
     grid, abs_grid = u.reshape(-1, 2), abs(u).reshape(-1, 2)
     value = 0.5 * np.vdot(grid, A1 @ grid) - f1 @ u - lam @ (B1 @ u)
     scale = 0.5 * np.vdot(abs_grid, abs(A1) @ abs_grid) + abs(f1) @ abs(u) + abs(lam) @ (abs(B1) @ abs(u))

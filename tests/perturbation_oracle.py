@@ -77,7 +77,7 @@ def assemble_perturbation_matrices(space, field, f_field) -> PerturbationMatrice
     f1e = np.einsum("tq,qa,tqc->tac", coef, _P2_VALS, f1_vals)
     return PerturbationMatrices(
         A1=sparse.kron(space._topology.stiffness.matrix(a1e), sparse.identity(2), format="csr"),
-        B1=space._topology.pairing.matrix(b1e),
+        B1=space._topology.pairing.matrix(np.moveaxis(b1e, -1, 0)),
         f1=space.load_vector(f1e),
     )
 
@@ -87,5 +87,5 @@ def transport_pairing_matrix(space, field) -> sparse.csr_matrix:
     transport part of the B1 kernel, assembled on its own."""
     grad, _ = _field_kernels(space, field)
     te = np.einsum("tq,qp,tqjc,tqaj->tpac", space.quad_coef, _P1_VALS, grad, space.phys_grads)
-    return space._topology.pairing.matrix(te)
+    return space._topology.pairing.matrix(np.moveaxis(te, -1, 0))
 

@@ -37,7 +37,7 @@ def _kernel_pairs(mesh, u_values, coeffs):
     f_vals = force.evaluate(space.quad_points)
     lam = np.sin(np.arange(space.num_pressure))
     stiffness = [space._topology.stiffness.matrix(b) for b in oracle.stiffness_blocks(space)]
-    pairing = [space._topology.pairing.matrix(b) for b in oracle.pairing_blocks(space)]
+    pairing = [space._topology.pairing.matrix(np.moveaxis(b, -1, 0)) for b in oracle.pairing_blocks(space)]
     load = [space.load_vector(b) for b in oracle.load_blocks(space, f_vals)]
     fast = sd.QuadraticField(coeffs=coeffs)
     stacked = oracle.StackedQuadraticField(coeffs=coeffs)
@@ -180,7 +180,7 @@ def test_matrices_sum_in_the_oracles_order(jitter, sides, labels, order, turns, 
     own_mass = np.einsum("tq,qp,qr->tpr", space.quad_coef, _P1_VALS, _P1_VALS, optimize=True)  # the package's kernel
     for matrix, expected in (
         (space._topology.stiffness.matrix(stiffness), oracle.stiffness_matrix(space, stiffness)),
-        (space._topology.pairing.matrix(pairing), oracle.pairing_matrix(space, pairing)),
+        (space._topology.pairing.matrix(np.moveaxis(pairing, -1, 0)), oracle.pairing_matrix(space, pairing)),
         (space._topology.mass.matrix(mass), oracle.mass_matrix(space, mass)),
         (pressure_mass_matrix(space), oracle.mass_matrix(space, own_mass)),
     ):

@@ -526,6 +526,98 @@ def test_a_capped_warm_re_solve_is_refused(monkeypatch):
     assert sd.solve_stokes(system, start=base.lam).iterations == needed
 
 
+def _base_factor(mesh, force=None):
+    system = sd.assemble(mesh, force or TrigForce())
+    return sd.solve_stokes(system), system._schur().factor
+
+
+@pytest.mark.parametrize(
+    "mesh, field",
+    [
+        (sd.unit_square_mesh(16, {"right"}), AFFINE),
+        (sd.unit_square_mesh(32, {"right"}), AFFINE),
+        (sd.disk_mesh(24), sd.RotationField(1.0)),
+        (sd.disk_mesh(24), AFFINE),
+    ],
+    ids=["square16", "square32", "disk24-rotation", "disk24-affine"],
+)
+def test_base_factor_re_solve_energies_match_the_residual_rule(mesh, field):
+    # A re-solve on the base velocity factor corrects the transported state
+    # in sweeps; its Lagrangian matches a cold solve's as the warm one does.
+    base, factor = _base_factor(mesh)
+    start = base.lam.tobytes()
+    for s in FD_STEPS:
+        system = sd.assemble(transport_mesh(mesh, field, s, steps=64), TrigForce())
+        cold = sd.solve_stokes(system)
+        swept = sd.solve_stokes(system, start=base.lam, factor=factor)
+        e_cold = sd.energy(system, cold)
+        assert abs(sd.energy(system, swept) - e_cold) <= 1e-13 * abs(e_cold)
+        if mesh.num_vertices == 33 * 33:
+            assert swept.iterations <= 30
+    assert base.lam.tobytes() == start  # the re-solves of fd_verify share it across threads
+
+
+def _count_factors(monkeypatch, rows):
+    """The list that grows by one on every LU of a matrix with ``rows`` rows."""
+    counted, splu = [], stokes_fem.spla.splu
+    monkeypatch.setattr(stokes_fem.spla, "splu", lambda a, **kw: (a.shape[0] == rows and counted.append(a)) or splu(a, **kw))
+    return counted
+
+
+def test_fd_verify_factors_the_velocity_stiffness_once(monkeypatch):
+    mesh = sd.unit_square_mesh(8, {"right"})
+    counted = _count_factors(monkeypatch, sd.assemble(mesh, TrigForce()).L.shape[0])
+    report = fd_verify(mesh, TrigForce(), AFFINE, [1e-2, 3e-3, 1e-3])
+    assert len(counted) == 1
+    assert abs(report.fd.slope - 2.0) <= 0.1
+
+
+def _no_factor(*args, **kwargs):
+    raise AssertionError("factored a matrix")
+
+
+def test_a_factor_of_another_topology_is_refused(monkeypatch):
+    # The check comes first: no factor is made and none is applied.
+    mesh = sd.unit_square_mesh(8, {"right"})
+    _, (topology, _) = _base_factor(mesh)
+    monkeypatch.setattr(stokes_fem.spla, "splu", _no_factor)
+    for other in (sd.unit_square_mesh(8, {"right"}), sd.unit_square_mesh(6, {"right"}), sd.disk_mesh(4)):
+        with pytest.raises(sd.DimensionMismatch, match="another mesh topology"):
+            sd.solve_stokes(sd.assemble(other, TrigForce()), factor=(topology, None))
+    moved = sd.assemble(transport_mesh(mesh, AFFINE, 1e-2), TrigForce())
+    with pytest.raises(AssertionError, match="factored"):
+        sd.solve_stokes(moved, factor=(topology, None))  # the same topology passes the check
+
+
+def test_a_far_moved_re_solve_falls_back_to_its_own_factor(monkeypatch):
+    # Stretched to twice its width, the square's stiffness is far from the
+    # base one: the sweeps stop contracting, and the re-solve factors its own.
+    mesh = sd.unit_square_mesh(16, {"right"})
+    base, factor = _base_factor(mesh)
+    stretch = sd.AffineField(M=((1.0, 0.0), (0.0, 0.0)))
+    for s, factored in ((1e-2, 0), (1.0, 1)):
+        system = sd.assemble(transport_mesh(mesh, stretch, s, steps=64), TrigForce())
+        with monkeypatch.context() as patched:
+            counted = _count_factors(patched, system.L.shape[0])
+            swept = sd.solve_stokes(system, start=base.lam, factor=factor)
+        assert len(counted) == factored
+        e_cold = sd.energy(system, sd.solve_stokes(system))
+        assert abs(sd.energy(system, swept) - e_cold) <= 1e-13 * abs(e_cold)
+
+
+def test_a_capped_base_factor_re_solve_is_refused(monkeypatch):
+    mesh = sd.unit_square_mesh(16, {"right"})
+    base, factor = _base_factor(mesh)
+    system = sd.assemble(transport_mesh(mesh, AFFINE, 1e-2, steps=64), TrigForce())
+    needed = sd.solve_stokes(system, start=base.lam, factor=factor).iterations
+    for cap in (0, needed // 2, needed - 1):
+        monkeypatch.setattr(stokes_fem, "_CG_MAX_ITER", cap)
+        with pytest.raises(sd.SingularSystem, match="did not converge"):
+            sd.solve_stokes(system, start=base.lam, factor=factor)
+    monkeypatch.setattr(stokes_fem, "_CG_MAX_ITER", needed)
+    assert sd.solve_stokes(system, start=base.lam, factor=factor).iterations == needed
+
+
 def test_a_start_of_another_size_or_not_finite_is_refused():
     _, system, sol = solved_square()
     for start in (sol.lam[:-1], np.append(sol.lam, 0.0), sol.lam[:, None]):
