@@ -37,12 +37,12 @@ factors once, on first use, for ``solve_stokes`` and ``inf_sup_constant``.
 With no Neumann edge B'1 = 0 and S is singular; one projection onto its
 range, 1-perp, serves both: CG returns the zero-mean pressure, and the
 inf-sup constant is the one over the zero-integral pressures.  A re-solve
-near a known pressure starts CG there and stops it on the estimate of its
-energy error; ``energy`` is the Lagrangian, which at u = A^-1 (f + g +
-B' lam) is the dual value, so its error is quadratic in that of lam.  On a
-moved mesh of one topology, L is within a fraction of a percent of the
-base L, so a re-solve can borrow the base factor and correct its state in
-sweeps (``_sweeps``) instead of factoring its own.
+near a known pressure corrects that state in sweeps (``_sweeps``) and
+stops on the estimate of its energy error; ``energy`` is the Lagrangian,
+which at u = A^-1 (f + g + B' lam) is the dual value, so its error is
+quadratic in that of lam.  On a moved mesh of one topology, L is within a
+fraction of a percent of the base L, so the sweeps can run on the base
+factor instead of factoring their own.
 """
 
 from __future__ import annotations
@@ -381,7 +381,7 @@ _CG_RTOL = 1e-14
 _CG_SWEEP_RTOL = 1e-3  # the same fraction for each sweep of ``_sweeps``
 _CG_MAX_ITER = 500
 
-# A CG from a start (a warm re-solve) also stops once the sum of the dual
+# A CG in a re-solve's sweep also stops once the sum of the dual
 # value's increases over _CG_DELAY steps, which estimates the energy error of
 # the iterate that many steps back, is at most _CG_ETOL times its dual value.
 _CG_DELAY = 4
@@ -461,18 +461,17 @@ class _SchurComplement:
         (Kaasschieter, J. Comput. Appl. Math. 24, 1988); as 1'M M^-1 r =
         1'r = 0, every direction, and x, has zero pressure integral.
 
-        ``energy = (q, w)`` is for a b that is the residual -B w of a
-        start pressure x0, with q = f + g + B'x0 and w = A^-1 q; x is then
-        the correction to x0, and -1/2 q'w is the dual value at x0.  At a CG
-        iterate the dual value falls short of its maximum by 1/2 |x* -
-        x_k|_S^2, and step j raises it by 1/2 alpha_j r_j'z_j (Hestenes and
-        Stiefel 1952), so the sum over _CG_DELAY steps from x_k is a lower
-        estimate of that error (Strakos and Tichy, ETNA 13, 2002).  With
-        ``energy`` CG stops, with the current iterate, once that estimate is
-        at most _CG_ETOL times the dual value at x_k, or on the residual
-        rule, whichever comes first.  ``_sweeps`` passes a pair whose
-        -1/2 q'w is the Lagrangian of its state, as the reference value, and
-        ``rtol`` for _CG_RTOL; ``spent`` steps count against _CG_MAX_ITER.
+        ``energy = (q, w)`` is for a b that is the Schur residual of a
+        state (w, x0) of ``_sweeps``, whose Lagrangian is -1/2 q'w; x is
+        then the correction to x0.  At a CG iterate the dual value falls
+        short of its maximum by 1/2 |x* - x_k|_S^2, and step j raises it by
+        1/2 alpha_j r_j'z_j (Hestenes and Stiefel 1952), so the sum over
+        _CG_DELAY steps from x_k is a lower estimate of that error (Strakos
+        and Tichy, ETNA 13, 2002).  With ``energy`` CG stops, with the
+        current iterate, once that estimate is at most _CG_ETOL times the
+        value at x_k, or on the residual rule, whichever comes first.  The
+        residual rule is ``rtol`` (_CG_RTOL by default) times |b|, and
+        ``spent`` earlier steps count against _CG_MAX_ITER.
 
         The iteration runs on b / 2^e, e the binary exponent of b's largest
         entry, and returns 2^e times its x.  Scaling by a power of two is
@@ -546,46 +545,53 @@ def _residuals(system: StokesSystem, u: np.ndarray, lam: np.ndarray) -> tuple[fl
         return float(np.ldexp(r_mom, exp)), float(np.ldexp(r_div, exp)), error
 
 
-def _sweeps(system: StokesSystem, schur: _SchurComplement, start: np.ndarray | None) -> tuple[np.ndarray, np.ndarray, int]:
+def _sweeps(system: StokesSystem, start: np.ndarray | None, factor: tuple | None) -> tuple[np.ndarray, np.ndarray, int]:
     """Defect correction (Stetter, Numer. Math. 29, 1978) from the pressure
-    ``start`` moved to zero integral (or zero), on ``schur``'s velocity
-    factor, which may be another system's; returns u, lam and the CG steps,
-    all of which count against _CG_MAX_ITER.
+    ``start`` moved to zero integral (or zero), on the velocity factor
+    ``factor`` of a system on the same topology, or on this system's own;
+    returns u, lam and the CG steps, all of which count against _CG_MAX_ITER.
 
     The first velocity is u = A~^-1 (f + g + B'lam), A~ the factored matrix.
     A sweep takes the true residuals r_u = f + g + B'lam - A u and r_p = B u,
     solves for the correction (du, dlam) with A~ in place of A, by the Schur
-    CG stopped at _CG_SWEEP_RTOL or on its energy rule, and adds it.  Were
-    A~ = A and the correction exact, the Lagrangian before the sweep would
-    be off by 1/2 |r_u'du + r_p'dlam|, an estimate free of cancellation; the
-    loop stops once it is at most _CG_ETOL times the Lagrangian -1/2 (f + g
-    + B'lam + r_u)'u.  A sweep whose estimate is
-    above 1/100 of the previous one switches to the system's own factor, or
-    on that factor, where a sweep gains about 1e-6, marks roundoff and ends
-    the loop.  The sweeps run on the load and lam divided by 2^e, as in
+    CG stopped on its energy rule or at _CG_SWEEP_RTOL (_CG_RTOL on the own
+    factor, where one sweep is the whole solve), and adds it.  Were A~ = A
+    and the correction exact, the Lagrangian before the sweep would be off
+    by 1/2 |r_u'du + r_p'dlam|, an estimate free of cancellation; the loop
+    stops once it is at most _CG_ETOL times the Lagrangian -1/2 (f + g +
+    B'lam + r_u)'u, or once the state's Schur residual meets the cold CG's
+    rule, _CG_RTOL |B A~^-1 (f + g)|, which ends it at roundoff where the
+    Lagrangian is zero.  A sweep whose estimate is above 1/100 of the
+    previous one switches to the own factor.  The sweeps run on the load and lam divided by 2^e, as in
     ``cg``, and return 2^e times their state.
     """
+    own = factor is None
+    schur = system._schur() if own else _SchurComplement(system, factor)
     rhs, lam = system.rhs, np.zeros(system.B.shape[0]) if start is None else schur.zero_integral(start)
     exp = max(int(np.frexp(np.abs(v).max(initial=0.0))[1]) for v in (rhs, lam))
     rhs, lam = np.ldexp(rhs, -exp), np.ldexp(lam, -exp)
     load = rhs + schur.Bt @ lam
-    u, iterations, last, borrowed = schur.solve_velocity(load), 0, np.inf, True
+    u, iterations, last = schur.solve_velocity(load), 0, np.inf
+    floor = _CG_RTOL * norm2(schur.B @ schur.solve_velocity(rhs))
     for _ in range(_CG_MAX_ITER):
         r_u, r_p = load - (system.L @ u.reshape(-1, 2)).ravel(), schur.B @ u
         b = -(r_p + schur.B @ schur.solve_velocity(r_u))
-        d_lam, steps, _, _ = schur.cg(b, (load + r_u, u), _CG_SWEEP_RTOL, iterations)
+        if norm2(schur.project(b)) <= floor:
+            break
+        d_lam, steps, _, _ = schur.cg(b, (load + r_u, u), _CG_RTOL if own else _CG_SWEEP_RTOL, iterations)
         iterations += steps
         d_u = schur.solve_velocity(r_u + schur.Bt @ d_lam)
         estimate, dual = abs(r_u @ d_u + r_p @ d_lam), abs((load + r_u) @ u)  # both twice their value
         u, lam = u + d_u, lam + d_lam
         load = rhs + schur.Bt @ lam
-        contracted = estimate <= 1e-2 * last
-        if estimate <= _CG_ETOL * dual or not (contracted or borrowed):
-            return np.ldexp(u, exp), np.ldexp(lam, exp), iterations
-        if not contracted:
-            schur, borrowed, estimate = system._schur(), False, np.inf
+        if own or estimate <= _CG_ETOL * dual:
+            break
+        if estimate > 1e-2 * last:
+            schur, own = system._schur(), True
         last = estimate
-    raise SingularSystem(f"Schur-complement CG did not converge in {_CG_MAX_ITER} iterations")
+    else:
+        raise SingularSystem(f"Schur-complement CG did not converge in {_CG_MAX_ITER} iterations")
+    return np.ldexp(u, exp), np.ldexp(lam, exp), iterations
 
 
 def solve_stokes(
@@ -603,21 +609,17 @@ def solve_stokes(
     velocity is then u = A^-1 (f + g + B' lam).  A^-1 is one sparse LU of
     the scalar P2 Laplacian shared by both velocity components.
 
-    ``start``, a pressure on the same vertices, starts CG there, for a
-    re-solve near a known state: its residual -B A^-1 (f + g + B' start)
-    takes the velocity solve that the right-hand side takes without it.
-    CG then also stops on its energy estimate (see ``_SchurComplement.cg``),
-    which leaves the Lagrangian ``energy`` of the state within about
-    1e-15 of its own size, while the residual rule would take more steps.
-    ``start`` is only read; with no Neumann edge it is first moved to zero
-    integral.  A ``start`` of another size raises ``DimensionMismatch``.
-
-    ``factor``, the velocity factor ``system._schur().factor`` of a system
-    on the same topology (a mesh ``transport_mesh`` moved from the same
-    base), replaces the LU of this system's L: the solve runs ``_sweeps``
-    from ``start`` (or zero) on it and factors L itself only when the sweeps
-    stop contracting.  The factor is only read, so threads may share it.  A
-    factor of another topology raises ``DimensionMismatch``.
+    ``start``, a pressure on the same vertices, and ``factor``, the
+    velocity factor ``system._schur().factor`` of a system on the same
+    topology (a mesh ``transport_mesh`` moved from the same base), make it
+    a re-solve near a known state: ``_sweeps`` corrects the state from
+    ``start`` (or zero) on ``factor`` (or this system's own LU) until its
+    Lagrangian ``energy`` is within about 1e-15 of its own size, in fewer
+    CG steps than the residual rule takes.  With ``factor`` L is factored
+    only when the sweeps stop contracting.  Both are only read, so threads
+    may share them; with no Neumann edge ``start`` is first moved to zero
+    integral.  A ``start`` of another size or a factor of another topology
+    raises ``DimensionMismatch``.
 
     With an empty Neumann boundary the pressure is only determined up to a
     constant, and the solve returns the zero-mean pressure; a Neumann edge
@@ -640,16 +642,12 @@ def solve_stokes(
         raise SingularSystem("load vector has non-finite entries")
     if start is not None and np.shape(start) != system.B.shape[:1]:
         raise DimensionMismatch(f"start pressure has shape {np.shape(start)}, the system expects {system.B.shape[:1]}")
-    if factor is not None:
-        u, lam, iterations = _sweeps(system, _SchurComplement(system, factor), start)
-    else:
+    if start is None and factor is None:
         schur = system._schur()
-        load = rhs_u if start is None else rhs_u + schur.Bt @ start
-        velocity = schur.solve_velocity(load)
-        lam, iterations, _, _ = schur.cg(-(schur.B @ velocity), None if start is None else (load, velocity))
-        if start is not None:
-            lam = schur.zero_integral(start) + lam
+        lam, iterations, _, _ = schur.cg(-(schur.B @ schur.solve_velocity(rhs_u)))
         u = schur.solve_velocity(rhs_u + schur.Bt @ lam)
+    else:
+        u, lam, iterations = _sweeps(system, start, factor)
 
     r_mom, r_div, error = _residuals(system, u, lam)
     if not error <= residual_tol:

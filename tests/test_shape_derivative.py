@@ -411,15 +411,28 @@ def test_fd_zero_field_exact():
     assert report.L1 == 0.0
 
 
-def test_fd_pressure_gradient_with_cutoff_is_machine_zero():
+def test_fd_pressure_gradient_with_cutoff_is_machine_zero(monkeypatch):
     # f = grad(x1 - 1) and the velocity frozen near the free edge: the
-    # solution stays identically zero on every transported domain.
+    # solution stays identically zero on every transported domain.  With a
+    # zero Lagrangian no relative energy rule can stop a re-solve; the
+    # residual rule stops it at roundoff, still on the base factor.
     mesh = sd.unit_square_mesh(8, {"right"})
     window = CutoffWindow(lo=(0.05, -1.0), hi=(0.8, 2.0))
     field = sd.AffineField(M=((0.2, 0.1), (0.0, -0.1)), b=(0.3, 0.1), window=window)
+    module = importlib.import_module("shapederiv.shape_derivative")
+    solve, steps = module.solve_stokes, []
+
+    def counted(*args, **kwargs):
+        solution = solve(*args, **kwargs)
+        steps.append(solution.iterations)
+        return solution
+
+    monkeypatch.setattr(module, "solve_stokes", counted)
+    factors = _count_factors(monkeypatch, sd.assemble(mesh, ConstantForce(value=(1.0, 0.0))).L.shape[0])
     report = fd_verify(mesh, ConstantForce(value=(1.0, 0.0)), field, [1e-2, 1e-3])
     assert report.fd.exact
     assert abs(report.L1) <= 1e-13
+    assert len(factors) == 1 and len(steps) == 5 and max(steps) <= 70
 
 
 def test_fd_affine_slope_and_h_consistency():
