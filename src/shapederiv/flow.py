@@ -195,14 +195,19 @@ def _det2(j: np.ndarray) -> np.ndarray:
     return j[..., 0, 0] * j[..., 1, 1] - j[..., 0, 1] * j[..., 1, 0]
 
 
-def _rk4(rhs, state: tuple, s: float, steps: int, valid) -> tuple:
-    """Classical fixed-step RK4 on a tuple of arrays, points first:
-    ``rhs(*state)`` gives their derivatives.  Raises NonPositiveJacobian
-    as soon as ``valid(*state)`` fails after a step."""
+def _points(x, steps: int) -> np.ndarray:
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    if state[0].shape[-1] != 2:
+    points = np.array(x, dtype=float)
+    if points.shape[-1] != 2:
         raise ValueError("points must have trailing dimension 2")
+    return points
+
+
+def _rk4(rhs, state: tuple, s: float, steps: int, valid) -> tuple:
+    """Classical fixed-step RK4 on a tuple of arrays: ``rhs(*state)`` gives
+    their derivatives.  Raises NonPositiveJacobian as soon as
+    ``valid(*state)`` fails after a step."""
     h = s / steps
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(steps):
@@ -216,11 +221,31 @@ def _rk4(rhs, state: tuple, s: float, steps: int, valid) -> tuple:
     return state
 
 
+def _affine_flow(field: QuadraticField, p: np.ndarray, s: float, steps: int) -> tuple:
+    """The RK4 flow of an affine field without a window in closed form: one
+    step of y' = M y + b is a map y -> P y + c, found by the same stages on
+    [I | 0] (as rows: e_1, e_2, the origin), and ``steps`` of them make
+    x -> R x + t.  Returns the points, R and det P; an iterate that is not
+    finite raises NonPositiveJacobian, as a blown-up trajectory does."""
+    bias = np.vstack([np.zeros((2, 2)), field._c[:, 0]])
+    step = np.eye(3)
+    step[:, :2] = _rk4(lambda y: (y @ field.matrix().T + bias,), (np.eye(3, 2),), s / steps, 1, lambda y: True)[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        flow = np.linalg.matrix_power(step, steps)
+        points = p @ flow[:2, :2] + flow[2, :2]
+    if not (np.isfinite(flow).all() and np.isfinite(points).all()):
+        raise NonPositiveJacobian(f"s={s} is outside the diffeomorphism range of the flow")
+    return points, flow[:2, :2].T, _det2(step[:2, :2])
+
+
 def flow_points(field: QuadraticField, x, s: float, steps: int = 64) -> np.ndarray:
     """``integrate_flow(field, x, s, steps).point`` without the Jacobian;
-    raises NonPositiveJacobian when a trajectory blows up."""
-    state = (np.array(x, dtype=float),)
-    return _rk4(lambda p: (field.evaluate(p),), state, s, steps, lambda p: np.all(np.isfinite(p)))[0]
+    raises NonPositiveJacobian when a trajectory blows up.  An affine
+    field without a window maps the points by its flow's closed form."""
+    p = _points(x, steps)
+    if field._affine and field.window is None:
+        return _affine_flow(field, p, s, steps)[0]
+    return _rk4(lambda p: (field.evaluate(p),), (p,), s, steps, lambda p: np.all(np.isfinite(p)))[0]
 
 
 def integrate_flow(field: QuadraticField, x, s: float, steps: int = 64) -> FlowSample:
@@ -231,9 +256,18 @@ def integrate_flow(field: QuadraticField, x, s: float, steps: int = 64) -> FlowS
     is ``field.gradient``.  The inverse map is the flow of the negated
     field started from the image point.  Raises NonPositiveJacobian when
     the determinant stops being positive (or the trajectory blows up),
-    i.e. when s left the diffeomorphism range.
+    i.e. when s left the diffeomorphism range.  An affine field without a
+    window takes the closed form x -> R x + t of its RK4 flow, whose
+    Jacobian is R = P^steps: its determinant stays positive exactly when
+    that of the one-step map P is.
     """
-    phi = np.array(x, dtype=float)
+    phi = _points(x, steps)
+    if field._affine and field.window is None:
+        phi, jac, det_step = _affine_flow(field, phi, s, steps)
+        if not det_step > 0.0:
+            raise NonPositiveJacobian(f"s={s} is outside the diffeomorphism range of the flow")
+        jac = np.broadcast_to(jac, phi.shape[:-1] + (2, 2)).copy()
+        return FlowSample(point=phi, jacobian=jac, det=_det2(jac))
     jac = np.broadcast_to(np.eye(2), phi.shape[:-1] + (2, 2)).copy()
 
     def positive(p, j):

@@ -239,7 +239,8 @@ def _memo(owner, slot: str, build: Callable[..., _T]) -> _T:
 
 
 def transport_mesh(mesh: TriMesh, field: QuadraticField, s: float, steps: int = 64) -> TriMesh:
-    """Move every vertex along the flow of ``field`` for parameter s.
+    """Move every vertex along the flow of ``field`` for parameter s, by
+    ``flow_points``: an affine field without a window in closed form.
 
     Connectivity and boundary tags are preserved, so the moved mesh is
     handed the assembly topology memoized on ``mesh``, when there is one,

@@ -24,7 +24,7 @@ evaluation of Lambda at the vertices and two dot products.
 ``mesh_shape_derivative`` is that computation on a mesh (assemble, solve,
 contract) and ``fd_verify`` adds central differences of re-solves on
 transported meshes, each started from the base pressure on the base
-velocity factor and stopped on its energy estimate.  The paper's
+factors and stopped on its energy estimate.  The paper's
 Corollary 3 is ``fd_verify`` with a divergence-free ``RotationField`` on a
 mesh with no Neumann edge.
 """
@@ -176,8 +176,8 @@ def _solve(mesh: TriMesh, f_field: ForceField, **kwargs) -> tuple[StokesSystem, 
 
 
 def _head(mesh: TriMesh, f_field: ForceField, field: QuadraticField) -> tuple[DerivativeReport, np.ndarray, tuple]:
-    """The shape derivative on ``mesh``, the solved pressure and the
-    velocity factor; the rest of the system is released on return."""
+    """The shape derivative on ``mesh``, the solved pressure and the LUs of
+    L and M; the rest of the system is released on return."""
     system, solution = _solve(mesh, f_field)
     perturbation = assemble_perturbation(system.space, field, f_field)
     return stokes_shape_derivative(system, solution, perturbation, field), solution.lam, system._schur().factor
@@ -203,15 +203,16 @@ def fd_verify(
     and re-solved, and :func:`slopes.fd_table` compares the difference
     quotients of the energy with L1 (the result's ``fd``).  Each re-solve
     starts from the base pressure, which has the same vertices, and runs on
-    the LU of the base stiffness, since the meshes share one topology: it
-    corrects its state in sweeps until its energy estimate is met
-    (``solve_stokes``'s ``start`` and ``factor``), so its Lagrangian
-    ``energy`` has a relative error of about 1e-15 and no re-solve factors
-    its own stiffness unless its mesh has moved too far for the sweeps to
-    contract.  The state still passes the backward-error check.  The signed
-    steps run concurrently and share the base pressure and factor, which
-    they only read; the rest of the base system and its solution is
-    released before they start.
+    the LUs of the base stiffness and pressure mass matrix, since the meshes
+    share one topology: it corrects its state in sweeps until its energy
+    estimate is met (``solve_stokes``'s ``start`` and ``factor``), so its
+    Lagrangian ``energy`` has a relative error of about 1e-15 and no
+    re-solve factors a matrix unless its mesh has moved too far for the
+    sweeps to contract.  An affine velocity moves the mesh by the closed
+    form of its flow (``flow.flow_points``).  The state still passes the
+    backward-error check.  The signed steps run concurrently and share the
+    base pressure and factors, which they only read; the rest of the base
+    system and its solution is released before they start.
     Only the homogeneous Neumann condition is meaningful under transport,
     so no traction data enters here.
     """

@@ -40,9 +40,9 @@ inf-sup constant is the one over the zero-integral pressures.  A re-solve
 near a known pressure corrects that state in sweeps (``_sweeps``) and
 stops on the estimate of its energy error; ``energy`` is the Lagrangian,
 which at u = A^-1 (f + g + B' lam) is the dual value, so its error is
-quadratic in that of lam.  On a moved mesh of one topology, L is within a
-fraction of a percent of the base L, so the sweeps can run on the base
-factor instead of factoring their own.
+quadratic in that of lam.  On a moved mesh of one topology, L and M are
+within a fraction of a percent of the base ones, so the sweeps can run on
+the base factors instead of factoring their own.
 """
 
 from __future__ import annotations
@@ -403,10 +403,12 @@ class _SchurComplement:
     edge has B'1 = 0, so the constants are the kernel of S, and ``project``
     maps a residual onto range(S) = 1-perp for ``cg`` and the inf-sup loop.
 
-    ``factor`` is the pair (topology, LU of L): made here, or borrowed from
+    ``factor`` is (topology, LU of L, LU of M): made here, or borrowed from
     a system on the same topology, whose L then stands in for this one's
-    (see ``_sweeps``).  B, B', M and M's factor are always this system's.
-    A factor of another topology raises ``DimensionMismatch`` first.
+    and whose M preconditions (see ``_sweeps``); a borrowed one factors
+    nothing.  B, B' and M, whose weights ``zero_integral`` takes, are
+    always this system's.  A factor of another topology raises
+    ``DimensionMismatch`` first.
     """
 
     def __init__(self, system: StokesSystem, factor: tuple | None = None):
@@ -421,8 +423,9 @@ class _SchurComplement:
         if self.B.shape[0] - self.mean_free > self.B.shape[1] or not np.all(row_norms > 0.0):
             raise SingularSystem("divergence pairing is rank deficient: the pressure is not unique")
         try:
-            self.factor = factor or (topology, spla.splu(system.L.tocsc(), permc_spec="MMD_AT_PLUS_A"))
-            self._mass = spla.splu(self.M.tocsc(), permc_spec="MMD_AT_PLUS_A")
+            self.factor = factor or (
+                topology, *(spla.splu(a.tocsc(), permc_spec="MMD_AT_PLUS_A") for a in (system.L, self.M))
+            )
         except RuntimeError as exc:
             raise SingularSystem(f"factorization failed: {exc}") from None
 
@@ -430,11 +433,13 @@ class _SchurComplement:
         """A^-1 rhs for a vector or a block of columns over the velocity dofs."""
         return self.factor[1].solve(rhs.reshape(rhs.shape[0] // 2, -1)).reshape(rhs.shape)
 
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        return self.B @ self.solve_velocity(self.Bt @ x)
+    def apply(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """S x and the velocity A^-1 B'x it solved for."""
+        v = self.solve_velocity(self.Bt @ x)
+        return self.B @ v, v
 
     def precondition(self, r: np.ndarray) -> np.ndarray:
-        return self._mass.solve(r)
+        return self.factor[2].solve(r)
 
     def project(self, r: np.ndarray) -> np.ndarray:
         """r - mean(r) with ``mean_free``; otherwise r itself."""
@@ -459,19 +464,22 @@ class _SchurComplement:
         S-conjugate and span the Krylov space of M^-1 S from M^-1 b.  With
         ``mean_free`` every residual is projected onto range(S) = 1-perp
         (Kaasschieter, J. Comput. Appl. Math. 24, 1988); as 1'M M^-1 r =
-        1'r = 0, every direction, and x, has zero pressure integral.
+        1'r = 0, every direction, and x, has zero pressure integral, unless
+        M is a borrowed one of another mesh: then up to a constant.
 
-        ``energy = (q, w)`` is for a b that is the Schur residual of a
-        state (w, x0) of ``_sweeps``, whose Lagrangian is -1/2 q'w; x is
-        then the correction to x0.  At a CG iterate the dual value falls
-        short of its maximum by 1/2 |x* - x_k|_S^2, and step j raises it by
-        1/2 alpha_j r_j'z_j (Hestenes and Stiefel 1952), so the sum over
-        _CG_DELAY steps from x_k is a lower estimate of that error (Strakos
-        and Tichy, ETNA 13, 2002).  With ``energy`` CG stops, with the
-        current iterate, once that estimate is at most _CG_ETOL times the
-        value at x_k, or on the residual rule, whichever comes first.  The
-        residual rule is ``rtol`` (_CG_RTOL by default) times |b|, and
-        ``spent`` earlier steps count against _CG_MAX_ITER.
+        ``energy = (q, w, du)`` is for a b that is the Schur residual of a
+        state (w, x0) of ``_sweeps``, whose Lagrangian is -1/2 q'w; x is then
+        the correction to x0, and CG adds A^-1 B'x to du in place, from the
+        velocity solves of its products; a cold CG does no such work.  At a CG
+        iterate the dual value falls short of its maximum by 1/2 |x* -
+        x_k|_S^2, and step j raises it by 1/2 alpha_j r_j'z_j (Hestenes and
+        Stiefel 1952), so the sum over _CG_DELAY steps from x_k is a lower
+        estimate of that error (Strakos and Tichy, ETNA 13, 2002).  With
+        ``energy`` CG stops, with the current iterate, once that estimate is
+        at most _CG_ETOL times the value at x_k, or on the residual rule,
+        whichever comes first.  The residual rule is ``rtol`` (_CG_RTOL by
+        default) times |b|, and ``spent`` earlier steps count against
+        _CG_MAX_ITER.
 
         The iteration runs on b / 2^e, e the binary exponent of b's largest
         entry, and returns 2^e times its x.  Scaling by a power of two is
@@ -501,7 +509,7 @@ class _SchurComplement:
                 return np.ldexp(x, exp), iteration, directions, products
             if iteration == _CG_MAX_ITER - spent:
                 break
-            sp = self.apply(p)
+            sp, ap = self.apply(p)
             directions.append(p)
             products.append(sp)
             psp = float(p @ sp)
@@ -513,6 +521,8 @@ class _SchurComplement:
             alpha = rz / psp
             gains.append(0.5 * alpha * rz)
             x += alpha * p
+            if energy is not None:
+                energy[2][:] += np.ldexp(alpha, exp) * ap
             r = self.project(r - alpha * sp)
             z = self.precondition(r)
             rz_next = float(r @ z)
@@ -547,23 +557,26 @@ def _residuals(system: StokesSystem, u: np.ndarray, lam: np.ndarray) -> tuple[fl
 
 def _sweeps(system: StokesSystem, start: np.ndarray | None, factor: tuple | None) -> tuple[np.ndarray, np.ndarray, int]:
     """Defect correction (Stetter, Numer. Math. 29, 1978) from the pressure
-    ``start`` moved to zero integral (or zero), on the velocity factor
-    ``factor`` of a system on the same topology, or on this system's own;
-    returns u, lam and the CG steps, all of which count against _CG_MAX_ITER.
+    ``start`` moved to zero integral (or zero), on the factors ``factor`` of
+    a system on the same topology, or on this system's own; returns u, lam
+    moved to zero integral on this mesh (a constant in the kernel of S,
+    which leaves u as it is), and the CG steps, all of which count against
+    _CG_MAX_ITER.
 
     The first velocity is u = A~^-1 (f + g + B'lam), A~ the factored matrix.
     A sweep takes the true residuals r_u = f + g + B'lam - A u and r_p = B u,
     solves for the correction (du, dlam) with A~ in place of A, by the Schur
     CG stopped on its energy rule or at _CG_SWEEP_RTOL (_CG_RTOL on the own
-    factor, where one sweep is the whole solve), and adds it.  Were A~ = A
+    factor, where one sweep is the whole solve), and adds it; du is
+    A~^-1 r_u plus the CG's sum A~^-1 B'dlam, one velocity solve.  Were A~ = A
     and the correction exact, the Lagrangian before the sweep would be off
     by 1/2 |r_u'du + r_p'dlam|, an estimate free of cancellation; the loop
     stops once it is at most _CG_ETOL times the Lagrangian -1/2 (f + g +
     B'lam + r_u)'u, or once the state's Schur residual meets the cold CG's
     rule, _CG_RTOL |B A~^-1 (f + g)|, which ends it at roundoff where the
     Lagrangian is zero.  A sweep whose estimate is above 1/100 of the
-    previous one switches to the own factor.  The sweeps run on the load and lam divided by 2^e, as in
-    ``cg``, and return 2^e times their state.
+    previous one switches to the own factors.  The sweeps run on the load
+    and lam divided by 2^e, as in ``cg``, and return 2^e times their state.
     """
     own = factor is None
     schur = system._schur() if own else _SchurComplement(system, factor)
@@ -575,12 +588,12 @@ def _sweeps(system: StokesSystem, start: np.ndarray | None, factor: tuple | None
     floor = _CG_RTOL * norm2(schur.B @ schur.solve_velocity(rhs))
     for _ in range(_CG_MAX_ITER):
         r_u, r_p = load - (system.L @ u.reshape(-1, 2)).ravel(), schur.B @ u
-        b = -(r_p + schur.B @ schur.solve_velocity(r_u))
+        d_u = schur.solve_velocity(r_u)
+        b = -(r_p + schur.B @ d_u)
         if norm2(schur.project(b)) <= floor:
             break
-        d_lam, steps, _, _ = schur.cg(b, (load + r_u, u), _CG_RTOL if own else _CG_SWEEP_RTOL, iterations)
+        d_lam, steps, _, _ = schur.cg(b, (load + r_u, u, d_u), _CG_RTOL if own else _CG_SWEEP_RTOL, iterations)
         iterations += steps
-        d_u = schur.solve_velocity(r_u + schur.Bt @ d_lam)
         estimate, dual = abs(r_u @ d_u + r_p @ d_lam), abs((load + r_u) @ u)  # both twice their value
         u, lam = u + d_u, lam + d_lam
         load = rhs + schur.Bt @ lam
@@ -591,7 +604,7 @@ def _sweeps(system: StokesSystem, start: np.ndarray | None, factor: tuple | None
         last = estimate
     else:
         raise SingularSystem(f"Schur-complement CG did not converge in {_CG_MAX_ITER} iterations")
-    return np.ldexp(u, exp), np.ldexp(lam, exp), iterations
+    return np.ldexp(u, exp), np.ldexp(schur.zero_integral(lam), exp), iterations
 
 
 def solve_stokes(
@@ -609,17 +622,17 @@ def solve_stokes(
     velocity is then u = A^-1 (f + g + B' lam).  A^-1 is one sparse LU of
     the scalar P2 Laplacian shared by both velocity components.
 
-    ``start``, a pressure on the same vertices, and ``factor``, the
-    velocity factor ``system._schur().factor`` of a system on the same
-    topology (a mesh ``transport_mesh`` moved from the same base), make it
-    a re-solve near a known state: ``_sweeps`` corrects the state from
-    ``start`` (or zero) on ``factor`` (or this system's own LU) until its
-    Lagrangian ``energy`` is within about 1e-15 of its own size, in fewer
-    CG steps than the residual rule takes.  With ``factor`` L is factored
+    ``start``, a pressure on the same vertices, and ``factor``, the LUs of
+    L and M ``system._schur().factor`` of a system on the same topology (a
+    mesh ``transport_mesh`` moved from the same base), make it a re-solve
+    near a known state: ``_sweeps`` corrects the state from ``start`` (or
+    zero) on ``factor`` (or this system's own LUs) until its Lagrangian
+    ``energy`` is within about 1e-15 of its own size, in fewer CG steps
+    than the residual rule takes.  With ``factor`` L and M are factored
     only when the sweeps stop contracting.  Both are only read, so threads
-    may share them; with no Neumann edge ``start`` is first moved to zero
-    integral.  A ``start`` of another size or a factor of another topology
-    raises ``DimensionMismatch``.
+    may share them; with no Neumann edge ``start``, and the result, are
+    moved to zero integral.  A ``start`` of another size or a factor of
+    another topology raises ``DimensionMismatch``.
 
     With an empty Neumann boundary the pressure is only determined up to a
     constant, and the solve returns the zero-mean pressure; a Neumann edge
@@ -627,8 +640,8 @@ def solve_stokes(
     pressure value, and when given it must agree, True exactly when the
     mesh has no Neumann edge, or it raises ``SingularSystem``.
     The factors are the system's, made once.  ``residual_tol`` bounds the
-    accepted backward error, with or without ``start`` or ``factor``: both defects over
-    |L||u| + |B||lam| + |f + g|.  A non-finite load or start, a
+    accepted backward error, with or without ``start`` or ``factor``: both
+    defects over |L||u| + |B||lam| + |f + g|.  A non-finite load or start, a
     rank-deficient B, a failed factorization, a CG breakdown or a CG run
     past its iteration cap raises ``SingularSystem``.
     """
@@ -731,13 +744,13 @@ def inf_sup_constant(system: StokesSystem) -> float:
         mu = float(x @ Sx)
         residual = float(np.linalg.norm(Sx - mu * Mx))
         if residual <= tol:  # S x so far combines earlier products: certify afresh
-            Sx = schur.apply(x)
+            Sx = schur.apply(x)[0]
             mu = float(x @ Sx)
             residual = float(np.linalg.norm(Sx - mu * Mx))
             if residual <= tol:
                 return float(np.sqrt(max(mu, 0.0)))
         w = schur.precondition(schur.project(Sx - mu * Mx))
-        trial, products = [x, w], [Sx, schur.apply(w)]
+        trial, products = [x, w], [Sx, schur.apply(w)[0]]
         if step:  # p, the step from the previous Ritz vector
             trial.append(V[:, 1:] @ y[1:])
             products.append(SV[:, 1:] @ y[1:])

@@ -9,7 +9,10 @@ For the flow phi_s of a velocity Lambda,
 ``shapederiv.flow.integrate_flow`` and fits the decay slope of both
 remainders, an oracle for the expansions the shape-derivative kernels
 are built on.  No command of the package runs it.  ``negated`` gives the
-field whose flow is the inverse map.
+field whose flow is the inverse map.  ``rk4_flow`` is the flow by RK4 on
+every point, with the Jacobian beside it: the package's integration for
+every field before affine fields without a window took the closed form
+of their RK4 flow, and the oracle of that closed form.
 """
 
 from __future__ import annotations
@@ -21,6 +24,25 @@ import numpy as np
 
 from shapederiv.flow import QuadraticField, integrate_flow
 from shapederiv.slopes import loglog_slope
+
+
+def rk4_flow(field: QuadraticField, x, s: float, steps: int = 64) -> tuple[np.ndarray, np.ndarray]:
+    """The image points and flow Jacobians of x after ``steps`` classical
+    RK4 steps of the point and its variational equation, point by point."""
+    state = (np.array(x, dtype=float),)
+    state += (np.broadcast_to(np.eye(2), state[0].shape[:-1] + (2, 2)).copy(),)
+    h = s / steps
+
+    def rhs(p, j):
+        return field.evaluate(p), field.gradient(p) @ j
+
+    for _ in range(steps):
+        k1 = rhs(*state)
+        k2 = rhs(*(y + 0.5 * h * dy for y, dy in zip(state, k1)))
+        k3 = rhs(*(y + 0.5 * h * dy for y, dy in zip(state, k2)))
+        k4 = rhs(*(y + h * dy for y, dy in zip(state, k3)))
+        state = tuple(y + (h / 6.0) * (a + 2.0 * b + 2.0 * c + d) for y, a, b, c, d in zip(state, k1, k2, k3, k4))
+    return state
 
 
 def negated(field: QuadraticField) -> QuadraticField:

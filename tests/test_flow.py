@@ -1,5 +1,7 @@
 """Velocity fields, flow integration and the first-order expansion residuals."""
 
+import importlib
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -8,7 +10,7 @@ import shapederiv as sd
 from shapederiv.fields import ConstantForce, RotationalForce
 from shapederiv.flow import CutoffWindow, flow_points
 
-from flow_oracle import expansion_check, negated
+from flow_oracle import expansion_check, negated, rk4_flow
 
 
 AFFINE = sd.AffineField(M=((0.3, 0.1), (-0.2, 0.15)), b=(0.05, -0.04))
@@ -301,3 +303,83 @@ def test_negated_is_the_exact_negation(seeded_points, field):
         assert np.array_equal(getattr(neg, method)(p), -getattr(field, method)(p))
     assert negated(neg) == field
     assert np.array_equal(negated(neg).evaluate(p), field.evaluate(p))
+
+
+# --- affine flows in closed form -----------------------------------------------
+# Oracle: the RK4 on every point that the package ran for every field before
+# affine fields without a window took the closed form of their RK4 flow
+# (flow_oracle.rk4_flow).  Both take the same stages, so they differ in
+# rounding only: each of the steps rounds every entry a few times, relative
+# to the largest one.  The bound is 2 steps eps of the largest entry (the
+# largest difference seen is 0.62 steps eps, on the n=16 square and the
+# 8-ring disk).
+
+AFFINE_FLOWS = {
+    "zero": sd.ZeroField(),
+    "constant": sd.ConstantField(b=(0.4, -0.7)),
+    "affine": AFFINE,
+    "rotation": sd.RotationField(1.3),
+}
+FLOW_MESHES = {"square": sd.unit_square_mesh(16, {"right"}), "disk": sd.disk_mesh(8)}
+FLOW_STEPS = ((1e-2, 64), (-1e-2, 64), (0.3, 64), (-0.3, 5))
+
+
+@pytest.mark.parametrize("mesh_name", sorted(FLOW_MESHES))
+@pytest.mark.parametrize("name", sorted(AFFINE_FLOWS))
+def test_affine_flows_match_the_per_vertex_rk4(name, mesh_name):
+    field, x = AFFINE_FLOWS[name], FLOW_MESHES[mesh_name].vertices
+    for s, steps in FLOW_STEPS:
+        point, jacobian = rk4_flow(field, x, s, steps)
+        sample = sd.integrate_flow(field, x, s, steps=steps)
+        bound = 2 * steps * np.finfo(float).eps
+        assert np.abs(sample.point - point).max() <= bound * np.abs(point).max()
+        assert np.abs(sample.jacobian - jacobian).max() <= bound * np.abs(jacobian).max()
+        assert _same_bits(flow_points(field, x, s, steps=steps), sample.point)
+        if name in ("zero", "constant"):  # M = 0: the Jacobian is exactly I
+            assert np.array_equal(sample.jacobian, jacobian)
+        if name == "zero":
+            assert np.array_equal(sample.point, x)
+
+
+@pytest.mark.parametrize("mesh_name", sorted(FLOW_MESHES))
+@pytest.mark.parametrize(
+    "field", [sd.RotationField(0.9, window=WINDOW), QUADRATIC], ids=["windowed-rotation", "quadratic"]
+)
+def test_windowed_and_quadratic_flows_keep_the_per_vertex_rk4(field, mesh_name):
+    x = FLOW_MESHES[mesh_name].vertices
+    for s, steps in FLOW_STEPS:
+        point, jacobian = rk4_flow(field, x, s, steps)
+        sample = sd.integrate_flow(field, x, s, steps=steps)
+        assert _same_bits(sample.point, point) and _same_bits(sample.jacobian, jacobian)
+        assert _same_bits(flow_points(field, x, s, steps=steps), point)
+
+
+def test_a_one_step_flip_is_refused_when_the_steps_square_it_away(monkeypatch):
+    # No RK4 step of an affine field flips: det P = p(h l1) p(h l2), p the
+    # RK4 polynomial, which is positive on the reals, and |p(h l)|^2 for a
+    # complex pair.  So the step is reflected here: det P < 0, while an even
+    # number of steps has det P^steps > 0.  RK4's per-step check sees the
+    # flip after the first step, and so must the closed form.
+    flow = importlib.import_module("shapederiv.flow")
+    rk4 = flow._rk4
+
+    def reflected(rhs, state, s, steps, valid):
+        return (rk4(rhs, state, s, steps, valid)[0] * np.array([[1.0], [-1.0], [1.0]]),)
+
+    x = sd.unit_square_mesh(4).vertices
+    for steps in (2, 3, 64):
+        assert np.all(sd.integrate_flow(AFFINE, x, 0.1, steps=steps).det > 0.0)
+        with monkeypatch.context() as patched:
+            patched.setattr(flow, "_rk4", reflected)
+            with pytest.raises(sd.NonPositiveJacobian):
+                sd.integrate_flow(AFFINE, x, 0.1, steps=steps)
+
+
+def test_a_blown_up_affine_flow_raises():
+    # The closed form's iterates overflow where every trajectory leaves the plane.
+    with pytest.raises(sd.NonPositiveJacobian):
+        flow_points(sd.AffineField(M=((1.0, 0.0), (0.0, 1.0))), np.ones((3, 2)), 1e100, steps=8)
+    with pytest.raises(sd.NonPositiveJacobian):
+        sd.integrate_flow(sd.RotationField(1e80), np.ones(2), 1.0, steps=4)
+    with pytest.raises(ValueError, match="trailing dimension"):
+        flow_points(AFFINE, np.ones((4, 3)), 0.1)

@@ -578,11 +578,51 @@ def _count_factors(monkeypatch, rows):
 
 
 def test_fd_verify_factors_the_velocity_stiffness_once(monkeypatch):
+    # The re-solves borrow the base LUs of L and of the pressure mass matrix.
     mesh = sd.unit_square_mesh(8, {"right"})
     counted = _count_factors(monkeypatch, sd.assemble(mesh, TrigForce()).L.shape[0])
+    masses = _count_factors(monkeypatch, mesh.num_vertices)
     report = fd_verify(mesh, TrigForce(), AFFINE, [1e-2, 3e-3, 1e-3])
     assert len(counted) == 1
+    assert len(masses) == 1
     assert abs(report.fd.slope - 2.0) <= 0.1
+
+
+GRADIENT_FORCE = ConstantForce(value=(1.0, 0.0))  # a zero state: its re-solves end on the residual floor
+WINDOWED_AFFINE = sd.AffineField(
+    M=((0.2, 0.1), (0.0, -0.1)), b=(0.3, 0.1), window=CutoffWindow(lo=(0.05, -1.0), hi=(0.8, 2.0))
+)
+
+
+@pytest.mark.parametrize(
+    "force, field, floor", [(TrigForce(), AFFINE, 0), (GRADIENT_FORCE, WINDOWED_AFFINE, 1)], ids=["energy", "floor"]
+)
+def test_a_re_solve_makes_one_velocity_solve_per_sweep(monkeypatch, force, field, floor):
+    # Two velocity solves start a re-solve (u and the floor's A~^-1 f), each
+    # sweep solves for A~^-1 r_u and each CG step inside its Schur product;
+    # the CG sums A~^-1 B'dlam from those, so no sweep solves again.  A loop
+    # that the residual floor ends takes one more A~^-1 r_u.
+    mesh = sd.unit_square_mesh(8, {"right"})
+    base, factor = _base_factor(mesh, force)
+    counts = {"solves": 0, "sweeps": 0}
+    solve_velocity, cg = stokes_fem._SchurComplement.solve_velocity, stokes_fem._SchurComplement.cg
+
+    def counted_solve(self, rhs):
+        counts["solves"] += 1
+        return solve_velocity(self, rhs)
+
+    def counted_cg(self, *args, **kwargs):
+        counts["sweeps"] += 1
+        return cg(self, *args, **kwargs)
+
+    monkeypatch.setattr(stokes_fem._SchurComplement, "solve_velocity", counted_solve)
+    monkeypatch.setattr(stokes_fem._SchurComplement, "cg", counted_cg)
+    for s in FD_STEPS:
+        system = sd.assemble(transport_mesh(mesh, field, s, steps=64), force)
+        counts.update(solves=0, sweeps=0)
+        swept = sd.solve_stokes(system, start=base.lam, factor=factor)
+        assert counts["sweeps"] >= 1
+        assert counts["solves"] == swept.iterations + counts["sweeps"] + 2 + floor
 
 
 def _no_factor(*args, **kwargs):
@@ -592,14 +632,16 @@ def _no_factor(*args, **kwargs):
 def test_a_factor_of_another_topology_is_refused(monkeypatch):
     # The check comes first: no factor is made and none is applied.
     mesh = sd.unit_square_mesh(8, {"right"})
-    _, (topology, _) = _base_factor(mesh)
+    _, (topology, *_) = _base_factor(mesh)
     monkeypatch.setattr(stokes_fem.spla, "splu", _no_factor)
     for other in (sd.unit_square_mesh(8, {"right"}), sd.unit_square_mesh(6, {"right"}), sd.disk_mesh(4)):
         with pytest.raises(sd.DimensionMismatch, match="another mesh topology"):
-            sd.solve_stokes(sd.assemble(other, TrigForce()), factor=(topology, None))
+            sd.solve_stokes(sd.assemble(other, TrigForce()), factor=(topology, None, None))
     moved = sd.assemble(transport_mesh(mesh, AFFINE, 1e-2), TrigForce())
-    with pytest.raises(AssertionError, match="factored"):
-        sd.solve_stokes(moved, factor=(topology, None))  # the same topology passes the check
+    with pytest.raises(AttributeError, match="solve"):
+        # The same topology passes the check and factors nothing: the
+        # first solve applies the borrowed (here missing) velocity factor.
+        sd.solve_stokes(moved, factor=(topology, None, None))
 
 
 def test_a_far_moved_re_solve_falls_back_to_its_own_factor(monkeypatch):
