@@ -208,11 +208,12 @@ def fd_verify(
     estimate is met (``solve_stokes``'s ``start`` and ``factor``), so its
     Lagrangian ``energy`` has a relative error of about 1e-15 and no
     re-solve factors a matrix unless its mesh has moved too far for the
-    sweeps to contract.  An affine velocity moves the mesh by the closed
-    form of its flow (``flow.flow_points``).  The state still passes the
-    backward-error check.  The signed steps run concurrently and share the
-    base pressure and factors, which they only read; the rest of the base
-    system and its solution is released before they start.
+    sweeps to contract.  An affine velocity without a window moves the
+    mesh by the closed form of its RK4 flow (``flow.flow_points``).  The
+    state still passes the backward-error check.  The signed steps run
+    concurrently and share the base pressure and factors, which they only
+    read; the rest of the base system and its solution is released before
+    they start.
     Only the homogeneous Neumann condition is meaningful under transport,
     so no traction data enters here.
     """
