@@ -23,14 +23,18 @@ evaluation of Lambda at the vertices and two dot products.
 
 ``mesh_shape_derivative`` is that computation on a mesh (assemble, solve,
 contract) and ``fd_verify`` adds central differences of re-solves on
-transported meshes, each started from the base pressure on the base
-factors and stopped on its energy estimate.  The paper's
+transported meshes, on the base factors and stopped on their energy
+estimate.  The re-solves of each sign run in order on one thread, each
+started from the Lagrange interpolant of the pressures solved before it
+along that sign's path, the base pressure included: the predictor step of
+continuation (Allgower & Georg 2003).  The paper's
 Corollary 3 is ``fd_verify`` with a divergence-free ``RotationField`` on a
 mesh with no Neumann edge.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -189,6 +193,18 @@ def mesh_shape_derivative(mesh: TriMesh, f_field: ForceField, field: QuadraticFi
     return _head(mesh, f_field, field)[0]
 
 
+def _start_pressure(s: float, base: np.ndarray, solved: dict[float, np.ndarray]) -> np.ndarray:
+    """The Lagrange interpolant at ``s`` through ``base`` at step 0 and the
+    (at most) three pressures of ``solved`` (step -> pressure) whose steps
+    are nearest to ``s``; ``base`` itself when ``solved`` is empty."""
+    if not solved:
+        return base
+    nodes = [0.0, *sorted(solved, key=lambda t: abs(t - s))[:3]]
+    values = [base, *(solved[t] for t in nodes[1:])]
+    weights = [math.prod((s - t) / (node - t) for t in nodes if t != node) for node in nodes]
+    return sum(w * value for w, value in zip(weights, values))
+
+
 def fd_verify(
     mesh: TriMesh,
     f_field: ForceField,
@@ -201,25 +217,35 @@ def fd_verify(
     For each step s the mesh is transported by +s and -s, the problem is
     re-assembled with the same body force evaluated at the new coordinates
     and re-solved, and :func:`slopes.fd_table` compares the difference
-    quotients of the energy with L1 (the result's ``fd``).  Each re-solve
-    starts from the base pressure, which has the same vertices, and runs on
-    the LUs of the base stiffness and pressure mass matrix, since the meshes
-    share one topology: it corrects its state in sweeps until its energy
-    estimate is met (``solve_stokes``'s ``start`` and ``factor``), so its
-    Lagrangian ``energy`` has a relative error of about 1e-15 and no
-    re-solve factors a matrix unless its mesh has moved too far for the
-    sweeps to contract.  An affine velocity without a window moves the
+    quotients of the energy with L1 (the result's ``fd``).  The + steps and
+    the - steps run as two chains, each in ``s_values`` order on one thread
+    (``fd_table``'s ``concurrent``).  Each re-solve starts from the
+    interpolant at s of the pressures solved so far along the path of its
+    sign, the base pressure at s = 0 and at most the three nearest of its
+    chain's earlier steps (a chain's first step starts from the base
+    pressure), and runs on the LUs of the base stiffness and pressure mass
+    matrix, since the meshes share one topology: it corrects its state in
+    sweeps until its energy estimate is met (``solve_stokes``'s ``start``
+    and ``factor``), so its Lagrangian ``energy`` has a relative error of
+    about 1e-15 and no re-solve factors a matrix unless its mesh has moved
+    too far for the sweeps to contract.  Each chain keeps its own earlier
+    pressures, so the starts, and the table, do not depend on the threads'
+    timing or the CPU count.  An affine velocity without a window moves the
     mesh by the closed form of its RK4 flow (``flow.flow_points``).  The
-    state still passes the backward-error check.  The signed steps run
-    concurrently and share the base pressure and factors, which they only
-    read; the rest of the base system and its solution is released before
-    they start.
+    state still passes the backward-error check.  Both chains share the
+    base pressure and factors, which they only read; the rest of the base
+    system and its solution is released before they start.
     Only the homogeneous Neumann condition is meaningful under transport,
     so no traction data enters here.
     """
     head, lam, factor = _head(mesh, f_field, field)
+    chains: dict[bool, dict[float, np.ndarray]] = {True: {}, False: {}}  # per sign; only its chain writes it
 
     def energy_at(s: float) -> float:
-        return energy(*_solve(transport_mesh(mesh, field, s, steps=steps), f_field, start=lam, factor=factor))
+        solved = chains[s > 0.0]
+        moved = transport_mesh(mesh, field, s, steps=steps)
+        system, solution = _solve(moved, f_field, start=_start_pressure(s, lam, solved), factor=factor)
+        solved[s] = solution.lam
+        return energy(system, solution)
 
     return replace(head, fd=fd_table(energy_at, head.L1, head.energy, s_values, concurrent=True))

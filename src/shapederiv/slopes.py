@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import math
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -46,44 +45,40 @@ def loglog_slope(s_values, errors) -> float:
     return float(np.polyfit(np.log(s), np.log(e), 1)[0])
 
 
-def _values_at(value_at: Callable[[float], float], steps: list[float], workers: int) -> list[float]:
-    """``value_at`` at every step, returned in step order.
+def _values_at(value_at: Callable[[float], float], steps: list[float], concurrent: bool) -> list[float]:
+    """``value_at`` at every step +s1, -s1, +s2, ..., returned in that order.
 
-    The calling thread and a pool of ``workers`` threads take the steps in
-    order from one shared counter; with no workers the steps run in a plain
-    loop.  Once a step fails no further step starts, and after every
-    started step has finished the first failure in step order is raised,
-    so no thread outlives the call.
+    With ``concurrent`` the steps of each sign run as one chain, in order:
+    the + steps on a pool thread, the - steps on the calling thread.
+    Otherwise the steps run in a plain loop.  A chain stops at its first
+    failure and starts no step after a failure of the other chain; once
+    both have ended, the first failure in step order is raised, so no
+    thread outlives the call.
     """
-    if workers < 1:
+    if not concurrent:
         return [value_at(s) for s in steps]
     values = [math.nan] * len(steps)
     failures: dict[int, Exception] = {}
-    lock = threading.Lock()
-    order = iter(range(len(steps)))
+    stop = [len(steps)]  # the index of a failed step; a chain starts no later one
 
-    def take() -> int | None:
-        with lock:
-            return next(order, None)
+    def chain(first: int) -> None:
+        for k in range(first, len(steps), 2):
+            if k > stop[0]:
+                return
+            try:
+                values[k] = value_at(steps[k])
+            except Exception as exc:
+                failures[k], stop[0] = exc, min(stop[0], k)
+                return
 
-    def work() -> None:
+    with ThreadPoolExecutor(1) as pool:
+        plus = pool.submit(chain, 0)
         try:
-            while (k := take()) is not None:
-                try:
-                    values[k] = value_at(steps[k])
-                except Exception as exc:
-                    failures[k] = exc
-                    return
-        finally:
-            with lock:  # a stopped thread, failed or interrupted, ends the whole map
-                for _ in order:
-                    pass
-
-    with ThreadPoolExecutor(workers) as pool:
-        futures = [pool.submit(work) for _ in range(workers)]
-        work()
-    for future in futures:
-        future.result()
+            chain(1)
+        except BaseException:
+            stop[0] = -1  # an interrupted caller ends the other chain too
+            raise
+    plus.result()
     if failures:
         raise failures[min(failures)]
     return values
@@ -100,22 +95,22 @@ def fd_table(
     """Compare L1 with (E(+s) - E(-s)) / 2s and (E(+s) - E(0)) / s, E = ``value_at``.
 
     ``value_at`` is called once at each signed step +s1, -s1, +s2, ...,
-    in that order, or with ``concurrent`` on up to one thread per CPU, for
-    a ``value_at`` that is safe to call from several threads at once and
-    spends its time in native code that releases the GIL, such as sparse
-    factorizations.  The table depends only on the values: it equals the
-    one built from the same values in sequence, and a failing step raises
-    the error of the first failing step in that order.  The table is exact
-    when every error is at most 1e-12 (1 + |E(0)| + |L1|), so never with a
-    NaN; otherwise a slope is fitted over two or more steps whose errors
-    are all positive and finite.
+    in that order.  With ``concurrent`` and two or more CPUs, the + steps
+    run in ``s_values`` order on one pool thread while the calling thread
+    runs the - steps in that order, so each sign's steps see one thread and
+    one order whatever the timing; ``value_at`` must be safe to call from
+    the two threads at once.  The table depends only on the values: it
+    equals the one built from the same values in sequence, and a failing
+    step raises the error of the first failing step in that order.  The
+    table is exact when every error is at most 1e-12 (1 + |E(0)| + |L1|),
+    so never with a NaN; otherwise a slope is fitted over two or more
+    steps whose errors are all positive and finite.
     """
     s_values = [float(s) for s in s_values]
     if not s_values or any(not (s > 0.0 and math.isfinite(s)) for s in s_values):
         raise ValueError("finite differences need one or more positive, finite steps")
     steps = [sign * s for s in s_values for sign in (1.0, -1.0)]
-    workers = min(len(steps), os.cpu_count() or 1) - 1 if concurrent else 0
-    values = _values_at(value_at, steps, workers)
+    values = _values_at(value_at, steps, concurrent and (os.cpu_count() or 1) > 1)
     entries: list[FdEntry] = []
     one_sided_err: list[float] = []
     for s, e_plus, e_minus in zip(s_values, values[0::2], values[1::2]):

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import shapederiv as sd
-from shapederiv import stokes_fem
+from shapederiv import slopes, stokes_fem
 from shapederiv.fields import ConstantForce, ForceField, RotationalForce, TrigForce
 from shapederiv.flow import CutoffWindow
 from shapederiv.mesh import transport_mesh
@@ -586,6 +586,66 @@ def test_fd_verify_factors_the_velocity_stiffness_once(monkeypatch):
     assert len(counted) == 1
     assert len(masses) == 1
     assert abs(report.fd.slope - 2.0) <= 0.1
+
+
+def test_start_pressure_interpolates_the_chain():
+    # The start through the base pressure at 0 and at most three earlier
+    # steps is exact for a vector-valued quadratic in s; a chain's first
+    # step starts from the base pressure itself.
+    start = importlib.import_module("shapederiv.shape_derivative")._start_pressure
+    c0, c1, c2 = np.array([1.0, -2.0, 0.5]), np.array([3.0, 0.25, -1.0]), np.array([-40.0, 7.0, 12.0])
+
+    def path(s):
+        return c0 + s * c1 + s * s * c2
+
+    assert start(1e-2, c0, {}) is c0
+    for earlier in ([1e-2, 3e-3], [1e-2, 3e-3, 1e-3], [-1e-2, -3e-3, -1e-3, -3e-4]):
+        solved = {t: path(t) for t in earlier}
+        for s in (earlier[-1] / 3.0, 0.5 * earlier[0], 2.0 * earlier[0]):
+            # roundoff through weights of up to about 1e2 when extrapolating
+            assert np.abs(start(s, c0, solved) - path(s)).max() <= 1e-12
+    # Of four earlier steps only the three nearest to s enter.
+    solved = {t: path(t) for t in (-3e-4, -1e-3, -3e-3)} | {-1e-2: np.full(3, np.nan)}
+    assert np.abs(start(-1e-4, c0, solved) - path(-1e-4)).max() <= 1e-12
+    line = start(5e-3, c0, {1e-2: path(1e-2)})
+    assert np.allclose(line, c0 + 0.5 * (path(1e-2) - c0), rtol=0.0, atol=1e-15)
+
+
+def test_an_interpolated_start_saves_cg_steps():
+    # The third step of a chain, started from the quadratic through the
+    # base and the chain's two solved pressures, needs fewer Schur-CG steps
+    # than from the base pressure (8 against 24 at n=32).
+    start = importlib.import_module("shapederiv.shape_derivative")._start_pressure
+    mesh = sd.unit_square_mesh(16, {"right"})
+    base, factor = _base_factor(mesh)
+    solved = {}
+    for s in (1e-2, 3e-3):
+        system = sd.assemble(transport_mesh(mesh, AFFINE, s, steps=64), TrigForce())
+        solved[s] = sd.solve_stokes(system, start=start(s, base.lam, solved), factor=factor).lam
+    system = sd.assemble(transport_mesh(mesh, AFFINE, 1e-3, steps=64), TrigForce())
+    chained = sd.solve_stokes(system, start=start(1e-3, base.lam, solved), factor=factor)
+    from_base = sd.solve_stokes(system, start=base.lam, factor=factor)
+    e_cold = sd.energy(system, sd.solve_stokes(system))
+    assert abs(sd.energy(system, chained) - e_cold) <= 1e-13 * abs(e_cold)
+    assert chained.iterations < from_base.iterations
+
+
+@pytest.mark.parametrize(
+    "mesh, force, field",
+    [
+        (sd.unit_square_mesh(8, {"right"}), TrigForce(), AFFINE),
+        (sd.disk_mesh(6), TrigForce(), sd.RotationField(1.0)),
+    ],
+    ids=["square8-affine", "disk6-rotation"],
+)
+def test_fd_verify_does_not_depend_on_the_cpu_count(monkeypatch, mesh, force, field):
+    # Each chain reads only its own earlier pressures, so one thread or two
+    # give the same starts and the same report, bit for bit.
+    reports = []
+    for cpus in (1, 2, 1, 2):
+        monkeypatch.setattr(slopes.os, "cpu_count", lambda: cpus)
+        reports.append(repr(fd_verify(mesh, force, field, [1e-2, 3e-3, 1e-3])))
+    assert len(set(reports)) == 1
 
 
 GRADIENT_FORCE = ConstantForce(value=(1.0, 0.0))  # a zero state: its re-solves end on the residual floor

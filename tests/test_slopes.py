@@ -77,18 +77,29 @@ def test_each_signed_step_once_and_the_sequential_table(monkeypatch, cpus):
 
 
 def test_many_steps_on_more_threads_than_cpus(monkeypatch):
-    # Seven pool threads share the step counter under a short switch
-    # interval; a step lost or taken twice shows in the calls.
+    # With 8 CPUs reported, the steps still run as two chains under a short
+    # switch interval: each sign's steps in s_list order on one thread, and
+    # at most one pool thread; a step lost or taken twice shows in the calls.
     monkeypatch.setattr(slopes.os, "cpu_count", lambda: 8)
     s_values = [10.0 ** -(1.0 + k / 20.0) for k in range(60)]
     calls = []
+
+    def value_at(s):
+        calls.append((threading.get_ident(), s))
+        return s + s * s
+
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        table = fd_table(lambda s: calls.append(s) or s + s * s, 1.0, 0.0, s_values, concurrent=True)
+        table = fd_table(value_at, 1.0, 0.0, s_values, concurrent=True)
     finally:
         sys.setswitchinterval(interval)
-    assert sorted(calls) == sorted([s for v in s_values for s in (v, -v)])
+    assert sorted(s for _, s in calls) == sorted([s for v in s_values for s in (v, -v)])
+    for sign in (1.0, -1.0):
+        chain = [(thread, s) for thread, s in calls if s * sign > 0.0]
+        assert [s for _, s in chain] == [sign * s for s in s_values]
+        assert len({thread for thread, _ in chain}) == 1
+    assert len({thread for thread, _ in calls} - {threading.get_ident()}) <= 1
     assert repr(table) == repr(fd_table(lambda s: s + s * s, 1.0, 0.0, s_values))
 
 
@@ -118,6 +129,36 @@ def test_first_failure_in_step_order_is_raised(monkeypatch, cpus):
     with pytest.raises(_MinusFirstStep, match="at -s1"):
         fd_table(_fails_at_minus_first_and_plus_second, 0.0, 0.0, [1e-2, 1e-3], concurrent=True)
     assert threading.active_count() == threads
+
+
+class _Failure(Exception):
+    pass
+
+
+class _Interrupt(BaseException):
+    pass
+
+
+@pytest.mark.parametrize("failure", [_Failure, _Interrupt])
+def test_a_stopped_chain_ends_the_other(monkeypatch, failure):
+    # A failure at +s1, first in step order, or an interrupt of the
+    # calling thread at -s1 stops the other chain after its current step,
+    # and no thread outlives the call.
+    monkeypatch.setattr(slopes.os, "cpu_count", lambda: 2)
+    calls = []
+    threads = threading.active_count()
+
+    def value_at(s):
+        calls.append(s)
+        if s == (1e-2 if failure is _Failure else -1e-2):
+            raise failure("stop")
+        time.sleep(0.05)
+        return 0.0
+
+    with pytest.raises(failure, match="stop"):
+        fd_table(value_at, 0.0, 0.0, [1e-2, 3e-3, 1e-3, 3e-4], concurrent=True)
+    assert threading.active_count() == threads
+    assert len(calls) <= 2
 
 
 @pytest.mark.parametrize("bad", [0.0, -1e-3, math.nan, math.inf])
