@@ -229,9 +229,8 @@ def _memo(owner, slot: str, build: Callable[..., _T]) -> _T:
     ``__dict__`` under ``slot``, which works on frozen dataclasses too.
     The memo is one assignment, without a lock, so concurrent callers at
     worst build it twice.  ``functools.cached_property`` is not used: before
-    Python 3.12 it holds one lock per class, which would serialize the
-    builds of different owners, such as the factorizations of the systems
-    that ``fd_verify`` solves concurrently."""
+    Python 3.12 it holds one lock per class, which would make builds for
+    different owners on different threads wait for each other."""
     memo = owner.__dict__.get(slot)
     if memo is None:
         memo = owner.__dict__[slot] = build(owner)
