@@ -23,3 +23,8 @@ def norm2(x: np.ndarray) -> float:
     # Two factors, each a double: where 2.0**exp alone would raise
     # OverflowError, their product overflows to inf.
     return float(np.linalg.norm(np.ldexp(x, -exp))) * 2.0 ** (exp // 2) * 2.0 ** (exp - exp // 2)
+
+
+def binary_exponent(*arrays: np.ndarray) -> int:
+    """The ``np.frexp`` exponent of the largest entry over all ``arrays``."""
+    return int(np.frexp(max(float(np.abs(x).max(initial=0.0)) for x in arrays))[1])

@@ -223,20 +223,18 @@ def fd_verify(
     interpolant at s of the pressures solved so far along the path of its
     sign, the base pressure at s = 0 and at most the three nearest of its
     chain's earlier steps (a chain's first step starts from the base
-    pressure), and runs on the LUs of the base stiffness and pressure mass
-    matrix, since the meshes share one topology: it corrects its state in
-    sweeps until its energy estimate is met (``solve_stokes``'s ``start``
-    and ``factor``), so its Lagrangian ``energy`` has a relative error of
-    about 1e-15 and no re-solve factors a matrix unless its mesh has moved
-    too far for the sweeps to contract.  Each chain keeps its own earlier
-    pressures, so the starts, and the table, do not depend on the threads'
-    timing or the CPU count.  An affine velocity without a window moves the
-    mesh by the closed form of its RK4 flow (``flow.flow_points``).  The
-    state still passes the backward-error check.  Both chains share the
-    base pressure and factors, which they only read; the rest of the base
-    system and its solution is released before they start.
-    Only the homogeneous Neumann condition is meaningful under transport,
-    so no traction data enters here.
+    pressure).  It corrects that state in sweeps on the base LUs of L and
+    M, as the meshes share one topology (``solve_stokes``'s ``start`` and
+    ``factor``), to a relative energy error of about 1e-15, and factors
+    nothing unless its mesh has moved too far for the sweeps to contract:
+    it is then the cold solve.  Each chain keeps its own earlier pressures,
+    so the starts, and the table, do not depend on the threads' timing or
+    the CPU count.  An affine velocity without a window moves the mesh by
+    the closed form of its RK4 flow (``flow.flow_points``).  Both chains
+    share the base pressure and factors, which they only read; the rest of
+    the base system and its solution is released before they start.  Only
+    the homogeneous Neumann condition is meaningful under transport, so no
+    traction data enters here.
     """
     head, lam, factor = _head(mesh, f_field, field)
     chains: dict[bool, dict[float, np.ndarray]] = {True: {}, False: {}}  # per sign; only its chain writes it

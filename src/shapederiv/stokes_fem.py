@@ -37,12 +37,11 @@ factors once, on first use, for ``solve_stokes`` and ``inf_sup_constant``.
 With no Neumann edge B'1 = 0 and S is singular; one projection onto its
 range, 1-perp, serves both: CG returns the zero-mean pressure, and the
 inf-sup constant is the one over the zero-integral pressures.  A re-solve
-near a known pressure corrects that state in sweeps (``_sweeps``) and
-stops on the estimate of its energy error; ``energy`` is the Lagrangian,
-which at u = A^-1 (f + g + B' lam) is the dual value, so its error is
-quadratic in that of lam.  On a moved mesh of one topology, L and M are
-within a fraction of a percent of the base ones, so the sweeps can run on
-the base factors instead of factoring their own.
+on a moved mesh of the same topology, whose L and M differ by a fraction
+of a percent, corrects a known pressure in sweeps on the base LUs
+(``_sweeps``) until their energy-error estimate is met, or, where they
+stop contracting, is the cold solve.  ``energy``, the Lagrangian, is the
+dual value at u = A^-1 (f + g + B' lam): its error is quadratic in lam's.
 """
 
 from __future__ import annotations
@@ -54,7 +53,7 @@ import scipy.linalg
 import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
 
-from ._norms import norm2
+from ._norms import binary_exponent, norm2
 from .errors import DimensionMismatch, EmptyDirichletBoundary, SingularSystem
 from .fields import ForceField, ManufacturedStokes
 from .mesh import _TOPOLOGY, DIRICHLET, TriMesh, _edge_keys, _edge_table, _memo, unit_square_mesh
@@ -330,8 +329,8 @@ class StokesSystem:
 
 @dataclass(frozen=True)
 class StokesSolution:
-    """Velocity and pressure coefficients with their defect norms and the
-    number of Schur-complement CG iterations that produced them."""
+    """Velocity and pressure coefficients, their defect norms, and the Schur
+    CG steps that produced them (a fallback's include its abandoned sweeps)."""
 
     u: np.ndarray
     lam: np.ndarray
@@ -403,12 +402,11 @@ class _SchurComplement:
     edge has B'1 = 0, so the constants are the kernel of S, and ``project``
     maps a residual onto range(S) = 1-perp for ``cg`` and the inf-sup loop.
 
-    ``factor`` is (topology, LU of L, LU of M): made here, or borrowed from
-    a system on the same topology, whose L then stands in for this one's
-    and whose M preconditions (see ``_sweeps``); a borrowed one factors
-    nothing.  B, B' and M, whose weights ``zero_integral`` takes, are
-    always this system's.  A factor of another topology raises
-    ``DimensionMismatch`` first.
+    ``factor`` is (topology, LU of L, LU of M): made here for the cold CG,
+    or borrowed for ``_sweeps`` from a system on the same topology, whose L
+    then stands in for this one's and whose M preconditions.  B, B' and M,
+    whose weights ``zero_integral`` takes, are always this system's.  A
+    factor of another topology raises ``DimensionMismatch`` first.
     """
 
     def __init__(self, system: StokesSystem, factor: tuple | None = None):
@@ -454,9 +452,7 @@ class _SchurComplement:
         weights = np.asarray(self.M.sum(axis=0)).ravel()  # the integrals of the P1 hat functions
         return x - (weights @ x) / weights.sum()
 
-    def cg(
-        self, b: np.ndarray, energy: tuple | None = None, rtol: float | None = None, spent: int = 0
-    ) -> tuple[np.ndarray, int, list, list]:
+    def cg(self, b: np.ndarray, energy: tuple | None = None, spent: int = 0) -> tuple[np.ndarray, int, list, list]:
         """Mass-preconditioned CG on S x = b.
 
         Returns x, the iteration count, and the search directions p with
@@ -470,16 +466,15 @@ class _SchurComplement:
         ``energy = (q, w, du)`` is for a b that is the Schur residual of a
         state (w, x0) of ``_sweeps``, whose Lagrangian is -1/2 q'w; x is then
         the correction to x0, and CG adds A^-1 B'x to du in place, from the
-        velocity solves of its products; a cold CG does no such work.  At a CG
-        iterate the dual value falls short of its maximum by 1/2 |x* -
-        x_k|_S^2, and step j raises it by 1/2 alpha_j r_j'z_j (Hestenes and
-        Stiefel 1952), so the sum over _CG_DELAY steps from x_k is a lower
-        estimate of that error (Strakos and Tichy, ETNA 13, 2002).  With
-        ``energy`` CG stops, with the current iterate, once that estimate is
-        at most _CG_ETOL times the value at x_k, or on the residual rule,
-        whichever comes first.  The residual rule is ``rtol`` (_CG_RTOL by
-        default) times |b|, and ``spent`` earlier steps count against
-        _CG_MAX_ITER.
+        velocity solves of its products.  At a CG iterate the dual value
+        falls short of its maximum by 1/2 |x* - x_k|_S^2, and step j raises
+        it by 1/2 alpha_j r_j'z_j (Hestenes and Stiefel 1952), so the sum
+        over _CG_DELAY steps from x_k is a lower estimate of that error
+        (Strakos and Tichy, ETNA 13, 2002).  With ``energy`` CG stops, with
+        the current iterate, once that estimate is at most _CG_ETOL times
+        the value at x_k, or once |r| <= _CG_SWEEP_RTOL |b|; without it, a
+        cold CG, once |r| <= _CG_RTOL |b|.  ``spent`` earlier steps count
+        against _CG_MAX_ITER.
 
         The iteration runs on b / 2^e, e the binary exponent of b's largest
         entry, and returns 2^e times its x.  Scaling by a power of two is
@@ -491,11 +486,11 @@ class _SchurComplement:
         """
         if not np.all(np.isfinite(b)):
             raise SingularSystem("Schur-complement right-hand side is not finite")
-        exp = int(np.frexp(np.abs(b).max(initial=0.0))[1])
+        exp = binary_exponent(b)
         b = np.ldexp(b, -exp)
         x = np.zeros_like(b)
         r = self.project(b)
-        stop = (_CG_RTOL if rtol is None else rtol) * float(np.linalg.norm(b))
+        stop = (_CG_RTOL if energy is None else _CG_SWEEP_RTOL) * float(np.linalg.norm(b))
         z = self.precondition(r)
         p = z.copy()
         rz = float(r @ z)
@@ -544,7 +539,7 @@ def _residuals(system: StokesSystem, u: np.ndarray, lam: np.ndarray) -> tuple[fl
     defects are those of the unscaled vectors, while neither they nor the
     scale can overflow.  A defect past the largest double reads inf."""
     rhs = system.rhs
-    exp = max(int(np.frexp(np.abs(v).max(initial=0.0))[1]) for v in (u, lam, rhs))
+    exp = binary_exponent(u, lam, rhs)
     u, lam, rhs = (np.ldexp(v, -exp) for v in (u, lam, rhs))
     r_mom = norm2((system.L @ u.reshape(-1, 2)).ravel() - rhs - system.B.T @ lam)
     r_div = norm2(system.B @ u)
@@ -555,19 +550,24 @@ def _residuals(system: StokesSystem, u: np.ndarray, lam: np.ndarray) -> tuple[fl
         return float(np.ldexp(r_mom, exp)), float(np.ldexp(r_div, exp)), error
 
 
-def _sweeps(system: StokesSystem, start: np.ndarray | None, factor: tuple | None) -> tuple[np.ndarray, np.ndarray, int]:
+def _cold(system: StokesSystem, spent: int = 0) -> tuple[np.ndarray, np.ndarray, int]:
+    """The cold solve's u, lam and CG steps, counting ``spent`` earlier ones."""
+    schur, rhs = system._schur(), system.rhs
+    lam, iterations, _, _ = schur.cg(-(schur.B @ schur.solve_velocity(rhs)), spent=spent)
+    return schur.solve_velocity(rhs + schur.Bt @ lam), lam, spent + iterations
+
+
+def _sweeps(system: StokesSystem, start: np.ndarray | None, factor: tuple) -> tuple[np.ndarray, np.ndarray, int]:
     """Defect correction (Stetter, Numer. Math. 29, 1978) from the pressure
-    ``start`` moved to zero integral (or zero), on the factors ``factor`` of
-    a system on the same topology, or on this system's own; returns u, lam
-    moved to zero integral on this mesh (a constant in the kernel of S,
-    which leaves u as it is), and the CG steps, all of which count against
-    _CG_MAX_ITER.
+    ``start`` moved to zero integral (or zero), on the borrowed factors
+    ``factor`` of a system on the same topology; returns u, lam moved to
+    zero integral on this mesh (a constant in the kernel of S, which leaves
+    u as it is), and the CG steps, all of which count against _CG_MAX_ITER.
 
     The first velocity is u = A~^-1 (f + g + B'lam), A~ the factored matrix.
     A sweep takes the true residuals r_u = f + g + B'lam - A u and r_p = B u,
     solves for the correction (du, dlam) with A~ in place of A, by the Schur
-    CG stopped on its energy rule or at _CG_SWEEP_RTOL (_CG_RTOL on the own
-    factor, where one sweep is the whole solve), and adds it; du is
+    CG stopped on its energy rule or at _CG_SWEEP_RTOL, and adds it; du is
     A~^-1 r_u plus the CG's sum A~^-1 B'dlam, one velocity solve.  Were A~ = A
     and the correction exact, the Lagrangian before the sweep would be off
     by 1/2 |r_u'du + r_p'dlam|, an estimate free of cancellation; the loop
@@ -575,13 +575,13 @@ def _sweeps(system: StokesSystem, start: np.ndarray | None, factor: tuple | None
     B'lam + r_u)'u, or once the state's Schur residual meets the cold CG's
     rule, _CG_RTOL |B A~^-1 (f + g)|, which ends it at roundoff where the
     Lagrangian is zero.  A sweep whose estimate is above 1/100 of the
-    previous one switches to the own factors.  The sweeps run on the load
-    and lam divided by 2^e, as in ``cg``, and return 2^e times their state.
+    previous one abandons the sweeps for ``_cold``, which returns the cold
+    solve's state and counts their steps.  The sweeps run on the load and
+    lam divided by 2^e, as in ``cg``, and return 2^e times their state.
     """
-    own = factor is None
-    schur = system._schur() if own else _SchurComplement(system, factor)
+    schur = _SchurComplement(system, factor)
     rhs, lam = system.rhs, np.zeros(system.B.shape[0]) if start is None else schur.zero_integral(start)
-    exp = max(int(np.frexp(np.abs(v).max(initial=0.0))[1]) for v in (rhs, lam))
+    exp = binary_exponent(rhs, lam)
     rhs, lam = np.ldexp(rhs, -exp), np.ldexp(lam, -exp)
     load = rhs + schur.Bt @ lam
     u, iterations, last = schur.solve_velocity(load), 0, np.inf
@@ -592,15 +592,15 @@ def _sweeps(system: StokesSystem, start: np.ndarray | None, factor: tuple | None
         b = -(r_p + schur.B @ d_u)
         if norm2(schur.project(b)) <= floor:
             break
-        d_lam, steps, _, _ = schur.cg(b, (load + r_u, u, d_u), _CG_RTOL if own else _CG_SWEEP_RTOL, iterations)
+        d_lam, steps, _, _ = schur.cg(b, (load + r_u, u, d_u), iterations)
         iterations += steps
         estimate, dual = abs(r_u @ d_u + r_p @ d_lam), abs((load + r_u) @ u)  # both twice their value
         u, lam = u + d_u, lam + d_lam
         load = rhs + schur.Bt @ lam
-        if own or estimate <= _CG_ETOL * dual:
+        if estimate <= _CG_ETOL * dual:
             break
         if estimate > 1e-2 * last:
-            schur, own = system._schur(), True
+            return _cold(system, iterations)
         last = estimate
     else:
         raise SingularSystem(f"Schur-complement CG did not converge in {_CG_MAX_ITER} iterations")
@@ -622,45 +622,41 @@ def solve_stokes(
     velocity is then u = A^-1 (f + g + B' lam).  A^-1 is one sparse LU of
     the scalar P2 Laplacian shared by both velocity components.
 
-    ``start``, a pressure on the same vertices, and ``factor``, the LUs of
-    L and M ``system._schur().factor`` of a system on the same topology (a
-    mesh ``transport_mesh`` moved from the same base), make it a re-solve
-    near a known state: ``_sweeps`` corrects the state from ``start`` (or
-    zero) on ``factor`` (or this system's own LUs) until its Lagrangian
-    ``energy`` is within about 1e-15 of its own size, in fewer CG steps
-    than the residual rule takes.  With ``factor`` L and M are factored
-    only when the sweeps stop contracting.  Both are only read, so threads
-    may share them; with no Neumann edge ``start``, and the result, are
-    moved to zero integral.  A ``start`` of another size or a factor of
-    another topology raises ``DimensionMismatch``.
+    Without ``factor`` this is that cold solve, on the system's own LUs,
+    made once.  With ``factor``, the LUs ``system._schur().factor`` of a
+    system on the same topology (a mesh ``transport_mesh`` moved from the
+    same base), ``_sweeps`` corrects the state from the pressure ``start``
+    (or zero) on them until its Lagrangian ``energy`` is within about
+    1e-15 of its own size; where the sweeps stop contracting it adds the
+    cold solve's cost and returns its state bit for bit (``iterations``
+    counts both).  ``factor`` and ``start`` are only read, so threads may
+    share them; with no Neumann edge ``start``, and the result, are moved
+    to zero integral.  A ``start`` without ``factor`` raises
+    ``ValueError``, one of another size or a factor of another topology
+    ``DimensionMismatch``.
 
     With an empty Neumann boundary the pressure is only determined up to a
     constant, and the solve returns the zero-mean pressure; a Neumann edge
     fixes it.  The mesh decides this gauge: ``pin_pressure`` fixes no
     pressure value, and when given it must agree, True exactly when the
     mesh has no Neumann edge, or it raises ``SingularSystem``.
-    The factors are the system's, made once.  ``residual_tol`` bounds the
-    accepted backward error, with or without ``start`` or ``factor``: both
-    defects over |L||u| + |B||lam| + |f + g|.  A non-finite load or start, a
-    rank-deficient B, a failed factorization, a CG breakdown or a CG run
-    past its iteration cap raises ``SingularSystem``.
+    ``residual_tol`` bounds the accepted backward error on either path:
+    both defects over |L||u| + |B||lam| + |f + g|.  A non-finite load or
+    start, a rank-deficient B, a failed factorization, a CG breakdown or a
+    CG run past its iteration cap raises ``SingularSystem``.
     """
     if pin_pressure is not None and pin_pressure == bool(len(system.space.neumann_edges)):
         raise SingularSystem(
             "Neumann edges fix the pressure; solve with pin_pressure=False" if pin_pressure else
             "no Neumann edges: the pressure is defined up to a constant; solve with pin_pressure=True"
         )
-    rhs_u = system.rhs
-    if not np.all(np.isfinite(rhs_u)):
+    if not np.all(np.isfinite(system.rhs)):
         raise SingularSystem("load vector has non-finite entries")
+    if start is not None and factor is None:
+        raise ValueError("a start pressure is read only by a re-solve on a borrowed factor; pass factor too")
     if start is not None and np.shape(start) != system.B.shape[:1]:
         raise DimensionMismatch(f"start pressure has shape {np.shape(start)}, the system expects {system.B.shape[:1]}")
-    if start is None and factor is None:
-        schur = system._schur()
-        lam, iterations, _, _ = schur.cg(-(schur.B @ schur.solve_velocity(rhs_u)))
-        u = schur.solve_velocity(rhs_u + schur.Bt @ lam)
-    else:
-        u, lam, iterations = _sweeps(system, start, factor)
+    u, lam, iterations = _cold(system) if factor is None else _sweeps(system, start, factor)
 
     r_mom, r_div, error = _residuals(system, u, lam)
     if not error <= residual_tol:

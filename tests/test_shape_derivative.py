@@ -9,6 +9,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import shapederiv as sd
 from shapederiv import slopes, stokes_fem
@@ -506,39 +508,6 @@ def test_fd_builds_one_topology_for_its_solves(monkeypatch):
 FD_STEPS = (1e-2, -1e-2, 3e-3, -3e-3, 1e-3, -1e-3)
 
 
-@pytest.mark.parametrize("n", [16, 32])
-def test_warm_re_solve_energies_match_the_residual_rule(n):
-    # A re-solve from the base pressure stops on its energy estimate; its
-    # Lagrangian is the dual value, whose error is quadratic in lambda's.
-    mesh = sd.unit_square_mesh(n, {"right"})
-    base = sd.solve_stokes(sd.assemble(mesh, TrigForce()))
-    start = base.lam.tobytes()
-    for s in FD_STEPS:
-        system = sd.assemble(transport_mesh(mesh, AFFINE, s, steps=64), TrigForce())
-        cold = sd.solve_stokes(system)
-        warm = sd.solve_stokes(system, start=base.lam)
-        e_cold, e_warm = sd.energy(system, cold), sd.energy(system, warm)
-        assert abs(e_warm - e_cold) <= 1e-13 * abs(e_cold)
-        if n == 32:
-            assert warm.iterations <= 26 < cold.iterations == 36
-    assert base.lam.tobytes() == start  # the re-solves of fd_verify share it across threads
-
-
-def test_a_capped_warm_re_solve_is_refused(monkeypatch):
-    # A re-solve cut short by the iteration cap raises; it never returns a
-    # truncated state for its energy.
-    mesh = sd.unit_square_mesh(16, {"right"})
-    base = sd.solve_stokes(sd.assemble(mesh, TrigForce()))
-    system = sd.assemble(transport_mesh(mesh, AFFINE, 1e-2, steps=64), TrigForce())
-    needed = sd.solve_stokes(system, start=base.lam).iterations
-    for cap in (0, needed // 2, needed - 1):
-        monkeypatch.setattr(stokes_fem, "_CG_MAX_ITER", cap)
-        with pytest.raises(sd.SingularSystem, match="did not converge"):
-            sd.solve_stokes(system, start=base.lam)
-    monkeypatch.setattr(stokes_fem, "_CG_MAX_ITER", needed)
-    assert sd.solve_stokes(system, start=base.lam).iterations == needed
-
-
 def _base_factor(mesh, force=None):
     system = sd.assemble(mesh, force or TrigForce())
     return sd.solve_stokes(system), system._schur().factor
@@ -556,7 +525,8 @@ def _base_factor(mesh, force=None):
 )
 def test_base_factor_re_solve_energies_match_the_residual_rule(mesh, field):
     # A re-solve on the base velocity factor corrects the transported state
-    # in sweeps; its Lagrangian matches a cold solve's as the warm one does.
+    # in sweeps; its Lagrangian is the dual value, whose error is quadratic
+    # in lambda's, and matches a cold solve's.
     base, factor = _base_factor(mesh)
     start = base.lam.tobytes()
     for s in FD_STEPS:
@@ -566,7 +536,7 @@ def test_base_factor_re_solve_energies_match_the_residual_rule(mesh, field):
         e_cold = sd.energy(system, cold)
         assert abs(sd.energy(system, swept) - e_cold) <= 1e-13 * abs(e_cold)
         if mesh.num_vertices == 33 * 33:
-            assert swept.iterations <= 30
+            assert swept.iterations <= 30 < cold.iterations == 36
     assert base.lam.tobytes() == start  # the re-solves of fd_verify share it across threads
 
 
@@ -704,9 +674,18 @@ def test_a_factor_of_another_topology_is_refused(monkeypatch):
         sd.solve_stokes(moved, factor=(topology, None, None))
 
 
+def _assert_the_cold_solve(swept, cold):
+    # A fallback returns the cold solve bit for bit, with the abandoned
+    # sweeps' steps added to the cold CG's.
+    assert swept.u.tobytes() == cold.u.tobytes() and swept.lam.tobytes() == cold.lam.tobytes()
+    assert swept.iterations > cold.iterations
+
+
 def test_a_far_moved_re_solve_falls_back_to_its_own_factor(monkeypatch):
     # Stretched to twice its width, the square's stiffness is far from the
-    # base one: the sweeps stop contracting, and the re-solve factors its own.
+    # base one: the sweeps stop contracting, and the re-solve is the cold
+    # solve, which factors its own.  Its steps count the abandoned sweeps',
+    # so a cap between the cold solve's steps and the total refuses it.
     mesh = sd.unit_square_mesh(16, {"right"})
     base, factor = _base_factor(mesh)
     stretch = sd.AffineField(M=((1.0, 0.0), (0.0, 0.0)))
@@ -716,8 +695,39 @@ def test_a_far_moved_re_solve_falls_back_to_its_own_factor(monkeypatch):
             counted = _count_factors(patched, system.L.shape[0])
             swept = sd.solve_stokes(system, start=base.lam, factor=factor)
         assert len(counted) == factored
-        e_cold = sd.energy(system, sd.solve_stokes(system))
+        cold = sd.solve_stokes(system)
+        e_cold = sd.energy(system, cold)
         assert abs(sd.energy(system, swept) - e_cold) <= 1e-13 * abs(e_cold)
+    _assert_the_cold_solve(swept, cold)  # the stretch at s = 1.0
+    for cap in (cold.iterations, swept.iterations - 1):
+        monkeypatch.setattr(stokes_fem, "_CG_MAX_ITER", cap)
+        with pytest.raises(sd.SingularSystem, match="did not converge"):
+            sd.solve_stokes(system, start=base.lam, factor=factor)
+    monkeypatch.setattr(stokes_fem, "_CG_MAX_ITER", swept.iterations)
+    _assert_the_cold_solve(sd.solve_stokes(system, start=base.lam, factor=factor), cold)
+
+
+def test_a_far_squeezed_disk_re_solve_is_the_cold_solve():
+    # A windowed quadratic field squeezes the disk far from its base shape:
+    # the base factor's sweeps grow their estimate 5.4 -> 1.5e4.  Sweeps that
+    # went on from that state on the system's own factor would stop short of
+    # the energy bound (5e-13 and 4e-12 of |E|, |Bu| 2.5e-8 and 6e-8).
+    force = TrigForce(c=11.031785755728757)
+    field = sd.QuadraticField(
+        coeffs=(
+            (0.530978464137583, -0.9406462301179488, 0.10147292615995918,
+             0.09888211741225916, -0.2618883339623515, 0.2826011544040232),
+            (0.9172297760798085, 0.7622342804274611, 0.8681130630703953,
+             -0.20741300939203816, 0.248861700870318, -0.10761329760679596),
+        ),
+        window=CutoffWindow(lo=(-0.3, -0.3), hi=(0.6, 0.6)),
+    )
+    mesh = sd.disk_mesh(5)
+    base, factor = _base_factor(mesh, force)
+    system = sd.assemble(transport_mesh(mesh, field, -0.23637026849744397), force)
+    cold = sd.solve_stokes(system)
+    for start in (base.lam, None):
+        _assert_the_cold_solve(sd.solve_stokes(system, start=start, factor=factor), cold)
 
 
 def test_a_capped_base_factor_re_solve_is_refused(monkeypatch):
@@ -733,14 +743,85 @@ def test_a_capped_base_factor_re_solve_is_refused(monkeypatch):
     assert sd.solve_stokes(system, start=base.lam, factor=factor).iterations == needed
 
 
+_UNIT = st.floats(-1.0, 1.0)
+_COEFFS = st.tuples(*[st.tuples(*[_UNIT] * 6)] * 2)
+_MESHES = st.one_of(
+    st.builds(
+        sd.unit_square_mesh,
+        st.integers(2, 9),
+        st.sets(st.sampled_from(["left", "right", "bottom", "top"]), max_size=3),
+    ),
+    st.builds(sd.disk_mesh, st.integers(2, 8)),
+)
+_FORCES = st.one_of(
+    st.builds(TrigForce, st.floats(-8.0, 8.0).map(lambda k: 10.0**k)),
+    st.builds(ConstantForce, st.tuples(_UNIT, _UNIT)),  # a gradient force: a zero state
+    st.builds(RotationalForce, _UNIT),
+    st.builds(sd.QuadraticField, coeffs=_COEFFS),
+)
+_FIELDS = st.one_of(
+    st.builds(sd.AffineField, M=st.tuples(*[st.tuples(_UNIT, _UNIT)] * 2), b=st.tuples(_UNIT, _UNIT)),
+    st.builds(sd.QuadraticField, coeffs=_COEFFS),
+    st.builds(
+        lambda coeffs, lo, width: sd.QuadraticField(coeffs=coeffs, window=CutoffWindow(lo, tuple(np.add(lo, width)))),
+        _COEFFS,
+        st.tuples(*[st.floats(-0.5, 0.5)] * 2),
+        st.tuples(*[st.floats(0.2, 1.2)] * 2),
+    ),
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(mesh=_MESHES, force=_FORCES, field=_FIELDS, log_s=st.floats(-4.0, -0.3), sign=st.sampled_from([1.0, -1.0]))
+def test_every_re_solve_meets_the_energy_bound_of_a_cold_solve(mesh, force, field, log_s, sign):
+    # Whether the sweeps on the base factor converge or fall back to the
+    # cold solve, from the base pressure or from zero, the energy is within
+    # 20e-15 of the scale max(|E|, 1/2 f'A^-1 f) from a cold solve's (the
+    # scale stays meaningful where a gradient force makes E zero), and the
+    # steps, fallbacks' included, stay within the cap.  1 500 draws of these
+    # strategies read at most 7.5e-15 of the scale.
+    base, factor = _base_factor(mesh, force)
+    try:
+        moved = transport_mesh(mesh, field, sign * 10.0**log_s)
+    except (sd.InvertedElement, sd.NonPositiveJacobian):
+        return
+    system = sd.assemble(moved, force)
+    cold = sd.solve_stokes(system)
+    e_cold = sd.energy(system, cold)
+    scale = max(abs(e_cold), 0.5 * system.rhs @ system._schur().solve_velocity(system.rhs))
+    for start in (base.lam, None):
+        swept = sd.solve_stokes(system, start=start, factor=factor)
+        assert abs(sd.energy(system, swept) - e_cold) <= 20e-15 * scale
+        assert swept.iterations <= stokes_fem._CG_MAX_ITER
+
+
+@pytest.mark.parametrize("k", [-1000, -575, 0, 900])
+def test_a_zero_start_re_solve_scales_with_the_load(k):
+    # The sweeps run on the load divided by 2^e, e the binary exponent of the
+    # largest entry of the load and the start.  A zero start must not pin e
+    # at 0: a tiny load's energy estimate would underflow and end the sweeps
+    # early.  Scaled by 2^k, the load gives the state times 2^k, bit for bit.
+    mesh = sd.disk_mesh(3)
+    _, factor = _base_factor(mesh)
+    moved = transport_mesh(mesh, AFFINE, 1e-2)
+    unit = sd.solve_stokes(sd.assemble(moved, TrigForce()), factor=factor)
+    scaled = sd.solve_stokes(sd.assemble(moved, TrigForce(c=2.0**k)), factor=factor)
+    assert np.array_equal(scaled.u, np.ldexp(unit.u, k)) and np.array_equal(scaled.lam, np.ldexp(unit.lam, k))
+    assert scaled.iterations == unit.iterations
+
+
 def test_a_start_of_another_size_or_not_finite_is_refused():
     _, system, sol = solved_square()
+    factor = system._schur().factor
     for start in (sol.lam[:-1], np.append(sol.lam, 0.0), sol.lam[:, None]):
         with pytest.raises(sd.DimensionMismatch, match="start pressure"):
-            sd.solve_stokes(system, start=start)
+            sd.solve_stokes(system, start=start, factor=factor)
     for bad in (np.nan, np.inf):
         with pytest.raises(sd.SingularSystem, match="not finite"):
-            sd.solve_stokes(system, start=np.where(np.arange(sol.lam.size) == 3, bad, sol.lam))
+            sd.solve_stokes(system, start=np.where(np.arange(sol.lam.size) == 3, bad, sol.lam), factor=factor)
+    # Only the sweeps on a borrowed factor read a start.
+    with pytest.raises(ValueError, match="borrowed factor"):
+        sd.solve_stokes(system, start=sol.lam)
 
 
 @pytest.mark.parametrize("name", ["rotation", "quadratic"])
