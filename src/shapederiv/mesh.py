@@ -45,12 +45,16 @@ def _edge_table(triangles: np.ndarray, num_vertices: int) -> tuple[np.ndarray, .
     """The local edges (01, 12, 20) of the triangles as directed vertex pairs;
     ``np.unique`` of their undirected keys (sorted keys, first appearance,
     inverse, counts); and the boundary: the edges of exactly one triangle,
-    in its direction, sorted by (start, end)."""
+    in its direction, sorted by (start, end).  The arrays are read-only, as
+    a mesh memoizes them (``_edges``)."""
     local = triangles[:, [[0, 1], [1, 2], [2, 0]]].reshape(-1, 2)
     keys, first, inverse, counts = np.unique(_edge_keys(local, num_vertices), return_index=True,
                                              return_inverse=True, return_counts=True)
     boundary = local[first[counts == 1]]
-    return local, keys, first, inverse, counts, boundary[np.lexsort(boundary.T[::-1])]
+    table = local, keys, first, inverse, counts, boundary[np.lexsort(boundary.T[::-1])]
+    for array in table:
+        array.flags.writeable = False
+    return table
 
 
 def _index_array(name: str, ids, width: int) -> np.ndarray:
@@ -133,7 +137,7 @@ class TriMesh:
             raise InvertedElement("mesh contains a non-positively oriented triangle")
         # Conformity: an undirected edge bounds one triangle, or two that
         # traverse it in opposite directions, so its directions sum to 0.
-        local, _, first, inverse, counts, boundary = _edge_table(self.triangles, nv)
+        local, _, first, inverse, counts, boundary = _edges(self)
         if np.any(counts > 2):
             raise ValueError("mesh is not edge-to-edge conforming")
         overlap = np.abs(np.bincount(inverse, weights=np.sign(local[:, 1] - local[:, 0]))) == 2
@@ -167,11 +171,14 @@ def unit_square_mesh(n: int, neumann_sides: set[str] | frozenset[str] = frozense
     # a+n+2) and (a, a+n+2, a+n+1); cells run row by row.
     a = (np.arange(n)[:, None] * (n + 1) + np.arange(n)).ravel()
     triangles = np.stack([a, a + 1, a + n + 2, a, a + n + 2, a + n + 1], axis=1).reshape(-1, 3)
-    *_, edges = _edge_table(triangles, len(vertices))
+    table = _edge_table(triangles, len(vertices))
+    edges = table[-1]
     mx, my = (0.5 * (vertices[edges[:, 0]] + vertices[edges[:, 1]])).T
     side = np.select([my == 0.0, my == 1.0, mx == 0.0], ["bottom", "top", "left"], "right")
     tags = np.where(np.isin(side, sorted(neumann_sides)), NEUMANN, DIRICHLET).tolist()
-    return TriMesh(vertices, triangles, edges, tags)
+    mesh = TriMesh(vertices, triangles, edges, tags)
+    _memo(mesh, _EDGES, lambda _: table)
+    return mesh
 
 
 def disk_mesh(rings: int) -> TriMesh:
@@ -216,12 +223,15 @@ def disk_mesh(rings: int) -> TriMesh:
                 tris.append((bo + ao % mo, bi + (ai + 1) % mi, bi + ai % mi))
                 ai += 1
     triangles = np.array(tris, dtype=int)
-    *_, edges = _edge_table(triangles, len(vertices))
-    return TriMesh(vertices, triangles, edges, (DIRICHLET,) * len(edges))
+    table = _edge_table(triangles, len(vertices))
+    mesh = TriMesh(vertices, triangles, table[-1], (DIRICHLET,) * len(table[-1]))
+    _memo(mesh, _EDGES, lambda _: table)
+    return mesh
 
 
 _T = TypeVar("_T")
 _TOPOLOGY = "_topology"  # a mesh's slot for the assembly topology, which ``transport_mesh`` hands on
+_EDGES = "_edge_table"  # a mesh's slot for the ``_edge_table`` of its triangles
 
 
 def _memo(owner, slot: str, build: Callable[..., _T]) -> _T:
@@ -235,6 +245,12 @@ def _memo(owner, slot: str, build: Callable[..., _T]) -> _T:
     if memo is None:
         memo = owner.__dict__[slot] = build(owner)
     return memo
+
+
+def _edges(mesh: TriMesh) -> tuple[np.ndarray, ...]:
+    """The ``_edge_table`` of the mesh's triangles, built once per mesh: by
+    its generator, by ``validate`` or by the assembly topology."""
+    return _memo(mesh, _EDGES, lambda m: _edge_table(m.triangles, m.num_vertices))
 
 
 def transport_mesh(mesh: TriMesh, field: QuadraticField, s: float, steps: int = 64) -> TriMesh:

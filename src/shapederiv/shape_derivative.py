@@ -23,7 +23,7 @@ evaluation of Lambda at the vertices and two dot products.
 
 ``mesh_shape_derivative`` is that computation on a mesh (assemble, solve,
 contract) and ``fd_verify`` adds central differences of re-solves on
-transported meshes, on the base factors and stopped on their energy
+transported meshes, on the base factor and stopped on their energy
 estimate.  The re-solves of each sign run in order on one thread, each
 started from the Lagrange interpolant of the pressures solved before it
 along that sign's path, the base pressure included: the predictor step of
@@ -180,8 +180,8 @@ def _solve(mesh: TriMesh, f_field: ForceField, **kwargs) -> tuple[StokesSystem, 
 
 
 def _head(mesh: TriMesh, f_field: ForceField, field: QuadraticField) -> tuple[DerivativeReport, np.ndarray, tuple]:
-    """The shape derivative on ``mesh``, the solved pressure and the LUs of
-    L and M; the rest of the system is released on return."""
+    """The shape derivative on ``mesh``, the solved pressure and the LU of
+    L; the rest of the system is released on return."""
     system, solution = _solve(mesh, f_field)
     perturbation = assemble_perturbation(system.space, field, f_field)
     return stokes_shape_derivative(system, solution, perturbation, field), solution.lam, system._schur().factor
@@ -223,15 +223,15 @@ def fd_verify(
     interpolant at s of the pressures solved so far along the path of its
     sign, the base pressure at s = 0 and at most the three nearest of its
     chain's earlier steps (a chain's first step starts from the base
-    pressure).  It corrects that state in sweeps on the base LUs of L and
-    M, as the meshes share one topology (``solve_stokes``'s ``start`` and
+    pressure).  It corrects that state in sweeps on the base LU of L, as
+    the meshes share one topology (``solve_stokes``'s ``start`` and
     ``factor``), to a relative energy error of about 1e-15, and factors
     nothing unless its mesh has moved too far for the sweeps to contract:
     it is then the cold solve.  Each chain keeps its own earlier pressures,
     so the starts, and the table, do not depend on the threads' timing or
     the CPU count.  An affine velocity without a window moves the mesh by
     the closed form of its RK4 flow (``flow.flow_points``).  Both chains
-    share the base pressure and factors, which they only read; the rest of
+    share the base pressure and factor, which they only read; the rest of
     the base system and its solution is released before they start.  Only
     the homogeneous Neumann condition is meaningful under transport, so no
     traction data enters here.

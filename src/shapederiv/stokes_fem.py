@@ -28,20 +28,20 @@ share these, so they pair dof for dof, and assemblies are bit-identical.
 Both velocity components vanish on the same Dirichlet nodes, so the
 stiffness is A = kron(L, I_2), L the scalar P2 Laplacian on the free
 nodes; a system stores L and applies A as L times the (n, 2) velocity,
-bitwise equal to A u.  The saddle system is solved through its structure:
-one LU of L, then conjugate gradients on the Schur complement B A^-1 B',
-preconditioned by the P1 pressure mass matrix (Elman, Silvester & Wathen,
-"Finite Elements and Fast Iterative Solvers", OUP 2014), whose iteration
-count inf-sup stability keeps bounded under refinement.  Each system
-factors once, on first use, for ``solve_stokes`` and ``inf_sup_constant``.
-With no Neumann edge B'1 = 0 and S is singular; one projection onto its
-range, 1-perp, serves both: CG returns the zero-mean pressure, and the
-inf-sup constant is the one over the zero-integral pressures.  A re-solve
-on a moved mesh of the same topology, whose L and M differ by a fraction
-of a percent, corrects a known pressure in sweeps on the base LUs
-(``_sweeps``) until their energy-error estimate is met, or, where they
-stop contracting, is the cold solve.  ``energy``, the Lagrangian, is the
-dual value at u = A^-1 (f + g + B' lam): its error is quadratic in lam's.
+bitwise equal to A u.  The saddle system is solved through its structure: one
+LU of L, then conjugate gradients on the Schur complement B A^-1 B',
+preconditioned by a Chebyshev polynomial in D^-1 M, M the P1 pressure mass
+matrix and D its diagonal (Elman, Silvester & Wathen, "Finite Elements and
+Fast Iterative Solvers", OUP 2014), whose iteration count inf-sup stability
+keeps bounded under refinement.  Each system factors L once, on first use;
+only ``inf_sup_constant`` factors M.  With no Neumann edge B'1 = 0 and S is
+singular; one projection onto its range, 1-perp, serves both: the solve
+returns the zero-integral pressure, and the inf-sup constant is the one over
+them.  A re-solve on a moved mesh of the same topology, whose L differs by a
+fraction of a percent, corrects a known pressure in sweeps on the base LU
+(``_sweeps``) until their energy-error estimate is met, or, where they stop
+contracting, is the cold solve.  ``energy``, the Lagrangian, is the dual
+value at u = A^-1 (f + g + B' lam): its error is quadratic in lam's.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ import scipy.sparse.linalg as spla
 from ._norms import binary_exponent, norm2
 from .errors import DimensionMismatch, EmptyDirichletBoundary, SingularSystem
 from .fields import ForceField, ManufacturedStokes
-from .mesh import _TOPOLOGY, DIRICHLET, TriMesh, _edge_keys, _edge_table, _memo, unit_square_mesh
+from .mesh import _TOPOLOGY, DIRICHLET, TriMesh, _edge_keys, _edges, _memo, unit_square_mesh
 
 __all__ = [
     "FunctionSpace",
@@ -205,7 +205,7 @@ class _Topology:
 
         # Edge midpoints are numbered nv, nv + 1, ... in order of first
         # appearance over the local edges (01, 12, 20) of the triangles.
-        local, keys, first, inverse, *_ = _edge_table(t, nv)
+        local, keys, first, inverse, *_ = _edges(mesh)
         order = np.argsort(first)
         mid_node = np.empty_like(order)
         mid_node[order] = nv + np.arange(order.size)
@@ -379,6 +379,7 @@ def assemble(mesh: TriMesh, f_field: ForceField, g_field: ForceField | None = No
 _CG_RTOL = 1e-14
 _CG_SWEEP_RTOL = 1e-3  # the same fraction for each sweep of ``_sweeps``
 _CG_MAX_ITER = 500
+_CG_CHEB_STEPS = 4  # steps of ``precondition``, a fixed SPD polynomial: CG stays CG (Wathen & Rees, ETNA 34, 2009)
 
 # A CG in a re-solve's sweep also stops once the sum of the dual
 # value's increases over _CG_DELAY steps, which estimates the energy error of
@@ -393,20 +394,26 @@ _EIG_RTOL = 1e-9
 _EIG_MAX_ITER = 200
 
 
+def _lu(matrix: sparse.csr_matrix) -> spla.SuperLU:
+    try:
+        return spla.splu(matrix.tocsc(), permc_spec="MMD_AT_PLUS_A")
+    except RuntimeError as exc:
+        raise SingularSystem(f"factorization failed: {exc}") from None
+
+
 class _SchurComplement:
     """The pressure Schur complement S = B A^-1 B' of a Taylor-Hood system.
 
     A = kron(L, I_2), so A^-1 is one LU of the scalar stiffness L applied
-    to the two velocity components as columns.  The P1 pressure mass
-    matrix M is factored as the preconditioner.  A mesh with no Neumann
+    to the two velocity components as columns.  A mesh with no Neumann
     edge has B'1 = 0, so the constants are the kernel of S, and ``project``
     maps a residual onto range(S) = 1-perp for ``cg`` and the inf-sup loop.
 
-    ``factor`` is (topology, LU of L, LU of M): made here for the cold CG,
-    or borrowed for ``_sweeps`` from a system on the same topology, whose L
-    then stands in for this one's and whose M preconditions.  B, B' and M,
-    whose weights ``zero_integral`` takes, are always this system's.  A
-    factor of another topology raises ``DimensionMismatch`` first.
+    ``factor`` is (topology, LU of L): made here for the cold CG, or
+    borrowed for ``_sweeps`` from a system on the same topology, whose L
+    then stands in for this one's.  B, B' and the pressure mass matrix M,
+    which preconditions and weighs ``zero_integral``, are always this
+    system's.  A factor of another topology raises ``DimensionMismatch``.
     """
 
     def __init__(self, system: StokesSystem, factor: tuple | None = None):
@@ -420,12 +427,8 @@ class _SchurComplement:
         row_norms = np.sqrt(np.asarray(self.B.multiply(self.B).sum(axis=1)).ravel())
         if self.B.shape[0] - self.mean_free > self.B.shape[1] or not np.all(row_norms > 0.0):
             raise SingularSystem("divergence pairing is rank deficient: the pressure is not unique")
-        try:
-            self.factor = factor or (
-                topology, *(spla.splu(a.tocsc(), permc_spec="MMD_AT_PLUS_A") for a in (system.L, self.M))
-            )
-        except RuntimeError as exc:
-            raise SingularSystem(f"factorization failed: {exc}") from None
+        self.inverse_diagonal = 1.0 / self.M.diagonal()
+        self.factor = factor or (topology, _lu(system.L))
 
     def solve_velocity(self, rhs: np.ndarray) -> np.ndarray:
         """A^-1 rhs for a vector or a block of columns over the velocity dofs."""
@@ -437,7 +440,14 @@ class _SchurComplement:
         return self.B @ v, v
 
     def precondition(self, r: np.ndarray) -> np.ndarray:
-        return self.factor[2].solve(r)
+        """P^-1 r: _CG_CHEB_STEPS Chebyshev steps on M z = r from z = 0 (Saad, Alg. 12.1) for the spectrum
+        [1/2, 2] of D^-1 M, which holds for every P1 mass matrix (Wathen, IMA J. Numer. Anal. 7, 1987)."""
+        rho, z, d = 0.6, 0.0, r * self.inverse_diagonal / 1.25  # centre 5/4, half-width 3/4, rho = 1/sigma = 3/5
+        for _ in range(_CG_CHEB_STEPS - 1):
+            z, r = z + d, r - self.M @ d
+            rho, last = 1.0 / (10.0 / 3.0 - rho), rho  # 1 / (2 sigma - rho)
+            d = rho * last * d + (rho / 0.375) * (r * self.inverse_diagonal)  # 2 rho / half-width
+        return z + d
 
     def project(self, r: np.ndarray) -> np.ndarray:
         """r - mean(r) with ``mean_free``; otherwise r itself."""
@@ -452,16 +462,16 @@ class _SchurComplement:
         weights = np.asarray(self.M.sum(axis=0)).ravel()  # the integrals of the P1 hat functions
         return x - (weights @ x) / weights.sum()
 
-    def cg(self, b: np.ndarray, energy: tuple | None = None, spent: int = 0) -> tuple[np.ndarray, int, list, list]:
-        """Mass-preconditioned CG on S x = b.
+    def cg(self, b: np.ndarray, energy: tuple | None = None, spent: int = 0,
+           precondition=None) -> tuple[np.ndarray, int, list, list]:
+        """CG on S x = b, preconditioned by ``precondition`` or by default ``self.precondition``.
 
         Returns x, the iteration count, and the search directions p with
-        their products S p, one array per iteration.  The directions are
-        S-conjugate and span the Krylov space of M^-1 S from M^-1 b.  With
-        ``mean_free`` every residual is projected onto range(S) = 1-perp
-        (Kaasschieter, J. Comput. Appl. Math. 24, 1988); as 1'M M^-1 r =
-        1'r = 0, every direction, and x, has zero pressure integral, unless
-        M is a borrowed one of another mesh: then up to a constant.
+        their products S p, one array per iteration: S-conjugate, spanning
+        the Krylov space of P^-1 S from P^-1 b.  With ``mean_free`` each
+        residual is projected onto range(S) = 1-perp (Kaasschieter, J.
+        Comput. Appl. Math. 24, 1988); P1 mass matrices have M 1 = 2 D 1, so
+        1'M P^-1 r is a multiple of 1'r = 0: x has zero pressure integral.
 
         ``energy = (q, w, du)`` is for a b that is the Schur residual of a
         state (w, x0) of ``_sweeps``, whose Lagrangian is -1/2 q'w; x is then
@@ -491,7 +501,7 @@ class _SchurComplement:
         x = np.zeros_like(b)
         r = self.project(b)
         stop = (_CG_RTOL if energy is None else _CG_SWEEP_RTOL) * float(np.linalg.norm(b))
-        z = self.precondition(r)
+        z = (precondition or self.precondition)(r)
         p = z.copy()
         rz = float(r @ z)
         dual0 = None if energy is None else -0.5 * float(np.ldexp(energy[0], -exp) @ np.ldexp(energy[1], -exp))
@@ -519,7 +529,7 @@ class _SchurComplement:
             if energy is not None:
                 energy[2][:] += np.ldexp(alpha, exp) * ap
             r = self.project(r - alpha * sp)
-            z = self.precondition(r)
+            z = (precondition or self.precondition)(r)
             rz_next = float(r @ z)
             if not np.isfinite(rz_next):
                 raise SingularSystem("Schur-complement CG produced a non-finite residual")
@@ -559,8 +569,8 @@ def _cold(system: StokesSystem, spent: int = 0) -> tuple[np.ndarray, np.ndarray,
 
 def _sweeps(system: StokesSystem, start: np.ndarray | None, factor: tuple) -> tuple[np.ndarray, np.ndarray, int]:
     """Defect correction (Stetter, Numer. Math. 29, 1978) from the pressure
-    ``start`` moved to zero integral (or zero), on the borrowed factors
-    ``factor`` of a system on the same topology; returns u, lam moved to
+    ``start`` moved to zero integral (or zero), on the borrowed LU of L in
+    ``factor``, from a system on the same topology; returns u, lam moved to
     zero integral on this mesh (a constant in the kernel of S, which leaves
     u as it is), and the CG steps, all of which count against _CG_MAX_ITER.
 
@@ -618,15 +628,15 @@ def solve_stokes(
     """Solve the saddle system [[A, -B'], [-B, 0]] (u, lam) = (f + g, 0).
 
     The pressure solves S lam = -B A^-1 (f + g) with S = B A^-1 B', by
-    conjugate gradients preconditioned with the pressure mass matrix; the
-    velocity is then u = A^-1 (f + g + B' lam).  A^-1 is one sparse LU of
-    the scalar P2 Laplacian shared by both velocity components.
+    conjugate gradients preconditioned with a polynomial in the pressure
+    mass matrix; the velocity is then u = A^-1 (f + g + B' lam).  A^-1 is
+    one sparse LU of the scalar P2 Laplacian shared by both components.
 
-    Without ``factor`` this is that cold solve, on the system's own LUs,
-    made once.  With ``factor``, the LUs ``system._schur().factor`` of a
+    Without ``factor`` this is that cold solve, on the system's own LU,
+    made once.  With ``factor``, the LU ``system._schur().factor`` of a
     system on the same topology (a mesh ``transport_mesh`` moved from the
     same base), ``_sweeps`` corrects the state from the pressure ``start``
-    (or zero) on them until its Lagrangian ``energy`` is within about
+    (or zero) on it until its Lagrangian ``energy`` is within about
     1e-15 of its own size; where the sweeps stop contracting it adds the
     cold solve's cost and returns its state bit for bit (``iterations``
     counts both).  ``factor`` and ``start`` are only read, so threads may
@@ -700,8 +710,8 @@ def inf_sup_constant(system: StokesSystem) -> float:
     system's factored Schur operator.  A Rayleigh-Ritz loop scales a trial
     space V and S V to unit S-norm columns and takes the largest eigenpair
     of V'MV y = nu V'SV y (1/nu is the smallest Ritz value): first on the
-    search directions of a mass-preconditioned CG on S from a seeded,
-    load-independent right-hand side, a Krylov space (CG is Lanczos), then
+    search directions of a CG on S preconditioned by an LU of M, from a
+    seeded, load-independent right-hand side, a Krylov space (CG is Lanczos), then
     on [x, M^-1 r, p], the Ritz vector, its residual and its last step, as
     one-column LOBPCG (Knyazev, SIAM J. Sci. Comput. 23(2), 2001, Alg. 4.1),
     until |S x - mu M x| for x normalized in M, S x applied afresh, is
@@ -715,12 +725,12 @@ def inf_sup_constant(system: StokesSystem) -> float:
     trial space or an unconverged eigenpair raises ``SingularSystem``.
     """
     schur = system._schur()
-    M = schur.M
+    M, solve_mass = schur.M, _lu(schur.M).solve  # the exact M^-1 of the pencil (S, M)
     # P1 mass eigenvalues are at least half the smallest diagonal entry, so
     # this Euclidean bound implies an M^-1-norm residual below _EIG_RTOL.
     tol = _EIG_RTOL * float(np.sqrt(0.5 * M.diagonal().min()))
 
-    _, _, trial, products = schur.cg(np.random.default_rng(0).standard_normal(M.shape[0]))
+    _, _, trial, products = schur.cg(np.random.default_rng(0).standard_normal(M.shape[0]), precondition=solve_mass)
     for step in range(_EIG_MAX_ITER + 1):
         V, SV = np.column_stack(trial), np.column_stack(products)
         norms = np.vecdot(V, SV, axis=0)
@@ -745,7 +755,7 @@ def inf_sup_constant(system: StokesSystem) -> float:
             residual = float(np.linalg.norm(Sx - mu * Mx))
             if residual <= tol:
                 return float(np.sqrt(max(mu, 0.0)))
-        w = schur.precondition(schur.project(Sx - mu * Mx))
+        w = solve_mass(schur.project(Sx - mu * Mx))
         trial, products = [x, w], [Sx, schur.apply(w)[0]]
         if step:  # p, the step from the previous Ritz vector
             trial.append(V[:, 1:] @ y[1:])

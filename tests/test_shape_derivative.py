@@ -13,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import shapederiv as sd
-from shapederiv import slopes, stokes_fem
+from shapederiv import cli, slopes, stokes_fem
+from shapederiv.cli.report import read_kv
 from shapederiv.fields import ConstantForce, ForceField, RotationalForce, TrigForce
 from shapederiv.flow import CutoffWindow
 from shapederiv.mesh import transport_mesh
@@ -548,14 +549,37 @@ def _count_factors(monkeypatch, rows):
 
 
 def test_fd_verify_factors_the_velocity_stiffness_once(monkeypatch):
-    # The re-solves borrow the base LUs of L and of the pressure mass matrix.
+    # The re-solves borrow the base LU of L; no solve factors the pressure
+    # mass matrix, whose Chebyshev polynomial preconditions the Schur CG.
     mesh = sd.unit_square_mesh(8, {"right"})
     counted = _count_factors(monkeypatch, sd.assemble(mesh, TrigForce()).L.shape[0])
     masses = _count_factors(monkeypatch, mesh.num_vertices)
     report = fd_verify(mesh, TrigForce(), AFFINE, [1e-2, 3e-3, 1e-3])
     assert len(counted) == 1
-    assert len(masses) == 1
+    assert len(masses) == 0
     assert abs(report.fd.slope - 2.0) <= 0.1
+
+
+@pytest.mark.parametrize("mesh", [sd.unit_square_mesh(8, {"right"}), sd.disk_mesh(4)], ids=["square8", "disk4"])
+def test_a_cold_solve_factors_only_the_velocity_stiffness(monkeypatch, mesh):
+    system = sd.assemble(mesh, TrigForce())
+    counted = _count_factors(monkeypatch, system.L.shape[0])
+    masses = _count_factors(monkeypatch, mesh.num_vertices)
+    sd.solve_stokes(system)
+    assert (len(counted), len(masses)) == (1, 0)
+
+
+def test_a_stokes_solve_run_factors_the_stiffness_and_the_mass_once(monkeypatch, tmp_path):
+    # The inf-sup loop, which the run alone calls, factors M for its exact
+    # M^-1 and borrows the solve's LU of L.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[mesh]\nkind = unit_square\nn = 6\nneumann_sides = right\n\n[force]\nname = trig\n")
+    mesh = sd.unit_square_mesh(6, {"right"})
+    counted = _count_factors(monkeypatch, sd.assemble(mesh, TrigForce()).L.shape[0])
+    masses = _count_factors(monkeypatch, mesh.num_vertices)
+    assert cli.main(["stokes-solve", "--config", str(cfg), "--output", str(tmp_path / "out")]) == 0
+    assert (len(counted), len(masses)) == (1, 1)
+    assert float(read_kv(tmp_path / "out" / "report.kv")["result.inf_sup"]) > 0.0
 
 
 def test_start_pressure_interpolates_the_chain():
@@ -666,12 +690,12 @@ def test_a_factor_of_another_topology_is_refused(monkeypatch):
     monkeypatch.setattr(stokes_fem.spla, "splu", _no_factor)
     for other in (sd.unit_square_mesh(8, {"right"}), sd.unit_square_mesh(6, {"right"}), sd.disk_mesh(4)):
         with pytest.raises(sd.DimensionMismatch, match="another mesh topology"):
-            sd.solve_stokes(sd.assemble(other, TrigForce()), factor=(topology, None, None))
+            sd.solve_stokes(sd.assemble(other, TrigForce()), factor=(topology, None))
     moved = sd.assemble(transport_mesh(mesh, AFFINE, 1e-2), TrigForce())
     with pytest.raises(AttributeError, match="solve"):
         # The same topology passes the check and factors nothing: the
         # first solve applies the borrowed (here missing) velocity factor.
-        sd.solve_stokes(moved, factor=(topology, None, None))
+        sd.solve_stokes(moved, factor=(topology, None))
 
 
 def _assert_the_cold_solve(swept, cold):

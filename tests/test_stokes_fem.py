@@ -10,10 +10,12 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import shapederiv as sd
+from shapederiv import mesh as mesh_module
 from shapederiv import stokes_fem
 from shapederiv.fields import ConstantForce, LeftEdgeTraction, trig_manufactured
 from shapederiv.mesh import TriMesh
@@ -123,6 +125,28 @@ def test_dof_numbering_matches_first_appearance(mesh):
     assert np.array_equal(space.node_coords, node_coords)
     assert np.array_equal(space.neumann_edges, neumann)
     assert np.array_equal(np.setdiff1d(np.arange(space.num_nodes), space._topology.free_nodes), dirichlet)
+
+
+@pytest.mark.parametrize("kind", ["square", "disk", "file"])
+def test_a_mesh_and_its_space_build_one_edge_table(monkeypatch, tmp_path, kind):
+    # The generator (or read_mesh's validate) builds the table and the
+    # mesh memoizes it for its topology, which equals one built afresh.
+    path = tmp_path / "disk.txt"
+    sd.write_mesh(path, disk_with_neumann_arcs(5))
+    make_mesh = {"square": lambda: sd.unit_square_mesh(5, {"right", "top"}), "disk": lambda: sd.disk_mesh(7),
+                 "file": lambda: sd.read_mesh(path)}[kind]
+    calls, edge_table = [], mesh_module._edge_table
+    monkeypatch.setattr(mesh_module, "_edge_table", lambda *args: calls.append(args) or edge_table(*args))
+    mesh = make_mesh()
+    topology = FunctionSpace(mesh)._topology
+    assert len(calls) == 1
+    fresh = stokes_fem._Topology(TriMesh(mesh.vertices, mesh.triangles, mesh.boundary_edges, mesh.boundary_tags))
+    assert len(calls) == 2
+    for name in ("tri_nodes", "midpoint_ends", "neumann_edges", "free_nodes", "free_dofs"):
+        assert np.array_equal(getattr(topology, name), getattr(fresh, name))
+    for name in ("stiffness", "pairing", "mass"):
+        for part in ("indptr", "indices", "slots"):
+            assert np.array_equal(getattr(getattr(topology, name), part), getattr(getattr(fresh, name), part))
 
 
 def test_boundary_edge_outside_triangulation_rejected():
@@ -676,8 +700,8 @@ def _failing_eigh(*args, **kwargs):
 
 
 def _zero_direction_cg(cg):
-    def patched(self, b):
-        x, iterations, directions, products = cg(self, b)
+    def patched(self, b, **kwargs):
+        x, iterations, directions, products = cg(self, b, **kwargs)
         return x, iterations, directions + [0.0 * b], products + [0.0 * b]
 
     return patched
@@ -691,6 +715,82 @@ def test_inf_sup_degenerate_rayleigh_ritz_raises(monkeypatch, target, name, patc
     monkeypatch.setattr(target, name, patch(getattr(target, name)))
     with pytest.raises(sd.SingularSystem, match=message):
         sd.inf_sup_constant(_square_system())
+
+
+def mass_diagonal_spectrum(mesh):
+    """Oracle: the eigenvalues of D^-1 M, D = diag(M), from the symmetric D^-1/2 M D^-1/2 by dense eigh."""
+    m = pressure_mass_matrix(FunctionSpace(mesh)).toarray()
+    scale = 1.0 / np.sqrt(np.diag(m))
+    return scipy.linalg.eigh(scale[:, None] * m * scale, eigvals_only=True)
+
+
+def _assert_in_wathens_interval(eigenvalues):
+    # The Chebyshev preconditioner hard-codes [1/2, 2]; the ends are attained.
+    slack = 8 * np.finfo(float).eps
+    assert 0.5 - slack <= eigenvalues.min() and eigenvalues.max() <= 2.0 + slack
+
+
+@pytest.mark.parametrize(
+    "make_mesh",
+    [lambda _, sides=sides: sd.unit_square_mesh(6, sides) for sides in [set(), {"right"}, *SQUARE_SIDES.values()]]
+    + [lambda _: sd.disk_mesh(6), lambda _: shuffled_square(), lambda tmp_path: disk_file_mesh(tmp_path)],
+    ids=["square-clamped", "square-right", *(f"square-{name}" for name in SQUARE_SIDES), "disk", "shuffled-square",
+         "disk-file-arcs"],
+)
+def test_the_mass_matrix_diagonal_bounds_its_spectrum(make_mesh, tmp_path):
+    # Wathen (IMA J. Numer. Anal. 7, 1987): spec(D^-1 M) lies in [1/2, 2]
+    # for every P1 mass matrix.
+    _assert_in_wathens_interval(mass_diagonal_spectrum(make_mesh(tmp_path)))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    disk=st.booleans(),
+    size=st.integers(1, 5),
+    stretch=st.floats(-3.0, 3.0),
+    data=st.data(),
+)
+def test_wathens_interval_holds_on_drawn_triangulations(disk, size, stretch, data):
+    # The bound is element by element: each triangle's D_T^-1 M_T has the
+    # eigenvalues 1/2, 1/2 and 2 whatever its shape.  Vertices are moved by
+    # up to 0.4 h, and x is scaled by 10^stretch, so triangles get thin.
+    base = sd.disk_mesh(size) if disk else sd.unit_square_mesh(size + 1)
+    jitter = data.draw(arrays(float, base.vertices.shape, elements=st.floats(-0.4, 0.4, allow_nan=False)))
+    vertices = (base.vertices + jitter / (size + 1)) * [10.0 ** stretch, 1.0]
+    mesh = TriMesh(vertices, base.triangles, base.boundary_edges, base.boundary_tags)
+    assume(np.all(mesh.triangle_areas() > 0.0))
+    _assert_in_wathens_interval(mass_diagonal_spectrum(mesh))
+
+
+def _dense_preconditioner(schur):
+    return np.column_stack([schur.precondition(e) for e in np.eye(schur.M.shape[0])])
+
+
+@pytest.mark.parametrize("mesh", [sd.unit_square_mesh(6, {"right"}), sd.disk_mesh(4)], ids=["square", "disk-clamped"])
+def test_the_chebyshev_preconditioner_is_a_fixed_spd_operator(mesh):
+    # CG stays CG only if P^-1 is one linear, symmetric, positive definite
+    # operator; the Chebyshev polynomial of degree k puts spec(P^-1 M)
+    # within 1/T_k(5/3) of 1 (centre 5/4 over half-width 3/4 of [1/2, 2]).
+    # M 1 = 2 D 1, so P^-1 maps mean-free residuals to zero-integral
+    # pressures, as M^-1 does: the clamped CG needs no other projection.
+    schur = sd.assemble(mesh, sd.TrigForce())._schur()
+    rng = np.random.default_rng(7)
+    x, y = rng.standard_normal((2, schur.M.shape[0])) * [[1e-3], [1e5]]
+    px, py = schur.precondition(x), schur.precondition(y)
+    eps = np.finfo(float).eps
+    assert abs(x @ py - y @ px) <= 4 * eps * (abs(x) @ abs(py) + abs(y) @ abs(px))
+    combined = schur.precondition(3.0 * x - 0.5 * y)
+    assert np.abs(combined - (3.0 * px - 0.5 * py)).max() <= 16 * eps * np.abs(combined).max()
+    for v in rng.standard_normal((20, schur.M.shape[0])):
+        assert v @ schur.precondition(v) > 0.0
+    mean_free = schur.precondition(x - x.mean())
+    weights = pressure_integral_weights(FunctionSpace(mesh))
+    assert abs(weights @ mean_free) <= 8 * eps * (abs(weights) @ abs(mean_free))
+    dense = _dense_preconditioner(schur)
+    assert np.linalg.eigvalsh(0.5 * (dense + dense.T)).min() > 0.0
+    gap = 1.0 / np.polynomial.chebyshev.chebval(5.0 / 3.0, [0.0] * stokes_fem._CG_CHEB_STEPS + [1.0])
+    spectrum = np.linalg.eigvals(dense @ schur.M.toarray()).real
+    assert 1.0 - gap - 1e-12 <= spectrum.min() and spectrum.max() <= 1.0 + gap + 1e-12
 
 
 def test_pressure_mass_total():
