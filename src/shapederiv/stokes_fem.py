@@ -485,33 +485,23 @@ class _SchurComplement:
         the value at x_k, or once |r| <= _CG_SWEEP_RTOL |b|; without it, a
         cold CG, once |r| <= _CG_RTOL |b|.  ``spent`` earlier steps count
         against _CG_MAX_ITER.
-
-        The iteration runs on b / 2^e, e the binary exponent of b's largest
-        entry, and returns 2^e times its x.  Scaling by a power of two is
-        exact, so the bits are those of an unscaled run wherever that run
-        neither under- nor overflows, while norms and r'z stay far from both
-        for any finite load.  The directions are those of the scaled run.
-        The dual values are taken in the same units, 4^-e times their own,
-        so the energy rule compares as an unscaled run would.
         """
         if not np.all(np.isfinite(b)):
             raise SingularSystem("Schur-complement right-hand side is not finite")
-        exp = binary_exponent(b)
-        b = np.ldexp(b, -exp)
         x = np.zeros_like(b)
         r = self.project(b)
         stop = (_CG_RTOL if energy is None else _CG_SWEEP_RTOL) * float(np.linalg.norm(b))
         z = (precondition or self.precondition)(r)
         p = z.copy()
         rz = float(r @ z)
-        dual0 = None if energy is None else -0.5 * float(np.ldexp(energy[0], -exp) @ np.ldexp(energy[1], -exp))
+        dual0 = None if energy is None else -0.5 * float(energy[0] @ energy[1])
         directions, products, gains = [], [], []  # gains[j] = 1/2 alpha_j r_j'z_j
         for iteration in range(_CG_MAX_ITER - spent + 1):
             lag = iteration - _CG_DELAY  # gains[lag:] estimates the energy error of x_lag
             if np.linalg.norm(r) <= stop or (
                 dual0 is not None and lag >= 0 and sum(gains[lag:]) <= _CG_ETOL * abs(dual0 + sum(gains[:lag]))
             ):
-                return np.ldexp(x, exp), iteration, directions, products
+                return x, iteration, directions, products
             if iteration == _CG_MAX_ITER - spent:
                 break
             sp, ap = self.apply(p)
@@ -527,7 +517,7 @@ class _SchurComplement:
             gains.append(0.5 * alpha * rz)
             x += alpha * p
             if energy is not None:
-                energy[2][:] += np.ldexp(alpha, exp) * ap
+                energy[2][:] += alpha * ap
             r = self.project(r - alpha * sp)
             z = (precondition or self.precondition)(r)
             rz_next = float(r @ z)
@@ -545,9 +535,9 @@ def _residuals(system: StokesSystem, u: np.ndarray, lam: np.ndarray) -> tuple[fl
     row sums (those of A and L agree), vector norms Euclidean.  The scale
     has no floor, so the error judges a state at every load scale.  It is
     taken on u, lam and f + g divided by one power of two, 2^e with e the
-    largest binary exponent of their entries, as in ``cg``: exact, so the
-    defects are those of the unscaled vectors, while neither they nor the
-    scale can overflow.  A defect past the largest double reads inf."""
+    largest binary exponent of their entries, as in ``solve_stokes``: exact,
+    so the defects are those of the unscaled vectors, while neither they nor
+    the scale can overflow.  A defect past the largest double reads inf."""
     rhs = system.rhs
     exp = binary_exponent(u, lam, rhs)
     u, lam, rhs = (np.ldexp(v, -exp) for v in (u, lam, rhs))
@@ -560,19 +550,21 @@ def _residuals(system: StokesSystem, u: np.ndarray, lam: np.ndarray) -> tuple[fl
         return float(np.ldexp(r_mom, exp)), float(np.ldexp(r_div, exp)), error
 
 
-def _cold(system: StokesSystem, spent: int = 0) -> tuple[np.ndarray, np.ndarray, int]:
-    """The cold solve's u, lam and CG steps, counting ``spent`` earlier ones."""
-    schur, rhs = system._schur(), system.rhs
+def _cold(system: StokesSystem, rhs: np.ndarray, spent: int = 0) -> tuple[np.ndarray, np.ndarray, int]:
+    """The cold solve's u, lam and CG steps for the load ``rhs``, counting
+    ``spent`` earlier ones."""
+    schur = system._schur()
     lam, iterations, _, _ = schur.cg(-(schur.B @ schur.solve_velocity(rhs)), spent=spent)
     return schur.solve_velocity(rhs + schur.Bt @ lam), lam, spent + iterations
 
 
-def _sweeps(system: StokesSystem, start: np.ndarray | None, factor: tuple) -> tuple[np.ndarray, np.ndarray, int]:
-    """Defect correction (Stetter, Numer. Math. 29, 1978) from the pressure
-    ``start`` moved to zero integral (or zero), on the borrowed LU of L in
-    ``factor``, from a system on the same topology; returns u, lam moved to
-    zero integral on this mesh (a constant in the kernel of S, which leaves
-    u as it is), and the CG steps, all of which count against _CG_MAX_ITER.
+def _sweeps(system: StokesSystem, rhs: np.ndarray, start: np.ndarray, factor: tuple) -> tuple[np.ndarray, np.ndarray, int]:
+    """Defect correction (Stetter, Numer. Math. 29, 1978) for the load
+    ``rhs``, f + g below, from the pressure ``start`` moved to zero
+    integral, on the borrowed LU of L in ``factor``, from a system on the
+    same topology; returns u, lam moved to zero integral on this mesh (a
+    constant in the kernel of S, which leaves u as it is), and the CG steps,
+    all of which count against _CG_MAX_ITER.
 
     The first velocity is u = A~^-1 (f + g + B'lam), A~ the factored matrix.
     A sweep takes the true residuals r_u = f + g + B'lam - A u and r_p = B u,
@@ -586,13 +578,10 @@ def _sweeps(system: StokesSystem, start: np.ndarray | None, factor: tuple) -> tu
     rule, _CG_RTOL |B A~^-1 (f + g)|, which ends it at roundoff where the
     Lagrangian is zero.  A sweep whose estimate is above 1/100 of the
     previous one abandons the sweeps for ``_cold``, which returns the cold
-    solve's state and counts their steps.  The sweeps run on the load and
-    lam divided by 2^e, as in ``cg``, and return 2^e times their state.
+    solve's state and counts their steps.
     """
     schur = _SchurComplement(system, factor)
-    rhs, lam = system.rhs, np.zeros(system.B.shape[0]) if start is None else schur.zero_integral(start)
-    exp = binary_exponent(rhs, lam)
-    rhs, lam = np.ldexp(rhs, -exp), np.ldexp(lam, -exp)
+    lam = schur.zero_integral(start)
     load = rhs + schur.Bt @ lam
     u, iterations, last = schur.solve_velocity(load), 0, np.inf
     floor = _CG_RTOL * norm2(schur.B @ schur.solve_velocity(rhs))
@@ -610,11 +599,11 @@ def _sweeps(system: StokesSystem, start: np.ndarray | None, factor: tuple) -> tu
         if estimate <= _CG_ETOL * dual:
             break
         if estimate > 1e-2 * last:
-            return _cold(system, iterations)
+            return _cold(system, rhs, iterations)
         last = estimate
     else:
         raise SingularSystem(f"Schur-complement CG did not converge in {_CG_MAX_ITER} iterations")
-    return np.ldexp(u, exp), np.ldexp(schur.zero_integral(lam), exp), iterations
+    return u, schur.zero_integral(lam), iterations
 
 
 def solve_stokes(
@@ -639,7 +628,10 @@ def solve_stokes(
     (or zero) on it until its Lagrangian ``energy`` is within about
     1e-15 of its own size; where the sweeps stop contracting it adds the
     cold solve's cost and returns its state bit for bit (``iterations``
-    counts both).  ``factor`` and ``start`` are only read, so threads may
+    counts both).  Either runs on the load and ``start`` divided by 2^e, e
+    the binary exponent of their largest entry, and returns 2^e times its
+    state: exact, so CG's norms and inner products neither under- nor
+    overflow.  ``factor`` and ``start`` are only read, so threads may
     share them; with no Neumann edge ``start``, and the result, are moved
     to zero integral.  A ``start`` without ``factor`` raises
     ``ValueError``, one of another size or a factor of another topology
@@ -666,7 +658,13 @@ def solve_stokes(
         raise ValueError("a start pressure is read only by a re-solve on a borrowed factor; pass factor too")
     if start is not None and np.shape(start) != system.B.shape[:1]:
         raise DimensionMismatch(f"start pressure has shape {np.shape(start)}, the system expects {system.B.shape[:1]}")
-    u, lam, iterations = _cold(system) if factor is None else _sweeps(system, start, factor)
+    if start is not None and not np.all(np.isfinite(start)):
+        raise SingularSystem("start pressure has entries that are not finite")
+    start = np.zeros(system.B.shape[0]) if start is None else start
+    exp = binary_exponent(system.rhs, start)
+    rhs, start = np.ldexp(system.rhs, -exp), np.ldexp(start, -exp)
+    u, lam, iterations = _cold(system, rhs) if factor is None else _sweeps(system, rhs, start, factor)
+    u, lam = np.ldexp(u, exp), np.ldexp(lam, exp)
 
     r_mom, r_div, error = _residuals(system, u, lam)
     if not error <= residual_tol:

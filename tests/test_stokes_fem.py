@@ -462,7 +462,7 @@ def test_clamped_schur_cg_runs_on_the_mean_free_pressures():
 
 @pytest.mark.parametrize("pinned", [False, True], ids=["neumann", "clamped"])
 def test_solve_is_linear_in_the_load_down_to_1e_300(pinned):
-    # CG runs on the right-hand side scaled by a power of two, so its
+    # solve_stokes runs on the load scaled by a power of two, so CG's
     # stopping rule neither underflows (a tiny load once stopped after 0
     # steps, with lambda = 0) nor loses digits to subnormal inner products.
     mesh = sd.unit_square_mesh(4, set() if pinned else {"right"})
