@@ -561,10 +561,10 @@ def _cold(system: StokesSystem, rhs: np.ndarray, spent: int = 0) -> tuple[np.nda
 def _sweeps(system: StokesSystem, rhs: np.ndarray, start: np.ndarray, factor: tuple) -> tuple[np.ndarray, np.ndarray, int]:
     """Defect correction (Stetter, Numer. Math. 29, 1978) for the load
     ``rhs``, f + g below, from the pressure ``start`` moved to zero
-    integral, on the borrowed LU of L in ``factor``, from a system on the
-    same topology; returns u, lam moved to zero integral on this mesh (a
-    constant in the kernel of S, which leaves u as it is), and the CG steps,
-    all of which count against _CG_MAX_ITER.
+    integral on this mesh (a constant in the kernel of S, which leaves u as
+    it is), on the borrowed LU of L in ``factor``, from a system on the
+    same topology; returns u, lam, whose CG corrections keep that integral,
+    and the CG steps, all of which count against _CG_MAX_ITER.
 
     The first velocity is u = A~^-1 (f + g + B'lam), A~ the factored matrix.
     A sweep takes the true residuals r_u = f + g + B'lam - A u and r_p = B u,
@@ -603,7 +603,7 @@ def _sweeps(system: StokesSystem, rhs: np.ndarray, start: np.ndarray, factor: tu
         last = estimate
     else:
         raise SingularSystem(f"Schur-complement CG did not converge in {_CG_MAX_ITER} iterations")
-    return u, schur.zero_integral(lam), iterations
+    return u, lam, iterations
 
 
 def solve_stokes(
@@ -632,8 +632,8 @@ def solve_stokes(
     the binary exponent of their largest entry, and returns 2^e times its
     state: exact, so CG's norms and inner products neither under- nor
     overflow.  ``factor`` and ``start`` are only read, so threads may
-    share them; with no Neumann edge ``start``, and the result, are moved
-    to zero integral.  A ``start`` without ``factor`` raises
+    share them; with no Neumann edge ``start`` is moved to zero integral,
+    which the result keeps.  A ``start`` without ``factor`` raises
     ``ValueError``, one of another size or a factor of another topology
     ``DimensionMismatch``.
 
