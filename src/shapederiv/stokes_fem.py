@@ -9,10 +9,17 @@ Neumann part of the boundary is nonempty, and unique among the pressures
 of zero integral when it is empty.
 
 Assembly uses a fixed six-point triangle rule (exact through degree 4)
-and three-point Gauss edges.  Every element kernel is a sum over the
-quadrature points, evaluated as a batched matrix product or as an einsum
-along a contraction path, so that it costs what its arithmetic costs; the
-direct einsum forms are kept as test oracles.  Element blocks become
+and three-point Gauss edges.  On straight-sided triangles each element
+matrix is the element geometry times a reference tensor that the rule sums
+once on the reference triangle (Kirby, Knepley, Logg & Scott, SIAM J. Sci.
+Comput. 27(3), 2005): det J^-1 J^-T for L, det J^-T for B and det for
+the pressure mass matrix, one matrix product each.  The integrands are
+polynomials that the rule integrates exactly, so these equal the sums
+over the quadrature points of the physical basis gradients, which no
+array holds; the velocity gradients meet the reference gradients first
+and J^-T second.  The load is a sum over the quadrature points.  The
+direct einsum forms over the physical gradients are kept as test
+oracles.  Element blocks become
 global arrays by ``np.bincount``, which adds in input order: vectors
 into the velocity dofs (``FunctionSpace.load_vector``), matrices into the
 data slots of a fixed CSR pattern (``_Pattern.matrix``, for L and B in
@@ -124,6 +131,18 @@ def _p2_ref_grads(bary: np.ndarray) -> np.ndarray:
 _P2_VALS = _p2_values(_TRI_BARY)        # (nq, 6)
 _P2_REF_GRADS = _p2_ref_grads(_TRI_BARY)  # (nq, 6, 2)
 _P1_VALS = _TRI_BARY                    # (nq, 3)
+
+# Reference tensors of the element matrices, summed once over the same
+# rule on the reference triangle (area 1/2), flattened for one matrix
+# product with the element geometry: K[j, k, a, b] = sum_q w_q/2
+# d_j phi_a d_k phi_b for L, P[j, p, a] = sum_q w_q/2 psi_p d_j phi_a for B
+# and Mref[p, r] = sum_q w_q/2 psi_p psi_r for the pressure mass matrix;
+# and the P2 reference gradients as [a, (q, k)] for the velocity gradients.
+_HALF_W = 0.5 * _TRI_W
+_REF_STIFFNESS = np.einsum("q,qaj,qbk->jkab", _HALF_W, _P2_REF_GRADS, _P2_REF_GRADS).reshape(4, 36)
+_REF_PAIRING = np.einsum("q,qp,qaj->jpa", _HALF_W, _P1_VALS, _P2_REF_GRADS).reshape(2, 18)
+_REF_MASS = np.einsum("q,qp,qr->pr", _HALF_W, _P1_VALS, _P1_VALS)
+_REF_GRADS_BY_NODE = np.ascontiguousarray(np.moveaxis(_P2_REF_GRADS, 1, 0).reshape(6, -1))
 
 
 def _edge_p2_values(t: np.ndarray) -> np.ndarray:
@@ -261,7 +280,7 @@ class FunctionSpace:
         self.free_dofs = topology.free_dofs
         self.num_velocity = self.free_dofs.size
 
-        # Element geometry: affine maps, physical basis gradients, quadrature.
+        # Element geometry: affine maps and quadrature.
         v0 = v[t[:, 0]]
         e1 = v[t[:, 1]] - v0
         e2 = v[t[:, 2]] - v0
@@ -272,8 +291,7 @@ class FunctionSpace:
         jinv_t[:, 1, 0] = -e2[:, 0]
         jinv_t[:, 1, 1] = e1[:, 0]
         jinv_t /= det[:, None, None]
-        self.det = det
-        self.phys_grads = np.einsum("tij,qaj->tqai", jinv_t, _P2_REF_GRADS, optimize=True)
+        self.det, self.jinv_t = det, jinv_t
         xi, eta = _TRI_BARY[:, 1], _TRI_BARY[:, 2]
         self.quad_points = (
             v0[:, None, :] + xi[None, :, None] * e1[:, None, :] + eta[None, :, None] * e2[:, None, :]
@@ -281,16 +299,25 @@ class FunctionSpace:
         self.quad_coef = _TRI_W[None, :] * (0.5 * det)[:, None]
 
     def expand_velocity(self, u_free: np.ndarray) -> np.ndarray:
-        """Free-dof coefficients -> full vector with zeros at Dirichlet dofs."""
+        """Free-dof coefficients -> full vector with zeros at Dirichlet dofs.
+        Coefficients of another shape than (num_velocity,) raise
+        ``DimensionMismatch``."""
+        if np.shape(u_free) != (self.num_velocity,):
+            raise DimensionMismatch(
+                f"velocity vector has shape {np.shape(u_free)}, the space expects {(self.num_velocity,)}"
+            )
         full = np.zeros(2 * self.num_nodes)
         full[self.free_dofs] = u_free
         return full
 
     def element_velocity_gradients(self, u_free: np.ndarray) -> np.ndarray:
-        """grad(u_h) at every quadrature point: (nt, nq, 2, 2)."""
-        full = self.expand_velocity(u_free)
-        coeffs = full.reshape(-1, 2)[self.tri_nodes]  # (nt, 6, 2)
-        return np.einsum("tai,tqaj->tqij", coeffs, self.phys_grads, optimize=True)
+        """grad(u_h) at every quadrature point: (nt, nq, 2, 2), [i, j] = d u_i / d x_j.
+        The coefficients meet the reference gradients first, in one matrix
+        product over all elements, and J^-T second."""
+        coeffs = self.expand_velocity(u_free).reshape(-1, 2)[self.tri_nodes]  # (nt, 6, 2)
+        nt = coeffs.shape[0]
+        ref = (np.swapaxes(coeffs, 1, 2).reshape(2 * nt, 6) @ _REF_GRADS_BY_NODE).reshape(nt, -1, 2)  # [t, (i, q), k]
+        return np.swapaxes((ref @ np.swapaxes(self.jinv_t, 1, 2)).reshape(nt, 2, -1, 2), 1, 2)
 
     def load_vector(self, blocks: np.ndarray, nodes: np.ndarray | None = None) -> np.ndarray:
         """Load vector on the free dofs: blocks (..., 2) summed in order into
@@ -349,14 +376,14 @@ def assemble(mesh: TriMesh, f_field: ForceField, g_field: ForceField | None = No
     if DIRICHLET not in mesh.boundary_tags:
         raise EmptyDirichletBoundary("no Dirichlet edges: velocity stiffness would be singular")
     space = FunctionSpace(mesh)
-    pg, coef = space.phys_grads, space.quad_coef
-    # Each kernel is a batched matrix product over the quadrature points:
-    # sum_q coef grad(phi_a).grad(phi_b), one 6x6 product per component;
-    # sum_q coef psi_p grad(phi_a), component first; and sum_q coef phi_a f.
-    weighted = pg * coef[:, :, None, None]
+    det, jinv_t, coef = space.det, space.jinv_t, space.quad_coef
+    # Each matrix kernel is the element geometry times a reference tensor:
+    # det J^-1 J^-T, flattened, times K for L; det J^-T times P, component
+    # first, for B.  The load is sum_q coef phi_a f at the quadrature points.
     topology = space._topology
-    L = topology.stiffness.matrix(sum(np.swapaxes(weighted[..., i], 1, 2) @ pg[..., i] for i in range(2)))
-    B = topology.pairing.matrix((coef[:, None, :] * _P1_VALS.T) @ np.moveaxis(pg, 3, 0))
+    geometry = (np.swapaxes(jinv_t, 1, 2) @ jinv_t) * det[:, None, None]
+    L = topology.stiffness.matrix((geometry.reshape(-1, 4) @ _REF_STIFFNESS).reshape(-1, 6, 6))
+    B = topology.pairing.matrix((np.moveaxis(jinv_t * det[:, None, None], 1, 0) @ _REF_PAIRING).reshape(2, -1, 3, 6))
     f_vals = f_field.evaluate(space.quad_points)  # (nt, nq, 2)
     f = space.load_vector(_P2_VALS.T @ (coef[:, :, None] * f_vals))
 
@@ -394,6 +421,16 @@ _EIG_RTOL = 1e-9
 _EIG_MAX_ITER = 200
 
 
+def _abs_row_sums(matrix: sparse.csr_matrix) -> np.ndarray:
+    """The row sums of |matrix|, taken from its data as scipy's
+    ``abs(matrix).sum(axis=1)`` takes them, bit for bit, without a copy of
+    the matrix; an empty row sums to 0."""
+    rows = np.flatnonzero(np.diff(matrix.indptr))
+    sums = np.zeros(matrix.shape[0])
+    sums[rows] = np.add.reduceat(np.abs(matrix.data), matrix.indptr[rows])
+    return sums
+
+
 def _lu(matrix: sparse.csr_matrix) -> spla.SuperLU:
     try:
         return spla.splu(matrix.tocsc(), permc_spec="MMD_AT_PLUS_A")
@@ -424,8 +461,7 @@ class _SchurComplement:
         self.B = system.B
         self.Bt = self.B.T.tocsr()  # B' applied on every CG step and in the back-solve
         self.M = pressure_mass_matrix(system.space)
-        row_norms = np.sqrt(np.asarray(self.B.multiply(self.B).sum(axis=1)).ravel())
-        if self.B.shape[0] - self.mean_free > self.B.shape[1] or not np.all(row_norms > 0.0):
+        if self.B.shape[0] - self.mean_free > self.B.shape[1] or not np.all(_abs_row_sums(self.B) > 0.0):
             raise SingularSystem("divergence pairing is rank deficient: the pressure is not unique")
         self.inverse_diagonal = 1.0 / self.M.diagonal()
         self.factor = factor or (topology, _lu(system.L))
@@ -543,7 +579,7 @@ def _residuals(system: StokesSystem, u: np.ndarray, lam: np.ndarray) -> tuple[fl
     u, lam, rhs = (np.ldexp(v, -exp) for v in (u, lam, rhs))
     r_mom = norm2((system.L @ u.reshape(-1, 2)).ravel() - rhs - system.B.T @ lam)
     r_div = norm2(system.B @ u)
-    norm_L, norm_B = (float(spla.norm(m, np.inf)) for m in (system.L, system.B))  # floats: no overflow warning
+    norm_L, norm_B = (float(_abs_row_sums(m).max()) for m in (system.L, system.B))  # floats: no overflow warning
     scale = norm_L * norm2(u) + norm_B * norm2(lam) + norm2(rhs)
     error = max(r_mom, r_div) / scale if scale else 0.0  # a zero scale is the zero state of a zero load
     with np.errstate(over="ignore"):
@@ -696,7 +732,7 @@ def energy(system: StokesSystem, solution: StokesSolution) -> float:
 
 
 def pressure_mass_matrix(space: FunctionSpace) -> sparse.csr_matrix:
-    return space._topology.mass.matrix(np.einsum("tq,qp,qr->tpr", space.quad_coef, _P1_VALS, _P1_VALS, optimize=True))
+    return space._topology.mass.matrix(space.det[:, None, None] * _REF_MASS)
 
 
 def inf_sup_constant(system: StokesSystem) -> float:

@@ -1,12 +1,14 @@
 """Plain-einsum element kernels and the monomial-stack quadratic field,
 used only as test oracles.
 
-The package evaluates these kernels with contraction paths and batched
-matrix products, the E1 part of the shape derivative as a nodal vector,
-and the quadratic field in closed form; these oracles keep the direct
-forms (one einsum string per kernel, with no path, and a stack of
-monomials times the coefficients), so the fast kernels can be checked
-against them to roundoff.  Each kernel oracle also returns the same
+The package evaluates the element matrices as the element geometry times
+reference tensors, the velocity gradients through the reference
+gradients, the E1 part of the shape derivative as a nodal vector, and the
+quadratic field in closed form; these oracles keep the direct forms (one
+einsum string per kernel over the physical basis gradients at every
+quadrature point, with no path, and a stack of monomials times the
+coefficients), so the fast kernels can be checked against them to
+roundoff.  Each kernel oracle also returns the same
 contraction over absolute values, the scale that roundoff is relative to.  The package sums
 load vectors, and matrices through their fixed patterns, with
 ``np.bincount``; the dense ``np.add.at`` sums kept here, over the full
@@ -39,7 +41,7 @@ def phys_grads(mesh):
 
 def stiffness_blocks(space):
     """Scalar P2 stiffness blocks (nt, 6, 6) and their scale."""
-    pg, coef = space.phys_grads, space.quad_coef
+    pg, coef = phys_grads(space.mesh)[0], space.quad_coef
     return (
         np.einsum("tqai,tqbi,tq->tab", pg, pg, coef),
         np.einsum("tqai,tqbi,tq->tab", np.abs(pg), np.abs(pg), np.abs(coef)),
@@ -48,10 +50,19 @@ def stiffness_blocks(space):
 
 def pairing_blocks(space):
     """P1 x P2 divergence pairing blocks (nt, 3, 6, 2) and their scale."""
-    pg, coef = space.phys_grads, space.quad_coef
+    pg, coef = phys_grads(space.mesh)[0], space.quad_coef
     return (
         np.einsum("tq,qp,tqac->tpac", coef, _P1_VALS, pg),
         np.einsum("tq,qp,tqac->tpac", np.abs(coef), _P1_VALS, np.abs(pg)),
+    )
+
+
+def mass_blocks(space):
+    """P1 pressure mass blocks (nt, 3, 3) and their scale."""
+    coef = space.quad_coef
+    return (
+        np.einsum("tq,qp,qr->tpr", coef, _P1_VALS, _P1_VALS),
+        np.einsum("tq,qp,qr->tpr", np.abs(coef), _P1_VALS, _P1_VALS),
     )
 
 
@@ -74,7 +85,7 @@ def pressure_values(space, lam):
 def velocity_gradients(space, u_free):
     """grad(u_h) at the quadrature points (nt, nq, 2, 2) and its scale."""
     coeffs = space.expand_velocity(u_free).reshape(-1, 2)[space.tri_nodes]
-    pg = space.phys_grads
+    pg = phys_grads(space.mesh)[0]
     return (
         np.einsum("tai,tqaj->tqij", coeffs, pg),
         np.einsum("tai,tqaj->tqij", np.abs(coeffs), np.abs(pg)),

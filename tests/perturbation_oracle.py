@@ -16,6 +16,8 @@ import scipy.sparse as sparse
 
 from shapederiv.stokes_fem import _GRAD_BARY, _P1_VALS, _P2_VALS
 
+from kernel_oracle import phys_grads
+
 
 class P1Interpolant:
     """The P1 interpolant of a velocity field on a function space's mesh,
@@ -60,7 +62,7 @@ def _field_kernels(space, field):
 def assemble_perturbation_matrices(space, field, f_field) -> PerturbationMatrices:
     """Assemble (A1, B1, f1) for a deformation velocity and a body force,
     with the parent system's quadrature and Dirichlet elimination."""
-    pg, coef = space.phys_grads, space.quad_coef
+    pg, coef = phys_grads(space.mesh)[0], space.quad_coef
     grad, div = _field_kernels(space, field)
 
     q_kernel = div[..., None, None] * np.eye(2) - grad - np.swapaxes(grad, -1, -2)
@@ -86,6 +88,6 @@ def transport_pairing_matrix(space, field) -> sparse.csr_matrix:
     """Matrix T with lam'Tu = int( lambda sum_ij G_ji du_i/dx_j ), the
     transport part of the B1 kernel, assembled on its own."""
     grad, _ = _field_kernels(space, field)
-    te = np.einsum("tq,qp,tqjc,tqaj->tpac", space.quad_coef, _P1_VALS, grad, space.phys_grads)
+    te = np.einsum("tq,qp,tqjc,tqaj->tpac", space.quad_coef, _P1_VALS, grad, phys_grads(space.mesh)[0])
     return space._topology.pairing.matrix(np.moveaxis(te, -1, 0))
 

@@ -1,10 +1,12 @@
 """Element kernels and the quadratic field against their direct forms.
 
-The package contracts its per-quadrature-point kernels along chosen paths
+The package takes its element matrices as the element geometry times
+reference tensors, its velocity gradients through the reference gradients,
 and evaluates QuadraticField in closed form; ``kernel_oracle`` keeps the
-plain einsum strings and the monomial stack.  Every comparison allows
-1e-15 of the oracle's roundoff scale: the largest entry of the same
-contraction taken over absolute values.
+plain einsum strings over the physical gradients at every quadrature point
+and the monomial stack.  Every comparison allows 1e-15 of the oracle's
+roundoff scale: the largest entry of the same contraction taken over
+absolute values.
 """
 
 import numpy as np
@@ -15,7 +17,7 @@ from hypothesis.extra.numpy import arrays
 
 import shapederiv as sd
 from shapederiv.fields import TrigForce
-from shapederiv.stokes_fem import _P1_VALS, pressure_mass_matrix
+from shapederiv.stokes_fem import _P1_VALS, _REF_MASS, pressure_mass_matrix
 
 import kernel_oracle as oracle
 from perturbation_oracle import P1Interpolant, assemble_perturbation_matrices
@@ -39,13 +41,14 @@ def _kernel_pairs(mesh, u_values, coeffs):
     stiffness = [space._topology.stiffness.matrix(b) for b in oracle.stiffness_blocks(space)]
     pairing = [space._topology.pairing.matrix(np.moveaxis(b, -1, 0)) for b in oracle.pairing_blocks(space)]
     load = [space.load_vector(b) for b in oracle.load_blocks(space, f_vals)]
+    mass = [space._topology.mass.matrix(b) for b in oracle.mass_blocks(space)]
     fast = sd.QuadraticField(coeffs=coeffs)
     stacked = oracle.StackedQuadraticField(coeffs=coeffs)
     value_scale, jacobian_scale = stacked.scales(space.quad_points)
     return {
-        "phys_grads": (space.phys_grads, *oracle.phys_grads(mesh)),
         "stiffness": (system.L, *stiffness),
         "pairing": (system.B, *pairing),
+        "mass": (pressure_mass_matrix(space), *mass),
         "load": (system.f, *load),
         "velocity_gradients": (space.element_velocity_gradients(u), *oracle.velocity_gradients(space, u)),
         "pressure_values": (lam[mesh.triangles] @ _P1_VALS.T, *oracle.pressure_values(space, lam)),
@@ -67,10 +70,24 @@ MESHES = {
 }
 
 
-@pytest.mark.parametrize("mesh_name", sorted(MESHES))
+def _mapped_square(matrix):
+    """The n=6 square, right side Neumann, with its vertices mapped by ``matrix``."""
+    base = sd.unit_square_mesh(6, {"right"})
+    return sd.TriMesh(base.vertices @ np.array(matrix).T, base.triangles, base.boundary_edges, base.boundary_tags)
+
+
+# Elements whose J^-1 J^-T is far from isotropic: the geometry tensors
+# that the package contracts have entries of very different sizes.
+DISTORTED = {
+    "sheared": lambda: _mapped_square([[1.0, 0.9999], [0.0, 1e-4]]),
+    "anisotropic": lambda: _mapped_square([[1.0, 0.0], [0.0, 1e-3]]),
+}
+
+
+@pytest.mark.parametrize("mesh_name", sorted(MESHES) + sorted(DISTORTED))
 def test_kernels_match_plain_einsum(mesh_name):
     u_values = np.random.default_rng(7).standard_normal(1000)
-    _assert_pairs_close(_kernel_pairs(MESHES[mesh_name](), u_values, COEFFS))
+    _assert_pairs_close(_kernel_pairs((MESHES | DISTORTED)[mesh_name](), u_values, COEFFS))
 
 
 @pytest.mark.parametrize("mesh_name", sorted(MESHES))
@@ -177,7 +194,7 @@ def test_matrices_sum_in_the_oracles_order(jitter, sides, labels, order, turns, 
 
     nt = base.num_triangles
     stiffness, pairing, mass = blocks((nt, 6, 6)), blocks((nt, 3, 6, 2)), blocks((nt, 3, 3))
-    own_mass = np.einsum("tq,qp,qr->tpr", space.quad_coef, _P1_VALS, _P1_VALS, optimize=True)  # the package's kernel
+    own_mass = space.det[:, None, None] * _REF_MASS  # the package's kernel
     for matrix, expected in (
         (space._topology.stiffness.matrix(stiffness), oracle.stiffness_matrix(space, stiffness)),
         (space._topology.pairing.matrix(np.moveaxis(pairing, -1, 0)), oracle.pairing_matrix(space, pairing)),

@@ -21,7 +21,7 @@ from shapederiv.fields import ConstantForce, LeftEdgeTraction, trig_manufactured
 from shapederiv.mesh import TriMesh
 from shapederiv.stokes_fem import FunctionSpace, pressure_mass_matrix
 
-from kernel_oracle import pressure_integral_weights
+from kernel_oracle import phys_grads, pressure_integral_weights
 
 
 def pressure_gradient_setup(n):
@@ -242,8 +242,9 @@ def test_divergence_rows_sum_to_integral_of_div():
     system = sd.assemble(mesh, ConstantForce())
     space = system.space
     ref = np.zeros(2 * space.num_nodes)
+    pg = phys_grads(mesh)[0]
     for t, nodes in enumerate(space.tri_nodes):
-        contrib = np.einsum("q,qac->ac", space.quad_coef[t], space.phys_grads[t])
+        contrib = np.einsum("q,qac->ac", space.quad_coef[t], pg[t])
         for a, node in enumerate(nodes):
             ref[2 * node] += contrib[a, 0]
             ref[2 * node + 1] += contrib[a, 1]
@@ -327,6 +328,37 @@ def test_energy_checks_the_size_of_both_vectors():
     ):
         with pytest.raises(sd.DimensionMismatch):
             sd.energy(system, bad)
+
+
+@pytest.mark.parametrize("shape", [(110,), (113,), (56, 2)], ids=["short", "long", "nodal"])
+def test_a_velocity_of_the_wrong_shape_is_refused(shape):
+    # The n=4 square with a Neumann side has 112 velocity dofs; a (56, 2)
+    # array has as many entries, but not the shape of the free dofs.
+    space = FunctionSpace(sd.unit_square_mesh(4, {"right"}))
+    assert space.num_velocity == 112
+    u = np.ones(shape)
+    for call in (
+        space.expand_velocity,
+        space.element_velocity_gradients,
+        lambda v: sd.h1_velocity_error(space, v, sd.ZeroField()),
+    ):
+        with pytest.raises(sd.DimensionMismatch, match=rf"shape \({shape[0]},.*expects \(112,\)"):
+            call(u)
+
+
+@pytest.mark.parametrize("make_mesh", [lambda: sd.unit_square_mesh(8, {"right"}), lambda: sd.disk_mesh(6)],
+                         ids=["square", "disk"])
+def test_row_sums_from_the_data_are_scipys(make_mesh):
+    # The backward error's matrix norms and the zero-row check on B read
+    # the row sums of |L| and |B| from the data; scipy's are the oracle,
+    # also with structurally empty rows of B, the first and the last.
+    system = sd.assemble(make_mesh(), sd.TrigForce())
+    B = system.B
+    for matrix in (system.L, B, _zero_row(B, 0), _zero_row(_zero_row(B, 3), B.shape[0] - 1)):
+        sums = stokes_fem._abs_row_sums(matrix)
+        np.testing.assert_array_equal(sums, np.asarray(abs(matrix).sum(axis=1)).ravel())
+        assert float(sums.max()) == spla.norm(matrix, np.inf)
+        np.testing.assert_array_equal(sums > 0.0, np.asarray(matrix.multiply(matrix).sum(axis=1)).ravel() > 0.0)
 
 
 def test_residual_invariants():
