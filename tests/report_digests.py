@@ -1,4 +1,5 @@
-"""Print the sha256 prefix of every report file of a fixed set of CLI runs.
+"""Print the sha256 prefix of every report file of a fixed set of CLI runs,
+and of the vectors of one library run.
 
     PYTHONPATH=src python tests/report_digests.py
 
@@ -10,7 +11,11 @@ fd-verify and corollary3, with the trig and the rotational force, on the
 two-ring disk and the clamped n=4 square; the configs of
 ``test_reports_are_byte_identical`` and ``test_convergence_pipeline``) and
 the seed-3 inputs of the fd-square (n=32) and cli-solve benchmark
-workloads.  Not a ``test_*`` file: pytest does not collect it.
+workloads.  The gradient-sweep workload writes no report: its two lines
+hash, as little-endian float64 bytes, the seed-3 unit's clamped cold
+solve on ``disk_mesh(24)`` (u then lambda, ``u_lam``) and its 25 L1
+values in direction order (``L1``).  Not a ``test_*`` file: pytest does
+not collect it.
 """
 
 from __future__ import annotations
@@ -23,7 +28,10 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))  # the repo root, for perfbench
 
-from perfbench.workloads import CliSolve, FdSquare  # noqa: E402
+import numpy as np  # noqa: E402
+
+import shapederiv as sd  # noqa: E402
+from perfbench.workloads import CliSolve, FdSquare, GradientSweep  # noqa: E402
 from shapederiv.cli import main  # noqa: E402
 
 _SQUARE8 = "[mesh]\nkind = unit_square\nn = 8\nneumann_sides = right\n\n"
@@ -61,6 +69,23 @@ def _digests(name: str, out: Path) -> list[str]:
     return [f"{name} {path.name} {hashlib.sha256(path.read_bytes()).hexdigest()[:16]}" for path in sorted(out.iterdir())]
 
 
+def _sha(values: np.ndarray) -> str:
+    return hashlib.sha256(np.asarray(values, dtype="<f8").tobytes()).hexdigest()[:16]
+
+
+def _sweep_digests(workdir: str) -> list[str]:
+    """The seed-3 gradient-sweep unit's calls: one solve, then L1 per direction."""
+    data = GradientSweep().setup(_SEED, workdir).data
+    system = sd.assemble(data["mesh"], data["force"])
+    solution = sd.solve_stokes(system, pin_pressure=True)
+    l1 = [
+        sd.stokes_shape_derivative(system, solution, sd.assemble_perturbation(system.space, fld, data["force"]), fld).L1
+        for fld in data["fields"]
+    ]
+    name = "gradient-sweep-disk24"
+    return [f"{name} u_lam {_sha(np.concatenate([solution.u, solution.lam]))}", f"{name} L1 {_sha(l1)}"]
+
+
 def main_digests() -> int:
     lines = []
     with tempfile.TemporaryDirectory() as tmp:
@@ -79,6 +104,7 @@ def main_digests() -> int:
                 print(f"{name}: {command} failed", file=sys.stderr)
                 return 1
             lines += _digests(name, out)
+        lines += _sweep_digests(tmp)
     print("\n".join(lines))
     return 0
 
