@@ -262,8 +262,9 @@ class FunctionSpace:
     What depends on the connectivity alone, the numbering, the free dofs
     and the matrix patterns, is the mesh's topology: built once per
     connectivity and shared with every mesh ``transport_mesh`` moves from
-    it.  The per-element geometry used by every assembly loop is computed
-    here, per mesh.
+    it.  The per-element geometry that assembly reads is computed here,
+    per mesh: ``det`` and ``jinv_t`` (J^-T, (nt, 2, 2)) of each affine map,
+    the quadrature points and their weights ``quad_coef``.
     """
 
     def __init__(self, mesh: TriMesh):
